@@ -1,17 +1,20 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-fusion bench-serve bench-tune bench-json chaos overload prof serve shard boundary tune docs links
+.PHONY: check fmt vet build test race bench-fusion bench-serve bench-tune bench-json chaos overload prof serve shard boundary tune tune-smoke docs links
 
 # check is the full pre-merge gate: formatting, static analysis, build,
-# the race-enabled test suite (including the legate-serve e2e suite),
-# the fault-injection suite, the overload-chaos lifecycle suite, the
-# shard scatter/gather bit-identity suite, the feedback-directed
-# mapping suite, one pass over the fusion, serve, and tune wall-clock
-# benchmarks (compile + run, not a timing study — use `go test -bench`
-# directly with a real -benchtime for numbers), the legate-prof
-# artifact smoke test, the engine/transport boundary check, and the
-# documentation gates.
-check: fmt vet build race chaos overload shard tune bench-fusion bench-serve bench-tune prof boundary docs links
+# the race-enabled test suite — every package once, which includes the
+# suites the chaos / overload / serve / shard / tune targets select for
+# focused runs — the tuned-CG ablation smoke run, one pass over the
+# fusion, serve, and tune wall-clock benchmarks (compile + run, not a
+# timing study — use `go test -bench` directly with a real -benchtime
+# for numbers), the legate-prof artifact smoke test, the
+# engine/transport boundary check, and the documentation gates.
+#
+# Every `go test` carries an explicit -timeout (300s for ./..., 120s for
+# a single package or suite) so a hang fails in minutes with goroutine
+# stacks instead of sitting out go's ten-minute default.
+check: fmt vet build race tune-smoke bench-fusion bench-serve bench-tune prof boundary docs links
 
 # fmt fails (and lists offenders) if any file is not gofmt-clean.
 fmt:
@@ -25,17 +28,17 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 300s ./...
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/
 # replay bit-identity, processor-death degradation, and the CG chaos
 # acceptance test.
 chaos:
-	$(GO) test -race -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos' ./internal/fault/ ./internal/legion/ ./internal/bench/
+	$(GO) test -race -timeout 120s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos' ./internal/fault/ ./internal/legion/ ./internal/bench/
 
 # overload runs the deterministic overload-chaos lifecycle suite under
 # the race detector: deadline cancellation that keeps the worker warm
@@ -43,14 +46,15 @@ chaos:
 # Retry-After envelopes, the circuit-breaker lifecycle, graceful drain,
 # the mixed-traffic chaos run, and the goroutine-leak check.
 overload:
-	$(GO) test -race -count=1 -run 'Overload' ./internal/serve/...
+	$(GO) test -race -count=1 -timeout 120s -run 'Overload' ./internal/serve/...
 
 # serve runs the legate-serve end-to-end suite on its own (it is also
-# part of `race`): served results bit-identical to direct solver calls,
-# 64-way concurrency under fault injection, cache invalidation on
-# re-upload, pool replacement on processor death, batching coalescing.
+# part of `race`, like chaos, overload, shard, and tune): served results
+# bit-identical to direct solver calls, 64-way concurrency under fault
+# injection, cache invalidation on re-upload, pool replacement on
+# processor death, batching coalescing.
 serve:
-	$(GO) test -race -count=1 ./internal/serve/...
+	$(GO) test -race -count=1 -timeout 120s ./internal/serve/...
 
 # shard runs the scatter/gather execution-plane chaos suite under the
 # race detector: a 2-shard deployment bit-identical to a single-process
@@ -59,7 +63,7 @@ serve:
 # drain, passthrough routing, and the partition/ring/reduction-fold
 # unit invariants.
 shard:
-	$(GO) test -race -count=1 -run 'Shard' ./internal/shard/
+	$(GO) test -race -count=1 -timeout 120s -run 'Shard' ./internal/shard/
 
 # boundary fails the build if the engine or shard packages grow a
 # dependency on net/http or encoding/json — the line that keeps every
@@ -70,40 +74,27 @@ boundary:
 # tune runs the feedback-directed mapping suite under the race detector
 # (tuned results bit-identical to the static mapper, including under
 # fault injection and checkpoint/replay; deterministic variant picks;
-# scoped plan-cache isolation) plus a tuned-CG ablation smoke run.
-tune:
-	$(GO) test -race -count=1 ./internal/tune/
+# scoped plan-cache isolation) plus the tuned-CG ablation smoke run.
+tune: tune-smoke
+	$(GO) test -race -count=1 -timeout 120s ./internal/tune/
+
+tune-smoke:
 	$(GO) run -race ./cmd/legate-bench -exp tune -tune-presets cg -runs 1 >/dev/null
 
 bench-fusion:
-	$(GO) test -run=NONE -bench=BenchmarkFusion -benchtime=1x ./...
+	$(GO) test -timeout 300s -run=NONE -bench=BenchmarkFusion -benchtime=1x ./...
 
 bench-serve:
-	$(GO) test -run=NONE -bench=BenchmarkServe -benchtime=1x ./internal/serve/...
+	$(GO) test -timeout 120s -run=NONE -bench=BenchmarkServe -benchtime=1x ./internal/serve/...
 
 bench-tune:
-	$(GO) test -run=NONE -bench=BenchmarkTune -benchtime=1x .
+	$(GO) test -timeout 120s -run=NONE -bench=BenchmarkTune -benchtime=1x .
 
 # bench-json regenerates BENCH_pr6.json: the tuned-vs-static throughput
 # of every preset as machine-readable records stamped with the current
 # commit.
 bench-json:
 	$(GO) run ./cmd/legate-bench -exp tune -json BENCH_pr6.json \
-		-commit $$(git rev-parse --short HEAD)
-
-# bench-json-serve regenerates BENCH_pr7.json: the serve load test —
-# including the overload case's throughput, p50/p99, and shed rate —
-# as machine-readable records stamped with the current commit.
-bench-json-serve:
-	$(GO) run ./cmd/legate-bench -exp serve -json BENCH_pr7.json \
-		-commit $$(git rev-parse --short HEAD)
-
-# bench-json-shard regenerates BENCH_pr9.json: the sharded-serve
-# scaling sweep — warm CG and the GMG-style V-cycle SpMV ladder at 1,
-# 2, and 4 shards against the single-process baseline — as
-# machine-readable records stamped with the current commit.
-bench-json-shard:
-	$(GO) run ./cmd/legate-bench -exp shard -json BENCH_pr9.json \
 		-commit $$(git rev-parse --short HEAD)
 
 # docs fails if any package lacks a package-level doc comment, or if

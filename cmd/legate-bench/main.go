@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	legate-bench -exp spmv|cg|gmg|quantum|mf|recovery|tune|serve|shard|all [-preset small|paper]
+//	legate-bench -exp spmv|cg|gmg|quantum|mf|ablation|recovery|tune|all [-preset small|paper]
 //	             [-units N] [-iters N] [-runs N] [-mfscale N]
 //	             [-seed N] [-faults SPEC] [-checkpoint-every N]
 //	             [-tune] [-tune-presets LIST] [-json PATH] [-commit ID]
@@ -18,6 +18,9 @@
 // steady-state wall-clock throughput with the autotuner attached vs the
 // static mapper, optionally written as JSON records with -json (see
 // `make bench-json`).
+//
+// The wall-clock benchmark of the served and sharded paths is not here:
+// it is benchmark/ (see benchmark/README.md).
 //
 // Each experiment prints the same rows/series the paper's figure or
 // table reports, measured in simulated time on the synthetic machine
@@ -41,7 +44,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, serve, shard, or all")
+	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, tune, or all")
 	preset := flag.String("preset", "small", "option preset: small or paper")
 	units := flag.Int64("units", 0, "override units (rows/dimensions) per processor")
 	iters := flag.Int("iters", 0, "override timed iterations per run")
@@ -54,7 +57,7 @@ func main() {
 	profOut := flag.String("prof-out", "", "directory to write observability artifacts (Chrome trace, DOT dependence graph, critical-path report) covering every runtime the experiments create")
 	tuneOn := flag.Bool("tune", false, "attach the feedback-directed autotuner to every runtime the experiments create")
 	tunePresets := flag.String("tune-presets", "", "comma-separated preset filter for -exp tune (default: all of cg,gmg,quantum,pagerank)")
-	jsonOut := flag.String("json", "", "write -exp tune/serve results as machine-readable JSON records to this path")
+	jsonOut := flag.String("json", "", "write -exp tune results as machine-readable JSON records to this path")
 	commit := flag.String("commit", "", "commit id recorded in -json output")
 	flag.Parse()
 
@@ -185,46 +188,6 @@ func main() {
 		runRecovery()
 	case "tune":
 		runTune()
-	case "serve":
-		t0 := time.Now()
-		results := bench.ServeLoad(opt)
-		fmt.Printf("%s(generated in %v)\n\n", bench.FormatServeLoad(results), time.Since(t0).Round(time.Millisecond))
-		if *jsonOut != "" {
-			var records []benchRecord
-			for _, r := range results {
-				records = append(records,
-					benchRecord{Preset: r.Name, Metric: "throughput_req_per_sec", Value: r.Throughput, Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "p50_latency_ms", Value: float64(r.P50Lat) / float64(time.Millisecond), Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "p99_latency_ms", Value: float64(r.P99Lat) / float64(time.Millisecond), Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "shed_rate", Value: r.ShedRate, Commit: *commit},
-				)
-			}
-			if err := writeBenchJSON(*jsonOut, records); err != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records -> %s\n", len(records), *jsonOut)
-		}
-	case "shard":
-		t0 := time.Now()
-		results := bench.ShardedServeLoad(opt)
-		fmt.Printf("%s(generated in %v)\n\n", bench.FormatShardLoad(results), time.Since(t0).Round(time.Millisecond))
-		if *jsonOut != "" {
-			var records []benchRecord
-			for _, r := range results {
-				records = append(records,
-					benchRecord{Preset: r.Name, Metric: "throughput_req_per_sec", Value: r.Throughput, Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "p50_latency_ms", Value: float64(r.P50Lat) / float64(time.Millisecond), Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "p99_latency_ms", Value: float64(r.P99Lat) / float64(time.Millisecond), Commit: *commit},
-					benchRecord{Preset: r.Name, Metric: "comms_kib", Value: float64(r.CommsBytes) / 1024, Commit: *commit},
-				)
-			}
-			if err := writeBenchJSON(*jsonOut, records); err != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records -> %s\n", len(records), *jsonOut)
-		}
 	case "all":
 		run("fig8", bench.Fig8SpMV)
 		run("fig9", bench.Fig9CG)

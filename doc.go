@@ -47,7 +47,8 @@
 //
 // Applications:
 //
-//	internal/solvers     Krylov solvers, multigrid, power iteration
+//	internal/solvers     Krylov solvers, multigrid, power iteration; CG/PCG
+//	                     and power iteration once over a vector Space
 //	internal/mlearn      matrix-factorization workload (§6.2)
 //	internal/quantum     Rydberg-chain quantum simulation (§6.1)
 //	internal/petsc       explicitly-parallel rank-local baseline
@@ -61,14 +62,14 @@
 //	internal/serve/loopback  the in-process deep-copy transport
 //	internal/shard           multi-shard scatter/gather execution plane:
 //	                         nnz-balanced row blocks, consistent-hash
-//	                         placement, bit-identical distributed CG
-//	internal/bench           figure/table regeneration and load tests
+//	                         placement, the solvers' loops on a host Space
+//	internal/bench           figure/table regeneration and ablations
 //
 // Commands:
 //
 //	cmd/legate-serve     HTTP solver service with warm runtime pool
 //	                     (-shards runs the sharded execution plane)
-//	cmd/legate-bench     paper experiments, ablations, load test
+//	cmd/legate-bench     paper experiments and ablations
 //	cmd/figures          EXPERIMENTS.md table generator
 //	cmd/legate-prof      profiler artifact exporter
 //	cmd/legate-info      machine/kernel/API inventory

@@ -47,7 +47,14 @@ func (w *worker) enqueue(ls *launchState, point int) {
 }
 
 // wake re-checks the head item (called when some launch becomes ready).
-func (w *worker) wake() { w.cond.Signal() }
+// The signal is sent under w.mu: run tests the head's ready flag under
+// the lock and then Waits, and a Signal slipping between those two
+// steps would find no waiter and be lost.
+func (w *worker) wake() {
+	w.mu.Lock()
+	w.cond.Signal()
+	w.mu.Unlock()
+}
 
 // run processes the queue in order until stop is called and the queue
 // drains.

@@ -1,54 +1,80 @@
 package shard
 
-// The distributed execution paths. The coordinator runs the SOLVER
-// LOOP host-side — the exact statement sequence of solvers.CG and
-// solvers.PowerIteration — and delegates only SpMV to the shard
-// engines as scatter/gather block requests. Every arithmetic statement
-// here mirrors a cunumeric kernel expression one-for-one (axpy ↔
-// cn.axpy, axpby ↔ cn.axpby, scale ↔ cn.scale, dot ↔ plan.fold ↔
-// cn.dot + completeLaunch), so the floating-point result of a sharded
-// solve is bit-identical to a single-process engine's.
+// The distributed execution paths. The coordinator owns no solver
+// recurrence: it runs solvers.PCGOn and solvers.PowerOn — the same
+// loops a single-process engine runs — on a host space (hostSpace)
+// whose operator is the scatter/gather plane; why that is bit-identical
+// is DESIGN.md's "Host-side solver loop".
 //
-// Anything the plane does not distribute — non-CG solvers (their
-// recurrences interleave kernels the plane doesn't replay), non-CSR
+// Anything the plane does not distribute — non-CG solvers, non-CSR
 // formats — passes through whole to the matrix fingerprint's ring
 // owner, keeping every request answerable.
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cunumeric"
 	"repro/internal/geometry"
 	"repro/internal/serve/engine"
+	"repro/internal/solvers"
 )
 
-// Host-side kernel mirrors. Each body is the cunumeric element kernel
-// verbatim, applied over the full vector (one index space, no tiling
-// — these kernels carry no cross-element reduction, so order is
-// irrelevant to bit-identity; only dot needs the tiled fold).
+// hostSpace is the solvers.Space the coordinator solves on: vectors are
+// host slices, MatVec is one scatter/gather round over the plan's
+// blocks, Dot is the runtime's tiled reduction replayed in its fixed
+// order, and the three element kernels are the cunumeric kernel bodies
+// verbatim over the whole vector (no cross-element reduction, so order
+// cannot matter; only Dot needs the tiled fold).
+//
+// The first MatVec failure sticks and turns later MatVecs into no-ops;
+// Err reports it, or the request context's end, which outranks it.
+type hostSpace struct {
+	c   *Coordinator
+	ctx context.Context
+	p   *plan
+	err error
+}
 
-// axpy: y += a*x (cn.axpy).
-func axpy(a float64, x, y []float64) {
+func (s *hostSpace) Zeros() []float64        { return make([]float64, s.p.n) }
+func (s *hostSpace) Free([]float64)          {}
+func (s *hostSpace) Copy(dst, src []float64) { copy(dst, src) }
+
+func (s *hostSpace) MatVec(dst, src []float64) {
+	if s.Err() == nil {
+		s.err = s.c.distSpMV(s.ctx, s.p, dst, src)
+	}
+}
+
+func (s *hostSpace) Dot(a, b []float64) float64 { return s.c.dot(s.p, a, b) }
+
+// AXPY: y += a*x (cn.axpy).
+func (s *hostSpace) AXPY(a float64, x, y []float64) {
 	for i := range y {
 		y[i] += a * x[i]
 	}
 }
 
-// axpby: y = a*x + b*y (cn.axpby).
-func axpby(a, b float64, x, y []float64) {
+// AXPBY: y = a*x + b*y (cn.axpby).
+func (s *hostSpace) AXPBY(a float64, x []float64, b float64, y []float64) {
 	for i := range y {
 		y[i] = a*x[i] + b*y[i]
 	}
 }
 
-// scale: v *= s (cn.scale).
-func scale(v []float64, s float64) {
+// Scale: v *= a (cn.scale).
+func (s *hostSpace) Scale(a float64, v []float64) {
 	for i := range v {
-		v[i] *= s
+		v[i] *= a
 	}
+}
+
+func (s *hostSpace) Err() error {
+	if s.ctx.Err() != nil {
+		return ctxError(s.ctx)
+	}
+	return s.err
 }
 
 // ones is the engines' default operand (Ones array).
@@ -88,11 +114,10 @@ func (c *Coordinator) SpMV(ctx context.Context, req *engine.SpMVRequest) (*engin
 		return nil, badRequest(fmt.Errorf("x has %d entries, matrix has %d columns", len(x), d.Cols))
 	}
 	p, hit := c.planFor(d)
-	y := make([]float64, d.Rows)
-	if err := c.distSpMV(ctx, p, y, x); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctxError(ctx)
-		}
+	sp := &hostSpace{c: c, ctx: ctx, p: p}
+	y := sp.Zeros()
+	sp.MatVec(y, x)
+	if err := sp.Err(); err != nil {
 		return nil, err
 	}
 	return &engine.SpMVResponse{
@@ -141,9 +166,6 @@ func (c *Coordinator) Solve(ctx context.Context, req *engine.SolveRequest) (*eng
 	p, hit := c.planFor(d)
 	resp, err := c.distCG(ctx, p, b, tol, maxIter)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctxError(ctx)
-		}
 		return nil, err
 	}
 	resp.Cache = cacheWord(hit)
@@ -152,52 +174,19 @@ func (c *Coordinator) Solve(ctx context.Context, req *engine.SolveRequest) (*eng
 	return resp, nil
 }
 
-// distCG is solvers.CG statement-for-statement, with SpMVInto replaced
-// by the scatter/gather plane and every Dot/AXPY/AXPBY replaced by its
-// exact host mirror.
+// distCG runs solvers.PCGOn, unpreconditioned, on the host space. Like
+// the engine, it reports a numerical breakdown as a solve that did not
+// converge; only the space's own failure is an error.
 func (c *Coordinator) distCG(ctx context.Context, p *plan, b []float64, tol float64, maxIter int) (*engine.SolveResponse, error) {
-	n := p.n
-	x := make([]float64, n)            // Zeros
-	r := append([]float64(nil), b...)  // Copy(b)
-	pv := append([]float64(nil), r...) // Copy(r)
-	ap := make([]float64, n)           // Zeros
-	rs := c.dot(p, r, r)               // Dot(r, r)
-
-	resp := &engine.SolveResponse{}
-	var lastResidual float64
-	haveResidual := false
-	for it := 0; it < maxIter; it++ {
-		if ctx.Err() != nil {
-			return nil, ctxError(ctx)
-		}
-		if err := c.distSpMV(ctx, p, ap, pv); err != nil { // SpMVInto(ap, p)
-			return nil, err
-		}
-		pap := c.dot(p, pv, ap)
-		if pap == 0 { // breakdown
-			break
-		}
-		alpha := rs / pap
-		axpy(alpha, pv, x)  // AXPY(alpha, p, x)
-		axpy(-alpha, ap, r) // AXPY(-alpha, ap, r)
-		rsNew := c.dot(p, r, r)
-		nrm := math.Sqrt(rsNew)
-		resp.Iterations = it + 1
-		lastResidual, haveResidual = nrm, true
-		if math.IsNaN(nrm) || math.IsInf(nrm, 0) { // breakdown
-			break
-		}
-		if nrm < tol {
-			resp.Converged = true
-			break
-		}
-		axpby(1, rsNew/rs, r, pv) // AXPBY(1, r, rsNew/rs, p)
-		rs = rsNew
+	sp := &hostSpace{c: c, ctx: ctx, p: p}
+	out := solvers.PCGOn(sp, "cg", b, nil, maxIter, tol)
+	if err := sp.Err(); err != nil {
+		return nil, err
 	}
-	if haveResidual {
-		resp.Residual = lastResidual
+	resp := &engine.SolveResponse{X: out.X, Iterations: out.Iterations, Converged: out.Converged}
+	if n := len(out.Residuals); n > 0 {
+		resp.Residual = out.Residuals[n-1]
 	}
-	resp.X = x
 	return resp, nil
 }
 
@@ -222,9 +211,6 @@ func (c *Coordinator) Eigen(ctx context.Context, req *engine.EigenRequest) (*eng
 	p, hit := c.planFor(d)
 	lambda, vec, err := c.distEigen(ctx, p, iters, req.Seed)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctxError(ctx)
-		}
 		return nil, err
 	}
 	return &engine.EigenResponse{
@@ -233,33 +219,15 @@ func (c *Coordinator) Eigen(ctx context.Context, req *engine.EigenRequest) (*eng
 	}, nil
 }
 
-// distEigen is solvers.PowerIteration statement-for-statement.
+// distEigen runs solvers.PowerOn on the host space from the start
+// vector cunumeric.Random would generate.
 func (c *Coordinator) distEigen(ctx context.Context, p *plan, iters int, seed uint64) (float64, []float64, error) {
-	n := p.n
-	x := make([]float64, n) // Random(rt, n, seed)
+	sp := &hostSpace{c: c, ctx: ctx, p: p}
+	x := sp.Zeros()
 	for i := range x {
 		x[i] = cunumeric.Uniform01(seed, uint64(i))
 	}
-	y := make([]float64, n) // Zeros
-	for i := 0; i < iters; i++ {
-		if ctx.Err() != nil {
-			return 0, nil, ctxError(ctx)
-		}
-		if err := c.distSpMV(ctx, p, y, x); err != nil { // SpMVInto(y, x)
-			return 0, nil, err
-		}
-		nrm := math.Sqrt(c.dot(p, y, y)) // Norm(y)
-		if nrm == 0 {
-			break
-		}
-		scale(y, 1/nrm) // y.Scale(1 / nrm)
-		x, y = y, x
-	}
-	if err := c.distSpMV(ctx, p, y, x); err != nil { // SpMVInto(y, x)
-		return 0, nil, err
-	}
-	lambda := c.dot(p, x, y) // Dot(x, y)
-	return lambda, x, nil
+	return solvers.PowerOn(sp, x, iters)
 }
 
 // cacheWord spells a plan-cache outcome the way engine responses do.

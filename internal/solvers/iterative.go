@@ -11,6 +11,15 @@
 // point the paper makes about bootstrapping the library with itself:
 // porting a SciPy solver is mechanical once the array and sparse layers
 // compose.
+//
+// CG, its preconditioned variants (Jacobi, two-level and multi-level
+// V-cycle) and power iteration go one step further: each is written
+// once, as PCGOn / PowerOn over the Space vector backend (krylov.go),
+// and the exported entry points are that loop on runtime-backed arrays.
+// internal/shard runs the same two functions on host slices behind its
+// scatter/gather operator, which is why a sharded solve repeats a
+// single-process one bit for bit. CGS, BiCG, BiCGSTAB and GMRES exist
+// once each and are written directly against cunumeric.
 package solvers
 
 import (
@@ -22,19 +31,25 @@ import (
 	"repro/internal/legion"
 )
 
-// Result reports the outcome of an iterative solve.
-type Result struct {
-	X          *cunumeric.Array
+// Outcome reports the result of an iterative solve over vectors of
+// type V (see Space).
+type Outcome[V any] struct {
+	X          V
 	Iterations int
 	Residuals  []float64 // per-iteration residual norms
 	Converged  bool
 
 	// Err is non-nil when the solve stopped for a reason other than
 	// convergence or iteration exhaustion: a numerical breakdown (a
-	// zero denominator in the recurrence, a NaN or Inf residual) or a
-	// sticky runtime error (modeled OOM, unrecoverable fault).
+	// zero denominator in the recurrence, a NaN or Inf residual), a
+	// sticky runtime error (modeled OOM, unrecoverable fault), or a
+	// cooperative cancellation.
 	Err error
 }
+
+// Result is the outcome of a solve on runtime-backed arrays, what every
+// exported solver in this package returns.
+type Result = Outcome[*cunumeric.Array]
 
 // BreakdownError reports a numerical breakdown of an iterative solver:
 // a denominator in the Krylov recurrence hit exactly zero, or the
@@ -53,7 +68,7 @@ func (e *BreakdownError) Error() string {
 // breakdown records a breakdown on res unless the solve already
 // converged (a zero denominator *after* convergence is the normal exit
 // of an exactly-solved system, not an error).
-func (res *Result) breakdown(solver, reason string) {
+func (res *Outcome[V]) breakdown(solver, reason string) {
 	if !res.Converged && res.Err == nil {
 		res.Err = &BreakdownError{Solver: solver, Iteration: res.Iterations, Reason: reason}
 	}
@@ -62,7 +77,7 @@ func (res *Result) breakdown(solver, reason string) {
 // residualOK records a breakdown and returns false when a residual
 // norm is NaN or Inf — the iteration has diverged and no further step
 // can recover it.
-func (res *Result) residualOK(solver string, nrm float64) bool {
+func (res *Outcome[V]) residualOK(solver string, nrm float64) bool {
 	if math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 		res.breakdown(solver, fmt.Sprintf("residual norm is %v", nrm))
 		return false
@@ -70,23 +85,32 @@ func (res *Result) residualOK(solver string, nrm float64) bool {
 	return true
 }
 
-// finish propagates a sticky runtime error into the result. Kernel
-// values funnel through Future.Get, so by the time a solver returns,
-// any modeled OOM or unrecovered fault is visible on the runtime; a
-// runtime error outranks whatever numeric state the solve limped to.
-func (res *Result) finish(rt *legion.Runtime) *Result {
-	if err := rt.Err(); err != nil {
-		res.Err = err
-		res.Converged = false
-	} else if err := rt.Cancelled(); err != nil {
-		// Kernels were skipped from the cancellation point on, so any
-		// numeric state (including an apparent zero residual) is
-		// meaningless; the cancellation outranks it.
+// fail records why the vector backend stopped, if it did. A backend
+// error outranks whatever numeric state the solve limped to: kernels
+// were skipped from the failure or cancellation point on, so even an
+// apparent zero residual is meaningless.
+func (res *Outcome[V]) fail(err error) *Outcome[V] {
+	if err != nil {
 		res.Err = err
 		res.Converged = false
 	}
 	return res
 }
+
+// streamErr is the runtime's reason to stop a solve: the sticky error
+// first (kernel values funnel through Future.Get, so by the time a
+// solver returns any modeled OOM or unrecovered fault is visible), then
+// a cooperative cancellation.
+func streamErr(rt *legion.Runtime) error {
+	if err := rt.Err(); err != nil {
+		return err
+	}
+	return rt.Cancelled()
+}
+
+// finish propagates the runtime's sticky error or cancellation into the
+// result.
+func (res *Outcome[V]) finish(rt *legion.Runtime) *Outcome[V] { return res.fail(streamErr(rt)) }
 
 // stopped reports whether the launch stream has been cooperatively
 // cancelled. Iteration loops poll it so a timed-out or abandoned solve
@@ -96,49 +120,10 @@ func (res *Result) finish(rt *legion.Runtime) *Result {
 func stopped(rt *legion.Runtime) bool { return rt.Cancelled() != nil }
 
 // CG solves the SPD system A x = b with the conjugate-gradient method,
-// the solver of the paper's Figure 9 benchmark. Work buffers are reused
-// across iterations so the program reaches the steady state of §4.3
-// (stable partitions, halo-only communication).
+// the solver of the paper's Figure 9 benchmark: PCGOn with no
+// preconditioner on the runtime-backed space.
 func CG(a core.SparseMatrix, b *cunumeric.Array, maxIter int, tol float64) *Result {
-	rt := a.Runtime()
-	n := b.Len()
-	x := cunumeric.Zeros(rt, n)
-	r := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(r, b) // r = b - A*0 = b
-	p := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(p, r)
-	ap := cunumeric.Zeros(rt, n)
-
-	res := &Result{X: x}
-	rs := cunumeric.Dot(r, r).Get()
-	for it := 0; it < maxIter && !stopped(rt); it++ {
-		a.SpMVInto(ap, p)
-		pap := cunumeric.Dot(p, ap).Get()
-		if pap == 0 {
-			res.breakdown("cg", "p·Ap = 0")
-			break
-		}
-		alpha := rs / pap
-		cunumeric.AXPY(alpha, p, x)
-		cunumeric.AXPY(-alpha, ap, r)
-		rsNew := cunumeric.Dot(r, r).Get()
-		nrm := math.Sqrt(rsNew)
-		res.Iterations = it + 1
-		res.Residuals = append(res.Residuals, nrm)
-		if !res.residualOK("cg", nrm) {
-			break
-		}
-		if nrm < tol {
-			res.Converged = true
-			break
-		}
-		cunumeric.AXPBY(1, r, rsNew/rs, p) // p = r + beta p
-		rs = rsNew
-	}
-	r.Destroy()
-	p.Destroy()
-	ap.Destroy()
-	return res.finish(rt)
+	return PCGOn(regionSpace{a}, "cg", b, nil, maxIter, tol)
 }
 
 // CGS solves A x = b with the conjugate-gradient-squared method (ported
@@ -460,24 +445,12 @@ func GMRES(a core.SparseMatrix, b *cunumeric.Array, restart, maxIter int, tol fl
 
 // PowerIteration estimates the dominant eigenvalue and eigenvector of A
 // via power iteration with the Rayleigh quotient, the computation of the
-// paper's Figure 1.
+// paper's Figure 1: PowerOn from a seeded random start vector. A sticky
+// runtime error or cancellation is left for the caller to read off the
+// runtime.
 func PowerIteration(a core.SparseMatrix, iters int, seed uint64) (float64, *cunumeric.Array) {
-	rt := a.Runtime()
-	n := a.Rows()
-	x := cunumeric.Random(rt, n, seed)
-	y := cunumeric.Zeros(rt, n)
-	for i := 0; i < iters && !stopped(rt); i++ {
-		a.SpMVInto(y, x)
-		nrm := cunumeric.Norm(y)
-		if nrm == 0 {
-			break
-		}
-		y.Scale(1 / nrm)
-		x, y = y, x
-	}
-	a.SpMVInto(y, x)
-	lambda := cunumeric.Dot(x, y).Get()
-	y.Destroy()
+	x := cunumeric.Random(a.Runtime(), a.Rows(), seed)
+	lambda, x, _ := PowerOn(regionSpace{a}, x, iters)
 	return lambda, x
 }
 

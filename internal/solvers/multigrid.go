@@ -1,8 +1,6 @@
 package solvers
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/cunumeric"
 )
@@ -113,24 +111,46 @@ func (mg *Multigrid) Destroy() {
 	mg.eC.Destroy()
 }
 
-// Cycle applies one two-level V-cycle to improve x for A x = b:
-// pre-smooth, restrict the residual, solve the coarse system
-// approximately with smoothing sweeps, prolong the correction, and
-// post-smooth.
-func (mg *Multigrid) Cycle(x, b *cunumeric.Array) {
-	WeightedJacobi(mg.A, x, b, mg.DinvF, mg.Omega, mg.Sweeps)
+// Cycle applies one two-level V-cycle to improve x for A x = b.
+func (mg *Multigrid) Cycle(x, b *cunumeric.Array) { vcycle([]*Multigrid{mg}, mg.Omega, x, b) }
+
+// PCG solves A x = b with conjugate gradient preconditioned by one
+// multigrid V-cycle per iteration — the "two-level geometric multi-grid
+// conjugate gradient solver" of §6.1.
+func (mg *Multigrid) PCG(b *cunumeric.Array, maxIter int, tol float64) *Result {
+	return cyclePCG(mg.A, mg.Cycle, b, maxIter, tol)
+}
+
+// vcycle applies one V-cycle over levels (finest first) to improve x
+// for A x = b: pre-smooth, restrict the residual, correct on the next
+// level — recursively, or at the coarsest with extra smoothing sweeps
+// from zero — prolong the correction, and post-smooth.
+func vcycle(levels []*Multigrid, omega float64, x, b *cunumeric.Array) {
+	mg := levels[0]
+	WeightedJacobi(mg.A, x, b, mg.DinvF, omega, mg.Sweeps)
 	// rF = b - A x
 	mg.A.SpMVInto(mg.rF, x)
 	cunumeric.AXPBY(1, b, -1, mg.rF)
 	// rC = R rF
 	mg.R.SpMVInto(mg.rC, mg.rF)
-	// Approximately solve Ac eC = rC with smoothing from zero.
 	mg.eC.Fill(0)
-	WeightedJacobi(mg.Ac, mg.eC, mg.rC, mg.DinvC, mg.Omega, 4*mg.Sweeps)
+	if len(levels) > 1 {
+		vcycle(levels[1:], omega, mg.eC, mg.rC)
+	} else {
+		WeightedJacobi(mg.Ac, mg.eC, mg.rC, mg.DinvC, omega, 4*mg.Sweeps)
+	}
 	// x += P eC
 	mg.P.SpMVInto(mg.eF, mg.eC)
 	cunumeric.AXPY(1, mg.eF, x)
-	WeightedJacobi(mg.A, x, b, mg.DinvF, mg.Omega, mg.Sweeps)
+	WeightedJacobi(mg.A, x, b, mg.DinvF, omega, mg.Sweeps)
+}
+
+// cyclePCG is PCGOn preconditioned by one V-cycle from a zero guess.
+func cyclePCG(a core.SparseMatrix, cycle func(x, b *cunumeric.Array), b *cunumeric.Array, maxIter int, tol float64) *Result {
+	return PCGOn(regionSpace{a}, "pcg", b, func(z, r *cunumeric.Array) {
+		z.Fill(0)
+		cycle(z, r)
+	}, maxIter, tol)
 }
 
 // MultilevelMG extends the paper's two-level hierarchy to an arbitrary
@@ -173,119 +193,9 @@ func (ml *MultilevelMG) Destroy() {
 func (ml *MultilevelMG) Depth() int { return len(ml.levels) + 1 }
 
 // Cycle applies one V-cycle down the whole hierarchy to improve x.
-func (ml *MultilevelMG) Cycle(x, b *cunumeric.Array) { ml.cycleAt(0, x, b) }
-
-func (ml *MultilevelMG) cycleAt(level int, x, b *cunumeric.Array) {
-	mg := ml.levels[level]
-	WeightedJacobi(mg.A, x, b, mg.DinvF, ml.Omega, mg.Sweeps)
-	mg.A.SpMVInto(mg.rF, x)
-	cunumeric.AXPBY(1, b, -1, mg.rF)
-	mg.R.SpMVInto(mg.rC, mg.rF)
-	mg.eC.Fill(0)
-	if level+1 < len(ml.levels) {
-		ml.cycleAt(level+1, mg.eC, mg.rC)
-	} else {
-		WeightedJacobi(mg.Ac, mg.eC, mg.rC, mg.DinvC, ml.Omega, 4*mg.Sweeps)
-	}
-	mg.P.SpMVInto(mg.eF, mg.eC)
-	cunumeric.AXPY(1, mg.eF, x)
-	WeightedJacobi(mg.A, x, b, mg.DinvF, ml.Omega, mg.Sweeps)
-}
+func (ml *MultilevelMG) Cycle(x, b *cunumeric.Array) { vcycle(ml.levels, ml.Omega, x, b) }
 
 // PCG solves A x = b with CG preconditioned by one multi-level V-cycle.
 func (ml *MultilevelMG) PCG(b *cunumeric.Array, maxIter int, tol float64) *Result {
-	fine := ml.levels[0]
-	rt := fine.A.Runtime()
-	n := b.Len()
-	x := cunumeric.Zeros(rt, n)
-	r := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(r, b)
-	z := cunumeric.Zeros(rt, n)
-	p := cunumeric.Zeros(rt, n)
-	ap := cunumeric.Zeros(rt, n)
-
-	applyPrec := func(dst, src *cunumeric.Array) {
-		dst.Fill(0)
-		ml.Cycle(dst, src)
-	}
-	res := &Result{X: x}
-	applyPrec(z, r)
-	cunumeric.Copy(p, z)
-	rz := cunumeric.Dot(r, z).Get()
-	for it := 0; it < maxIter; it++ {
-		fine.A.SpMVInto(ap, p)
-		den := cunumeric.Dot(p, ap).Get()
-		if den == 0 {
-			break
-		}
-		alpha := rz / den
-		cunumeric.AXPY(alpha, p, x)
-		cunumeric.AXPY(-alpha, ap, r)
-		nrm := math.Sqrt(cunumeric.Dot(r, r).Get())
-		res.Iterations = it + 1
-		res.Residuals = append(res.Residuals, nrm)
-		if nrm < tol {
-			res.Converged = true
-			break
-		}
-		applyPrec(z, r)
-		rzNew := cunumeric.Dot(r, z).Get()
-		cunumeric.AXPBY(1, z, rzNew/rz, p)
-		rz = rzNew
-	}
-	r.Destroy()
-	z.Destroy()
-	p.Destroy()
-	ap.Destroy()
-	return res
-}
-
-// PCG solves A x = b with conjugate gradient preconditioned by one
-// multigrid V-cycle per iteration — the "two-level geometric multi-grid
-// conjugate gradient solver" of §6.1.
-func (mg *Multigrid) PCG(b *cunumeric.Array, maxIter int, tol float64) *Result {
-	rt := mg.A.Runtime()
-	n := b.Len()
-	x := cunumeric.Zeros(rt, n)
-	r := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(r, b)
-	z := cunumeric.Zeros(rt, n)
-	p := cunumeric.Zeros(rt, n)
-	ap := cunumeric.Zeros(rt, n)
-
-	applyPrec := func(dst, src *cunumeric.Array) {
-		dst.Fill(0)
-		mg.Cycle(dst, src)
-	}
-
-	res := &Result{X: x}
-	applyPrec(z, r)
-	cunumeric.Copy(p, z)
-	rz := cunumeric.Dot(r, z).Get()
-	for it := 0; it < maxIter; it++ {
-		mg.A.SpMVInto(ap, p)
-		den := cunumeric.Dot(p, ap).Get()
-		if den == 0 {
-			break
-		}
-		alpha := rz / den
-		cunumeric.AXPY(alpha, p, x)
-		cunumeric.AXPY(-alpha, ap, r)
-		nrm := math.Sqrt(cunumeric.Dot(r, r).Get())
-		res.Iterations = it + 1
-		res.Residuals = append(res.Residuals, nrm)
-		if nrm < tol {
-			res.Converged = true
-			break
-		}
-		applyPrec(z, r)
-		rzNew := cunumeric.Dot(r, z).Get()
-		cunumeric.AXPBY(1, z, rzNew/rz, p)
-		rz = rzNew
-	}
-	r.Destroy()
-	z.Destroy()
-	p.Destroy()
-	ap.Destroy()
-	return res
+	return cyclePCG(ml.levels[0].A, ml.Cycle, b, maxIter, tol)
 }

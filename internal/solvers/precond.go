@@ -14,54 +14,14 @@ import (
 // multigrid.
 func PCGJacobi(a core.SparseMatrix, b *cunumeric.Array, maxIter int, tol float64) *Result {
 	rt := a.Runtime()
-	n := b.Len()
 	dinv := core.Diagonal(a)
-	one := cunumeric.Full(rt, n, 1)
+	one := cunumeric.Full(rt, b.Len(), 1)
 	cunumeric.DivInto(dinv, one, dinv)
 	one.Destroy()
-
-	x := cunumeric.Zeros(rt, n)
-	r := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(r, b)
-	z := cunumeric.Zeros(rt, n)
-	cunumeric.MulInto(z, r, dinv)
-	p := cunumeric.Zeros(rt, n)
-	cunumeric.Copy(p, z)
-	ap := cunumeric.Zeros(rt, n)
-
-	res := &Result{X: x}
-	rz := cunumeric.Dot(r, z).Get()
-	for it := 0; it < maxIter && !stopped(rt); it++ {
-		a.SpMVInto(ap, p)
-		den := cunumeric.Dot(p, ap).Get()
-		if den == 0 {
-			res.breakdown("pcg", "p·Ap = 0")
-			break
-		}
-		alpha := rz / den
-		cunumeric.AXPY(alpha, p, x)
-		cunumeric.AXPY(-alpha, ap, r)
-		nrm := math.Sqrt(cunumeric.Dot(r, r).Get())
-		res.Iterations = it + 1
-		res.Residuals = append(res.Residuals, nrm)
-		if !res.residualOK("pcg", nrm) {
-			break
-		}
-		if nrm < tol {
-			res.Converged = true
-			break
-		}
+	defer dinv.Destroy()
+	return PCGOn(regionSpace{a}, "pcg", b, func(z, r *cunumeric.Array) {
 		cunumeric.MulInto(z, r, dinv)
-		rzNew := cunumeric.Dot(r, z).Get()
-		cunumeric.AXPBY(1, z, rzNew/rz, p)
-		rz = rzNew
-	}
-	dinv.Destroy()
-	r.Destroy()
-	z.Destroy()
-	p.Destroy()
-	ap.Destroy()
-	return res.finish(rt)
+	}, maxIter, tol)
 }
 
 // RKF45 integrates y' = f(t, y) from t0 to t1 with the adaptive
