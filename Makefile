@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-fusion bench-serve bench-tune bench-json chaos overload prof serve shard boundary tune tune-smoke docs links
+.PHONY: check fmt vet build test race fuzz bench-fusion bench-serve bench-tune bench-json chaos overload prof serve shard boundary tune tune-smoke docs links
 
 # check is the full pre-merge gate: formatting, static analysis, build,
 # the race-enabled test suite — every package once, which includes the
@@ -8,13 +8,15 @@ GO ?= go
 # focused runs — the tuned-CG ablation smoke run, one pass over the
 # fusion, serve, and tune wall-clock benchmarks (compile + run, not a
 # timing study — use `go test -bench` directly with a real -benchtime
-# for numbers), the legate-prof artifact smoke test, the
+# for numbers), a ten-second native fuzz of geometry.FromPoints (its seed
+# corpus already ran as a normal test under `race`), the legate-prof
+# artifact smoke test, the
 # engine/transport boundary check, and the documentation gates.
 #
 # Every `go test` carries an explicit -timeout (300s for ./..., 120s for
 # a single package or suite) so a hang fails in minutes with goroutine
 # stacks instead of sitting out go's ten-minute default.
-check: fmt vet build race tune-smoke bench-fusion bench-serve bench-tune prof boundary docs links
+check: fmt vet build race fuzz tune-smoke bench-fusion bench-serve bench-tune prof boundary docs links
 
 # fmt fails (and lists offenders) if any file is not gofmt-clean.
 fmt:
@@ -32,6 +34,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 300s ./...
+
+# fuzz is a smoke run of the native fuzz target, not a campaign: ten
+# seconds of mutation over FuzzFromPoints' seed corpus.
+fuzz:
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/

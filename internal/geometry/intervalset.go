@@ -1,6 +1,8 @@
 package geometry
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,20 +47,40 @@ func NewIntervalSet(rects ...Rect) IntervalSet {
 // unsorted and contain duplicates. It is used to materialize by-coordinate
 // image partitions (Figure 2b of the paper), where a crd region names the
 // individual dense indices each sub-region touches.
+//
+// Coordinates of a sparse matrix are dense in their span (a block of rows
+// names a band of columns many times over), so when the span is under 64
+// indices per point the set is swept out of a bitmap no larger than the
+// input; sparse spans fall back to sorting a copy.
 func FromPoints(points []int64) IntervalSet {
 	if len(points) == 0 {
 		return IntervalSet{}
 	}
-	ps := make([]int64, len(points))
-	copy(ps, points)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	lo, hi := points[0], points[0]
+	for _, p := range points[1:] {
+		if p < lo {
+			lo = p
+		}
+		if p > hi {
+			hi = p
+		}
+	}
+	// hi-lo as uint64 is exact even when the int64 difference overflows.
+	if span := uint64(hi) - uint64(lo); span/64 < uint64(len(points)) {
+		bm := make([]uint64, span/64+1)
+		for _, p := range points {
+			off := uint64(p) - uint64(lo)
+			bm[off/64] |= 1 << (off % 64)
+		}
+		return IntervalSet{rects: bitmapRuns(bm, lo, hi)}
+	}
+	ps := slices.Clone(points)
+	slices.Sort(ps)
 	rects := make([]Rect, 0, 8)
 	cur := Rect{Lo: ps[0], Hi: ps[0]}
 	for _, p := range ps[1:] {
-		if p <= cur.Hi+1 {
-			if p > cur.Hi {
-				cur.Hi = p
-			}
+		if p == cur.Hi || p == cur.Hi+1 { // p >= cur.Hi: sorted
+			cur.Hi = p
 		} else {
 			rects = append(rects, cur)
 			cur = Rect{Lo: p, Hi: p}
@@ -66,6 +88,40 @@ func FromPoints(points []int64) IntervalSet {
 	}
 	rects = append(rects, cur)
 	return IntervalSet{rects: rects}
+}
+
+// bitmapRuns returns the maximal runs of set bits of bm as intervals,
+// bit i standing for index lo+i; hi is the index of the highest set bit.
+func bitmapRuns(bm []uint64, lo, hi int64) []Rect {
+	rects := make([]Rect, 0, 8)
+	var start int64
+	inRun := false
+	for w, word := range bm {
+		base := lo + int64(w)*64
+		for bit := 0; bit < 64; {
+			if inRun {
+				zeros := ^word >> bit
+				if zeros == 0 {
+					break // the run continues into the next word
+				}
+				bit += bits.TrailingZeros64(zeros)
+				rects = append(rects, Rect{Lo: start, Hi: base + int64(bit) - 1})
+				inRun = false
+			} else {
+				ones := word >> bit
+				if ones == 0 {
+					break
+				}
+				bit += bits.TrailingZeros64(ones)
+				start = base + int64(bit)
+				inRun = true
+			}
+		}
+	}
+	if inRun { // only a run through bit 63 of the last word is still open
+		rects = append(rects, Rect{Lo: start, Hi: hi})
+	}
+	return rects
 }
 
 // Rects returns the canonical intervals of s in increasing order.

@@ -7,14 +7,14 @@ package legion
 // first-class partitions exist to amortize. This file adds the three
 // pieces a server needs on top of the per-object caches in partition.go:
 //
-//   - an *image-set* cache keyed on (source partition, source version,
-//     destination size): the subspaces of an image partition are a pure
-//     function of the source partition's coloring and the source
-//     region's contents — the destination region only names where the
-//     subspaces land. Two same-size destinations (e.g. the fresh solver
-//     temporaries of two consecutive CG calls against the same matrix)
-//     therefore share one subspace computation, and a warm runtime
-//     skips the O(nnz) scan-and-sort entirely;
+//   - an *image-set* cache under the image-partition cache: the
+//     subspaces of an image are a pure function of the source
+//     partition's coloring and the source region's contents — the
+//     destination region only names where they land — so the fresh
+//     same-size solver temporaries of consecutive CG calls against one
+//     matrix share one subspace computation, and a warm runtime skips
+//     the O(nnz) scan entirely. DESIGN.md, "Cross-region image-set
+//     cache", is the home of the key and of why it is a coloring;
 //   - hit/miss counters over every cache, exposed as CacheStats for the
 //     server's /metrics endpoint and the cache ablation;
 //   - InvalidateRegionCaches, the explicit invalidation hook for
@@ -57,50 +57,36 @@ func (rt *Runtime) CacheStats() CacheStats {
 	return s
 }
 
-// imageSetsKey identifies one cached image subspace computation. The
-// destination enters only through its size: the computed interval sets
-// index into [0, dstSize) regardless of which region they are applied
-// to, which is what lets fresh same-size regions reuse them.
+// imageSetsKey identifies one cached image (or preimage) subspace
+// computation: which operator, over which contents of which region,
+// driven by which coloring. The destination enters only through its
+// size: the computed interval sets index into [0, dstSize) regardless of
+// which region they are applied to, which is what lets fresh same-size
+// regions reuse them.
 type imageSetsKey struct {
-	srcPart    int64
-	srcVersion int64
-	dstSize    int64
+	kind        string
+	src         RegionID
+	srcColoring int64
+	srcVersion  int64
+	dstSize     int64
 }
 
-// imageSetsEntry carries the computed subspaces plus the source region
-// for invalidation scans (the key holds only the partition id).
+// imageSetsEntry carries the computed subspaces and the coloring every
+// partition minted from them shares.
 type imageSetsEntry struct {
-	src      RegionID
+	coloring int64
 	subs     []geometry.IntervalSet
 	disjoint bool
 }
 
-// lookupImageSets returns the cached subspaces for (srcPart, version,
-// dstSize), or nil. Caller holds rt.mu.
-func (rt *Runtime) lookupImageSets(key imageSetsKey) *imageSetsEntry {
-	if rt.imageSets == nil {
-		return nil
-	}
-	return rt.imageSets[key]
-}
-
-// storeImageSets records a computed image under its key. Caller holds
-// rt.mu.
-func (rt *Runtime) storeImageSets(key imageSetsKey, src RegionID, subs []geometry.IntervalSet, disjoint bool) {
-	if rt.imageSets == nil {
-		rt.imageSets = map[imageSetsKey]*imageSetsEntry{}
-	}
-	rt.imageSets[key] = &imageSetsEntry{src: src, subs: subs, disjoint: disjoint}
-}
-
 // InvalidateRegionCaches drops every cached partition derived from or
 // applied to r — block/broadcast partitions of r, alignment transfers
-// onto r, images sourced from r, and cached image subspaces computed
-// from r's contents — and clears r's key partition. It is the
-// invalidation hook for code that rewrites a region's backing store
-// outside the launch stream (legate-serve's matrix re-upload path);
-// Destroy performs the same cleanup implicitly. The caller must ensure
-// no launch is in flight against r (Fence if unsure).
+// onto r or of a partition of r, images sourced from r, and cached image
+// subspaces computed from r's contents — and clears r's key partition.
+// It is the invalidation hook for code that rewrites a region's backing
+// store outside the launch stream (legate-serve's matrix re-upload
+// path); Destroy performs the same cleanup implicitly. The caller must
+// ensure no launch is in flight against r (Fence if unsure).
 func (rt *Runtime) InvalidateRegionCaches(r *Region) {
 	if r == nil {
 		return
@@ -120,17 +106,17 @@ func (rt *Runtime) dropRegionCachesLocked(r *Region) {
 		}
 	}
 	for k := range rt.alignCache {
-		if k.region == r.id {
+		if k.region == r.id || k.part.region == r {
 			delete(rt.alignCache, k)
 		}
 	}
-	for k, p := range rt.imageCache {
-		if k.dst == r.id || p.Region().id == r.id || p.srcRegion == r.id {
+	for k := range rt.imageCache {
+		if k.dst == r.id || k.sets.src == r.id {
 			delete(rt.imageCache, k)
 		}
 	}
-	for k, e := range rt.imageSets {
-		if e.src == r.id {
+	for k := range rt.imageSets {
+		if k.src == r.id {
 			delete(rt.imageSets, k)
 		}
 	}

@@ -15,6 +15,145 @@ func cacheTestRuntime(t *testing.T) *Runtime {
 	return rt
 }
 
+// scratchImageCoord computes the by-coordinate image of part through
+// crd index by index, sharing no code with ImageCoord or FromPoints.
+func scratchImageCoord(crd []int64, part *Partition) []geometry.IntervalSet {
+	subs := make([]geometry.IntervalSet, part.Colors())
+	for c := range subs {
+		var rects []geometry.Rect
+		part.Subspace(c).Each(func(i int64) {
+			rects = append(rects, geometry.NewRect(crd[i], crd[i]))
+		})
+		subs[c] = geometry.NewIntervalSet(rects...)
+	}
+	return subs
+}
+
+func checkSubspaces(t *testing.T, what string, p *Partition, want []geometry.IntervalSet) {
+	t.Helper()
+	if p.Colors() != len(want) {
+		t.Fatalf("%s: %d colors, want %d", what, p.Colors(), len(want))
+	}
+	for c := range want {
+		if !p.Subspace(c).Equal(want[c]) {
+			t.Fatalf("%s: color %d = %v, from scratch %v", what, c, p.Subspace(c), want[c])
+		}
+	}
+}
+
+// checkNoDestroyedRefs fails if any cache still holds a partition of, or
+// keyed by a partition of, a destroyed region.
+func checkNoDestroyedRefs(t *testing.T, rt *Runtime) {
+	t.Helper()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, p := range rt.partCache {
+		if p.region.destroyed {
+			t.Errorf("partCache holds %v of a destroyed region", p)
+		}
+	}
+	for k, p := range rt.alignCache {
+		if p.region.destroyed || k.part.region.destroyed {
+			t.Errorf("alignCache holds %v -> %v across a destroyed region", k.part, p)
+		}
+	}
+	for _, p := range rt.imageCache {
+		if p.region.destroyed {
+			t.Errorf("imageCache holds %v of a destroyed region", p)
+		}
+	}
+}
+
+func entryCounts(s CacheStats) [4]int {
+	return [4]int{s.PartEntries, s.AlignEntries, s.ImageEntries, s.ImageSetEntries}
+}
+
+// TestImageSteadyStateFreshTemporaries is one SpMV's partitioning per
+// "solve", in the shape that used to defeat the caches: the root
+// partition comes from a fresh output vector (a new object every time),
+// is aligned onto the long-lived pos, and drives pos -> crd -> x. The
+// tiling is the same every time, so after the first solve nothing is
+// rebuilt, the crd image is the very same object, and with the
+// temporaries destroyed the caches neither grow nor point at them.
+func TestImageSteadyStateFreshTemporaries(t *testing.T) {
+	rt := cacheTestRuntime(t)
+	pos := rt.CreateRects("pos", []geometry.Rect{
+		geometry.NewRect(0, 1), geometry.NewRect(2, 3),
+		geometry.NewRect(4, 5), geometry.NewRect(6, 7),
+	})
+	crd := rt.CreateInt64("crd", []int64{0, 1, 0, 1, 2, 3, 2, 3})
+	var crdPart *Partition
+	solve := func(i int) CacheStats {
+		y := rt.CreateRegion("y", 4, Float64)
+		x := rt.CreateRegion("x", 4, Float64)
+		posPart := rt.AlignedPartition(rt.BlockPartition(y, 4), pos)
+		cp := rt.ImageRange(pos, posPart, crd)
+		if crdPart == nil {
+			crdPart = cp
+		} else if cp != crdPart {
+			t.Fatalf("solve %d: crd image is a new partition object", i)
+		}
+		checkSubspaces(t, "x image", rt.ImageCoord(crd, cp, x), scratchImageCoord(crd.i64, cp))
+		rt.Destroy(x)
+		rt.Destroy(y)
+		checkNoDestroyedRefs(t, rt)
+		return rt.CacheStats()
+	}
+	first, second := solve(1), solve(2)
+	last := second
+	for i := 3; i <= 50; i++ {
+		last = solve(i)
+	}
+	if first.ImageBuilds != 2 || last.ImageBuilds != 2 {
+		t.Errorf("image builds: %d after the first solve, %d after 50, want 2 and 2", first.ImageBuilds, last.ImageBuilds)
+	}
+	if entryCounts(second) != entryCounts(last) {
+		t.Errorf("cache entries (part, align, image, image-set) %v after solve 2, %v after solve 50",
+			entryCounts(second), entryCounts(last))
+	}
+}
+
+// TestImagesNeverSharedAcrossColorings: the cases that must *not* hit.
+// A coloring names subspaces, so two tilings of one region, an explicit
+// partition (even one that happens to equal the block tiling), and the
+// same tiling of another same-size source each get an image of their
+// own, equal to a from-scratch computation.
+func TestImagesNeverSharedAcrossColorings(t *testing.T) {
+	rt := cacheTestRuntime(t)
+	crd := rt.CreateInt64("crd", []int64{0, 3, 5, 1, 7, 2, 6, 4})
+	other := rt.CreateInt64("crd2", []int64{7, 7, 6, 6, 1, 1, 0, 0})
+	dst := rt.CreateRegion("x", 8, Float64)
+
+	block4 := rt.BlockPartition(crd, 4)
+	block2 := rt.BlockPartition(crd, 2)
+	explicit := rt.PartitionBySets(crd, block4.subspaces)
+	balanced := rt.PartitionBySets(crd, []geometry.IntervalSet{
+		geometry.NewIntervalSet(geometry.NewRect(0, 0)), geometry.NewIntervalSet(geometry.NewRect(1, 1)),
+		geometry.NewIntervalSet(geometry.NewRect(2, 4)), geometry.NewIntervalSet(geometry.NewRect(5, 7)),
+	})
+	otherBlock4 := rt.BlockPartition(other, 4)
+	if otherBlock4.coloring != block4.coloring {
+		t.Fatal("block partitions of same-size regions must share a coloring")
+	}
+	for i, tc := range []struct {
+		what string
+		src  *Region
+		part *Partition
+	}{
+		{"block, 4 colors", crd, block4},
+		{"block, 2 colors", crd, block2},
+		{"explicit copy of the block tiling", crd, explicit},
+		{"explicit balanced", crd, balanced},
+		{"block of another same-size source", other, otherBlock4},
+	} {
+		img := rt.ImageCoord(tc.src, tc.part, dst)
+		checkSubspaces(t, tc.what, img, scratchImageCoord(tc.src.i64, tc.part))
+		if s := rt.CacheStats(); s.ImageBuilds != int64(i+1) || s.ImageHits != 0 || s.ImageSetHits != 0 {
+			t.Fatalf("%s: shared an earlier image: %+v", tc.what, s)
+		}
+	}
+}
+
 // TestImageSetReuseAcrossRegions is the cross-request scenario
 // legate-serve depends on: the same coordinate region and partition,
 // imaged onto a *fresh* destination region of the same size, must reuse
@@ -111,6 +250,7 @@ func TestImageSetInvalidationOnWrite(t *testing.T) {
 	if p1.Subspace(0).Equal(p2.Subspace(0)) {
 		t.Fatal("rebuilt image identical to pre-write image; contents changed")
 	}
+	checkSubspaces(t, "post-write image", p2, scratchImageCoord(crd.i64, part))
 }
 
 // TestInvalidateRegionCaches checks the explicit hook used by the serve
@@ -130,6 +270,9 @@ func TestInvalidateRegionCaches(t *testing.T) {
 		t.Fatalf("expected populated caches before invalidation: %+v", s)
 	}
 
+	// The hook exists for contents rewritten outside the launch stream:
+	// same version, same coloring, new data.
+	copy(crd.i64, []int64{7, 6, 5, 4, 3, 2, 1, 0})
 	rt.InvalidateRegionCaches(crd)
 	s = rt.CacheStats()
 	if s.PartEntries != 0 {
@@ -141,11 +284,10 @@ func TestInvalidateRegionCaches(t *testing.T) {
 	if s.ImageSetEntries != 0 {
 		t.Fatalf("image sets computed from invalidated region survived: %+v", s)
 	}
-	// The alignment entry is keyed on `other` and only referenced part's
-	// id; it is dropped when its own region is invalidated.
-	rt.InvalidateRegionCaches(other)
-	if s := rt.CacheStats(); s.AlignEntries != 0 {
-		t.Fatalf("alignment onto invalidated region survived: %+v", s)
+	// The alignment entry transfers a partition of crd, which no longer
+	// vouches for anything.
+	if s.AlignEntries != 0 {
+		t.Fatalf("alignment of an invalidated region's partition survived: %+v", s)
 	}
 
 	// After invalidation the same calls rebuild rather than crash.
@@ -153,10 +295,11 @@ func TestInvalidateRegionCaches(t *testing.T) {
 	if part2 == part {
 		t.Fatal("invalidation did not drop the block partition")
 	}
-	rt.ImageCoord(crd, part2, dst)
+	img := rt.ImageCoord(crd, part2, dst)
 	if s := rt.CacheStats(); s.ImageBuilds != 2 {
 		t.Fatalf("post-invalidation image did not rebuild: %+v", s)
 	}
+	checkSubspaces(t, "post-invalidation image", img, scratchImageCoord(crd.i64, part2))
 }
 
 // TestPartAndAlignCounters sanity-checks the hit/miss accounting the
@@ -188,11 +331,12 @@ func TestRescaleClearsImageSets(t *testing.T) {
 	part := rt.BlockPartition(crd, 4)
 	dst := rt.CreateRegion("x", 8, Float64)
 	rt.ImageCoord(crd, part, dst)
-	if s := rt.CacheStats(); s.ImageSetEntries != 1 {
-		t.Fatalf("expected one image set entry: %+v", s)
+	rt.AlignedPartition(part, rt.CreateRegion("y", 8, Float64))
+	if s := rt.CacheStats(); s.ImageSetEntries != 1 || s.AlignEntries != 1 {
+		t.Fatalf("expected one image set and one alignment entry: %+v", s)
 	}
 	rt.Rescale(2)
-	if s := rt.CacheStats(); s.ImageSetEntries != 0 || s.ImageEntries != 0 {
-		t.Fatalf("Rescale left image caches populated: %+v", s)
+	if s := rt.CacheStats(); s.ImageSetEntries != 0 || s.ImageEntries != 0 || s.AlignEntries != 0 || s.PartEntries != 0 {
+		t.Fatalf("Rescale left caches populated: %+v", s)
 	}
 }

@@ -12,12 +12,15 @@ import (
 // through a crd region are typically aliased (Figure 2b), and partitions
 // of padded regions may not cover every index.
 type Partition struct {
-	id        int64
+	// coloring names the subspaces rather than the object: two
+	// partitions with one coloring subdivide same-size regions
+	// identically. It is what the image caches key their source on (see
+	// DESIGN.md, "Cross-region image-set cache").
+	coloring  int64
 	region    *Region
 	subspaces []geometry.IntervalSet
 	disjoint  bool
-	kind      string   // "block", "rects", "image-range", "image-coord", "explicit"
-	srcRegion RegionID // for images/preimages: the region whose contents defined the subspaces (0 otherwise)
+	kind      string // "block", "rects", "image-range", "image-coord", "explicit"
 }
 
 // Region returns the region this partition subdivides.
@@ -57,12 +60,20 @@ func (p *Partition) Aligned(q *Partition) bool {
 	return true
 }
 
+// newPartition mints a partition whose subspaces no other partition is
+// known to share: it gets a coloring of its own.
 func (rt *Runtime) newPartition(r *Region, subs []geometry.IntervalSet, disjoint bool, kind string) *Partition {
 	rt.mu.Lock()
-	rt.nextPartition++
-	id := rt.nextPartition
+	c := rt.newColoringLocked()
 	rt.mu.Unlock()
-	return &Partition{id: id, region: r, subspaces: subs, disjoint: disjoint, kind: kind}
+	return &Partition{coloring: c, region: r, subspaces: subs, disjoint: disjoint, kind: kind}
+}
+
+// newColoringLocked returns a coloring no partition carries yet. Caller
+// holds rt.mu.
+func (rt *Runtime) newColoringLocked() int64 {
+	rt.nextColoring++
+	return rt.nextColoring
 }
 
 // BlockPartition tiles the region's index space into colors contiguous,
@@ -87,8 +98,17 @@ func (rt *Runtime) BlockPartition(r *Region, colors int) *Partition {
 	for c, rect := range rects {
 		subs[c] = geometry.NewIntervalSet(rect)
 	}
-	p := rt.newPartition(r, subs, true, "block")
+	p := &Partition{region: r, subspaces: subs, disjoint: true, kind: "block"}
+	tiling := blockTiling{size: r.size, colors: colors}
 	rt.mu.Lock()
+	// The tiling is a pure function of (size, colors), so every block
+	// partition of a same-size region shares one interned coloring.
+	c, ok := rt.blockColorings[tiling]
+	if !ok {
+		c = rt.newColoringLocked()
+		rt.blockColorings[tiling] = c
+	}
+	p.coloring = c
 	rt.partCache[key] = p
 	rt.mu.Unlock()
 	return p
@@ -100,6 +120,12 @@ type partCacheKey struct {
 	region    RegionID
 	colors    int
 	broadcast bool
+}
+
+// blockTiling keys the interned colorings of block partitions.
+type blockTiling struct {
+	size   int64
+	colors int
 }
 
 // PartitionByRects builds a partition whose color c covers rects[c].
@@ -133,8 +159,10 @@ func disjointSubspaces(subs []geometry.IntervalSet) bool {
 // AlignedPartition returns a partition of r with the same subspaces as p
 // (which must partition a region of the same size). It is how an
 // alignment constraint transfers one region's chosen partition onto
-// another; results are cached per (p, r) so repeated launches hand out
-// the same first-class partition object.
+// another; results are cached per (p, r) — on p's object identity, since
+// fusion compares partition pointers — so repeated launches hand out the
+// same first-class partition object. The result shares p's subspaces and
+// therefore its coloring.
 func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 	if p.Region() == r {
 		return p
@@ -143,7 +171,7 @@ func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 		panic(fmt.Sprintf("legion: aligning %q (size %d) with partition of %q (size %d)",
 			r.name, r.size, p.Region().name, p.Region().size))
 	}
-	key := alignKey{part: p.id, region: r.id}
+	key := alignKey{part: p, region: r.id}
 	rt.mu.Lock()
 	if q, ok := rt.alignCache[key]; ok {
 		rt.cacheStats.AlignHits++
@@ -152,7 +180,7 @@ func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 	}
 	rt.cacheStats.AlignMisses++
 	rt.mu.Unlock()
-	q := rt.newPartition(r, p.subspaces, p.disjoint, p.kind)
+	q := &Partition{coloring: p.coloring, region: r, subspaces: p.subspaces, disjoint: p.disjoint, kind: p.kind}
 	rt.mu.Lock()
 	rt.alignCache[key] = q
 	rt.mu.Unlock()
@@ -160,17 +188,56 @@ func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 }
 
 type alignKey struct {
-	part   int64
+	part   *Partition
 	region RegionID
 }
 
-// imageKey identifies a cached image partition: images only depend on the
-// source partition's identity, the source region's contents (version),
-// and the destination region.
+// imageKey identifies a cached image or preimage partition object: the
+// subspace computation it wraps, and the region they are applied to.
 type imageKey struct {
-	srcPart    int64
-	srcVersion int64
-	dst        RegionID
+	sets imageSetsKey
+	dst  RegionID
+}
+
+// derivedPartition is the one lookup/build/insert path behind the four
+// dependent-partitioning operators: the partition of dst whose subspaces
+// build computes from src's contents and from's subspaces. Both cache
+// levels are keyed on from's coloring (DESIGN.md, "Cross-region
+// image-set cache"): an exact hit returns the cached partition object of
+// dst; a set hit reuses the subspaces computed for another same-size
+// destination and pays only a Partition wrapper; a miss runs build.
+func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, dst *Region,
+	build func() (subs []geometry.IntervalSet, disjoint bool)) *Partition {
+	rt.fenceRegion(src) // build reads src's contents on the app thread
+	setsKey := imageSetsKey{kind: kind, src: src.id, srcColoring: from.coloring, srcVersion: src.version, dstSize: dst.size}
+	key := imageKey{sets: setsKey, dst: dst.id}
+	rt.mu.Lock()
+	if p, ok := rt.imageCache[key]; ok {
+		rt.cacheStats.ImageHits++
+		rt.mu.Unlock()
+		return p
+	}
+	rt.cacheStats.ImageMisses++
+	e := rt.imageSets[setsKey]
+	rt.mu.Unlock()
+
+	built := e == nil
+	if built {
+		e = &imageSetsEntry{}
+		e.subs, e.disjoint = build()
+	}
+	rt.mu.Lock()
+	if built {
+		rt.cacheStats.ImageBuilds++
+		e.coloring = rt.newColoringLocked()
+		rt.imageSets[setsKey] = e
+	} else {
+		rt.cacheStats.ImageSetHits++
+	}
+	p := &Partition{coloring: e.coloring, region: dst, subspaces: e.subs, disjoint: e.disjoint, kind: kind}
+	rt.imageCache[key] = p
+	rt.mu.Unlock()
+	return p
 }
 
 // ImageRange computes the dependent-partitioning image of srcPart through
@@ -179,39 +246,17 @@ type imageKey struct {
 // This is how partitions of a CSR pos region induce partitions of the crd
 // and vals regions (§3).
 //
-// Images are cached on (source partition, source version, destination);
-// re-launching an operation with unchanged inputs reuses the cached
-// partition, which is what makes the steady state of Figure 5 cheap.
-// The computed subspaces are additionally cached per (source partition,
-// source version, destination *size*), so a fresh destination region of
-// the same size — a solver temporary allocated per request — reuses the
-// subspace computation and pays only a cheap Partition wrapper.
+// Images are cached, so re-launching an operation with unchanged inputs
+// reuses the partition — what makes the steady state of Figure 5 cheap.
 func (rt *Runtime) ImageRange(src *Region, srcPart *Partition, dst *Region) *Partition {
 	src.checkType(RectType)
 	if srcPart.Region() != src {
 		panic("legion: ImageRange source partition does not partition source region")
 	}
-	rt.fenceRegion(src) // the image reads src's contents on the app thread
-	key := imageKey{srcPart: srcPart.id, srcVersion: src.version, dst: dst.id}
-	setsKey := imageSetsKey{srcPart: srcPart.id, srcVersion: src.version, dstSize: dst.size}
-	rt.mu.Lock()
-	if p, ok := rt.imageCache[key]; ok {
-		rt.cacheStats.ImageHits++
-		rt.mu.Unlock()
-		return p
-	}
-	rt.cacheStats.ImageMisses++
-	cached := rt.lookupImageSets(setsKey)
-	rt.mu.Unlock()
-
-	var subs []geometry.IntervalSet
-	var disjoint bool
-	if cached != nil {
-		subs, disjoint = cached.subs, cached.disjoint
-	} else {
-		subs = make([]geometry.IntervalSet, srcPart.Colors())
+	return rt.derivedPartition("image-range", src, srcPart, dst, func() ([]geometry.IntervalSet, bool) {
+		subs := make([]geometry.IntervalSet, srcPart.Colors())
 		data := src.rect
-		for c := 0; c < srcPart.Colors(); c++ {
+		for c := range subs {
 			var rects []geometry.Rect
 			srcPart.Subspace(c).Each(func(i int64) {
 				if r := data[i]; !r.Empty() {
@@ -220,20 +265,8 @@ func (rt *Runtime) ImageRange(src *Region, srcPart *Partition, dst *Region) *Par
 			})
 			subs[c] = geometry.NewIntervalSet(rects...)
 		}
-		disjoint = disjointSubspaces(subs)
-	}
-	p := rt.newPartition(dst, subs, disjoint, "image-range")
-	p.srcRegion = src.id
-	rt.mu.Lock()
-	rt.imageCache[key] = p
-	if cached != nil {
-		rt.cacheStats.ImageSetHits++
-	} else {
-		rt.cacheStats.ImageBuilds++
-		rt.storeImageSets(setsKey, src.id, subs, disjoint)
-	}
-	rt.mu.Unlock()
-	return p
+		return subs, disjointSubspaces(subs)
+	})
 }
 
 // ImageCoord computes the image of srcPart through the coordinate-valued
@@ -246,47 +279,18 @@ func (rt *Runtime) ImageCoord(src *Region, srcPart *Partition, dst *Region) *Par
 	if srcPart.Region() != src {
 		panic("legion: ImageCoord source partition does not partition source region")
 	}
-	rt.fenceRegion(src) // the image reads src's contents on the app thread
-	key := imageKey{srcPart: srcPart.id, srcVersion: src.version, dst: dst.id}
-	setsKey := imageSetsKey{srcPart: srcPart.id, srcVersion: src.version, dstSize: dst.size}
-	rt.mu.Lock()
-	if p, ok := rt.imageCache[key]; ok {
-		rt.cacheStats.ImageHits++
-		rt.mu.Unlock()
-		return p
-	}
-	rt.cacheStats.ImageMisses++
-	cached := rt.lookupImageSets(setsKey)
-	rt.mu.Unlock()
-
-	var subs []geometry.IntervalSet
-	var disjoint bool
-	if cached != nil {
-		subs, disjoint = cached.subs, cached.disjoint
-	} else {
-		subs = make([]geometry.IntervalSet, srcPart.Colors())
+	return rt.derivedPartition("image-coord", src, srcPart, dst, func() ([]geometry.IntervalSet, bool) {
+		subs := make([]geometry.IntervalSet, srcPart.Colors())
 		data := src.i64
-		for c := 0; c < srcPart.Colors(); c++ {
-			var pts []int64
+		for c := range subs {
+			pts := make([]int64, 0, srcPart.Subspace(c).Size())
 			srcPart.Subspace(c).Each(func(i int64) {
 				pts = append(pts, data[i])
 			})
 			subs[c] = geometry.FromPoints(pts)
 		}
-		disjoint = disjointSubspaces(subs)
-	}
-	p := rt.newPartition(dst, subs, disjoint, "image-coord")
-	p.srcRegion = src.id
-	rt.mu.Lock()
-	rt.imageCache[key] = p
-	if cached != nil {
-		rt.cacheStats.ImageSetHits++
-	} else {
-		rt.cacheStats.ImageBuilds++
-		rt.storeImageSets(setsKey, src.id, subs, disjoint)
-	}
-	rt.mu.Unlock()
-	return p
+		return subs, disjointSubspaces(subs)
+	})
 }
 
 // PreimageCoord computes the dependent-partitioning preimage of
@@ -299,36 +303,17 @@ func (rt *Runtime) ImageCoord(src *Region, srcPart *Partition, dst *Region) *Par
 // the rows they update.
 func (rt *Runtime) PreimageCoord(src *Region, dstPart *Partition) *Partition {
 	src.checkType(Int64)
-	rt.fenceRegion(src)
-	key := imageKey{srcPart: -dstPart.id, srcVersion: src.version, dst: src.id}
-	rt.mu.Lock()
-	if p, ok := rt.imageCache[key]; ok {
-		rt.cacheStats.ImageHits++
-		rt.mu.Unlock()
-		return p
-	}
-	rt.cacheStats.ImageMisses++
-	rt.mu.Unlock()
-
-	data := src.i64
-	subs := make([]geometry.IntervalSet, dstPart.Colors())
-	pts := make([][]int64, dstPart.Colors())
-	for i, v := range data {
-		for c := 0; c < dstPart.Colors(); c++ {
-			if dstPart.Subspace(c).Contains(v) {
-				pts[c] = append(pts[c], int64(i))
+	return rt.derivedPartition("preimage-coord", src, dstPart, src, func() ([]geometry.IntervalSet, bool) {
+		pts := make([][]int64, dstPart.Colors())
+		for i, v := range src.i64 {
+			for c := range pts {
+				if dstPart.Subspace(c).Contains(v) {
+					pts[c] = append(pts[c], int64(i))
+				}
 			}
 		}
-	}
-	for c := range subs {
-		subs[c] = geometry.FromPoints(pts[c])
-	}
-	p := rt.newPartition(src, subs, dstPart.Disjoint(), "preimage-coord")
-	p.srcRegion = dstPart.region.id
-	rt.mu.Lock()
-	rt.imageCache[key] = p
-	rt.mu.Unlock()
-	return p
+		return setsFromPoints(pts), dstPart.Disjoint()
+	})
 }
 
 // PreimageRange computes the preimage of dstPart through the
@@ -337,40 +322,30 @@ func (rt *Runtime) PreimageCoord(src *Region, dstPart *Partition) *Partition {
 // spans a color boundary.
 func (rt *Runtime) PreimageRange(src *Region, dstPart *Partition) *Partition {
 	src.checkType(RectType)
-	rt.fenceRegion(src)
-	key := imageKey{srcPart: -dstPart.id, srcVersion: src.version, dst: src.id}
-	rt.mu.Lock()
-	if p, ok := rt.imageCache[key]; ok {
-		rt.cacheStats.ImageHits++
-		rt.mu.Unlock()
-		return p
-	}
-	rt.cacheStats.ImageMisses++
-	rt.mu.Unlock()
-
-	data := src.rect
-	pts := make([][]int64, dstPart.Colors())
-	for i, r := range data {
-		if r.Empty() {
-			continue
-		}
-		set := geometry.NewIntervalSet(r)
-		for c := 0; c < dstPart.Colors(); c++ {
-			if dstPart.Subspace(c).Overlaps(set) {
-				pts[c] = append(pts[c], int64(i))
+	return rt.derivedPartition("preimage-range", src, dstPart, src, func() ([]geometry.IntervalSet, bool) {
+		pts := make([][]int64, dstPart.Colors())
+		for i, r := range src.rect {
+			if r.Empty() {
+				continue
+			}
+			set := geometry.NewIntervalSet(r)
+			for c := range pts {
+				if dstPart.Subspace(c).Overlaps(set) {
+					pts[c] = append(pts[c], int64(i))
+				}
 			}
 		}
-	}
-	subs := make([]geometry.IntervalSet, dstPart.Colors())
+		subs := setsFromPoints(pts)
+		return subs, disjointSubspaces(subs)
+	})
+}
+
+func setsFromPoints(pts [][]int64) []geometry.IntervalSet {
+	subs := make([]geometry.IntervalSet, len(pts))
 	for c := range subs {
 		subs[c] = geometry.FromPoints(pts[c])
 	}
-	p := rt.newPartition(src, subs, disjointSubspaces(subs), "preimage-range")
-	p.srcRegion = dstPart.region.id
-	rt.mu.Lock()
-	rt.imageCache[key] = p
-	rt.mu.Unlock()
-	return p
+	return subs
 }
 
 // BroadcastPartition replicates the whole region to every color — used

@@ -56,18 +56,19 @@ type Runtime struct {
 	cancel      cancelState
 	cancelFired atomic.Bool
 
-	mu            sync.Mutex
-	nextRegion    RegionID
-	nextPartition int64
-	nextSeq       int64
-	regions       map[RegionID]*regionState
-	imageCache    map[imageKey]*Partition
-	partCache     map[partCacheKey]*Partition
-	alignCache    map[alignKey]*Partition
-	imageSets     map[imageSetsKey]*imageSetsEntry
-	cacheStats    CacheStats
-	analysisClock time.Duration
-	err           error
+	mu             sync.Mutex
+	nextRegion     RegionID
+	nextColoring   int64
+	nextSeq        int64
+	regions        map[RegionID]*regionState
+	imageCache     map[imageKey]*Partition
+	partCache      map[partCacheKey]*Partition
+	alignCache     map[alignKey]*Partition
+	imageSets      map[imageSetsKey]*imageSetsEntry
+	blockColorings map[blockTiling]int64
+	cacheStats     CacheStats
+	analysisClock  time.Duration
+	err            error
 
 	traceActive    bool
 	traceReplaying bool
@@ -87,10 +88,44 @@ type Runtime struct {
 // regionState is the dependence-analysis state of one region: the
 // launches that last wrote it and the readers since. The back-pointer
 // lets Rescale find and invalidate stale key partitions.
+//
+// Only a writer clears readers, so a region that is never written again
+// (a matrix's pos/crd/vals) would otherwise retain every launch that ever
+// read it. addReader therefore compacts completed readers away, folding
+// their finish times into readDone, which the next writer waits for
+// exactly as it would have waited for them.
 type regionState struct {
 	region      *Region
 	lastWriters []*launchState
 	readers     []*launchState
+	readDone    time.Duration // largest finish time among compacted readers
+	compactAt   int           // reader count that triggers the next compaction
+}
+
+// readerCompactMin is the reader count below which a region's reader
+// list is never compacted: a solver iteration's worth of reads of one
+// operand stays a plain append.
+const readerCompactMin = 16
+
+// addReader records ls as a reader since the last write. Caller holds
+// rt.mu. The scan is amortised: the next one waits until the list has
+// doubled past the launches still in flight.
+func (st *regionState) addReader(ls *launchState) {
+	if len(st.readers) >= max(st.compactAt, readerCompactMin) {
+		live := st.readers[:0]
+		for _, rd := range st.readers {
+			select {
+			case <-rd.done:
+				st.readDone = max(st.readDone, rd.finishTime())
+			default:
+				live = append(live, rd)
+			}
+		}
+		clear(st.readers[len(live):])
+		st.readers = live
+		st.compactAt = 2 * len(live)
+	}
+	st.readers = append(st.readers, ls)
 }
 
 // defaultProfiler, when set, is attached to every newly created
@@ -129,6 +164,8 @@ func NewRuntime(m *machine.Machine, procs []machine.ProcID) *Runtime {
 		imageSets:  map[imageSetsKey]*imageSetsEntry{},
 		procBusy:   map[machine.ProcID]time.Duration{},
 		workers:    map[machine.ProcID]*worker{},
+
+		blockColorings: map[blockTiling]int64{},
 	}
 	rt.map_ = newMapper(rt)
 	rt.profile = newProfile()
@@ -325,6 +362,7 @@ func (rt *Runtime) ResetMetrics() {
 		for _, r := range st.readers {
 			r.resetTimeline()
 		}
+		st.readDone = 0
 	}
 	rt.mu.Unlock()
 	rt.stats = &machine.Stats{}
@@ -493,6 +531,7 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	// reader/writer state. Reads depend on the last writers (RAW);
 	// writes depend on the last writers and all readers since (WAW, WAR).
 	depSet := map[*launchState]struct{}{}
+	var readDone time.Duration // compacted readers of the regions written
 	for _, rq := range l.reqs {
 		st := rt.regions[rq.region.id]
 		if st == nil {
@@ -506,15 +545,16 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 			for _, rd := range st.readers {
 				depSet[rd] = struct{}{}
 			}
+			readDone = max(readDone, st.readDone)
 		}
 	}
 	for _, rq := range l.reqs {
 		st := rt.regions[rq.region.id]
 		if rq.priv.writes() {
 			st.lastWriters = []*launchState{ls}
-			st.readers = nil
+			st.readers, st.readDone = nil, 0
 		} else {
-			st.readers = append(st.readers, ls)
+			st.addReader(ls)
 		}
 	}
 	// Tag the launch with the optimization regime it is issued under, so
@@ -555,6 +595,7 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	// launch from dispatching until registration finishes, even if a
 	// dependency completes concurrently.
 	ls.depCount.Store(1)
+	ls.noteDepFinish(readDone)
 	for dep := range depSet {
 		if dep == ls {
 			continue

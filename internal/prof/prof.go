@@ -271,7 +271,10 @@ func (s *Sink) AttachRun() int {
 }
 
 // RecordLaunch registers a launch and its dependence edges (the seq
-// numbers of the launches it waits on).
+// numbers of the launches it waits on). WAR edges to readers that had
+// already completed and been compacted out of the runtime's region
+// state (legion.regionState.addReader) are not recorded: the writer
+// still waits for their finish time, but no longer knows their seqs.
 func (s *Sink) RecordLaunch(li LaunchInfo, deps []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
