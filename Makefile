@@ -1,22 +1,22 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-fusion bench-serve bench-tune bench-json chaos overload prof serve shard boundary tune tune-smoke docs links
+.PHONY: check fmt vet build test race fuzz bench-fusion bench-serve bench-vet chaos overload prof serve shard boundary docs links
 
 # check is the full pre-merge gate: formatting, static analysis, build,
 # the race-enabled test suite — every package once, which includes the
-# suites the chaos / overload / serve / shard / tune targets select for
-# focused runs — the tuned-CG ablation smoke run, one pass over the
-# fusion, serve, and tune wall-clock benchmarks (compile + run, not a
-# timing study — use `go test -bench` directly with a real -benchtime
-# for numbers), a ten-second native fuzz of geometry.FromPoints (its seed
-# corpus already ran as a normal test under `race`), the legate-prof
-# artifact smoke test, the
-# engine/transport boundary check, and the documentation gates.
+# suites the chaos / overload / serve / shard targets select for focused
+# runs — one pass over the fusion and serve wall-clock benchmarks
+# (compile + run, not a timing study — use `go test -bench` directly with
+# a real -benchtime for numbers), a ten-second native fuzz of each fuzz
+# target (their seed corpora already ran as normal tests under `race`),
+# a vet + test build of the frozen benchmark/ module against this tree,
+# the legate-prof artifact smoke test, the engine/transport boundary
+# check, and the documentation gates.
 #
 # Every `go test` carries an explicit -timeout (300s for ./..., 120s for
 # a single package or suite) so a hang fails in minutes with goroutine
 # stacks instead of sitting out go's ten-minute default.
-check: fmt vet build race fuzz tune-smoke bench-fusion bench-serve bench-tune prof boundary docs links
+check: fmt vet build race fuzz bench-fusion bench-serve bench-vet prof boundary docs links
 
 # fmt fails (and lists offenders) if any file is not gofmt-clean.
 fmt:
@@ -35,10 +35,12 @@ test:
 race:
 	$(GO) test -race -timeout 300s ./...
 
-# fuzz is a smoke run of the native fuzz target, not a campaign: ten
-# seconds of mutation over FuzzFromPoints' seed corpus.
+# fuzz is a smoke run of the native fuzz targets, not a campaign: ten
+# seconds of mutation over each target's seed corpus.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/core/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/fault/
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/
@@ -56,7 +58,7 @@ overload:
 	$(GO) test -race -count=1 -timeout 120s -run 'Overload' ./internal/serve/...
 
 # serve runs the legate-serve end-to-end suite on its own (it is also
-# part of `race`, like chaos, overload, shard, and tune): served results
+# part of `race`, like chaos, overload, and shard): served results
 # bit-identical to direct solver calls, 64-way concurrency under fault
 # injection, cache invalidation on re-upload, pool replacement on
 # processor death, batching coalescing.
@@ -78,31 +80,17 @@ shard:
 boundary:
 	./scripts/check_boundary.sh
 
-# tune runs the feedback-directed mapping suite under the race detector
-# (tuned results bit-identical to the static mapper, including under
-# fault injection and checkpoint/replay; deterministic variant picks;
-# scoped plan-cache isolation) plus the tuned-CG ablation smoke run.
-tune: tune-smoke
-	$(GO) test -race -count=1 -timeout 120s ./internal/tune/
-
-tune-smoke:
-	$(GO) run -race ./cmd/legate-bench -exp tune -tune-presets cg -runs 1 >/dev/null
-
 bench-fusion:
 	$(GO) test -timeout 300s -run=NONE -bench=BenchmarkFusion -benchtime=1x ./...
 
 bench-serve:
 	$(GO) test -timeout 120s -run=NONE -bench=BenchmarkServe -benchtime=1x ./internal/serve/...
 
-bench-tune:
-	$(GO) test -timeout 120s -run=NONE -bench=BenchmarkTune -benchtime=1x .
-
-# bench-json regenerates BENCH_pr6.json: the tuned-vs-static throughput
-# of every preset as machine-readable records stamped with the current
-# commit.
-bench-json:
-	$(GO) run ./cmd/legate-bench -exp tune -json BENCH_pr6.json \
-		-commit $$(git rev-parse --short HEAD)
+# bench-vet builds the frozen ruler (benchmark/, a module of its own
+# that tier-1 never compiles) against this tree, so deleting an API the
+# ruler still reads fails here. It runs no benchmark.
+bench-vet:
+	cd benchmark && $(GO) vet . && $(GO) test -timeout 120s .
 
 # docs fails if any package lacks a package-level doc comment, or if
 # ARCHITECTURE.md / doc.go miss a package.

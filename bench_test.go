@@ -80,32 +80,6 @@ func BenchmarkFig12MF(b *testing.B) {
 	}
 }
 
-// BenchmarkTune runs every profiling preset with the static mapper and
-// with the feedback-directed autotuner attached (internal/tune) — the
-// static-vs-tuned wall-clock comparison behind `legate-bench -exp tune`
-// and BENCH_pr6.json. Results are bit-identical across the two arms;
-// only the schedules (kernel variants, fusion window, distribution)
-// differ.
-func BenchmarkTune(b *testing.B) {
-	for _, preset := range bench.Presets() {
-		for _, tuned := range []bool{false, true} {
-			arm := "static"
-			if tuned {
-				arm = "tuned"
-			}
-			b.Run(preset+"/"+arm, func(b *testing.B) {
-				opt := benchOptions()
-				opt.Tune = tuned
-				for i := 0; i < b.N; i++ {
-					if err := bench.RunPreset(preset, machine.CPU, 4, opt, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // benchFormatRT builds the runtime used by the per-format grid: four
 // GPU-variety processors of one Summit node, the same configuration the
 // figure benchmarks default to.

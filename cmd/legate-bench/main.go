@@ -4,20 +4,14 @@
 //
 // Usage:
 //
-//	legate-bench -exp spmv|cg|gmg|quantum|mf|ablation|recovery|tune|all [-preset small|paper]
+//	legate-bench -exp spmv|cg|gmg|quantum|mf|ablation|recovery|all [-preset small|paper]
 //	             [-units N] [-iters N] [-runs N] [-mfscale N]
 //	             [-seed N] [-faults SPEC] [-checkpoint-every N]
-//	             [-tune] [-tune-presets LIST] [-json PATH] [-commit ID]
 //
 // -exp recovery runs the fault-tolerance experiments: the fault-free
 // checkpointing overhead, a faulted run verified bit-identical to the
 // baseline, and the MTBF sweep (see internal/fault.Parse for the
 // -faults schedule syntax).
-//
-// -exp tune runs the feedback-directed mapping ablation: each preset's
-// steady-state wall-clock throughput with the autotuner attached vs the
-// static mapper, optionally written as JSON records with -json (see
-// `make bench-json`).
 //
 // The wall-clock benchmark of the served and sharded paths is not here:
 // it is benchmark/ (see benchmark/README.md).
@@ -28,23 +22,20 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/legion"
 	"repro/internal/prof"
-	"repro/internal/tune"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, tune, or all")
+	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, or all")
 	preset := flag.String("preset", "small", "option preset: small or paper")
 	units := flag.Int64("units", 0, "override units (rows/dimensions) per processor")
 	iters := flag.Int("iters", 0, "override timed iterations per run")
@@ -55,17 +46,10 @@ func main() {
 	faults := flag.String("faults", "", "fault schedule for -exp recovery (e.g. point@40:2,proc@1:500us,rate:0.001:3)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint interval in launches for -exp recovery (0 = default)")
 	profOut := flag.String("prof-out", "", "directory to write observability artifacts (Chrome trace, DOT dependence graph, critical-path report) covering every runtime the experiments create")
-	tuneOn := flag.Bool("tune", false, "attach the feedback-directed autotuner to every runtime the experiments create")
-	tunePresets := flag.String("tune-presets", "", "comma-separated preset filter for -exp tune (default: all of cg,gmg,quantum,pagerank)")
-	jsonOut := flag.String("json", "", "write -exp tune results as machine-readable JSON records to this path")
-	commit := flag.String("commit", "", "commit id recorded in -json output")
 	flag.Parse()
 
 	if !*fusion {
 		legion.SetDefaultFusionWindow(0)
-	}
-	if *tuneOn {
-		tune.SetAutoTune(true)
 	}
 	var sink *prof.Sink
 	if *profOut != "" {
@@ -137,39 +121,6 @@ func main() {
 		runAblation(bench.AblationRecoveryFaulted)
 		run("fig-recovery", bench.FigRecovery)
 	}
-	runTune := func() {
-		presets := bench.Presets()
-		if *tunePresets != "" {
-			presets = strings.Split(*tunePresets, ",")
-		}
-		var records []benchRecord
-		for _, p := range presets {
-			t0 := time.Now()
-			res, err := bench.AblationTune(opt, p)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tune %s: %v\n", p, err)
-				os.Exit(1)
-			}
-			speedup := 0.0
-			if res.Without > 0 {
-				speedup = res.With / res.Without
-			}
-			fmt.Printf("%s\n  %s\n  tuned: %.3f   static: %.3f   speedup: %.3fx\n(generated in %v)\n\n",
-				res.Name, res.Metric, res.With, res.Without, speedup, time.Since(t0).Round(time.Millisecond))
-			records = append(records,
-				benchRecord{Preset: p, Metric: "tuned_steps_per_wall_sec", Value: res.With, Commit: *commit},
-				benchRecord{Preset: p, Metric: "static_steps_per_wall_sec", Value: res.Without, Commit: *commit},
-				benchRecord{Preset: p, Metric: "tuned_speedup", Value: speedup, Commit: *commit},
-			)
-		}
-		if *jsonOut != "" {
-			if err := writeBenchJSON(*jsonOut, records); err != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records -> %s\n", len(records), *jsonOut)
-		}
-	}
 
 	switch *exp {
 	case "spmv":
@@ -186,8 +137,6 @@ func main() {
 		runAblations()
 	case "recovery":
 		runRecovery()
-	case "tune":
-		runTune()
 	case "all":
 		run("fig8", bench.Fig8SpMV)
 		run("fig9", bench.Fig9CG)
@@ -198,25 +147,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-}
-
-// benchRecord is one machine-readable measurement (BENCH_pr6.json).
-type benchRecord struct {
-	Preset string  `json:"preset"`
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Commit string  `json:"commit,omitempty"`
-}
-
-func writeBenchJSON(path string, records []benchRecord) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(records)
 }
 
 // writeProfArtifacts snapshots the sink and writes the three exporter

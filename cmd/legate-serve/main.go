@@ -79,7 +79,6 @@ func main() {
 		faults      = flag.String("faults", "", "fault spec, e.g. 'point@120:1,proc@2:80ms,rate:0.001,lag:0.05:5ms' (see internal/fault)")
 		ckptEvery   = flag.Int("checkpoint-every", 64, "launches per checkpoint epoch (-1 disables recovery)")
 		profCap     = flag.Int("prof-capacity", 4096, "profiling sink capacity per request class")
-		tuneOn      = flag.Bool("tune", true, "feedback-directed mapping: per-binding autotuners (GET /tune reports decisions)")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline budget (0 = none; X-Deadline header overrides)")
 		maxQueue    = flag.Int("max-queue", 256, "bounded per-worker queue depth; a full queue sheds 503")
 		quota       = flag.String("quota", "", "per-tenant admission quota RATE[:BURST] in requests/sec (empty disables)")
@@ -108,7 +107,6 @@ func main() {
 		Faults:           *faults,
 		CheckpointEvery:  *ckptEvery,
 		ProfCapacity:     *profCap,
-		NoTune:           !*tuneOn,
 		Deadline:         *deadline,
 		MaxQueue:         *maxQueue,
 		QuotaRate:        quotaRate,

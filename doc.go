@@ -36,8 +36,6 @@
 // Compiler:
 //
 //	internal/distal      DISTAL-style kernel generation; the plan registry
-//	internal/tune        feedback-directed mapping: online autotuner
-//	                     closing the prof → mapper/planner loop
 //
 // Libraries:
 //

@@ -97,11 +97,6 @@ type Options struct {
 	// CheckpointEvery is the checkpoint interval in launches for the
 	// recovery experiments (0 = package default).
 	CheckpointEvery int
-
-	// Tune attaches a feedback-directed autotuner (internal/tune) to the
-	// preset runtimes, closing the prof → mapper/planner loop. Results
-	// stay bit-identical; only schedules move.
-	Tune bool
 }
 
 // seed returns the benchmark seed, defaulting to 42 so a zero-value

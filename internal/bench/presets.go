@@ -17,7 +17,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/quantum"
 	"repro/internal/solvers"
-	"repro/internal/tune"
 )
 
 // Presets lists the available profiling preset names.
@@ -44,9 +43,6 @@ func RunPreset(name string, kind machine.ProcKind, procs int, opt Options, sink 
 	defer rt.Shutdown()
 	if sink != nil {
 		rt.EnableProfiling(sink)
-	}
-	if opt.Tune {
-		tune.Attach(rt)
 	}
 
 	switch name {
@@ -95,27 +91,6 @@ func RunPreset(name string, kind machine.ProcKind, procs int, opt Options, sink 
 // matrix Aᵀ D⁻¹ assembled with transpose/row-sum/gather, then one
 // distributed SpMV plus vector ops per iteration.
 func runPagerank(rt *legion.Runtime, n int64, seed uint64) {
-	pr := buildPagerank(rt, n, seed)
-	for it := 0; it < pagerankIters; it++ {
-		pr.step()
-	}
-}
-
-// pagerankState is the assembled pagerank workload: the transition
-// matrix plus the two rank vectors the power method ping-pongs between.
-// The tune ablation reuses it so the measured phase excludes the
-// host-bound graph assembly.
-type pagerankState struct {
-	mt         *core.CSR
-	rank, next *cunumeric.Array
-	teleport   float64
-}
-
-// buildPagerank assembles the transition matrix Aᵀ D⁻¹ of a synthetic
-// scale-free graph. The quadratic preferential attachment makes low
-// node IDs heavily referenced, so the matrix's row occupancy is skewed —
-// the shape the tuner's balance rule exists for.
-func buildPagerank(rt *legion.Runtime, n int64, seed uint64) *pagerankState {
 	const edgesPerNode = 8
 	var r, c []int64
 	var v []float64
@@ -146,21 +121,15 @@ func buildPagerank(rt *legion.Runtime, n int64, seed uint64) *pagerankState {
 	mt := coo.ToCSR().Transpose()
 
 	const damping = 0.85
-	return &pagerankState{
-		mt:       mt,
-		rank:     cunumeric.Full(rt, n, 1/float64(n)),
-		next:     cunumeric.Zeros(rt, n),
-		teleport: (1 - damping) / float64(n),
+	rank := cunumeric.Full(rt, n, 1/float64(n))
+	next := cunumeric.Zeros(rt, n)
+	teleport := (1 - damping) / float64(n)
+	for it := 0; it < pagerankIters; it++ {
+		mt.SpMVInto(next, rank)
+		next.Scale(damping)
+		next.AddScalar(teleport)
+		s := cunumeric.Sum(next).Get()
+		next.Scale(1 / s)
+		cunumeric.Copy(rank, next)
 	}
-}
-
-// step runs one damped power-method iteration.
-func (pr *pagerankState) step() {
-	const damping = 0.85
-	pr.mt.SpMVInto(pr.next, pr.rank)
-	pr.next.Scale(damping)
-	pr.next.AddScalar(pr.teleport)
-	s := cunumeric.Sum(pr.next).Get()
-	pr.next.Scale(1 / s)
-	cunumeric.Copy(pr.rank, pr.next)
 }

@@ -34,11 +34,10 @@ type vspec struct {
 	region *legion.Region
 	priv   legion.Privilege
 
-	broadcast   bool
-	explicit    *legion.Partition // UsePartition override
-	imageSrc    Var               // >= 0 when constrained as an image destination
-	class       int               // union-find alignment class, set during solve
-	mappingOnly bool              // see Task.MappingOnly
+	broadcast bool
+	explicit  *legion.Partition // UsePartition override
+	imageSrc  Var               // >= 0 when constrained as an image destination
+	class     int               // union-find alignment class, set during solve
 }
 
 // Task is a constraint-based task launcher, mirroring the Python API of
@@ -138,29 +137,15 @@ func (t *Task) UsePartition(v Var, p *legion.Partition) *Task {
 	return t
 }
 
-// MappingOnly marks v's solved partition as a mapping decision: the
-// launch uses it to place subspaces, but the region's key partition is
-// left untouched, so later solves over the region infer the same
-// partitions they would have under the static mapper. Autotuned
-// distributions use this to stay invisible to downstream reduction
-// groupings (and therefore bit-identical).
-func (t *Task) MappingOnly(v Var) *Task {
-	t.vars[v].mappingOnly = true
-	return t
-}
-
 // Execute solves the constraints, builds the launch, and submits it,
 // returning the launch's future.
 func (t *Task) Execute() *legion.Future {
 	parts := t.solve()
 	l := t.rt.NewLaunch(t.name, t.points, t.kernel)
 	for i, v := range t.vars {
-		switch {
-		case parts[i] == nil:
+		if parts[i] == nil {
 			l.AddWhole(v.region, v.priv)
-		case v.mappingOnly:
-			l.AddMapped(v.region, parts[i], v.priv)
-		default:
+		} else {
 			l.Add(v.region, parts[i], v.priv)
 		}
 	}

@@ -1,28 +1,14 @@
 package core
 
-import (
-	"repro/internal/constraint"
-	"repro/internal/geometry"
-	"repro/internal/legion"
-)
-
-// balanceKey caches one nnz-balanced row partition per (colors, pos
-// version): mutations that rebuild pos invalidate the cache the same way
-// rowImageKey does for dense-row images.
-type balanceKey struct {
-	colors  int
-	version int64
-}
+import "repro/internal/geometry"
 
 // BalancedCuts returns a contiguous partition of [0, len(weights))
-// into parts pieces holding approximately equal total weight, via the
-// same greedy ceil-share cut the balanced SpMV mapper uses: each piece
-// takes rows until it holds its ceiling share of the remaining weight
-// (always at least one row), and the last piece takes the rest. Pieces
-// past the end of the rows come back as EmptyRect. The shard
-// coordinator reuses these exact cuts to place nnz-balanced row blocks,
-// so a sharded deployment and a rebalanced single-process mapper agree
-// on where the work boundary falls.
+// into parts pieces holding approximately equal total weight, via a
+// greedy ceil-share cut: each piece takes rows until it holds its
+// ceiling share of the remaining weight (always at least one row), and
+// the last piece takes the rest. Pieces past the end of the rows come
+// back as EmptyRect. The shard coordinator places nnz-balanced row
+// blocks with these cuts.
 func BalancedCuts(weights []int64, parts int) []geometry.Rect {
 	rows := int64(len(weights))
 	var total int64
@@ -54,47 +40,4 @@ func BalancedCuts(weights []int64, parts int) []geometry.Rect {
 		rects[c] = geometry.NewRect(start, row-1)
 	}
 	return rects
-}
-
-// balancedRowPartition returns a contiguous row partition of [0, rows)
-// into colors pieces holding approximately equal stored-entry counts —
-// the distribution the autotuner switches a skewed SpMV to. Contiguity
-// matters: each row stays owned by exactly one point, so the kernel's
-// per-row sequential accumulation (and thus the floating-point result)
-// is unchanged; only which processor computes which rows moves.
-func (a *CSR) balancedRowPartition(colors int) *legion.Partition {
-	a.imgMu.Lock()
-	defer a.imgMu.Unlock()
-	key := balanceKey{colors: colors, version: a.pos.Version()}
-	if p, ok := a.balParts[key]; ok {
-		return p
-	}
-	a.rt.Fence()
-	pos := a.pos.Rects()
-	weights := make([]int64, len(pos))
-	for i, r := range pos {
-		weights[i] = r.Size()
-	}
-	p := a.rt.PartitionByRects(a.pos, BalancedCuts(weights, colors))
-	if a.balParts == nil {
-		a.balParts = map[balanceKey]*legion.Partition{}
-	}
-	a.balParts[key] = p
-	return p
-}
-
-// constrainBalancedCSR is the CSR SpMV constraint set with the static
-// equal-rows block partition replaced by the nnz-balanced one: pin pos
-// to the balanced rects, then derive everything else exactly as CSRSpec
-// does — align(y, pos), image(pos, {crd, vals}), image(crd, x). The
-// output's partition is marked mapping-only: the rebalance decides
-// placement but must not become y's key partition, or downstream
-// reductions over y would regroup their partials and lose bit-identity
-// with the static mapper.
-func constrainBalancedCSR(t *constraint.Task, a *CSR, vy, vx constraint.Var, pack []constraint.Var) {
-	t.UsePartition(pack[0], a.balancedRowPartition(a.rt.LaunchDomain()))
-	t.Align(vy, pack[0])
-	t.MappingOnly(vy)
-	t.Image(pack[0], pack[1], pack[2])
-	t.Image(pack[1], vx)
 }

@@ -45,9 +45,6 @@ type CSR struct {
 	// partitions), keyed on the coordinate structure's version.
 	imgMu     sync.Mutex
 	rowImages map[rowImageKey]*legion.Partition
-	// Cache for nnz-balanced row partitions (the autotuner's comms-aware
-	// distribution), keyed like rowImages on pos's version.
-	balParts map[balanceKey]*legion.Partition
 }
 
 // COO is a coordinate-format matrix: parallel row/col/vals regions, one

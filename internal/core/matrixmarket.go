@@ -16,6 +16,11 @@ import (
 // entries and general or symmetric storage is supported, which covers
 // the overwhelming majority of published matrices.
 
+// mmPrealloc caps how many entries the reader pre-sizes its buffers for
+// from the (untrusted) size line; beyond it the slices grow with the
+// entries actually read.
+const mmPrealloc = 1 << 16
+
 // ReadMatrixMarket parses a Matrix Market stream into a CSR matrix.
 func ReadMatrixMarket(rt *legion.Runtime, r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
@@ -42,6 +47,7 @@ func ReadMatrixMarket(rt *legion.Runtime, r io.Reader) (*CSR, error) {
 
 	// Skip comments, read the size line.
 	var rows, cols, nnz int64
+	sized := false
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -61,12 +67,22 @@ func ReadMatrixMarket(rt *legion.Runtime, r io.Reader) (*CSR, error) {
 		if nnz, err = strconv.ParseInt(f[2], 10, 64); err != nil {
 			return nil, fmt.Errorf("core: bad entry count: %w", err)
 		}
+		sized = true
 		break
 	}
+	if !sized {
+		return nil, fmt.Errorf("core: missing size line")
+	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("core: negative size line %d %d %d", rows, cols, nnz)
+	}
 
-	ri := make([]int64, 0, nnz)
-	ci := make([]int64, 0, nnz)
-	vi := make([]float64, 0, nnz)
+	// A file may legally repeat a coordinate, so nnz is not bounded by
+	// rows*cols; the seen != nnz check below catches a lying header.
+	prealloc := min(nnz, mmPrealloc)
+	ri := make([]int64, 0, prealloc)
+	ci := make([]int64, 0, prealloc)
+	vi := make([]float64, 0, prealloc)
 	var seen int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

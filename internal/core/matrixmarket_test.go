@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,10 +103,79 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		{"out of range", "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 2\n"},
 		{"count mismatch", "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 2\n"},
 		{"bad value", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n"},
+		{"negative count", "%%MatrixMarket matrix coordinate real general\n1 1 -1\n"},
+		{"huge count", "%%MatrixMarket matrix coordinate real general\n2 2 99999999999999\n1 1 1\n"},
+		{"negative rows", "%%MatrixMarket matrix coordinate real general\n-1 1 0\n"},
+		{"no size line", "%%MatrixMarket matrix coordinate real general\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadMatrixMarket(rt, strings.NewReader(c.src)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
+}
+
+// declaredDims returns the rows and cols a Matrix Market stream's size
+// line declares (0, 0 when it has none the reader would accept).
+func declaredDims(src string) (rows, cols int64) {
+	for _, line := range strings.Split(src, "\n")[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		if f := strings.Fields(line); len(f) == 3 {
+			rows, _ = strconv.ParseInt(f[0], 10, 64)
+			cols, _ = strconv.ParseInt(f[1], 10, 64)
+		}
+		break
+	}
+	return rows, cols
+}
+
+// FuzzReadMatrixMarket: the reader never panics on any stream, and a
+// matrix it accepts survives WriteMatrixMarket → ReadMatrixMarket with
+// its shape, entry count and values intact. Streams declaring more than
+// 4096 rows or columns are skipped: a header may legally declare a
+// matrix larger than memory, and CSR storage is O(rows).
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add(mmGeneral)
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 1\n2 1 5\n3 2 -2\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern skew-symmetric\n2 2 1\n2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n1 1 -3\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 99999999999999\n1 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-1 1 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n1 2 2\n1 1 NaN\n1 2 -Inf\n")
+	rt := newRT(f, 1)
+	f.Fuzz(func(t *testing.T, src string) {
+		if rows, cols := declaredDims(src); rows > 4096 || cols > 4096 {
+			t.Skip("declares a matrix too large to materialize in a fuzz run")
+		}
+		a, err := ReadMatrixMarket(rt, strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		defer a.Destroy()
+		var buf bytes.Buffer
+		if err := a.WriteMatrixMarket(&buf); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadMatrixMarket(rt, &buf)
+		if err != nil {
+			t.Fatalf("re-reading own output: %v\n%s", err, buf.String())
+		}
+		defer b.Destroy()
+		if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.NNZ() != b.NNZ() {
+			t.Fatalf("round trip changed %v into %v", a, b)
+		}
+		_, _, av := a.hostCSR()
+		_, _, bv := b.hostCSR()
+		for i := range av {
+			if av[i] != bv[i] && !(math.IsNaN(av[i]) && math.IsNaN(bv[i])) {
+				t.Fatalf("round trip changed value %d: %v -> %v", i, av[i], bv[i])
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/cunumeric"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/legion"
 	"repro/internal/machine"
-	"repro/internal/tune"
 )
 
 // kernelTarget maps the runtime's processor kind to the DISTAL variant
@@ -24,16 +22,10 @@ func kernelTarget(rt *legion.Runtime) distal.Target {
 	return distal.CPUThread
 }
 
-// planKernel resolves (op, format, target) through rt's autotuner when
-// one is attached — measured-rate variant choice plus consumer-scoped
-// plan-cache accounting — and through the shared registry's static
-// order otherwise.
+// planKernel resolves (op, format, target) in the shared registry: one
+// kernel per slot (§5.1).
 func planKernel(rt *legion.Runtime, op string, format distal.Format) (*distal.Kernel, bool) {
-	target := kernelTarget(rt)
-	if tn := tune.For(rt); tn != nil {
-		return tn.PickKernel(op, format, target)
-	}
-	return distal.Standard.Lookup(op, format, target)
+	return distal.Standard.Lookup(op, format, kernelTarget(rt))
 }
 
 // mustPlanKernel is planKernel that panics on a missing variant.
@@ -58,8 +50,6 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 	}
 	spec := a.Spec()
 	rt := a.Runtime()
-	tn := tune.For(rt)
-	target := kernelTarget(rt)
 	k, ok := planKernel(rt, "spmv", spec.Distal)
 	if !ok {
 		// No compiled variant for this (format, target): fall back
@@ -84,19 +74,8 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 		if spec.scatter {
 			s.args.Accum = func(idx int64, v float64) { tc.ReduceAdd(0, idx, v) }
 		}
-		var t0 time.Time
-		if tn != nil {
-			t0 = time.Now()
-		}
 		k.Exec(&s.args)
-		work := k.WorkEstimate(&s.args)
-		if tn != nil {
-			// Real wall-clock feeds the variant-rate model only; the
-			// simulated timeline is untouched (variants share the same
-			// work estimate and op class).
-			tn.Observe("spmv", spec.Distal, target, k.Variant, work, time.Since(t0))
-		}
-		tc.SetWorkElems(work)
+		tc.SetWorkElems(k.WorkEstimate(&s.args))
 		s.release()
 	})
 	var vy constraint.Var
@@ -111,21 +90,9 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 		pack[i] = task.AddInput(r)
 	}
 	vx := task.AddInput(x.Region())
-	balanced := false
-	if tn != nil && spec.Dist == DistAlignPos {
-		if c, isCSR := a.(*CSR); isCSR && tn.BalanceRows(spec.TaskName) {
-			constrainBalancedCSR(task, c, vy, vx, pack)
-			balanced = true
-		}
-	}
-	if !balanced {
-		spec.constrain(task, a, vy, vx, pack, y, x)
-	}
+	spec.constrain(task, a, vy, vx, pack, y, x)
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
-	if tn != nil {
-		tn.MaybeRetune(rt)
-	}
 }
 
 // SpMVInto computes y = A @ x through the generic planner with CSR's
@@ -366,8 +333,6 @@ func (a *CSR) SDDMM(b, c *cunumeric.Matrix) *CSR {
 // DISTAL row-reduction kernel.
 func (a *CSR) SumAxis1() *cunumeric.Array {
 	out := cunumeric.Zeros(a.rt, a.rows)
-	tn := tune.For(a.rt)
-	target := kernelTarget(a.rt)
 	k := mustPlanKernel(a.rt, "row_sum", distal.CSR)
 	task := constraint.NewTask(a.rt, "sparse.row_sum", func(tc *legion.TaskContext) {
 		bounds := tc.Bounds(0)
@@ -378,16 +343,8 @@ func (a *CSR) SumAxis1() *cunumeric.Array {
 		s.y.Vals = tc.Float64(0)
 		s.A.Pos, s.A.Vals = tc.Rects(1), tc.Float64(2)
 		s.args.Lo, s.args.Hi = bounds.Lo, bounds.Hi
-		var t0 time.Time
-		if tn != nil {
-			t0 = time.Now()
-		}
 		k.Exec(&s.args)
-		work := k.WorkEstimate(&s.args)
-		if tn != nil {
-			tn.Observe("row_sum", distal.CSR, target, k.Variant, work, time.Since(t0))
-		}
-		tc.SetWorkElems(work)
+		tc.SetWorkElems(k.WorkEstimate(&s.args))
 		s.release()
 	})
 	vy := task.AddOutput(out.Region())

@@ -46,7 +46,6 @@ type Kernel struct {
 	Prog    Program
 	Target  Target
 	Pattern string // which loop template the compiler selected
-	Variant string // loop-shape tag within a dispatch slot ("base", "hoist")
 	Exec    func(a *Args)
 	// WorkEstimate returns the elements processed for a given outer
 	// range, used for cost modeling (nnz touched, not rows).
@@ -88,19 +87,11 @@ func Compile(p Program) (*Kernel, error) {
 		}
 	}
 
-	hoist := scheduleHoists(p.Schedule)
-	k := &Kernel{Name: p.Name, Prog: p, Target: target, Variant: "base"}
-	if hoist {
-		k.Variant = "hoist"
-	}
+	k := &Kernel{Name: p.Name, Prog: p, Target: target}
 	switch {
 	case matchSpMV(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-row"
-		if hoist {
-			k.Exec = emitSpMVRowHoisted(p, sparseOps[0], denseOps[0])
-		} else {
-			k.Exec = emitSpMVRow(p, sparseOps[0], denseOps[0])
-		}
+		k.Exec = emitSpMVRow(p, sparseOps[0], denseOps[0])
 		k.WorkEstimate = nnzWork(sparseOps[0].Tensor)
 	case matchSpMVDia(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-dia"
@@ -128,19 +119,11 @@ func Compile(p Program) (*Kernel, error) {
 		k.WorkEstimate = nnzTimesK(sparseOps[0].Tensor, denseOps[0].Tensor)
 	case matchRowReduce(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "row-reduce"
-		if hoist {
-			k.Exec = emitRowReduceHoisted(p, sparseOps[0])
-		} else {
-			k.Exec = emitRowReduce(p, sparseOps[0])
-		}
+		k.Exec = emitRowReduce(p, sparseOps[0])
 		k.WorkEstimate = nnzWork(sparseOps[0].Tensor)
 	default:
 		return nil, &CompileError{Program: p.Name, Reason: fmt.Sprintf(
 			"no loop template matches %s with formats %v", p.Compute, p.Formats)}
-	}
-	if hoist && k.Pattern != "spmv-row" && k.Pattern != "row-reduce" {
-		return nil, &CompileError{Program: p.Name, Reason: fmt.Sprintf(
-			"hoist is only supported for row-iteration templates, not %q", k.Pattern)}
 	}
 	return k, nil
 }
@@ -230,15 +213,6 @@ func scheduleTarget(s Schedule) Target {
 		}
 	}
 	return CPUThread
-}
-
-func scheduleHoists(s Schedule) bool {
-	for _, d := range s.directives {
-		if d.kind == "hoist" {
-			return true
-		}
-	}
-	return false
 }
 
 // --- Template matchers -------------------------------------------------
@@ -359,33 +333,6 @@ func emitSpMVRow(p Program, a, x Access) func(*Args) {
 			r := A.Pos[i]
 			for jA := r.Lo; jA <= r.Hi; jA++ {
 				acc += A.Vals[jA] * xv[A.Crd[jA]]
-			}
-			y[i] = acc
-		}
-	}
-}
-
-// emitSpMVRowHoisted is emitSpMVRow with the per-row operand subslices
-// hoisted out of the inner loop (what the hoist directive requests). The
-// inner loop visits the same entries in the same order with a single
-// accumulator, so the floating-point result is bit-identical to the base
-// template; only the generated code shape (and thus the measured rate)
-// differs.
-func emitSpMVRowHoisted(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
-	return func(ar *Args) {
-		y := ar.Ops[yName].Vals
-		A := ar.Ops[aName]
-		xv := ar.Ops[xName].Vals
-		pos, crd, vals := A.Pos, A.Crd, A.Vals
-		for i := ar.Lo; i <= ar.Hi; i++ {
-			var acc float64
-			if r := pos[i]; !r.Empty() {
-				seg := vals[r.Lo : r.Hi+1]
-				cols := crd[r.Lo : r.Hi+1]
-				for q := range seg {
-					acc += seg[q] * xv[cols[q]]
-				}
 			}
 			y[i] = acc
 		}
@@ -542,26 +489,6 @@ func emitRowReduce(p Program, a Access) func(*Args) {
 			r := A.Pos[i]
 			for jA := r.Lo; jA <= r.Hi; jA++ {
 				acc += A.Vals[jA]
-			}
-			y[i] = acc
-		}
-	}
-}
-
-// emitRowReduceHoisted mirrors emitSpMVRowHoisted for the row-reduction
-// template: identical accumulation order, hoisted subslice.
-func emitRowReduceHoisted(p Program, a Access) func(*Args) {
-	yName, aName := p.Compute.LHS.Tensor, a.Tensor
-	return func(ar *Args) {
-		y := ar.Ops[yName].Vals
-		A := ar.Ops[aName]
-		pos, vals := A.Pos, A.Vals
-		for i := ar.Lo; i <= ar.Hi; i++ {
-			var acc float64
-			if r := pos[i]; !r.Empty() {
-				for _, v := range vals[r.Lo : r.Hi+1] {
-					acc += v
-				}
 			}
 			y[i] = acc
 		}

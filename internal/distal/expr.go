@@ -207,17 +207,6 @@ func (s Schedule) Parallelize(v IndexVar, t Target) Schedule {
 	return s
 }
 
-// Hoist asks the compiler to lift the loop-invariant operand accesses of
-// v's enclosing iteration out of the inner loop (per-row subslices
-// computed once per outer iteration). The emitted loop preserves the
-// accumulation order of the unhoisted template exactly, so the two
-// variants are bit-identical in results and differ only in speed — the
-// property the autotuner relies on when choosing between them.
-func (s Schedule) Hoist(v IndexVar) Schedule {
-	s.directives = append(s.directives, directive{kind: "hoist", v: v})
-	return s
-}
-
 // Program is a complete kernel specification handed to Compile.
 type Program struct {
 	Name     string

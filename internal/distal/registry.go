@@ -11,8 +11,7 @@ import (
 // sparse operand's format, and the processor variety. Legate Sparse
 // dispatches dynamically across this statically generated variant matrix
 // (§5.1): the same SpMV has distinct entries for (CSR, CPU), (CSR, GPU),
-// etc. One key may hold several interchangeable variants (same semantics,
-// different loop shape); the autotuner picks among them by measured rate.
+// etc., and exactly one kernel per entry.
 type OpKey struct {
 	Op     string
 	Format string
@@ -23,152 +22,68 @@ func (k OpKey) String() string {
 	return fmt.Sprintf("%s/%s/%v", k.Op, k.Format, k.Target)
 }
 
-// Registry holds generated kernels for dynamic dispatch. It doubles as
-// the compiled-plan cache of a long-lived server: Lookup hits and misses
-// are counted (lock-free), and LookupOrCompile turns a miss into an
-// on-demand compilation whose result is registered for every later
-// request — SpDISTAL's "compile once, dispatch forever" behavior.
-//
-// Each dispatch slot holds an ordered variant list. Register replaces
-// the whole slot (the static default is always variant 0, so callers
-// that never consult the tuner see exactly the pre-variant behavior);
-// RegisterVariant appends an alternative the tuner may select.
-//
-// The embedded counters describe this registry as a whole. A process
-// that shares one registry across independent consumers (legate-serve
-// workers) should give each consumer its own Scoped view so per-consumer
-// hit rates stay accurate.
+// Registry holds generated kernels for dynamic dispatch: one way in
+// (Register), one way out (Lookup/MustLookup). It doubles as the
+// compiled-plan cache of a long-lived server: Lookup hits and misses
+// are counted (lock-free) and reported by Stats.
 type Registry struct {
 	mu      sync.RWMutex
-	kernels map[OpKey][]*Kernel
+	kernels map[OpKey]*Kernel
 
-	hits, misses, compiles atomic.Int64
+	hits, misses atomic.Int64
 }
 
-// RegistryStats is a snapshot of a registry's (or a Scoped view's)
-// plan-cache counters, reported by legate-serve's /metrics endpoint.
+// RegistryStats is a snapshot of a registry's plan-cache counters,
+// reported by legate-serve's /metrics endpoint.
 type RegistryStats struct {
 	Hits     int64 `json:"hits"`     // Lookup found a compiled kernel
-	Misses   int64 `json:"misses"`   // Lookup found nothing (caller fell back or compiled)
-	Compiles int64 `json:"compiles"` // kernels compiled on demand by LookupOrCompile
+	Misses   int64 `json:"misses"`   // Lookup found nothing (caller fell back)
+	Compiles int64 `json:"compiles"` // always 0: every kernel is compiled ahead of time
 	Variants int   `json:"variants"` // kernels currently registered
 }
 
 // Stats returns a snapshot of the registry's plan-cache counters.
 func (r *Registry) Stats() RegistryStats {
+	r.mu.RLock()
+	n := len(r.kernels)
+	r.mu.RUnlock()
 	return RegistryStats{
 		Hits:     r.hits.Load(),
 		Misses:   r.misses.Load(),
-		Compiles: r.compiles.Load(),
-		Variants: r.numKernels(),
+		Variants: n,
 	}
-}
-
-func (r *Registry) numKernels() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, vs := range r.kernels {
-		n += len(vs)
-	}
-	return n
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{kernels: map[OpKey][]*Kernel{}}
+	return &Registry{kernels: map[OpKey]*Kernel{}}
 }
 
-// Register installs k as the sole (default) kernel under
-// (op, format, kernel.Target), replacing any existing variants.
+// Register installs k under (op, format, k.Target), replacing any kernel
+// already in that slot.
 func (r *Registry) Register(op string, format Format, k *Kernel) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.kernels[OpKey{Op: op, Format: format.String(), Target: k.Target}] = []*Kernel{k}
+	r.kernels[OpKey{Op: op, Format: format.String(), Target: k.Target}] = k
 }
 
-// RegisterVariant appends an alternative kernel under the same dispatch
-// slot. Variant 0 (installed by Register) remains the static default; a
-// variant with the same Variant tag replaces its predecessor in place.
-func (r *Registry) RegisterVariant(op string, format Format, k *Kernel) {
-	key := OpKey{Op: op, Format: format.String(), Target: k.Target}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, prev := range r.kernels[key] {
-		if prev.Variant == k.Variant {
-			r.kernels[key][i] = k
-			return
-		}
-	}
-	r.kernels[key] = append(r.kernels[key], k)
-}
-
-// peek returns the variant list without touching the counters. The
-// returned slice must not be mutated.
-func (r *Registry) peek(key OpKey) []*Kernel {
-	r.mu.RLock()
-	vs := r.kernels[key]
-	r.mu.RUnlock()
-	return vs
-}
-
-// Lookup finds the default kernel variant for (op, format, target). The
-// second result reports whether a variant exists; callers fall back to a
-// slower path (or report the format conversion they must perform) when
-// it does not — the cost the paper's third composition layer is about.
+// Lookup finds the kernel for (op, format, target). The second result
+// reports whether one exists; callers fall back to a slower path (or
+// report the format conversion they must perform) when it does not —
+// the cost the paper's third composition layer is about.
 func (r *Registry) Lookup(op string, format Format, target Target) (*Kernel, bool) {
-	vs := r.peek(OpKey{Op: op, Format: format.String(), Target: target})
-	if len(vs) == 0 {
-		r.misses.Add(1)
-		return nil, false
-	}
-	r.hits.Add(1)
-	return vs[0], true
-}
-
-// Variants returns every registered kernel for (op, format, target) in
-// registration order (the static default first). Like Lookup it counts
-// as one plan-cache access. The returned slice must not be mutated.
-func (r *Registry) Variants(op string, format Format, target Target) []*Kernel {
-	vs := r.peek(OpKey{Op: op, Format: format.String(), Target: target})
-	if len(vs) == 0 {
-		r.misses.Add(1)
-	} else {
+	r.mu.RLock()
+	k, ok := r.kernels[OpKey{Op: op, Format: format.String(), Target: target}]
+	r.mu.RUnlock()
+	if ok {
 		r.hits.Add(1)
-	}
-	return vs
-}
-
-// LookupOrCompile returns the registered kernel for (op, format, target)
-// or, on a miss, compiles one via gen, registers it, and returns it.
-// Concurrent callers may both compile; the first registration wins and
-// both get a valid kernel. gen returning an error leaves the registry
-// unchanged.
-func (r *Registry) LookupOrCompile(op string, format Format, target Target, gen func() (Program, error)) (*Kernel, error) {
-	if k, ok := r.Lookup(op, format, target); ok {
-		return k, nil
-	}
-	prog, err := gen()
-	if err != nil {
-		return nil, err
-	}
-	k, err := Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	r.compiles.Add(1)
-	key := OpKey{Op: op, Format: format.String(), Target: target}
-	r.mu.Lock()
-	if prev, ok := r.kernels[key]; ok && len(prev) > 0 {
-		k = prev[0] // another caller compiled first; keep one canonical plan
 	} else {
-		r.kernels[key] = []*Kernel{k}
+		r.misses.Add(1)
 	}
-	r.mu.Unlock()
-	return k, nil
+	return k, ok
 }
 
-// MustLookup is Lookup that panics on a missing variant.
+// MustLookup is Lookup that panics on a missing kernel.
 func (r *Registry) MustLookup(op string, format Format, target Target) *Kernel {
 	k, ok := r.Lookup(op, format, target)
 	if !ok {
@@ -190,55 +105,6 @@ func (r *Registry) Keys() []string {
 	return out
 }
 
-// Scoped returns a per-consumer counter view over the registry. Lookups
-// through the view consult the shared kernel map but count hits and
-// misses on the view's own counters, leaving the parent's untouched —
-// so concurrent consumers (one per legate-serve worker) each report an
-// accurate hit rate instead of reading one process-global tally.
-func (r *Registry) Scoped() *Scoped {
-	return &Scoped{parent: r}
-}
-
-// Scoped is a consumer-local counter view over a shared Registry.
-// All methods are safe for concurrent use.
-type Scoped struct {
-	parent *Registry
-
-	hits, misses atomic.Int64
-}
-
-// Lookup is Registry.Lookup counted against this view only.
-func (s *Scoped) Lookup(op string, format Format, target Target) (*Kernel, bool) {
-	vs := s.Variants(op, format, target)
-	if len(vs) == 0 {
-		return nil, false
-	}
-	return vs[0], true
-}
-
-// Variants is Registry.Variants counted against this view only.
-func (s *Scoped) Variants(op string, format Format, target Target) []*Kernel {
-	vs := s.parent.peek(OpKey{Op: op, Format: format.String(), Target: target})
-	if len(vs) == 0 {
-		s.misses.Add(1)
-	} else {
-		s.hits.Add(1)
-	}
-	return vs
-}
-
-// Stats snapshots the view's counters. Variants reports the shared
-// registry's kernel count (plans are shared; only the traffic is
-// per-consumer), and Compiles is always 0: on-demand compilation goes
-// through the parent registry directly.
-func (s *Scoped) Stats() RegistryStats {
-	return RegistryStats{
-		Hits:     s.hits.Load(),
-		Misses:   s.misses.Load(),
-		Variants: s.parent.numKernels(),
-	}
-}
-
 // Standard is the global registry populated at package init with the
 // DISTAL-generated kernels Legate Sparse's tensor-algebra operations
 // dispatch into.
@@ -252,22 +118,15 @@ func init() {
 // by the sparse library: for each operation, one variant per processor
 // variety, with the schedule of Figure 6 (divide the rows across
 // processors, distribute, parallelize the local tile on the target).
-// Row-iteration kernels additionally get a hoisted variant (per-row
-// operand subslices lifted out of the inner loop) for the autotuner to
-// weigh against the default by measured rate.
 func GenerateStandardKernels(reg *Registry) {
 	i, j, k := IndexVar("i"), IndexVar("j"), IndexVar("k")
 	io, ii := IndexVar("io"), IndexVar("ii")
-	baseSched := func(t Target) Schedule {
-		return Schedule{}.
+	for _, target := range []Target{CPUThread, GPUThread} {
+		sched := Schedule{}.
 			Divide(i, io, ii).
 			Distribute(io).
 			Communicate(io).
-			Parallelize(ii, t)
-	}
-	for _, target := range []Target{CPUThread, GPUThread} {
-		sched := baseSched(target)
-		hoisted := baseSched(target).Hoist(ii)
+			Parallelize(ii, target)
 
 		reg.Register("spmv", CSR, MustCompile(Program{
 			Name:    "spmv_csr",
@@ -276,14 +135,6 @@ func GenerateStandardKernels(reg *Registry) {
 				"y": DenseVector, "A": CSR, "x": DenseVector,
 			},
 			Schedule: sched,
-		}))
-		reg.RegisterVariant("spmv", CSR, MustCompile(Program{
-			Name:    "spmv_csr_hoist",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": CSR, "x": DenseVector,
-			},
-			Schedule: hoisted,
 		}))
 
 		// CSC SpMV: the matrix is stored compressed over columns, so the
@@ -357,14 +208,6 @@ func GenerateStandardKernels(reg *Registry) {
 				"y": DenseVector, "A": CSR,
 			},
 			Schedule: sched,
-		}))
-		reg.RegisterVariant("row_sum", CSR, MustCompile(Program{
-			Name:    "row_sum_csr_hoist",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": CSR,
-			},
-			Schedule: hoisted,
 		}))
 	}
 }

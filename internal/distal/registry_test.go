@@ -1,26 +1,11 @@
 package distal
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-// stdSchedule is the Figure 6 schedule the standard kernels use; tests
-// compile throwaway variants with it.
-func stdSchedule(target Target) Schedule {
-	i, io, ii := IndexVar("i"), IndexVar("io"), IndexVar("ii")
-	return Schedule{}.Divide(i, io, ii).Distribute(io).Communicate(io).Parallelize(ii, target)
-}
+import "testing"
 
 func TestRegistryStatsCounting(t *testing.T) {
 	reg := NewRegistry()
 	GenerateStandardKernels(reg)
-	// 8 ops x 2 targets, plus hoisted spmv/row_sum CSR variants x 2 targets.
 	base := reg.Stats()
-	if base.Variants != 20 {
-		t.Fatalf("fresh standard registry has %d variants, want 20", base.Variants)
-	}
 
 	reg.Lookup("spmv", CSR, CPUThread)
 	reg.Lookup("spmv", CSR, CPUThread)
@@ -33,158 +18,22 @@ func TestRegistryStatsCounting(t *testing.T) {
 		t.Errorf("misses advanced by %d, want 1", s.Misses-base.Misses)
 	}
 	if s.Compiles != 0 {
-		t.Errorf("no on-demand compiles yet, got %d", s.Compiles)
+		t.Errorf("kernels are compiled ahead of time only, got %d compiles", s.Compiles)
 	}
 }
 
-func TestLookupOrCompile(t *testing.T) {
+// TestStandardOneKernelPerSlot pins the registry census: Standard holds
+// 16 kernels under 16 keys (TestStandardRegistryComplete names the
+// slots), and a second registration into a slot replaces the kernel
+// rather than adding a variant beside it.
+func TestStandardOneKernelPerSlot(t *testing.T) {
+	if n, keys := Standard.Stats().Variants, len(Standard.Keys()); n != 16 || keys != 16 {
+		t.Fatalf("Standard holds %d kernels under %d keys, want 16 and 16", n, keys)
+	}
 	reg := NewRegistry()
-	i, j := IndexVar("i"), IndexVar("j")
-	gen := func() (Program, error) {
-		return Program{
-			Name:     "spmv_csr_ondemand",
-			Compute:  Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats:  map[string]Format{"y": DenseVector, "A": CSR, "x": DenseVector},
-			Schedule: stdSchedule(CPUThread),
-		}, nil
-	}
-
-	k1, err := reg.LookupOrCompile("spmv", CSR, CPUThread, gen)
-	if err != nil {
-		t.Fatalf("compile-on-miss: %v", err)
-	}
-	if k1 == nil {
-		t.Fatal("nil kernel from LookupOrCompile")
-	}
-	if s := reg.Stats(); s.Compiles != 1 || s.Variants != 1 {
-		t.Fatalf("after first call: compiles=%d variants=%d, want 1/1", s.Compiles, s.Variants)
-	}
-
-	// Second call must hit the cache and return the same plan.
-	called := false
-	k2, err := reg.LookupOrCompile("spmv", CSR, CPUThread, func() (Program, error) {
-		called = true
-		return gen()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("warm LookupOrCompile invoked the generator")
-	}
-	if k2 != k1 {
-		t.Error("warm LookupOrCompile returned a different kernel object")
-	}
-	if s := reg.Stats(); s.Compiles != 1 {
-		t.Errorf("warm call recompiled: compiles=%d", s.Compiles)
-	}
-}
-
-func TestLookupOrCompileBadProgram(t *testing.T) {
-	reg := NewRegistry()
-	i, j := IndexVar("i"), IndexVar("j")
-	_, err := reg.LookupOrCompile("bad", CSR, CPUThread, func() (Program, error) {
-		return Program{
-			Name:    "two_sparse",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("B", i, j)}},
-			Formats: map[string]Format{"y": DenseVector, "A": CSR, "B": CSR},
-		}, nil
-	})
-	if err == nil {
-		t.Fatal("uncompilable program must return an error")
-	}
-	if s := reg.Stats(); s.Variants != 0 || s.Compiles != 0 {
-		t.Errorf("failed compile mutated the registry: %+v", s)
-	}
-}
-
-// TestHoistedVariantsBitIdentical: the hoisted loop shapes registered as
-// tuner arms must produce exactly the bits of the base templates — the
-// autotuner's freedom to switch variants mid-solve depends on it. Rows
-// with no stored entries are included deliberately (the hoisted kernels
-// guard the subslice with Rect.Empty).
-func TestHoistedVariantsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const rows, cols = 40, 30
-	Aop, _ := randomCSR(rng, rows, cols, 0.15) // sparse enough for empty rows
-	x := denseVec(rng, cols)
-
-	for _, op := range []string{"spmv", "row_sum"} {
-		vs := Standard.Variants(op, CSR, CPUThread)
-		if len(vs) != 2 {
-			t.Fatalf("%s/CSR/CPU: %d variants, want base+hoist", op, len(vs))
-		}
-		if vs[0].Variant != "base" || vs[1].Variant != "hoist" {
-			t.Fatalf("%s variant order = %q,%q", op, vs[0].Variant, vs[1].Variant)
-		}
-		if vs[0].WorkEstimate == nil || vs[1].WorkEstimate == nil {
-			t.Fatalf("%s variants missing work estimators", op)
-		}
-		outs := make([][]float64, 2)
-		for i, k := range vs {
-			y := &Operand{Vals: make([]float64, rows)}
-			args := &Args{Ops: map[string]*Operand{"y": y, "A": Aop, "x": x}, Lo: 0, Hi: rows - 1}
-			k.Exec(args)
-			if w0, w1 := vs[0].WorkEstimate(args), k.WorkEstimate(args); w0 != w1 {
-				t.Fatalf("%s variant work estimates differ: %d vs %d", op, w0, w1)
-			}
-			outs[i] = y.Vals
-		}
-		for i := range outs[0] {
-			if math.Float64bits(outs[0][i]) != math.Float64bits(outs[1][i]) {
-				t.Fatalf("%s row %d: base %v != hoist %v", op, i, outs[0][i], outs[1][i])
-			}
-		}
-	}
-}
-
-// TestHoistRejectedOffTemplate: the hoist directive is only meaningful
-// for the row-iteration templates; compiling it elsewhere must fail
-// loudly instead of silently ignoring the schedule.
-func TestHoistRejectedOffTemplate(t *testing.T) {
-	i, j, k := IndexVar("i"), IndexVar("j"), IndexVar("k")
-	p := Program{
-		Name:    "spmm_hoist_bad",
-		Compute: Assign{LHS: A("Y", i, k), RHS: []Access{A("A", i, j), A("X", j, k)}},
-		Formats: map[string]Format{
-			"Y": DenseMatrix, "A": CSR, "X": DenseMatrix,
-		},
-		Schedule: stdSchedule(CPUThread).Hoist(IndexVar("ii")),
-	}
-	if _, err := Compile(p); err == nil {
-		t.Fatal("hoist on the SpMM template compiled; want CompileError")
-	}
-}
-
-// TestScopedRegistryIsolation: two scoped views of one registry count
-// their own traffic without touching each other or the parent counters,
-// while still sharing the underlying kernel table (satellite fix for
-// cross-worker stat bleed in legate-serve).
-func TestScopedRegistryIsolation(t *testing.T) {
-	r := NewRegistry()
-	GenerateStandardKernels(r)
-	base := r.Stats()
-
-	s1, s2 := r.Scoped(), r.Scoped()
-	for i := 0; i < 3; i++ {
-		if _, ok := s1.Lookup("spmv", CSR, CPUThread); !ok {
-			t.Fatal("scoped lookup missed a registered kernel")
-		}
-	}
-	s1.Lookup("nope", CSR, CPUThread)
-	s2.Variants("spmv", CSR, CPUThread)
-
-	if st := s1.Stats(); st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("scope 1 stats = %+v, want 3 hits 1 miss", st)
-	}
-	if st := s2.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("scope 2 stats = %+v, want 1 hit", st)
-	}
-	after := r.Stats()
-	if after.Hits != base.Hits || after.Misses != base.Misses {
-		t.Fatalf("scoped traffic leaked into parent counters: before %+v after %+v", base, after)
-	}
-	if st := s1.Stats(); st.Variants != after.Variants {
-		t.Fatalf("scoped variant count %d != parent %d", st.Variants, after.Variants)
+	GenerateStandardKernels(reg)
+	reg.Register("spmv", CSR, reg.MustLookup("spmv", CSR, CPUThread))
+	if n := reg.Stats().Variants; n != 16 {
+		t.Fatalf("re-registering a slot left %d kernels, want 16", n)
 	}
 }

@@ -350,7 +350,7 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 			}
 			r, err1 := strconv.ParseFloat(parts[0], 64)
 			d, err2 := time.ParseDuration(parts[1])
-			if err1 != nil || err2 != nil || r < 0 || r > 1 || d < 0 {
+			if err1 != nil || err2 != nil || !(r >= 0 && r <= 1) || d < 0 { // !(…) also rejects NaN
 				return nil, fmt.Errorf("fault: bad lag spec %q", tok)
 			}
 			max := 0
@@ -367,7 +367,7 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 				return nil, fmt.Errorf("fault: bad rate spec %q (want rate:R[:MAX])", tok)
 			}
 			r, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) { // !(…) also rejects NaN
 				return nil, fmt.Errorf("fault: bad rate spec %q", tok)
 			}
 			max := 0

@@ -115,7 +115,7 @@ func TestParse(t *testing.T) {
 	if _, err := Parse("", 0); err != nil {
 		t.Fatalf("empty spec should parse: %v", err)
 	}
-	for _, bad := range []string{"point@x:1", "proc@1", "rate:2", "nonsense", "point@0:1"} {
+	for _, bad := range []string{"point@x:1", "proc@1", "rate:2", "nonsense", "point@0:1", "rate:NaN", "lag:NaN:1ms"} {
 		if _, err := Parse(bad, 0); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
@@ -222,4 +222,43 @@ func TestParseDelaySchedules(t *testing.T) {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParse: Parse never panics, and a spec it accepts yields an
+// injector whose probabilities lie in [0, 1] and whose times are ≥ 0.
+func FuzzParse(f *testing.F) {
+	f.Add("point@40:2,proc@1:500us,rate:0.001:3,stall@12:50ms,lag:0.05:5ms:20")
+	f.Add("slow@5:1:10ms, stall@9:20ms, lag:0.5:1ms:7")
+	f.Add("rate:NaN")
+	f.Add("lag:NaN:1ms")
+	f.Add("rate:1e-400,lag:+Inf:1ms")
+	f.Add("proc@0:-1ns")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		if !(in.rate >= 0 && in.rate <= 1) || !(in.lagRate >= 0 && in.lagRate <= 1) {
+			t.Fatalf("%q: rate %v, lag rate %v outside [0, 1]", spec, in.rate, in.lagRate)
+		}
+		if in.lagDur < 0 || in.rateMax < 0 || in.lagMax < 0 {
+			t.Fatalf("%q: lag %v, caps %d/%d negative", spec, in.lagDur, in.rateMax, in.lagMax)
+		}
+		for _, k := range in.procs {
+			if k.at < 0 {
+				t.Fatalf("%q: processor kill at %v", spec, k.at)
+			}
+		}
+		for _, d := range in.slowPts {
+			if d < 0 {
+				t.Fatalf("%q: slow point delay %v", spec, d)
+			}
+		}
+		for _, d := range in.stalls {
+			if d < 0 {
+				t.Fatalf("%q: stall %v", spec, d)
+			}
+		}
+	})
 }

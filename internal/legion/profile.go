@@ -27,7 +27,6 @@ type ProfileEntry struct {
 	Launches int64
 	Points   int64
 	SimTime  time.Duration // summed point-task durations (not wall clock)
-	MaxPoint time.Duration // longest single point duration — the load-imbalance signal
 }
 
 func newProfile() *Profile {
@@ -66,9 +65,6 @@ func (p *Profile) recordPointTime(name string, d time.Duration) {
 	p.mu.Lock()
 	if e := p.entries[name]; e != nil {
 		e.SimTime += d
-		if d > e.MaxPoint {
-			e.MaxPoint = d
-		}
 	}
 	p.mu.Unlock()
 }

@@ -45,10 +45,6 @@ type Runtime struct {
 	prof    *prof.Sink
 	profRun int
 
-	// tuner is an opaque handle for internal/tune's per-runtime autotuner
-	// state (see SetTuner). Application-goroutine-only, like domain.
-	tuner any
-
 	// Cooperative cancellation (see cancel.go). cancelCheck is
 	// application-goroutine-only; cancelFired is the lock-free flag
 	// workers poll to skip kernels once the check fires.
@@ -226,21 +222,6 @@ func (rt *Runtime) EnableProfiling(s *prof.Sink) {
 
 // Profiler returns the attached observability sink, or nil.
 func (rt *Runtime) Profiler() *prof.Sink { return rt.prof }
-
-// ProfRun returns the run index this runtime tags its profiling events
-// with (0 when no sink is attached).
-func (rt *Runtime) ProfRun() int { return rt.profRun }
-
-// SetTuner attaches an opaque per-runtime autotuner handle. The legion
-// layer never inspects it — internal/tune stores its state here (the
-// indirection breaks the legion ↔ tune import cycle), and the planning
-// layers retrieve it with tune.For. Like launch issue, attach/read is an
-// application-goroutine affair: call only from the goroutine that issues
-// launches.
-func (rt *Runtime) SetTuner(t any) { rt.tuner = t }
-
-// Tuner returns the handle stored by SetTuner, or nil.
-func (rt *Runtime) Tuner() any { return rt.tuner }
 
 // Err returns the sticky first error (e.g. modeled OOM) hit by any task,
 // or nil. Once set, subsequent kernels are skipped; callers should check
@@ -490,7 +471,7 @@ func (rt *Runtime) noteWrites(reqs []req) {
 	for _, rq := range reqs {
 		if rq.priv.writes() {
 			rq.region.version++
-			if rq.part != nil && !rq.mappingOnly {
+			if rq.part != nil {
 				rq.region.keyPartition = rq.part
 			}
 		}

@@ -58,12 +58,6 @@ type req struct {
 	region *Region
 	part   *Partition // nil means the whole region for every point
 	priv   Privilege
-	// mappingOnly marks part as a mapping decision rather than the
-	// region's preferred layout: the write still bumps the version, but
-	// the key partition is left alone so later constraint solves (and
-	// with them any reduction groupings) see exactly what a static
-	// mapping would have left behind.
-	mappingOnly bool
 }
 
 // Launch is an index task launch under construction: a kernel, a launch
@@ -118,17 +112,6 @@ func (l *Launch) Add(r *Region, part *Partition, priv Privilege) int {
 	}
 	l.reqs = append(l.reqs, req{region: r, part: part, priv: priv})
 	return len(l.reqs) - 1
-}
-
-// AddMapped is Add for a partition that is purely a mapping decision
-// (e.g. an autotuner's load-balanced distribution): the requirement
-// behaves identically at execution, but the region's key partition is
-// not updated, so downstream partition inference is unaffected by the
-// remapping.
-func (l *Launch) AddMapped(r *Region, part *Partition, priv Privilege) int {
-	i := l.Add(r, part, priv)
-	l.reqs[i].mappingOnly = true
-	return i
 }
 
 // AddWhole attaches the entire region to every point task. Writing

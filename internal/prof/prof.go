@@ -440,64 +440,6 @@ func (s *Sink) Snapshot() *Trace {
 	return t
 }
 
-// TaskStat aggregates one task's retained spans within one run.
-type TaskStat struct {
-	Task  string        `json:"task"`
-	Spans int           `json:"spans"`
-	Total time.Duration `json:"total"` // summed simulated durations
-	Max   time.Duration `json:"max"`   // longest single point span
-}
-
-// Summary is a cheap aggregate over one run's retained events: per-task
-// span statistics plus total coherence-copy traffic. It is the
-// feedback record the autotuner (internal/tune) consumes each retune —
-// computed under the sink's mutex in one pass over the rings, with none
-// of Snapshot's copying and sorting, so it is safe to call from a hot
-// planning path.
-type Summary struct {
-	Run       int                 `json:"run"`
-	Spans     int                 `json:"spans"`
-	TotalDur  time.Duration       `json:"total_dur"`
-	Tasks     map[string]TaskStat `json:"tasks"`
-	Copies    int                 `json:"copies"`
-	CopyBytes int64               `json:"copy_bytes"`
-}
-
-// Summary aggregates the retained events of one run (a runtime's
-// AttachRun index). Events evicted by the ring are not represented;
-// consumers treat the result as a recent-window estimate, which is what
-// an online tuner wants anyway.
-func (s *Sink) Summary(run int) Summary {
-	out := Summary{Run: run, Tasks: map[string]TaskStat{}}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.spans.buf {
-		sp := &s.spans.buf[i]
-		if sp.Run != run {
-			continue
-		}
-		out.Spans++
-		out.TotalDur += sp.Dur
-		ts := out.Tasks[sp.Task]
-		ts.Task = sp.Task
-		ts.Spans++
-		ts.Total += sp.Dur
-		if sp.Dur > ts.Max {
-			ts.Max = sp.Dur
-		}
-		out.Tasks[sp.Task] = ts
-	}
-	for i := range s.copies.buf {
-		c := &s.copies.buf[i]
-		if c.Run != run {
-			continue
-		}
-		out.Copies++
-		out.CopyBytes += c.Bytes
-	}
-	return out
-}
-
 // launchIndex maps (run, seq) to the trace's LaunchInfo.
 func (t *Trace) launchIndex() map[launchKey]LaunchInfo {
 	idx := make(map[launchKey]LaunchInfo, len(t.Launches))

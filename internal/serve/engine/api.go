@@ -135,7 +135,6 @@ type Backend interface {
 
 	Matrices() []MatrixInfo
 	Metrics() MetricsSnapshot
-	TuneReport() TuneSnapshot
 	ProfileReport(class string) (*prof.Report, error)
 	Health() HealthSnapshot
 

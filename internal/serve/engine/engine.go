@@ -59,7 +59,6 @@ type Config struct {
 	Faults          string        // fault.Parse spec applied to every pool runtime
 	CheckpointEvery int           // launches per checkpoint epoch (default 64; 0 disables recovery)
 	ProfCapacity    int           // per-class profiling sink capacity (default 4096)
-	NoTune          bool          // disable per-binding autotuning (decisions pinned to the static mapper)
 
 	// Request-lifecycle knobs (see DESIGN.md "request lifecycle &
 	// overload"). Zero values keep the pre-lifecycle behavior: no
@@ -73,7 +72,32 @@ type Config struct {
 	BreakerCooldown  time.Duration // open -> half-open probe delay (default 2s)
 	RetryBudget      int           // total executions per degraded batch group (default 2 = one retry)
 	RetryBackoff     time.Duration // base backoff before a retry, exponential with deterministic jitter (default 1ms)
+
+	// Deprecated: ignored. Read only by the frozen benchmark/layers.go;
+	// delete in the ruler PR that drops `tune.speedup_x` and
+	// `tune.decisions`.
+	NoTune bool
 }
+
+// TuneSnapshot is what remains of the removed autotuner's report.
+//
+// Deprecated: always empty. Read only by the frozen
+// benchmark/layers.go; delete in the ruler PR that drops
+// `tune.speedup_x` and `tune.decisions`.
+type TuneSnapshot struct {
+	Bindings []struct {
+		Decisions struct {
+			Variants, Balanced []string
+			FusionWindow       int
+		}
+	}
+}
+
+// TuneReport returns an empty snapshot.
+//
+// Deprecated: Read only by the frozen benchmark/layers.go; delete in
+// the ruler PR that drops `tune.speedup_x` and `tune.decisions`.
+func (e *Engine) TuneReport() TuneSnapshot { return TuneSnapshot{} }
 
 func (c Config) withDefaults() Config {
 	if c.Pool <= 0 {

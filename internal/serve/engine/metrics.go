@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,10 +95,9 @@ type MetricsSnapshot struct {
 	// PartitionCache aggregates every live pool runtime's legion cache
 	// counters — the §4.1 partition reuse this service exists to exploit.
 	PartitionCache legion.CacheStats `json:"partition_cache"`
-	// PlanCache aggregates the workers' scoped views of the shared DISTAL
-	// kernel registry. Scoped counters keep this engine's hit rate
-	// accurate even when other registry consumers (tests, benchmarks, a
-	// second engine) share the process-global plan cache.
+	// PlanCache is the process-wide DISTAL kernel registry's counters
+	// (distal.Standard.Stats()): every engine and runtime in the process
+	// dispatches through that one registry.
 	PlanCache distal.RegistryStats `json:"plan_cache"`
 
 	// Shards is filled only by the shard coordinator: per-shard comms
@@ -198,7 +196,7 @@ func (e *Engine) Metrics() MetricsSnapshot {
 			BreakerTrips:  m.breakerTrips.Load(),
 		},
 	}
-	snap.PlanCache.Variants = distal.Standard.Stats().Variants
+	snap.PlanCache = distal.Standard.Stats()
 	if snap.Batching.Batches > 0 {
 		snap.Batching.MeanSize = float64(snap.Batching.Jobs) / float64(snap.Batching.Batches)
 	}
@@ -210,9 +208,6 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		snap.Requests[c.String()] = cm
 	}
 	for _, wk := range e.workers {
-		ps := wk.reg.Stats()
-		snap.PlanCache.Hits += ps.Hits
-		snap.PlanCache.Misses += ps.Misses
 		cs := wk.cacheStats()
 		snap.PartitionCache.PartHits += cs.PartHits
 		snap.PartitionCache.PartMisses += cs.PartMisses
@@ -227,40 +222,5 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		snap.PartitionCache.ImageEntries += cs.ImageEntries
 		snap.PartitionCache.ImageSetEntries += cs.ImageSetEntries
 	}
-	return snap
-}
-
-// TuneSnapshot is the feedback-directed-mapping report (the JSON shape
-// of the HTTP transport's GET /tune): every cached binding's learned
-// autotuner state plus the engine's aggregated plan-cache view.
-type TuneSnapshot struct {
-	Enabled   bool                 `json:"enabled"`
-	Bindings  []TuneEntry          `json:"bindings"`
-	PlanCache distal.RegistryStats `json:"plan_cache"`
-}
-
-// TuneReport collects the feedback-directed mapping state: for each
-// worker's cached (matrix, format) binding, the tuner's variant table,
-// fusion window, and balance decisions. Learned state lives in the
-// binding LRU, so it persists across requests and dies with eviction.
-func (e *Engine) TuneReport() TuneSnapshot {
-	snap := TuneSnapshot{Enabled: !e.cfg.NoTune, Bindings: []TuneEntry{}}
-	for _, wk := range e.workers {
-		snap.Bindings = append(snap.Bindings, wk.tuneReport()...)
-		ps := wk.reg.Stats()
-		snap.PlanCache.Hits += ps.Hits
-		snap.PlanCache.Misses += ps.Misses
-	}
-	snap.PlanCache.Variants = distal.Standard.Stats().Variants
-	sort.Slice(snap.Bindings, func(i, j int) bool {
-		a, b := snap.Bindings[i], snap.Bindings[j]
-		if a.Matrix != b.Matrix {
-			return a.Matrix < b.Matrix
-		}
-		if a.Format != b.Format {
-			return a.Format < b.Format
-		}
-		return a.Worker < b.Worker
-	})
 	return snap
 }

@@ -4,17 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cunumeric"
-	"repro/internal/distal"
 	"repro/internal/legion"
 	"repro/internal/prof"
 	"repro/internal/solvers"
-	"repro/internal/tune"
 )
 
 // errShutdown is the failure a queued job receives when its worker
@@ -126,11 +123,6 @@ type binding struct {
 	mat  core.SparseMatrix
 	x, y *cunumeric.Array // persistent operand/result vectors
 	used int64            // LRU clock
-	// tuner is this matrix's learned mapping state (kernel-variant rates,
-	// fusion window, distribution choice). It lives and dies with the LRU
-	// entry, so a warm worker re-tunes per matrix and a re-upload or
-	// eviction starts fresh.
-	tuner *tune.Tuner
 }
 
 // worker owns one pool runtime. All runtime calls happen on the worker
@@ -147,13 +139,6 @@ type worker struct {
 	// rtPub mirrors rt for cross-goroutine reads (metrics); only the
 	// worker goroutine writes it.
 	rtPub atomic.Pointer[legion.Runtime]
-
-	// reg is this worker's consumer-scoped view of the shared DISTAL
-	// registry: every binding's tuner dispatches through it, so Metrics
-	// reports accurate per-worker plan-cache hit rates instead of the
-	// process-global tally. Immutable after construction; counter reads
-	// are safe from any goroutine.
-	reg *distal.Scoped
 
 	// Admission-control state. brk is this worker's circuit breaker;
 	// queued tracks jobs waiting in the bounded jobs channel; svcEWMA is
@@ -187,7 +172,6 @@ func newWorker(id int, e *Engine) *worker {
 		jobs:    make(chan *job, e.cfg.MaxQueue),
 		control: make(chan func(), 8),
 		quitCh:  make(chan struct{}),
-		reg:     distal.Standard.Scoped(),
 	}
 	w.brk = newBreaker(e.cfg.BreakerThreshold, e.cfg.BreakerCooldown, func(to breakerState) {
 		if to == breakerOpen {
@@ -261,49 +245,6 @@ func (w *worker) flush() {
 	case w.control <- func() { w.dropAllBindings(); close(done) }:
 		<-done
 	case <-w.quitCh:
-	}
-}
-
-// TuneEntry is one cached binding's autotuner state, as served by
-// TuneReport.
-type TuneEntry struct {
-	Worker    int            `json:"worker"`
-	Matrix    string         `json:"matrix"`
-	Format    string         `json:"format"`
-	Decisions tune.Decisions `json:"decisions"`
-}
-
-// tuneReport snapshots every cached binding's tuner decisions. Like
-// flush it runs on the worker goroutine (bindings are worker-local
-// state) and blocks until collected.
-func (w *worker) tuneReport() []TuneEntry {
-	out := make(chan []TuneEntry, 1)
-	collect := func() {
-		entries := make([]TuneEntry, 0, len(w.bindings))
-		for k, b := range w.bindings {
-			if b.tuner == nil {
-				continue
-			}
-			entries = append(entries, TuneEntry{
-				Worker:    w.id,
-				Matrix:    b.def.Name,
-				Format:    k.format,
-				Decisions: b.tuner.Decisions(),
-			})
-		}
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Matrix != entries[j].Matrix {
-				return entries[i].Matrix < entries[j].Matrix
-			}
-			return entries[i].Format < entries[j].Format
-		})
-		out <- entries
-	}
-	select {
-	case w.control <- collect:
-		return <-out
-	case <-w.quitCh:
-		return nil
 	}
 }
 
@@ -525,12 +466,6 @@ func (w *worker) runGroupOnce(k bindKey, group []*job) (err error) {
 	if berr != nil {
 		return berr
 	}
-	// Install this matrix's learned mapping state for the epoch: the
-	// planner (core.planKernel) and the retune hook read it off the
-	// runtime. Survives in the binding LRU across requests.
-	if w.rt.Tuner() != b.tuner {
-		w.rt.SetTuner(b.tuner)
-	}
 	for _, j := range group {
 		if j.finished {
 			continue
@@ -637,14 +572,9 @@ func (w *worker) binding(k bindKey, def *MatrixDef) (*binding, bool, error) {
 	rows, cols := mat.Shape()
 	b := &binding{
 		def: def, mat: mat,
-		x:     cunumeric.Zeros(w.rt, cols),
-		y:     cunumeric.Zeros(w.rt, rows),
-		used:  w.lruClock,
-		tuner: tune.New(w.reg),
-	}
-	if w.eng.cfg.NoTune {
-		// Decisions off, but the scoped plan-cache accounting stays on.
-		b.tuner.SetEnabled(false)
+		x:    cunumeric.Zeros(w.rt, cols),
+		y:    cunumeric.Zeros(w.rt, rows),
+		used: w.lruClock,
 	}
 	w.bindings[k] = b
 	for len(w.bindings) > w.eng.cfg.CacheSize {
@@ -674,9 +604,6 @@ func (w *worker) dropBinding(k bindKey) {
 	}
 	delete(w.bindings, k)
 	w.rt.Fence()
-	if w.rt.Tuner() == b.tuner {
-		w.rt.SetTuner(nil)
-	}
 	for _, r := range b.mat.Pack() {
 		w.rt.InvalidateRegionCaches(r)
 	}

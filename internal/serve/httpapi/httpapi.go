@@ -8,7 +8,7 @@
 // solver, admission, or caching logic lives here.
 //
 // Endpoints: POST /solve, /spmv, /eigen, /matrix; GET /matrix,
-// /metrics, /profile, /tune, /healthz.
+// /metrics, /profile, /healthz.
 package httpapi
 
 import (
@@ -93,7 +93,6 @@ func Handler(b engine.Backend) http.Handler {
 	mux.HandleFunc("GET /matrix", s.handleList)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /profile", s.handleProfile)
-	mux.HandleFunc("GET /tune", s.handleTune)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
@@ -190,10 +189,6 @@ func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.b.Metrics())
-}
-
-func (s *server) handleTune(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.b.TuneReport())
 }
 
 func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {

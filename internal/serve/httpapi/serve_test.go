@@ -479,6 +479,10 @@ func TestMetricsAndProfileEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz status %d", code)
 	}
+	// The autotuner and its endpoint are gone, not switched off.
+	if code := getJSON(t, ts.URL+"/tune", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /tune status %d, want 404", code)
+	}
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -552,118 +556,3 @@ func benchServe(b *testing.B, cold bool) {
 
 func BenchmarkServeColdCG(b *testing.B) { benchServe(b, true) }
 func BenchmarkServeWarmCG(b *testing.B) { benchServe(b, false) }
-
-// ---- autotuner --------------------------------------------------------
-
-// TestTuneEndpoint: /tune reports per-binding learned state after the
-// engine has handled enough traffic for the tuner to observe launches,
-// and NoTune pins every binding to the static mapper.
-func TestTuneEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, engine.Config{Pool: 1, Procs: 4})
-
-	// Enough SpMVs on one binding for variant arms to accumulate picks.
-	for i := 0; i < 4; i++ {
-		if code := postJSON(t, ts.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, nil); code != 200 {
-			t.Fatalf("spmv status %d", code)
-		}
-	}
-	postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "poisson2d:8"}, nil)
-
-	var snap engine.TuneSnapshot
-	if code := getJSON(t, ts.URL+"/tune", &snap); code != 200 {
-		t.Fatalf("tune status %d", code)
-	}
-	if !snap.Enabled {
-		t.Fatal("tuning reported disabled on a default-config server")
-	}
-	if len(snap.Bindings) == 0 {
-		t.Fatal("no tuner state for the cached binding")
-	}
-	b := snap.Bindings[0]
-	if b.Matrix != "poisson2d:8" || !b.Decisions.Enabled {
-		t.Fatalf("unexpected binding entry: %+v", b)
-	}
-	if b.Decisions.Calls == 0 || len(b.Decisions.Variants) == 0 {
-		t.Fatalf("tuner observed nothing: %+v", b.Decisions)
-	}
-	if snap.PlanCache.Hits == 0 {
-		t.Fatal("scoped plan cache recorded no traffic")
-	}
-
-	// A NoTune server still serves /tune but every tuner is disabled.
-	_, ts2 := newTestServer(t, engine.Config{Pool: 1, Procs: 4, NoTune: true})
-	postJSON(t, ts2.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, nil)
-	var snap2 engine.TuneSnapshot
-	if code := getJSON(t, ts2.URL+"/tune", &snap2); code != 200 {
-		t.Fatalf("tune status %d", code)
-	}
-	if snap2.Enabled {
-		t.Fatal("NoTune server reports tuning enabled")
-	}
-	for _, b := range snap2.Bindings {
-		if b.Decisions.Enabled {
-			t.Fatalf("NoTune binding has an enabled tuner: %+v", b)
-		}
-	}
-}
-
-// TestTunedServeBitIdenticalToNoTune: the same request stream against a
-// tuned and an untuned server produces bit-identical solutions — the
-// per-binding tuners only move schedules.
-func TestTunedServeBitIdenticalToNoTune(t *testing.T) {
-	const procs = 4
-	run := func(noTune bool) ([]float64, float64) {
-		_, ts := newTestServer(t, engine.Config{Pool: 1, Procs: procs, NoTune: noTune})
-		var sol engine.SolveResponse
-		for i := 0; i < 3; i++ {
-			if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "poisson2d:8"}, &sol); code != 200 {
-				t.Fatalf("solve status %d", code)
-			}
-		}
-		var eig engine.EigenResponse
-		if code := postJSON(t, ts.URL+"/eigen", engine.EigenRequest{Matrix: "poisson2d:8", Iters: 30, Seed: 9}, &eig); code != 200 {
-			t.Fatalf("eigen status %d", code)
-		}
-		return sol.X, eig.Eigenvalue
-	}
-	xT, lT := run(false)
-	xS, lS := run(true)
-	if !bitsEqual(xT, xS) {
-		t.Fatal("tuned server solve is not bit-identical to NoTune server")
-	}
-	if math.Float64bits(lT) != math.Float64bits(lS) {
-		t.Fatalf("tuned server eigenvalue %v != untuned %v", lT, lS)
-	}
-}
-
-// TestScopedPlanCacheIsolation: two engines in one process share the
-// global kernel registry but report their own plan-cache traffic — the
-// second engine's counters start at zero no matter how much the first
-// one has served (the satellite fix for process-global counters).
-func TestScopedPlanCacheIsolation(t *testing.T) {
-	_, ts1 := newTestServer(t, engine.Config{Pool: 1, Procs: 4})
-	for i := 0; i < 3; i++ {
-		postJSON(t, ts1.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, nil)
-	}
-	var m1 engine.MetricsSnapshot
-	getJSON(t, ts1.URL+"/metrics", &m1)
-	if m1.PlanCache.Hits == 0 {
-		t.Fatal("first server recorded no plan-cache hits")
-	}
-
-	_, ts2 := newTestServer(t, engine.Config{Pool: 1, Procs: 4})
-	var m2 engine.MetricsSnapshot
-	getJSON(t, ts2.URL+"/metrics", &m2)
-	if m2.PlanCache.Hits != 0 || m2.PlanCache.Misses != 0 {
-		t.Fatalf("idle second server inherited plan-cache traffic: %+v", m2.PlanCache)
-	}
-	postJSON(t, ts2.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, nil)
-	getJSON(t, ts2.URL+"/metrics", &m2)
-	if m2.PlanCache.Hits == 0 {
-		t.Fatal("second server's own traffic not counted")
-	}
-	// And the registry's kernel inventory is still visible through both.
-	if m1.PlanCache.Variants == 0 || m2.PlanCache.Variants != m1.PlanCache.Variants {
-		t.Fatalf("variant inventory mismatch: %d vs %d", m1.PlanCache.Variants, m2.PlanCache.Variants)
-	}
-}

@@ -100,9 +100,6 @@ func (c *Client) Matrices() []engine.MatrixInfo { return c.b.Matrices() }
 // Metrics forwards the counter snapshot.
 func (c *Client) Metrics() engine.MetricsSnapshot { return c.b.Metrics() }
 
-// TuneReport forwards the autotuner snapshot.
-func (c *Client) TuneReport() engine.TuneSnapshot { return c.b.TuneReport() }
-
 // ProfileReport forwards the profiling report.
 func (c *Client) ProfileReport(class string) (*prof.Report, error) {
 	return c.b.ProfileReport(class)

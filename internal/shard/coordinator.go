@@ -385,19 +385,6 @@ func (c *Coordinator) ProfileReport(class string) (*prof.Report, error) {
 	return c.engines[0].ProfileReport(class)
 }
 
-// TuneReport aggregates every shard's autotuner state.
-func (c *Coordinator) TuneReport() engine.TuneSnapshot {
-	out := engine.TuneSnapshot{Enabled: !c.cfg.Engine.NoTune, Bindings: []engine.TuneEntry{}}
-	for _, e := range c.engines {
-		snap := e.TuneReport()
-		out.Bindings = append(out.Bindings, snap.Bindings...)
-		out.PlanCache.Hits += snap.PlanCache.Hits
-		out.PlanCache.Misses += snap.PlanCache.Misses
-		out.PlanCache.Variants = snap.PlanCache.Variants
-	}
-	return out
-}
-
 // Health aggregates shard healths: the plane is OK while it is not
 // draining and every shard can still serve.
 func (c *Coordinator) Health() engine.HealthSnapshot {
@@ -465,9 +452,7 @@ func (c *Coordinator) Metrics() engine.MetricsSnapshot {
 		out.PartitionCache.AlignEntries += s.PartitionCache.AlignEntries
 		out.PartitionCache.ImageEntries += s.PartitionCache.ImageEntries
 		out.PartitionCache.ImageSetEntries += s.PartitionCache.ImageSetEntries
-		out.PlanCache.Hits += s.PlanCache.Hits
-		out.PlanCache.Misses += s.PlanCache.Misses
-		out.PlanCache.Variants = s.PlanCache.Variants
+		out.PlanCache = s.PlanCache // process-wide registry counters: reported once, not summed
 	}
 	out.Uploads = c.uploads.Load()
 	for k, v := range out.Requests {

@@ -499,7 +499,4 @@ func TestShardMetricsAndSpans(t *testing.T) {
 	if h := c.Health(); !h.OK || h.Pool != 2 {
 		t.Errorf("health: ok=%v pool=%d, want ok with pool 2", h.OK, h.Pool)
 	}
-	if tr := c.TuneReport(); !tr.Enabled {
-		t.Error("tune report should inherit enabled state")
-	}
 }
