@@ -7,8 +7,9 @@ GO ?= go
 # suites the chaos / overload / serve / shard targets select for focused
 # runs — one pass over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
-# a real -benchtime for numbers), a ten-second native fuzz of each fuzz
-# target (their seed corpora already ran as normal tests under `race`),
+# a real -benchtime for numbers), a ten-second native fuzz of each of the
+# four fuzz targets (their seed corpora already ran as normal tests under
+# `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
 # the legate-prof artifact smoke test, the engine/transport boundary
 # check, and the documentation gates.
@@ -39,6 +40,7 @@ race:
 # seconds of mutation over each target's seed corpus.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzIntervalSetAlgebra -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/core/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/fault/
 

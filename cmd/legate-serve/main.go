@@ -74,7 +74,6 @@ func main() {
 		procs       = flag.Int("procs", 4, "processors per pool runtime")
 		kind        = flag.String("kind", "cpu", "processor kind: cpu or gpu")
 		cacheSize   = flag.Int("cache-size", 8, "bound matrices cached per worker (LRU)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window for same-matrix requests (negative disables batching)")
 		seed        = flag.Uint64("seed", 42, "fault-injection seed (also salts retry jitter)")
 		faults      = flag.String("faults", "", "fault spec, e.g. 'point@120:1,proc@2:80ms,rate:0.001,lag:0.05:5ms' (see internal/fault)")
 		ckptEvery   = flag.Int("checkpoint-every", 64, "launches per checkpoint epoch (-1 disables recovery)")
@@ -102,7 +101,6 @@ func main() {
 		Procs:            *procs,
 		Kind:             *kind,
 		CacheSize:        *cacheSize,
-		BatchWindow:      *batchWindow,
 		Seed:             *seed,
 		Faults:           *faults,
 		CheckpointEvery:  *ckptEvery,
@@ -139,8 +137,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: httpapi.Handler(backend)}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("legate-serve: listening on %s (shards=%d pool=%d procs=%d kind=%s cache=%d batch-window=%v deadline=%v max-queue=%d)",
-			*addr, *shards, *pool, *procs, *kind, *cacheSize, *batchWindow, *deadline, *maxQueue)
+		log.Printf("legate-serve: listening on %s (shards=%d pool=%d procs=%d kind=%s cache=%d deadline=%v max-queue=%d)",
+			*addr, *shards, *pool, *procs, *kind, *cacheSize, *deadline, *maxQueue)
 		errCh <- srv.ListenAndServe()
 	}()
 

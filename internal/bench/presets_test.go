@@ -2,9 +2,13 @@ package bench
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/cunumeric"
 	"repro/internal/machine"
 	"repro/internal/prof"
+	"repro/internal/solvers"
 )
 
 // TestRunPresetSmoke: every legate-prof preset runs to completion on a
@@ -48,5 +52,43 @@ func TestRunPresetSmoke(t *testing.T) {
 func TestRunPresetUnknown(t *testing.T) {
 	if err := RunPreset("nope", machine.GPU, 2, SmallOptions(), prof.NewSink(0)); err == nil {
 		t.Fatal("unknown preset must return an error")
+	}
+}
+
+// TestCGPresetSimTimePinned pins the cg preset's simulated clock and
+// copy counters, on 4 GPUs at the small options, to the values the
+// runtime produced at 486a303 — before the mapper stopped rebuilding
+// validity sets that do not change — and checks five runs agree: the
+// mapper's shortcuts may change how long a mapping decision takes, never
+// the decision.
+func TestCGPresetSimTimePinned(t *testing.T) {
+	const (
+		wantSim     = time.Duration(449880)
+		wantCopies  = 166
+		wantRealloc = 524288
+	)
+	wantBytes := [4]int64{0, 6799360, 307200, 0}
+	wantCounts := [4]int64{0, 16, 150, 0}
+	opt := SmallOptions()
+	for run := 0; run < 5; run++ {
+		rt := legateRuntime(machine.GPU, 4, scaled(machine.LegateCost(), opt.OverheadScale))
+		nx := gridFor(cgUnits(opt) * 4)
+		a := core.Poisson2D(rt, nx)
+		b := cunumeric.Full(rt, nx*nx, 1)
+		solvers.CG(a, b, cgIters, 0).X.Destroy()
+		rt.Fence()
+		st := rt.Stats()
+		var bytes, counts [4]int64
+		for i := range bytes {
+			bytes[i], counts[i] = st.CopiedBytes[i].Load(), st.CopyCounts[i].Load()
+		}
+		if got := rt.SimTime(); got != wantSim {
+			t.Errorf("run %d: SimTime = %d, want %d", run, got, wantSim)
+		}
+		if got, realloc := st.Copies.Load(), st.ReallocCopy.Load(); got != wantCopies || realloc != wantRealloc || bytes != wantBytes || counts != wantCounts {
+			t.Errorf("run %d: copies = %d realloc %d bytes %v counts %v, want %d %d %v %v",
+				run, got, realloc, bytes, counts, wantCopies, wantRealloc, wantBytes, wantCounts)
+		}
+		rt.Shutdown()
 	}
 }

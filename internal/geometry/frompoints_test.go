@@ -43,17 +43,8 @@ func checkFromPoints(t *testing.T, points []int64) {
 			t.Fatalf("point %d missing from %v", p, got)
 		}
 	}
-	var size int64
-	for i, r := range rects {
-		if r.Lo > r.Hi {
-			t.Fatalf("rect %d of %v is empty", i, got)
-		}
-		if i > 0 && r.Lo <= rects[i-1].Hi+1 { // Hi < Lo <= MaxInt64: no overflow
-			t.Fatalf("rects %d and %d of %v overlap, touch or are out of order", i-1, i, got)
-		}
-		size += r.Hi - r.Lo + 1
-	}
-	if size != int64(len(distinct)) {
+	checkCanonical(t, "FromPoints", got)
+	if size := got.Size(); size != int64(len(distinct)) {
 		t.Fatalf("%v holds %d indices, input has %d distinct points", got, size, len(distinct))
 	}
 	if want := refFromPoints(points); !slices.Equal(rects, want) {
@@ -116,15 +107,21 @@ func FuzzFromPoints(f *testing.F) {
 	}
 	f.Add(dense)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var pts []int64
-		for len(data) > 0 {
-			v, n := binary.Varint(data)
-			if n <= 0 {
-				break
-			}
-			pts = append(pts, v)
-			data = data[n:]
-		}
-		checkFromPoints(t, pts)
+		checkFromPoints(t, decodeVarints(data))
 	})
+}
+
+// decodeVarints reads data as a sequence of zig-zag varints, stopping at
+// the first malformed one.
+func decodeVarints(data []byte) []int64 {
+	var pts []int64
+	for len(data) > 0 {
+		v, n := binary.Varint(data)
+		if n <= 0 {
+			break
+		}
+		pts = append(pts, v)
+		data = data[n:]
+	}
+	return pts
 }

@@ -154,23 +154,61 @@ func (s IntervalSet) Contains(p int64) bool {
 	return i < len(s.rects) && s.rects[i].Contains(p)
 }
 
-// ContainsSet reports whether t is a subset of s.
+// ContainsSet reports whether t is a subset of s, by walking the two
+// lists: s is canonical, so an interval of t is covered exactly when a
+// single interval of s contains it.
 func (s IntervalSet) ContainsSet(t IntervalSet) bool {
-	return t.Subtract(s).Empty()
+	i := 0
+	for _, r := range t.rects {
+		for i < len(s.rects) && s.rects[i].Hi < r.Lo {
+			i++
+		}
+		if i == len(s.rects) || !s.rects[i].ContainsRect(r) {
+			return false
+		}
+	}
+	return true
 }
 
-// Union returns the set of indices in s or t.
+// Union returns the set of indices in s or t. When t adds nothing the
+// result is s itself and nothing is allocated — the steady state of the
+// mapper's validity tracking; otherwise the two canonical lists are
+// merged linearly into an exactly-sized slice.
 func (s IntervalSet) Union(t IntervalSet) IntervalSet {
 	if s.Empty() {
 		return t
 	}
-	if t.Empty() {
+	if s.ContainsSet(t) {
 		return s
 	}
-	all := make([]Rect, 0, len(s.rects)+len(t.rects))
-	all = append(all, s.rects...)
-	all = append(all, t.rects...)
-	return NewIntervalSet(all...)
+	out := make([]Rect, mergeUnion(s.rects, t.rects, nil))
+	mergeUnion(s.rects, t.rects, out)
+	return IntervalSet{rects: out}
+}
+
+// mergeUnion merges the canonical lists a and b, storing the union's
+// intervals into out unless it is nil, and returns how many there are.
+func mergeUnion(a, b, out []Rect) int {
+	i, j, n := 0, 0, 0
+	var cur Rect // the interval being grown, out[n-1]
+	for i < len(a) || j < len(b) {
+		var r Rect
+		if j == len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
+			r, i = a[i], i+1
+		} else {
+			r, j = b[j], j+1
+		}
+		// r.Lo >= cur.Lo, so an overflowing cur.Hi+1 matches nothing.
+		if n > 0 && (r.Lo <= cur.Hi || r.Lo == cur.Hi+1) {
+			cur.Hi = max64(cur.Hi, r.Hi)
+		} else {
+			cur, n = r, n+1
+		}
+		if out != nil {
+			out[n-1] = cur
+		}
+	}
+	return n
 }
 
 // UnionRect returns s with the indices of r added.
@@ -220,21 +258,19 @@ func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 		for j < len(t.rects) && t.rects[j].Hi < lo {
 			j++
 		}
-		k := j
-		for k < len(t.rects) && t.rects[k].Lo <= a.Hi {
-			b := t.rects[k]
+		covered := false // some b reaches a.Hi: nothing of a is left
+		for k := j; k < len(t.rects) && t.rects[k].Lo <= a.Hi; k++ {
+			b := t.rects[k] // b.Hi >= lo: earlier intervals were skipped
 			if b.Lo > lo {
 				out = append(out, Rect{Lo: lo, Hi: b.Lo - 1})
 			}
-			if b.Hi+1 > lo {
-				lo = b.Hi + 1
-			}
-			if lo > a.Hi {
+			if b.Hi >= a.Hi { // checked first: b.Hi+1 may overflow
+				covered = true
 				break
 			}
-			k++
+			lo = b.Hi + 1
 		}
-		if lo <= a.Hi {
+		if !covered {
 			out = append(out, Rect{Lo: lo, Hi: a.Hi})
 		}
 	}

@@ -1,6 +1,8 @@
 package geometry
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,6 +197,117 @@ func TestIntervalSetDoubleSubtract(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkCanonical fails unless s is sorted, disjoint and non-adjacent.
+func checkCanonical(t *testing.T, what string, s IntervalSet) {
+	t.Helper()
+	rs := s.Rects()
+	for i, r := range rs {
+		if r.Empty() || (i > 0 && (rs[i-1].Hi >= r.Lo || rs[i-1].Hi+1 == r.Lo)) {
+			t.Fatalf("%s = %v is not canonical at interval %d", what, s, i)
+		}
+	}
+}
+
+// TestIntervalSetUnionMatchesRebuild pins the merge Union to the
+// definition it replaced — canonicalize the concatenation — and the
+// walking ContainsSet to Subtract, on the operand shapes the mapper
+// produces (empty, identical, nested, adjacent) and on random sets.
+func TestIntervalSetUnionMatchesRebuild(t *testing.T) {
+	check := func(a, b IntervalSet) {
+		t.Helper()
+		got := a.Union(b)
+		want := NewIntervalSet(append(append([]Rect{}, a.Rects()...), b.Rects()...)...)
+		if !got.Equal(want) {
+			t.Fatalf("%v ∪ %v = %v, rebuild gives %v", a, b, got, want)
+		}
+		checkCanonical(t, "union", got)
+		if got, want := a.ContainsSet(b), b.Subtract(a).Empty(); got != want {
+			t.Fatalf("%v.ContainsSet(%v) = %v, Subtract says %v", a, b, got, want)
+		}
+	}
+	blocks := NewIntervalSet(NewRect(0, 9), NewRect(20, 29), NewRect(40, 49))
+	for _, b := range []IntervalSet{
+		{}, blocks,
+		NewIntervalSet(NewRect(22, 25)),                   // nested
+		NewIntervalSet(NewRect(10, 19)),                   // adjacent on both sides: bridges two intervals
+		NewIntervalSet(NewRect(30, 30)),                   // adjacent on the left only
+		NewIntervalSet(NewRect(-5, 60)),                   // covers everything
+		NewIntervalSet(NewRect(5, 24), NewRect(45, 70)),   // straddles
+		NewIntervalSet(NewRect(11, 18), NewRect(31, 38)),  // interleaved, touching nothing
+		NewIntervalSet(NewRect(-9, -1), NewRect(50, 50)),  // before the first, abutting the last
+		NewIntervalSet(NewRect(0, 9), NewRect(20, 29)),    // a prefix of the intervals
+		NewIntervalSet(NewRect(60, 69), NewRect(80, 89)),  // strictly after
+		NewIntervalSet(NewRect(-20, -11), NewRect(-9, 0)), // strictly before, overlapping one index
+	} {
+		check(blocks, b)
+		check(b, blocks)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 5000; i++ {
+		a, b := randomSet(rng), randomSet(rng)
+		check(a, b)
+		check(a, a.Union(b)) // superset operand
+		check(a.Union(b), a) // subset operand: the steady-state no-op
+	}
+}
+
+// FuzzIntervalSetAlgebra builds two sets from fuzzed points (so the
+// int64 extremes are reachable) and checks the identities the mapper's
+// validity tracking relies on.
+func FuzzIntervalSetAlgebra(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 2, 4}, []byte{6, 8})         // adjacent runs
+	f.Add([]byte{0, 2, 4, 20}, []byte{2, 2, 20}) // nested, duplicates
+	f.Add(binary.AppendVarint(nil, math.MaxInt64), binary.AppendVarint([]byte{0}, math.MaxInt64-1))
+	f.Add(binary.AppendVarint(nil, math.MinInt64), binary.AppendVarint(nil, math.MinInt64+1))
+	f.Add(binary.AppendVarint(nil, math.MaxInt64), binary.AppendVarint(nil, math.MaxInt64)) // Subtract's Hi+1
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		a, b := FromPoints(decodeVarints(da)), FromPoints(decodeVarints(db))
+		u, x, d := a.Union(b), a.Intersect(b), a.Subtract(b)
+		checkCanonical(t, "union", u)
+		checkCanonical(t, "intersection", x)
+		checkCanonical(t, "difference", d)
+		if u.Size() != a.Size()+b.Size()-x.Size() {
+			t.Fatalf("|%v ∪ %v| = %d, want %d + %d - %d", a, b, u.Size(), a.Size(), b.Size(), x.Size())
+		}
+		if !u.ContainsSet(a) || !u.ContainsSet(b) || !u.Equal(b.Union(a)) {
+			t.Fatalf("%v ∪ %v = %v does not contain both or does not commute", a, b, u)
+		}
+		if !d.Union(x).Equal(a) || d.Overlaps(b) || x.Overlaps(d) {
+			t.Fatalf("(%v \\ %v) and their intersection do not partition the first", a, b)
+		}
+		if a.ContainsSet(b) != b.Subtract(a).Empty() || a.Overlaps(b) != !x.Empty() {
+			t.Fatalf("ContainsSet/Overlaps of %v and %v disagree with Subtract/Intersect", a, b)
+		}
+	})
+}
+
+// TestIntervalSetAllocBudgets: the predicates allocate nothing, a Union
+// allocates its result and nothing else, and a Union that adds nothing
+// returns its receiver.
+func TestIntervalSetAllocBudgets(t *testing.T) {
+	a := NewIntervalSet(NewRect(0, 9), NewRect(20, 29), NewRect(40, 49))
+	sub := NewIntervalSet(NewRect(2, 5), NewRect(40, 49))
+	other := NewIntervalSet(NewRect(5, 24), NewRect(60, 70))
+	var sink IntervalSet
+	var flag bool
+	for _, c := range []struct {
+		name   string
+		budget float64
+		f      func()
+	}{
+		{"Union", 1, func() { sink = a.Union(other) }},
+		{"Union of a subset", 0, func() { sink = a.Union(sub) }},
+		{"ContainsSet", 0, func() { flag = a.ContainsSet(sub) != a.ContainsSet(other) }},
+		{"Overlaps", 0, func() { flag = a.Overlaps(sub) && a.Overlaps(other) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > c.budget {
+			t.Errorf("%s: %v allocs/op, budget %v", c.name, got, c.budget)
+		}
+	}
+	_, _ = sink, flag
 }
 
 func BenchmarkIntervalSetUnion(b *testing.B) {

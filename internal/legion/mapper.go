@@ -217,40 +217,48 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 	}
 
 	// --- Coherence step ---
-	if priv.reads() || priv == ReduceSum {
-		missing := sub.Subtract(pm.valid[r.id])
-		if !missing.Empty() {
-			res.copyTime += m.copyIn(proc, r, missing)
-		}
+	// Every update below is skipped when it would store the set it read:
+	// in the steady state of an iterative loop (§4.3) the data is already
+	// valid where it is used and the written indices are cached nowhere
+	// else, so this section is lookups only.
+	valid := pm.valid[r.id]
+	covered := valid.ContainsSet(sub)
+	if !covered && (priv.reads() || priv == ReduceSum) {
+		res.copyTime += m.copyIn(proc, r, sub.Subtract(valid))
 	}
 	switch priv {
 	case ReadOnly:
-		pm.valid[r.id] = pm.valid[r.id].Union(sub)
+		if !covered {
+			pm.valid[r.id] = valid.Union(sub)
+		}
 	case WriteDiscard, ReadWrite:
 		// Invalidate every other copy of the written indices.
 		for q, other := range m.mems {
 			if q != proc {
-				if v, ok := other.valid[r.id]; ok {
-					other.valid[r.id] = v.Subtract(sub)
-				}
+				other.invalidate(r.id, sub)
 			}
 		}
-		if v, ok := m.host.valid[r.id]; ok {
-			m.host.valid[r.id] = v.Subtract(sub)
+		m.host.invalidate(r.id, sub)
+		if !covered {
+			pm.valid[r.id] = valid.Union(sub)
 		}
-		pm.valid[r.id] = pm.valid[r.id].Union(sub)
 	case ReduceSum:
 		// Reduction instances are folded after the launch; model the
 		// folded result as landing in host memory, with every processor
 		// copy invalidated (the fold itself is charged by the caller).
 		for _, other := range m.mems {
-			if v, ok := other.valid[r.id]; ok {
-				other.valid[r.id] = v.Subtract(sub)
-			}
+			other.invalidate(r.id, sub)
 		}
 		m.host.valid[r.id] = m.host.valid[r.id].Union(sub)
 	}
 	return res, nil
+}
+
+// invalidate drops sub from the indices of region id valid in pm.
+func (pm *procMemory) invalidate(id RegionID, sub geometry.IntervalSet) {
+	if v, ok := pm.valid[id]; ok && v.Overlaps(sub) {
+		pm.valid[id] = v.Subtract(sub)
+	}
 }
 
 // allocate finds or creates an allocation on pm covering need, returning

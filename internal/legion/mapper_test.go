@@ -2,6 +2,7 @@ package legion
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/machine"
@@ -244,5 +245,83 @@ func TestPooledAllocationReuse(t *testing.T) {
 	rt.Fence()
 	if got := rt.Mapper().MemUsed(proc); got != used {
 		t.Errorf("pooled reuse must not grow memory: %d -> %d", used, got)
+	}
+}
+
+// TestSteadyStateMappingAllocFree replays, straight through
+// mapRequirement, the region requirements of one CG iteration on four
+// processors — SpMV, two dots, two AXPYs and the search-direction update
+// of a block-diagonal matrix, so x's image is each processor's own block
+// and there is no halo to move. Once warm, every requirement finds its
+// data valid where it is used and cached nowhere else: the mapping must
+// allocate nothing, copy nothing, and leave every validity set as it
+// found it.
+func TestSteadyStateMappingAllocFree(t *testing.T) {
+	rt := newTestRuntime(t, 4)
+	m := rt.Mapper()
+	const n = 1 << 10
+	vec := func(name string) *Region { return rt.CreateRegion(name, n, Float64) }
+	pos, crd, vals := rt.CreateRegion("A.pos", n, RectType), rt.CreateRegion("A.crd", n, Int64), vec("A.vals")
+	x, r, p, ap := vec("x"), vec("r"), vec("p"), vec("Ap")
+	regions := []*Region{pos, crd, vals, x, r, p, ap}
+
+	type req struct {
+		region *Region
+		priv   Privilege
+	}
+	iteration := [][]req{
+		{{ap, WriteDiscard}, {pos, ReadOnly}, {crd, ReadOnly}, {vals, ReadOnly}, {p, ReadOnly}}, // Ap = A @ p
+		{{p, ReadOnly}, {ap, ReadOnly}},  // p . Ap
+		{{x, ReadWrite}, {p, ReadOnly}},  // x += alpha p
+		{{r, ReadWrite}, {ap, ReadOnly}}, // r -= alpha Ap
+		{{r, ReadOnly}},                  // r . r
+		{{p, ReadWrite}, {r, ReadOnly}},  // p = r + beta p
+	}
+	blocks := make([]geometry.IntervalSet, 4)
+	for i, b := range geometry.Tile(geometry.NewRect(0, n-1), 4) {
+		blocks[i] = geometry.NewIntervalSet(b)
+	}
+	var copyTime time.Duration
+	replay := func() {
+		for _, launch := range iteration {
+			for i, proc := range rt.Procs() {
+				for _, rq := range launch {
+					res, err := m.mapRequirement(proc, rq.region, blocks[i], rq.priv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					copyTime += res.copyTime
+				}
+			}
+		}
+	}
+	replay() // loads the matrix, allocates, settles validity
+	replay()
+
+	snapshot := func() (sets []geometry.IntervalSet, counters [3]int64) {
+		for _, reg := range regions {
+			for _, proc := range append(rt.Procs(), HostProc) {
+				sets = append(sets, m.ValidOn(proc, reg))
+			}
+		}
+		st := rt.Stats()
+		return sets, [3]int64{st.Copies.Load(), st.MovedBytes(), st.ReallocCopy.Load()}
+	}
+	setsBefore, countersBefore := snapshot()
+	copyTime = 0
+	if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
+		t.Errorf("steady-state iteration: %v allocs in mapRequirement, want 0", allocs)
+	}
+	if copyTime != 0 {
+		t.Errorf("steady-state iteration charged %v of copies, want none", copyTime)
+	}
+	setsAfter, countersAfter := snapshot()
+	if countersAfter != countersBefore {
+		t.Errorf("copy counters (copies, moved, realloc) moved %v -> %v", countersBefore, countersAfter)
+	}
+	for i := range setsBefore {
+		if !setsAfter[i].Equal(setsBefore[i]) {
+			t.Errorf("validity set %d changed: %v -> %v", i, setsBefore[i], setsAfter[i])
+		}
 	}
 }

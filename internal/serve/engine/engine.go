@@ -50,15 +50,14 @@ import (
 
 // Config sizes an Engine.
 type Config struct {
-	Pool            int           // warm runtimes in the pool (default 2)
-	Procs           int           // processors per runtime (default 4)
-	Kind            string        // "cpu" or "gpu" processors (default cpu)
-	CacheSize       int           // bound matrices kept per worker (default 8)
-	BatchWindow     time.Duration // coalescing window for same-matrix requests (default 2ms; negative disables)
-	Seed            uint64        // fault-injection seed (also salts retry jitter)
-	Faults          string        // fault.Parse spec applied to every pool runtime
-	CheckpointEvery int           // launches per checkpoint epoch (default 64; 0 disables recovery)
-	ProfCapacity    int           // per-class profiling sink capacity (default 4096)
+	Pool            int    // warm runtimes in the pool (default 2)
+	Procs           int    // processors per runtime (default 4)
+	Kind            string // "cpu" or "gpu" processors (default cpu)
+	CacheSize       int    // bound matrices kept per worker (default 8)
+	Seed            uint64 // fault-injection seed (also salts retry jitter)
+	Faults          string // fault.Parse spec applied to every pool runtime
+	CheckpointEvery int    // launches per checkpoint epoch (default 64; 0 disables recovery)
+	ProfCapacity    int    // per-class profiling sink capacity (default 4096)
 
 	// Request-lifecycle knobs (see DESIGN.md "request lifecycle &
 	// overload"). Zero values keep the pre-lifecycle behavior: no
@@ -111,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
@@ -517,7 +513,7 @@ type WorkerHealth struct {
 	Procs   int    `json:"procs"`   // live processors on the current runtime
 	Healthy bool   `json:"healthy"` // no sticky error, full processor count
 	Breaker string `json:"breaker"` // closed | open | half-open
-	Queued  int    `json:"queued"`  // jobs waiting in the bounded queue
+	Queued  int    `json:"queued"`  // jobs admitted and not yet running
 }
 
 // HealthSnapshot is the engine's health report. OK is false — so a

@@ -141,9 +141,10 @@ type worker struct {
 	rtPub atomic.Pointer[legion.Runtime]
 
 	// Admission-control state. brk is this worker's circuit breaker;
-	// queued tracks jobs waiting in the bounded jobs channel; svcEWMA is
-	// the smoothed per-job service time (ns) that prices the queue for
-	// the queue-wait shed decision. All safe from any goroutine.
+	// queued counts jobs admitted but not yet running — in the jobs
+	// channel or in the current batch awaiting their group's turn;
+	// svcEWMA is the smoothed per-job service time (ns) that prices the
+	// queue for the queue-wait shed decision. All safe from any goroutine.
 	brk     *breaker
 	queued  atomic.Int64
 	svcEWMA atomic.Int64
@@ -193,20 +194,23 @@ const (
 
 // submit enqueues a job without blocking: the queue is the admission
 // controller's bound, so a full queue is a shed decision for the
-// caller, not a wait.
+// caller, not a wait. The job is counted before the send so the worker
+// can never uncount it first.
 func (w *worker) submit(j *job) submitResult {
 	select {
 	case <-w.quitCh:
 		return submitClosed
 	default:
 	}
+	w.queued.Add(1)
 	select {
 	case w.jobs <- j:
-		w.queued.Add(1)
 		return submitOK
 	case <-w.quitCh:
+		w.queued.Add(-1)
 		return submitClosed
 	default:
+		w.queued.Add(-1)
 		return submitFull
 	}
 }
@@ -295,30 +299,22 @@ func (w *worker) run() {
 		case f := <-w.control:
 			f()
 		case j := <-w.jobs:
-			w.queued.Add(-1)
 			w.serveBatch(w.collectBatch(j))
 		}
 	}
 }
 
-// collectBatch gathers the jobs that arrive within the batch window
-// after the first one — the coalescing that turns a burst of concurrent
-// same-matrix requests into one launch-stream epoch.
+// collectBatch is group commit: the first job plus whatever is already
+// queued behind it, never waiting for one that has not arrived. Jobs
+// pile up while the previous batch runs, so a burst coalesces into one
+// launch-stream epoch and an idle worker serves a batch of one.
 func (w *worker) collectBatch(first *job) []*job {
 	batch := []*job{first}
-	if w.eng.cfg.BatchWindow <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(w.eng.cfg.BatchWindow)
-	defer timer.Stop()
 	for {
 		select {
 		case j := <-w.jobs:
-			w.queued.Add(-1)
 			batch = append(batch, j)
-		case <-timer.C:
-			return batch
-		case <-w.quitCh:
+		default:
 			return batch
 		}
 	}
@@ -336,6 +332,7 @@ func (w *worker) serveBatch(batch []*job) {
 		if err := j.ctxErr(); err != nil {
 			// Expired in the queue: never admitted to a runtime, so
 			// there is nothing to cancel — just answer.
+			w.queued.Add(-1)
 			w.eng.metrics.queueExpired.Add(1)
 			w.eng.lifeMark(prof.MarkCancel, "queue-expired", w.id)
 			j.complete(err)
@@ -349,6 +346,7 @@ func (w *worker) serveBatch(batch []*job) {
 	}
 	for _, k := range order {
 		group := groups[k]
+		w.queued.Add(-int64(len(group)))
 		w.eng.metrics.noteBatch(len(group))
 		t0 := time.Now()
 		w.runGroup(k, group)

@@ -162,7 +162,7 @@ func TestOverloadDeadlineCancelKeepsWorker(t *testing.T) {
 // shed with a queue_full envelope and a Retry-After.
 func TestOverloadQueueFullShed(t *testing.T) {
 	e, ts := newTestServer(t, engine.Config{
-		Pool: 1, Procs: 2, MaxQueue: 1, BatchWindow: -1,
+		Pool: 1, Procs: 2, MaxQueue: 1,
 		Faults: "stall@1:400ms", Seed: 1,
 	})
 
@@ -233,7 +233,7 @@ func TestOverloadQuotaShed(t *testing.T) {
 // re-opens the breaker.
 func TestOverloadBreakerLifecycle(t *testing.T) {
 	e, ts := newTestServer(t, engine.Config{
-		Pool: 1, Procs: 2, BatchWindow: -1,
+		Pool: 1, Procs: 2,
 		Faults: "rate:1", Seed: 3,
 		CheckpointEvery:  -1, // recovery off: every fault is sticky
 		RetryBudget:      1,  // one execution per group
@@ -302,7 +302,7 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 // whether the drain beat its timeout.
 func TestOverloadDrain(t *testing.T) {
 	e, ts := newTestServer(t, engine.Config{
-		Pool: 1, Procs: 2, BatchWindow: -1,
+		Pool: 1, Procs: 2,
 		Faults: "stall@1:300ms", Seed: 2,
 	})
 	spmv := &engine.SpMVRequest{Matrix: "eye:16"}

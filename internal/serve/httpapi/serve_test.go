@@ -8,6 +8,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -325,7 +326,6 @@ func TestConcurrentMixedRequestsUnderFaults(t *testing.T) {
 		Faults:          "rate:0.002:4",
 		Seed:            11,
 		CheckpointEvery: 16,
-		BatchWindow:     time.Millisecond,
 	})
 
 	wantSolve, _, _ := directCG(t, procs, "poisson2d:12", 200, 1e-8)
@@ -376,42 +376,90 @@ func TestConcurrentMixedRequestsUnderFaults(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatchingCoalescesSameMatrixRequests pins the single worker in a
+// head-of-line stall, queues 8 same-matrix SpMVs behind it, and checks
+// that group commit serves the backlog as one epoch — no batch window
+// involved.
 func TestBatchingCoalescesSameMatrixRequests(t *testing.T) {
-	e, ts := newTestServer(t, engine.Config{Pool: 1, Procs: 4, BatchWindow: 40 * time.Millisecond})
+	e, ts := newTestServer(t, engine.Config{Pool: 1, Procs: 4, Faults: "stall@1:400ms", Seed: 1})
 
 	want := directSpMV(t, 4, "poisson2d:8", "csr", nil)
 	const n = 8
-	got := make([]engine.SpMVResponse, n)
+	got := make([]engine.SpMVResponse, 1+n)
 	var wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start.Wait()
-			if code := postJSON(t, ts.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, &got[i]); code != 200 {
-				t.Errorf("spmv %d status %d", i, code)
-			}
-		}(i)
+	post := func(i int) {
+		defer wg.Done()
+		if code := postJSON(t, ts.URL+"/spmv", engine.SpMVRequest{Matrix: "poisson2d:8"}, &got[i]); code != 200 {
+			t.Errorf("spmv %d status %d", i, code)
+		}
 	}
-	start.Done()
+	wg.Add(1)
+	go post(0) // head-of-line: its first launch stalls 400ms
+	waitFor(t, "the head-of-line batch to start", func() bool { return e.Metrics().Batching.Batches == 1 })
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go post(i)
+	}
+	waitFor(t, "the backlog to queue behind the stall", func() bool { return e.Health().Workers[0].Queued == n })
 	wg.Wait()
 
-	maxBatch := 0
+	if got[0].Batched != 1 {
+		t.Errorf("head-of-line request batched = %d, want 1 (an idle worker serves a batch of one)", got[0].Batched)
+	}
 	for i := range got {
 		if !bitsEqual(got[i].Y, want) {
 			t.Errorf("spmv %d differs from direct call", i)
 		}
-		if got[i].Batched > maxBatch {
-			maxBatch = got[i].Batched
-		}
 	}
-	if maxBatch < 2 {
-		t.Fatalf("no coalescing observed across %d concurrent same-matrix requests (max batch %d)", n, maxBatch)
+	for i := 1; i <= n; i++ {
+		if got[i].Batched < 2 {
+			t.Errorf("backlogged spmv %d batched = %d, want >= 2", i, got[i].Batched)
+		}
 	}
 	if mb := e.Metrics().Batching.MaxSize; mb < 2 {
 		t.Fatalf("metrics max batch = %d, want >= 2", mb)
+	}
+}
+
+// TestIdleWorkerDoesNotWait: with an empty queue a request is served at
+// once, as a batch of one. The minimum latency is asserted because it is
+// robust under -race and CPU starvation; a fixed batch window puts a
+// floor under every request.
+func TestIdleWorkerDoesNotWait(t *testing.T) {
+	e, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	defer e.Close()
+	const n = 20
+	fastest := time.Duration(1<<63 - 1)
+	for i := 0; i < n; i++ {
+		resp, err := e.SpMV(context.Background(), &engine.SpMVRequest{Matrix: "eye:8"})
+		if err != nil {
+			t.Fatalf("spmv %d: %v", i, err)
+		}
+		if resp.Batched != 1 {
+			t.Errorf("spmv %d batched = %d, want 1", i, resp.Batched)
+		}
+		fastest = min(fastest, time.Duration(resp.LatencyNS))
+	}
+	if fastest >= 2*time.Millisecond {
+		t.Errorf("fastest of %d sequential requests took %v, want < 2ms: an idle worker must not wait", n, fastest)
+	}
+	if b := e.Metrics().Batching; b.Batches != n || b.Jobs != n {
+		t.Errorf("batching = %d batches of %d jobs, want %d batches of 1", b.Batches, b.Jobs, n)
 	}
 }
 
@@ -534,7 +582,7 @@ func TestGPUPoolSmoke(t *testing.T) {
 // benchServe measures one /solve request per iteration against a shared
 // server; cold flushes every cache between iterations.
 func benchServe(b *testing.B, cold bool) {
-	e, ts := newTestServer(b, engine.Config{Pool: 1, Procs: 4, BatchWindow: -1})
+	e, ts := newTestServer(b, engine.Config{Pool: 1, Procs: 4})
 	req := engine.SolveRequest{Matrix: "poisson2d:48", MaxIter: 1, Tol: 1e-30}
 
 	// Prime: materialize the preset and warm every cache once.

@@ -26,7 +26,7 @@ import (
 // config must drive the sharded and single-process deployments or
 // bit-identity is not a meaningful claim.
 func testEngineConfig() engine.Config {
-	return engine.Config{Pool: 1, Procs: 4, BatchWindow: -1, Seed: 7}
+	return engine.Config{Pool: 1, Procs: 4, Seed: 7}
 }
 
 // newShardPlane builds a coordinator over shards engines.
