@@ -8,7 +8,7 @@ GO ?= go
 # runs — one pass over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
 # a real -benchtime for numbers), a ten-second native fuzz of each of the
-# four fuzz targets (their seed corpora already ran as normal tests under
+# six fuzz targets (their seed corpora already ran as normal tests under
 # `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
 # the legate-prof artifact smoke test, the engine/transport boundary
@@ -37,12 +37,16 @@ race:
 	$(GO) test -race -timeout 300s ./...
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
-# seconds of mutation over each target's seed corpus.
+# seconds of mutation over each target's seed corpus. Between them the
+# six cover every parser of untrusted input: index sets, Matrix Market
+# files, fault specs, HTTP request bodies and uploaded triples.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzIntervalSetAlgebra -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/core/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/fault/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=10s ./internal/serve/httpapi/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromTriples -fuzztime=10s ./internal/serve/engine/
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/

@@ -29,7 +29,7 @@ import (
 // Var is a handle to one region requirement of a task being built.
 type Var int
 
-// vspec records a requirement before solving.
+// vspec records a requirement and, after solve, its chosen partition.
 type vspec struct {
 	region *legion.Region
 	priv   legion.Privilege
@@ -37,7 +37,12 @@ type vspec struct {
 	broadcast bool
 	explicit  *legion.Partition // UsePartition override
 	imageSrc  Var               // >= 0 when constrained as an image destination
-	class     int               // union-find alignment class, set during solve
+
+	// Set by solve. class is the union-find parent while alignment
+	// classes are being merged and the class's first member afterwards;
+	// part is nil until the var is resolved.
+	class int
+	part  *legion.Partition
 }
 
 // Task is a constraint-based task launcher, mirroring the Python API of
@@ -54,12 +59,19 @@ type Task struct {
 	opClass machine.OpClass
 	workFn  func(point int) int64
 	fusable bool
+
+	// Backing arrays for the usual requirement and alignment counts:
+	// building a task is one allocation.
+	varBuf   [6]vspec
+	alignBuf [4][2]Var
 }
 
 // NewTask begins building a task launch with the default launch domain
 // (one point per runtime processor).
 func NewTask(rt *legion.Runtime, name string, kernel legion.KernelFunc) *Task {
-	return &Task{rt: rt, name: name, kernel: kernel, points: rt.LaunchDomain(), opClass: machine.Stream}
+	t := &Task{rt: rt, name: name, kernel: kernel, points: rt.LaunchDomain(), opClass: machine.Stream}
+	t.vars, t.aligns = t.varBuf[:0], t.alignBuf[:0]
+	return t
 }
 
 // SetPoints overrides the launch-domain size.
@@ -140,14 +152,11 @@ func (t *Task) UsePartition(v Var, p *legion.Partition) *Task {
 // Execute solves the constraints, builds the launch, and submits it,
 // returning the launch's future.
 func (t *Task) Execute() *legion.Future {
-	parts := t.solve()
+	t.solve()
 	l := t.rt.NewLaunch(t.name, t.points, t.kernel)
-	for i, v := range t.vars {
-		if parts[i] == nil {
-			l.AddWhole(v.region, v.priv)
-		} else {
-			l.Add(v.region, parts[i], v.priv)
-		}
+	for i := range t.vars {
+		v := &t.vars[i]
+		l.Add(v.region, v.part, v.priv)
 	}
 	if t.args != nil {
 		l.SetArgs(t.args)
@@ -160,8 +169,8 @@ func (t *Task) Execute() *legion.Future {
 	return l.Execute()
 }
 
-// solve selects a concrete partition for every var (nil meaning
-// whole-region). The algorithm follows §4.1's description:
+// solve selects a concrete partition for every var. The algorithm
+// follows §4.1's description:
 //
 //  1. Group vars into alignment classes (union-find over Align edges).
 //  2. Classes with no incoming image constraint are roots. For each root
@@ -172,109 +181,110 @@ func (t *Task) Execute() *legion.Future {
 //  3. Image-constrained vars are resolved in dependency order by
 //     invoking the runtime's dependent-partitioning image operator on
 //     the already-resolved source partition.
-func (t *Task) solve() []*legion.Partition {
-	n := len(t.vars)
-	// Union-find over alignment constraints.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+//
+// Every pass walks the vars in declaration order, and a class is
+// identified by its first member, so the order in which classes obtain
+// (and the runtime mints) partitions is a function of the task alone.
+// The working state lives in the vars themselves: solve allocates
+// nothing.
+func (t *Task) solve() {
+	vars := t.vars
+	for i := range vars {
+		vars[i].class, vars[i].part = i, nil
 	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
+	// Union-find over alignment constraints, the smaller index as root.
 	for _, ab := range t.aligns {
-		ra, rb := find(int(ab[0])), find(int(ab[1]))
-		if ra != rb {
-			parent[ra] = rb
+		ra, rb := t.find(int(ab[0])), t.find(int(ab[1]))
+		if ra > rb {
+			ra, rb = rb, ra
 		}
+		vars[rb].class = ra
 	}
-	classVars := map[int][]int{}
-	for i := range t.vars {
-		classVars[find(i)] = append(classVars[find(i)], i)
-	}
-
-	parts := make([]*legion.Partition, n)
-	resolved := make([]bool, n)
-
-	// Resolve one class given the subspace-defining partition of its
-	// anchor region, propagating onto every aligned region.
-	resolveClass := func(root int, anchor *legion.Partition) {
-		for _, i := range classVars[root] {
-			parts[i] = t.rt.AlignedPartition(anchor, t.vars[i].region)
-			resolved[i] = true
-		}
+	for i := range vars {
+		vars[i].class = t.find(i)
 	}
 
 	// Pass 1: explicit partitions and broadcasts pin their classes.
-	for i, v := range t.vars {
-		root := find(i)
-		switch {
+	for i := range vars {
+		switch v := &vars[i]; {
 		case v.explicit != nil:
-			resolveClass(root, v.explicit)
+			t.resolveClass(v.class, v.explicit)
 		case v.broadcast:
-			parts[i] = t.rt.BroadcastPartition(v.region, t.points)
-			resolved[i] = true
+			v.part = t.rt.BroadcastPartition(v.region, t.points)
 		}
 	}
 
 	// Pass 2: root classes (no image constraint on any member).
-	for root, vars := range classVars {
-		if resolved[vars[0]] {
+	for i := range vars {
+		if vars[i].class != i || vars[i].part != nil || t.classHasImage(i) {
 			continue
 		}
-		hasImage := false
-		for _, i := range vars {
-			if t.vars[i].imageSrc >= 0 {
-				hasImage = true
-			}
-		}
-		if hasImage {
-			continue
-		}
-		resolveClass(root, t.pickRootPartition(vars))
+		t.resolveClass(i, t.pickRootPartition(i))
 	}
 
 	// Pass 3: image-constrained vars, iterating until fixpoint to honor
 	// chains (pos -> crd -> x).
 	for changed := true; changed; {
 		changed = false
-		for i, v := range t.vars {
-			if resolved[i] || v.imageSrc < 0 {
+		for i := range vars {
+			v := &vars[i]
+			if v.part != nil || v.imageSrc < 0 {
 				continue
 			}
-			src := int(v.imageSrc)
-			if !resolved[src] {
+			src := &vars[v.imageSrc]
+			if src.part == nil {
 				continue
-			}
-			srcPart := parts[src]
-			if srcPart == nil {
-				panic(fmt.Sprintf("constraint: task %q: image from whole-region var", t.name))
 			}
 			var img *legion.Partition
-			switch t.vars[src].region.Type() {
+			switch src.region.Type() {
 			case legion.RectType:
-				img = t.rt.ImageRange(t.vars[src].region, srcPart, v.region)
+				img = t.rt.ImageRange(src.region, src.part, v.region)
 			case legion.Int64:
-				img = t.rt.ImageCoord(t.vars[src].region, srcPart, v.region)
+				img = t.rt.ImageCoord(src.region, src.part, v.region)
 			default:
 				panic(fmt.Sprintf("constraint: task %q: image source %q has type %v",
-					t.name, t.vars[src].region.Name(), t.vars[src].region.Type()))
+					t.name, src.region.Name(), src.region.Type()))
 			}
-			resolveClass(find(i), img)
+			t.resolveClass(v.class, img)
 			changed = true
 		}
 	}
 
-	for i := range t.vars {
-		if !resolved[i] {
+	for i := range vars {
+		if vars[i].part == nil {
 			panic(fmt.Sprintf("constraint: task %q: unsolvable constraints for var %d (image cycle?)", t.name, i))
 		}
 	}
-	return parts
+}
+
+// find returns the root of x's alignment class.
+func (t *Task) find(x int) int {
+	for t.vars[x].class != x {
+		x = t.vars[x].class
+	}
+	return x
+}
+
+// resolveClass resolves the class whose first member is root given the
+// subspace-defining partition of its anchor region, propagating it onto
+// every aligned region.
+func (t *Task) resolveClass(root int, anchor *legion.Partition) {
+	for i := root; i < len(t.vars); i++ {
+		if v := &t.vars[i]; v.class == root {
+			v.part = t.rt.AlignedPartition(anchor, v.region)
+		}
+	}
+}
+
+// classHasImage reports whether any member of the class is the
+// destination of an image constraint.
+func (t *Task) classHasImage(root int) bool {
+	for i := root; i < len(t.vars); i++ {
+		if t.vars[i].class == root && t.vars[i].imageSrc >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // pickRootPartition chooses the subspace-defining partition for an
@@ -285,25 +295,26 @@ func (t *Task) solve() []*legion.Partition {
 // than this iteration's fresh output vector) keeps the chosen partition
 // object stable across iterations, so downstream image partitions stay
 // cached — the steady-state reuse of Figure 5.
-func (t *Task) pickRootPartition(vars []int) *legion.Partition {
+func (t *Task) pickRootPartition(root int) *legion.Partition {
 	var best *legion.Partition
 	var bestSize int64 = -1
-	for _, i := range vars {
+	anchor := t.vars[root].region
+	for i := root; i < len(t.vars); i++ {
+		if t.vars[i].class != root {
+			continue
+		}
 		r := t.vars[i].region
 		if kp := r.KeyPartition(); kp != nil && kp.Colors() == t.points && kp.Disjoint() {
 			if r.Size() > bestSize {
 				best, bestSize = kp, r.Size()
 			}
 		}
+		if r.ID() < anchor.ID() {
+			anchor = r
+		}
 	}
 	if best != nil {
 		return best
-	}
-	anchor := t.vars[vars[0]].region
-	for _, i := range vars[1:] {
-		if r := t.vars[i].region; r.ID() < anchor.ID() {
-			anchor = r
-		}
 	}
 	return t.rt.BlockPartition(anchor, t.points)
 }

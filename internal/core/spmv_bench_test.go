@@ -71,6 +71,21 @@ func TestSpMVScratchAllocFree(t *testing.T) {
 	}
 }
 
+// TestPlanKernelAllocFree: resolving a format's kernel slot — done on
+// every SpMV launch — builds no key string; the registry is keyed on a
+// comparable struct. It was 6 allocations per lookup.
+func TestPlanKernelAllocFree(t *testing.T) {
+	rt := newRT(t, 1)
+	for _, spec := range []*FormatSpec{CSRSpec, CSCSpec, COOSpec, DIASpec, BSRSpec} {
+		if _, ok := planKernel(rt, "spmv", spec.Distal); !ok {
+			t.Fatalf("no spmv kernel for %v", spec.Distal)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { planKernel(rt, "spmv", spec.Distal) }); allocs != 0 {
+			t.Errorf("planKernel(spmv, %v): %v allocs, want 0", spec.Distal, allocs)
+		}
+	}
+}
+
 // BenchmarkSpMVArgs compares the pooled argument pack against the
 // previous inline construction (fresh Args + Ops map + Operands per
 // point task). Run with -benchmem: pooled is 0 B/op, fresh is not.

@@ -221,8 +221,8 @@ func (a *Array) AddScalar(alpha float64) {
 // AXPY is fusion-eligible: back-to-back AXPY/AXPBY/Copy chains — the
 // "FusedAXPY" pattern every solver in internal/solvers emits — collapse
 // into one fused launch inside the runtime's fusion window, paying a
-// single launch-analysis charge and one goroutine round-trip per point,
-// with no solver rewrites.
+// single launch-analysis charge and one pass through the launch path
+// (at most one goroutine round-trip per point), with no solver rewrites.
 func AXPY(alpha float64, x, y *Array) {
 	t := constraint.NewTask(y.rt, "cn.axpy", func(tc *legion.TaskContext) {
 		yv, xv := tc.Float64(0), tc.Float64(1)

@@ -12,14 +12,31 @@ import (
 // dispatches dynamically across this statically generated variant matrix
 // (§5.1): the same SpMV has distinct entries for (CSR, CPU), (CSR, GPU),
 // etc., and exactly one kernel per entry.
+//
+// The format is held in comparable form — its name tag and its level
+// modes packed four bits each behind a leading 1, which keeps the arity
+// — so building a key for a lookup formats nothing.
 type OpKey struct {
 	Op     string
-	Format string
+	Format string // the format's name tag
+	modes  uint64
 	Target Target
 }
 
+func opKey(op string, format Format, target Target) OpKey {
+	modes := uint64(1)
+	for _, m := range format.Modes {
+		modes = modes<<4 | uint64(m)
+	}
+	return OpKey{Op: op, Format: format.Name, modes: modes, Target: target}
+}
+
 func (k OpKey) String() string {
-	return fmt.Sprintf("%s/%s/%v", k.Op, k.Format, k.Target)
+	var modes []Mode
+	for m := k.modes; m > 1; m >>= 4 {
+		modes = append([]Mode{Mode(m & 15)}, modes...)
+	}
+	return fmt.Sprintf("%s/%s/%v", k.Op, Format{Name: k.Format, Modes: modes}, k.Target)
 }
 
 // Registry holds generated kernels for dynamic dispatch: one way in
@@ -64,7 +81,7 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(op string, format Format, k *Kernel) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.kernels[OpKey{Op: op, Format: format.String(), Target: k.Target}] = k
+	r.kernels[opKey(op, format, k.Target)] = k
 }
 
 // Lookup finds the kernel for (op, format, target). The second result
@@ -73,7 +90,7 @@ func (r *Registry) Register(op string, format Format, k *Kernel) {
 // the cost the paper's third composition layer is about.
 func (r *Registry) Lookup(op string, format Format, target Target) (*Kernel, bool) {
 	r.mu.RLock()
-	k, ok := r.kernels[OpKey{Op: op, Format: format.String(), Target: target}]
+	k, ok := r.kernels[opKey(op, format, target)]
 	r.mu.RUnlock()
 	if ok {
 		r.hits.Add(1)

@@ -33,6 +33,7 @@ package legion
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,13 +107,7 @@ func (e *ftLogEntry) state() *launchState {
 	if f == nil {
 		return nil
 	}
-	if f.launch != nil {
-		return f.launch
-	}
-	if f.pend != nil {
-		return f.pend.ls
-	}
-	return nil
+	return f.launch
 }
 
 // regionSnap is the checkpointed contents of one region.
@@ -431,10 +426,12 @@ func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 
 	partials := make([]float64, l.points)
 	hasPartial := false
+	tc := new(TaskContext)
 	for p := 0; p < l.points; p++ {
 		rt.stats.ReplayedPoints.Add(1)
 		proc := rt.replayProc(l, p)
-		subs := subspacesFor(l.reqs, p)
+		tc.bind(ls, p, l.reqs, l.args)
+		subs := tc.subs
 		var copyTime time.Duration
 		for i, rq := range l.reqs {
 			res, err := rt.map_.mapRequirement(proc, rq.region, subs[i], rq.priv)
@@ -444,13 +441,13 @@ func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 			}
 			copyTime += res.copyTime
 		}
-		work, partial, hasP, err := rt.replayKernel(l, ls, e.stream, p, subs)
+		work, err := rt.replayKernel(l, tc, e.stream)
 		if err != nil {
 			rt.stats.PointFailures.Add(1)
 			return err
 		}
-		if hasP {
-			partials[p] = partial
+		if tc.hasPartial {
+			partials[p] = tc.partial
 			hasPartial = true
 		}
 		if l.workFn != nil {
@@ -477,14 +474,15 @@ func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 		for _, v := range partials {
 			sum += v
 		}
-		ls.reduced.Store(sum)
+		ls.reduced.Store(math.Float64bits(sum))
 	}
 	return nil
 }
 
 // replayKernel runs one point's kernel during replay under the same
 // recover barrier and fault injection as normal execution.
-func (rt *Runtime) replayKernel(l *Launch, ls *launchState, stream int64, point int, subs []geometry.IntervalSet) (work int64, partial float64, hasPartial bool, err error) {
+func (rt *Runtime) replayKernel(l *Launch, tc *TaskContext, stream int64) (work int64, err error) {
+	point := tc.point
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskPanicError{Task: l.name, Point: point, Value: r}
@@ -492,13 +490,12 @@ func (rt *Runtime) replayKernel(l *Launch, ls *launchState, stream int64, point 
 	}()
 	rt.injectDelay(stream, point)
 	rt.injectFault(stream, point)
-	ctx := &TaskContext{launch: ls, point: point, subs: subs, reqs: l.reqs, args: l.args}
-	l.kernel(ctx)
-	work = ctx.work
+	l.kernel(tc)
+	work = tc.work
 	if work == 0 {
-		work = defaultWork(l.reqs, subs)
+		work = defaultWork(l.reqs, tc.subs)
 	}
-	return work, ctx.partial, ctx.hasPartial, nil
+	return work, nil
 }
 
 // replayProc maps a replayed point onto the current (possibly shrunken)
@@ -587,10 +584,8 @@ func (rt *Runtime) retireProc(p machine.ProcID) bool {
 		return false
 	}
 	rt.procs = append(rt.procs[:idx], rt.procs[idx+1:]...)
-	if w := rt.workers[p]; w != nil {
-		w.stop()
-		delete(rt.workers, p)
-	}
+	rt.workers[idx].stop()
+	rt.workers = append(rt.workers[:idx], rt.workers[idx+1:]...)
 	rt.map_.evictProcessor(p)
 	rt.simMu.Lock()
 	delete(rt.procBusy, p)

@@ -12,10 +12,12 @@ package legion
 // independent (no conflicting access through a different partition) —
 // is replaced by ONE fused launch whose kernel runs the member kernels
 // back to back. The fused launch pays a single LaunchOverhead +
-// AnalysisPerPoint charge and a single goroutine round-trip per point
-// instead of N, in both the simulated clock and real wall-clock, while
-// dependence analysis sees the union of the members' requirements so
-// sequential semantics are unchanged.
+// AnalysisPerPoint charge on the simulated clock and, on the real one,
+// one pass through the launch path — one goroutine round-trip per point
+// when its points are queued, none when the issuing goroutine runs them
+// (Runtime.runsInline) — instead of N, while dependence analysis sees
+// the union of the members' requirements so sequential semantics are
+// unchanged.
 //
 // The window is transparent: any operation that could observe the
 // deferred launches — Fence, Destroy, SimTime, Future resolution, trace
@@ -77,10 +79,13 @@ func (rt *Runtime) FlushFusion() {
 		return
 	}
 	f.mu.Lock()
-	buf, futs, entries := f.buf, f.futs, f.entries
-	f.buf, f.futs, f.entries, f.byReg = nil, nil, nil, nil
-	f.mu.Unlock()
-	f.submit(buf, futs, entries)
+	defer f.mu.Unlock()
+	f.submitLocked()
+	// Drop the window's references; the next window refills the arrays.
+	clear(f.buf)
+	clear(f.futs)
+	clear(f.entries)
+	f.buf, f.futs, f.entries = f.buf[:0], f.futs[:0], f.entries[:0]
 }
 
 // fusedMember is one original launch folded into a fused launch. It
@@ -130,8 +135,7 @@ type fuser struct {
 	mu      sync.Mutex
 	buf     []*Launch
 	futs    []*Future
-	entries []*winEntry
-	byReg   map[RegionID][]int
+	entries []winEntry // at most max launches × a few requirements: scanned, not indexed
 	points  int
 	opClass machine.OpClass
 }
@@ -187,9 +191,9 @@ func (f *fuser) compatLocked(l *Launch) bool {
 		return false
 	}
 	for _, rq := range l.reqs {
-		for _, ei := range f.byReg[rq.region.id] {
-			e := f.entries[ei]
-			if e.part == rq.part {
+		for i := range f.entries {
+			e := &f.entries[i]
+			if e.region != rq.region || e.part == rq.part {
 				continue
 			}
 			if e.write || rq.priv.writes() {
@@ -205,62 +209,56 @@ func (f *fuser) admitLocked(l *Launch) *Future {
 	if len(f.buf) == 0 {
 		f.points = l.points
 		f.opClass = l.opClass
-		f.byReg = map[RegionID][]int{}
 	}
 	for _, rq := range l.reqs {
 		var e *winEntry
-		for _, ei := range f.byReg[rq.region.id] {
-			if f.entries[ei].part == rq.part {
-				e = f.entries[ei]
+		for i := range f.entries {
+			if f.entries[i].region == rq.region && f.entries[i].part == rq.part {
+				e = &f.entries[i]
 				break
 			}
 		}
 		if e == nil {
-			e = &winEntry{region: rq.region, part: rq.part, first: rq.priv}
-			f.byReg[rq.region.id] = append(f.byReg[rq.region.id], len(f.entries))
-			f.entries = append(f.entries, e)
+			f.entries = append(f.entries, winEntry{region: rq.region, part: rq.part, first: rq.priv})
+			e = &f.entries[len(f.entries)-1]
 		}
 		if rq.priv.writes() {
 			e.write = true
 		}
 	}
 	f.buf = append(f.buf, l)
-	fut := &Future{rt: f.rt, pend: &pendingLaunch{}}
+	fut := &Future{rt: f.rt}
 	f.futs = append(f.futs, fut)
 	return fut
 }
 
-// submit issues a drained window: a single launch goes out as-is; a run
+// submitLocked issues the window: a single launch goes out as-is; a run
 // of two or more becomes one fused launch with the union requirements
 // and the member kernels composed in program order.
-func (f *fuser) submit(buf []*Launch, futs []*Future, entries []*winEntry) {
+func (f *fuser) submitLocked() {
+	buf := f.buf
 	if len(buf) == 0 {
 		return
 	}
 	rt := f.rt
 	if len(buf) == 1 {
-		inner := rt.executeNow(buf[0])
-		futs[0].pend.ls = inner.launch
+		f.futs[0].launch = rt.executeNow(buf[0])
 		return
 	}
-	fl := &Launch{
-		rt:      rt,
-		name:    fusedName(buf),
-		points:  buf[0].points,
-		opClass: buf[0].opClass,
-	}
-	for _, e := range entries {
+	fl := rt.NewLaunch(fusedName(buf), buf[0].points, nil)
+	fl.opClass = buf[0].opClass
+	for i := range f.entries {
+		e := &f.entries[i]
 		fl.reqs = append(fl.reqs, req{region: e.region, part: e.part, priv: e.merged()})
 	}
-	members := make([]fusedMember, len(buf))
+	fl.fused = make([]fusedMember, len(buf))
 	for i, l := range buf {
-		members[i] = fusedMember{name: l.name, kernel: l.kernel, reqs: l.reqs, args: l.args, workFn: l.workFn, stream: l.stream}
+		fl.fused[i] = fusedMember{name: l.name, kernel: l.kernel, reqs: l.reqs, args: l.args, workFn: l.workFn, stream: l.stream}
 	}
-	fl.fused = members
 	inner := rt.executeNow(fl)
 	rt.profile.recordFusion(len(buf))
-	for _, fu := range futs {
-		fu.pend.ls = inner.launch
+	for _, fu := range f.futs {
+		fu.launch = inner
 	}
 }
 
@@ -286,7 +284,8 @@ func fusedName(buf []*Launch) string {
 // injection fires per member, keyed on each member's own stream
 // position; a member panic aborts the whole point (the caller records
 // one point failure) and recovery replays the members individually.
-func (rt *Runtime) runFusedPoint(ls *launchState, point int) int64 {
+func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext) int64 {
+	point := tc.point
 	var total int64
 	var partial float64
 	var hasPartial bool
@@ -294,18 +293,17 @@ func (rt *Runtime) runFusedPoint(ls *launchState, point int) int64 {
 		m := &ls.fused[mi]
 		rt.injectDelay(m.stream, point)
 		rt.injectFault(m.stream, point)
-		msubs := subspacesFor(m.reqs, point)
-		ctx := &TaskContext{launch: ls, point: point, subs: msubs, reqs: m.reqs, args: m.args}
-		m.kernel(ctx)
-		if ctx.hasPartial {
-			partial += ctx.partial
+		tc.bind(ls, point, m.reqs, m.args)
+		m.kernel(tc)
+		if tc.hasPartial {
+			partial += tc.partial
 			hasPartial = true
 		}
-		w := ctx.work
+		w := tc.work
 		if m.workFn != nil {
 			w = m.workFn(point)
 		} else if w == 0 {
-			w = defaultWork(m.reqs, msubs)
+			w = defaultWork(m.reqs, tc.subs)
 		}
 		total += w
 	}

@@ -230,6 +230,7 @@ func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, d
 	if built {
 		rt.cacheStats.ImageBuilds++
 		e.coloring = rt.newColoringLocked()
+		rt.dropStaleImagesLocked(setsKey.src, setsKey.srcVersion)
 		rt.imageSets[setsKey] = e
 	} else {
 		rt.cacheStats.ImageSetHits++
@@ -238,6 +239,24 @@ func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, d
 	rt.imageCache[key] = p
 	rt.mu.Unlock()
 	return p
+}
+
+// dropStaleImagesLocked drops what was computed from contents of src
+// older than version. Versions only increase, so no lookup can reach
+// those entries again; without this a long-lived source that the launch
+// stream keeps rewriting (a Gather index) would leave one generation of
+// entries per write. Caller holds rt.mu.
+func (rt *Runtime) dropStaleImagesLocked(src RegionID, version int64) {
+	for k := range rt.imageSets {
+		if k.src == src && k.srcVersion < version {
+			delete(rt.imageSets, k)
+		}
+	}
+	for k := range rt.imageCache {
+		if k.sets.src == src && k.sets.srcVersion < version {
+			delete(rt.imageCache, k)
+		}
+	}
 }
 
 // ImageRange computes the dependent-partitioning image of srcPart through

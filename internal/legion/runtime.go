@@ -1,6 +1,7 @@
 package legion
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,9 @@ import (
 // dynamically from region requirements and privileges, independent
 // launches run in parallel, and point tasks within a launch execute
 // concurrently on the runtime's processors (one worker goroutine each).
+// A launch too small to gain from that — see runsInline — runs its
+// points on the issuing goroutine instead, in the same per-processor
+// order.
 //
 // Two clocks exist. Wall-clock time is real but meaningless for
 // weak-scaling (the host has a fixed core count); the *simulated* clock
@@ -76,10 +80,22 @@ type Runtime struct {
 	procBusy map[machine.ProcID]time.Duration
 	simMax   time.Duration
 
-	workers  map[machine.ProcID]*worker
+	workers  []*worker // workers[i] executes the points of procs[i]
 	pending  sync.WaitGroup
 	shutdown bool
+
+	// inlineGrain is the footprint up to which a runnable launch executes
+	// on the issuing goroutine: always inlineGrainElems outside this
+	// package's tests, which set 0 or MaxInt64 to force one executor.
+	inlineGrain int64
 }
+
+// inlineGrainElems is the parallel grain: the launch footprint — summed
+// element count of its requirements' regions — under which handing the
+// points to the worker goroutines costs more than running them where
+// they were issued. DESIGN.md, "Who runs a point", has the measured
+// crossover, which sits well above this.
+const inlineGrainElems = 1 << 15
 
 // regionState is the dependence-analysis state of one region: the
 // launches that last wrote it and the readers since. The back-pointer
@@ -91,11 +107,11 @@ type Runtime struct {
 // their finish times into readDone, which the next writer waits for
 // exactly as it would have waited for them.
 type regionState struct {
-	region      *Region
-	lastWriters []*launchState
-	readers     []*launchState
-	readDone    time.Duration // largest finish time among compacted readers
-	compactAt   int           // reader count that triggers the next compaction
+	region     *Region
+	lastWriter *launchState
+	readers    []*launchState
+	readDone   time.Duration // largest finish time among compacted readers
+	compactAt  int           // reader count that triggers the next compaction
 }
 
 // readerCompactMin is the reader count below which a region's reader
@@ -110,10 +126,9 @@ func (st *regionState) addReader(ls *launchState) {
 	if len(st.readers) >= max(st.compactAt, readerCompactMin) {
 		live := st.readers[:0]
 		for _, rd := range st.readers {
-			select {
-			case <-rd.done:
+			if rd.completed.Load() {
 				st.readDone = max(st.readDone, rd.finishTime())
-			default:
+			} else {
 				live = append(live, rd)
 			}
 		}
@@ -159,9 +174,9 @@ func NewRuntime(m *machine.Machine, procs []machine.ProcID) *Runtime {
 		alignCache: map[alignKey]*Partition{},
 		imageSets:  map[imageSetsKey]*imageSetsEntry{},
 		procBusy:   map[machine.ProcID]time.Duration{},
-		workers:    map[machine.ProcID]*worker{},
 
 		blockColorings: map[blockTiling]int64{},
+		inlineGrain:    inlineGrainElems,
 	}
 	rt.map_ = newMapper(rt)
 	rt.profile = newProfile()
@@ -173,12 +188,8 @@ func NewRuntime(m *machine.Machine, procs []machine.ProcID) *Runtime {
 		rt.fuser = &fuser{rt: rt, max: n}
 	}
 	for _, p := range procs {
-		proc := p
-		w := newWorker(
-			func(ls *launchState, point int) { rt.runPoint(ls, point, proc) },
-			func(ls *launchState, point int, rec any) { rt.pointBackstop(ls, point, rec) },
-		)
-		rt.workers[p] = w
+		w := newWorker(rt, p)
+		rt.workers = append(rt.workers, w)
 		go w.run()
 	}
 	return rt
@@ -266,7 +277,9 @@ func (rt *Runtime) Destroy(r *Region) {
 	rt.mu.Lock()
 	var users []*launchState
 	if st := rt.regions[r.id]; st != nil {
-		users = append(users, st.lastWriters...)
+		if st.lastWriter != nil {
+			users = append(users, st.lastWriter)
+		}
 		users = append(users, st.readers...)
 	}
 	rt.mu.Unlock()
@@ -337,8 +350,8 @@ func (rt *Runtime) ResetMetrics() {
 	// ready-times from these, and without rebasing the first post-reset
 	// launch would inherit the pre-reset clock.
 	for _, st := range rt.regions {
-		for _, w := range st.lastWriters {
-			w.resetTimeline()
+		if st.lastWriter != nil {
+			st.lastWriter.resetTimeline()
 		}
 		for _, r := range st.readers {
 			r.resetTimeline()
@@ -390,14 +403,13 @@ func (rt *Runtime) AnalysisTime() time.Duration {
 func (rt *Runtime) fenceRegion(r *Region) {
 	rt.FlushFusion()
 	rt.mu.Lock()
-	st := rt.regions[r.id]
-	var writers []*launchState
-	if st != nil {
-		writers = append(writers, st.lastWriters...)
+	var writer *launchState
+	if st := rt.regions[r.id]; st != nil {
+		writer = st.lastWriter
 	}
 	rt.mu.Unlock()
-	for _, w := range writers {
-		w.wait()
+	if writer != nil {
+		writer.wait()
 	}
 }
 
@@ -410,17 +422,22 @@ func (rt *Runtime) ProcForPoint(p int) machine.ProcID {
 	return rt.procs[p%len(rt.procs)]
 }
 
-// procForPoint resolves a launch's point→processor mapping, honoring a
-// MapPoints override.
-func (rt *Runtime) procForPoint(ls *launchState, p int) machine.ProcID {
+// workerIndex resolves a launch's point→processor mapping to a position
+// in procs/workers, honoring a MapPoints override.
+func (rt *Runtime) workerIndex(ls *launchState, p int) int {
+	i := p
 	if ls.procMap != nil {
-		i := ls.procMap(p) % len(rt.procs)
-		if i < 0 {
-			i += len(rt.procs)
-		}
-		return rt.procs[i]
+		i = ls.procMap(p)
 	}
-	return rt.ProcForPoint(p)
+	i %= len(rt.workers)
+	if i < 0 {
+		i += len(rt.workers)
+	}
+	return i
+}
+
+func (rt *Runtime) workerForPoint(ls *launchState, p int) *worker {
+	return rt.workers[rt.workerIndex(ls, p)]
 }
 
 // Execute submits the launch. Dependencies on earlier launches are
@@ -451,7 +468,7 @@ func (l *Launch) Execute() *Future {
 		fut = f.offer(l)
 	}
 	if fut == nil {
-		fut = rt.executeNow(l)
+		fut = &rt.executeNow(l).fut
 	}
 	if entry != nil {
 		entry.fut = fut
@@ -480,7 +497,7 @@ func (rt *Runtime) noteWrites(reqs []req) {
 }
 
 // executeNow issues the launch immediately, bypassing the fusion window.
-func (rt *Runtime) executeNow(l *Launch) *Future {
+func (rt *Runtime) executeNow(l *Launch) *launchState {
 	ls := &launchState{
 		name:    l.name,
 		points:  l.points,
@@ -492,11 +509,14 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 		fused:   l.fused,
 		procMap: l.procMap,
 		stream:  l.stream,
-		done:    make(chan struct{}),
 	}
-	ls.pointPartials = make([]float64, l.points)
+	ls.fut = Future{launch: ls, rt: rt}
+	if l.points <= len(ls.partialBuf) {
+		ls.pointPartials = ls.partialBuf[:l.points]
+	} else {
+		ls.pointPartials = make([]float64, l.points)
+	}
 	ls.remaining.Store(int64(l.points))
-	ls.reduced.Store(float64(0))
 	rt.pending.Add(1)
 
 	rt.mu.Lock()
@@ -507,24 +527,31 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	rt.stats.Tasks.Add(1)
 	rt.profile.recordLaunch(l.name, l.points)
 
-	// Dynamic dependence analysis (paper §2.2): collect the set of
-	// earlier launches this one must wait for, then update per-region
-	// reader/writer state. Reads depend on the last writers (RAW);
-	// writes depend on the last writers and all readers since (WAW, WAR).
-	depSet := map[*launchState]struct{}{}
+	// Dynamic dependence analysis (paper §2.2): collect the earlier
+	// launches this one must wait for, each once, then update per-region
+	// reader/writer state. Reads depend on the last writer (RAW); writes
+	// depend on the last writer and all readers since (WAW, WAR).
+	var depBuf [8]*launchState
+	deps := depBuf[:0]
 	var readDone time.Duration // compacted readers of the regions written
+	var footprint int64
 	for _, rq := range l.reqs {
+		footprint += rq.region.size
 		st := rt.regions[rq.region.id]
 		if st == nil {
 			st = &regionState{}
 			rt.regions[rq.region.id] = st
 		}
-		for _, w := range st.lastWriters {
-			depSet[w] = struct{}{}
+		if w := st.lastWriter; w != nil && w.depMark != ls.seq {
+			w.depMark = ls.seq
+			deps = append(deps, w)
 		}
 		if rq.priv.writes() {
 			for _, rd := range st.readers {
-				depSet[rd] = struct{}{}
+				if rd.depMark != ls.seq {
+					rd.depMark = ls.seq
+					deps = append(deps, rd)
+				}
 			}
 			readDone = max(readDone, st.readDone)
 		}
@@ -532,16 +559,17 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	for _, rq := range l.reqs {
 		st := rt.regions[rq.region.id]
 		if rq.priv.writes() {
-			st.lastWriters = []*launchState{ls}
-			st.readers, st.readDone = nil, 0
+			st.lastWriter = ls
+			clear(st.readers)
+			st.readers, st.readDone = st.readers[:0], 0
 		} else {
 			st.addReader(ls)
 		}
 	}
 	// Tag the launch with the optimization regime it is issued under, so
 	// its spans carry the fusion/trace/checkpoint context (Legion Prof's
-	// grouping keys). Cheap plain fields; read by workers only after the
-	// launch dispatches.
+	// grouping keys). Cheap plain fields; read by whoever runs the points
+	// only after the launch is runnable.
 	ls.traceID, ls.traceEpoch = rt.traceID, rt.traceEpoch
 	ls.traceReplay = rt.traceActive && rt.traceReplaying
 	ls.ckptEpoch = rt.ckptEpoch()
@@ -550,11 +578,9 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 		for i := range ls.fused {
 			members = append(members, ls.fused[i].name)
 		}
-		depSeqs := make([]int64, 0, len(depSet))
-		for dep := range depSet {
-			if dep != ls {
-				depSeqs = append(depSeqs, dep.seq)
-			}
+		depSeqs := make([]int64, 0, len(deps))
+		for _, dep := range deps {
+			depSeqs = append(depSeqs, dep.seq)
 		}
 		ps.RecordLaunch(prof.LaunchInfo{
 			Run: rt.profRun, Seq: ls.seq, Name: ls.name, Points: ls.points,
@@ -565,11 +591,24 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	}
 	rt.mu.Unlock()
 
+	if rt.runsInline(ls, footprint, deps) {
+		// Every dependency has completed, so the finish times read here
+		// are the ones the queued path would have been handed.
+		ls.noteDepFinish(readDone)
+		for _, dep := range deps {
+			ls.noteDepFinish(dep.finishTime())
+		}
+		for p := 0; p < ls.points; p++ {
+			rt.workerForPoint(ls, p).exec(workItem{ls: ls, point: p})
+		}
+		return ls
+	}
+
 	// Enqueue every point task now, in launch-sequence order, so each
 	// worker executes its points in a deterministic, deadlock-free
 	// program order; the launch's ready flag gates actual execution.
 	for p := 0; p < ls.points; p++ {
-		rt.workers[rt.procForPoint(ls, p)].enqueue(ls, p)
+		rt.workerForPoint(ls, p).enqueue(ls, p)
 	}
 
 	// Register with live dependencies. The guard count (+1) keeps the
@@ -577,10 +616,7 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	// dependency completes concurrently.
 	ls.depCount.Store(1)
 	ls.noteDepFinish(readDone)
-	for dep := range depSet {
-		if dep == ls {
-			continue
-		}
+	for _, dep := range deps {
 		ls.depCount.Add(1)
 		if !dep.addChild(ls) {
 			// Already complete: take its finish time directly.
@@ -591,7 +627,42 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 	if ls.depCount.Add(-1) == 0 {
 		rt.dispatch(ls)
 	}
-	return &Future{launch: ls, rt: rt}
+	return ls
+}
+
+// runsInline decides who runs the points of a launch that has just been
+// analysed. The issuing goroutine runs them itself, in point order, when
+// three things it can observe hold: the launch touches at most the
+// parallel grain of elements, so there is nothing for a second core to
+// win; every dependency has completed, so the launch is runnable now and
+// its ready time is final; and every processor it targets is idle, so
+// running its points here is exactly that processor's program order —
+// only this goroutine enqueues, so idleness cannot end while it runs
+// them. Otherwise the points go to the workers' queues.
+func (rt *Runtime) runsInline(ls *launchState, footprint int64, deps []*launchState) bool {
+	if footprint > rt.inlineGrain {
+		return false
+	}
+	for _, dep := range deps {
+		if !dep.completed.Load() {
+			return false
+		}
+	}
+	if ls.procMap == nil {
+		// Round-robin: the first min(points, procs) workers host every point.
+		for _, w := range rt.workers[:min(ls.points, len(rt.workers))] {
+			if !w.idle() {
+				return false
+			}
+		}
+		return true
+	}
+	for p := 0; p < ls.points; p++ {
+		if !rt.workerForPoint(ls, p).idle() {
+			return false
+		}
+	}
+	return true
 }
 
 // addChild registers child to be notified on completion; it returns false
@@ -599,7 +670,7 @@ func (rt *Runtime) executeNow(l *Launch) *Future {
 func (ls *launchState) addChild(child *launchState) bool {
 	ls.childMu.Lock()
 	defer ls.childMu.Unlock()
-	if ls.completed {
+	if ls.completed.Load() {
 		return false
 	}
 	ls.children = append(ls.children, child)
@@ -628,31 +699,32 @@ func (ls *launchState) noteDepDone(finish time.Duration, rt *Runtime) {
 // the workers to wake are derived from the mapping itself.
 func (rt *Runtime) dispatch(ls *launchState) {
 	ls.ready.Store(true)
-	if ls.procMap == nil && ls.points >= len(rt.procs) {
-		// Round-robin over at least one full cycle touches every worker.
-		for _, w := range rt.workers {
+	if ls.procMap == nil {
+		// Round-robin: the first min(points, procs) workers host every point.
+		for _, w := range rt.workers[:min(ls.points, len(rt.workers))] {
 			w.wake()
 		}
 		return
 	}
-	woken := make(map[machine.ProcID]struct{}, ls.points)
+	woken := make([]bool, len(rt.workers))
 	for p := 0; p < ls.points; p++ {
-		proc := rt.procForPoint(ls, p)
-		if _, dup := woken[proc]; dup {
-			continue
+		if i := rt.workerIndex(ls, p); !woken[i] {
+			woken[i] = true
+			rt.workers[i].wake()
 		}
-		woken[proc] = struct{}{}
-		rt.workers[proc].wake()
 	}
 }
 
-// runPoint executes one point task on proc: map its region requirements
-// (modeling allocation and coherence copies), run the real kernel, update
-// the simulated timeline, and complete the launch when it is the last
-// point.
-func (rt *Runtime) runPoint(ls *launchState, point int, proc machine.ProcID) {
+// runPoint executes one point task on w's processor: map its region
+// requirements (modeling allocation and coherence copies), run the real
+// kernel, update the simulated timeline, and complete the launch when it
+// is the last point. It runs on w's goroutine for a queued launch and on
+// the application goroutine for an inline one.
+func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 	rt.stats.PointTasks.Add(1)
-	subs := subspacesFor(ls.reqs, point)
+	proc, tc := w.proc, &w.tc
+	tc.bind(ls, point, ls.reqs, ls.args)
+	subs := tc.subs
 	var copyTime time.Duration
 	// A cancelled stream skips mapping and kernels: points still charge
 	// their timelines and complete, so fences return promptly and the
@@ -673,7 +745,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, proc machine.ProcID) {
 	var work int64
 	if !failed {
 		var kerr error
-		work, kerr = rt.execPoint(ls, point, subs)
+		work, kerr = rt.execPoint(ls, tc)
 		if kerr != nil {
 			// A panicking kernel (injected or real). With checkpointing
 			// on this becomes a recorded point failure that the next
@@ -726,6 +798,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, proc machine.ProcID) {
 		})
 	}
 
+	*tc = TaskContext{} // the processor keeps no reference to the launch
 	if ls.remaining.Add(-1) == 0 {
 		rt.completeLaunch(ls)
 	}
@@ -733,43 +806,30 @@ func (rt *Runtime) runPoint(ls *launchState, point int, proc machine.ProcID) {
 
 // execPoint runs the point's kernel(s) under a recover barrier, so a
 // panicking kernel becomes a point failure instead of tearing the
-// process down. Fault injection fires here, keyed on the launch's
-// stream position (per member for a fused launch).
-func (rt *Runtime) execPoint(ls *launchState, point int, subs []geometry.IntervalSet) (work int64, err error) {
+// process down. tc arrives bound to the launch's own requirements. Fault
+// injection fires here, keyed on the launch's stream position (per
+// member for a fused launch).
+func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (work int64, err error) {
+	point := tc.point
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskPanicError{Task: ls.name, Point: point, Value: r}
 		}
 	}()
 	if len(ls.fused) > 0 {
-		return rt.runFusedPoint(ls, point), nil
+		return rt.runFusedPoint(ls, tc), nil
 	}
 	rt.injectDelay(ls.stream, point)
 	rt.injectFault(ls.stream, point)
-	ctx := &TaskContext{launch: ls, point: point, subs: subs, reqs: ls.reqs, args: ls.args}
-	ls.kernel(ctx)
-	if ctx.hasPartial {
-		ls.pointPartials[point] = ctx.partial
+	ls.kernel(tc)
+	if tc.hasPartial {
+		ls.pointPartials[point] = tc.partial
 	}
-	work = ctx.work
+	work = tc.work
 	if work == 0 {
-		work = defaultWork(ls.reqs, subs)
+		work = defaultWork(ls.reqs, tc.subs)
 	}
 	return work, nil
-}
-
-// subspacesFor materializes the index subspace of each requirement for
-// one point of the launch domain.
-func subspacesFor(reqs []req, point int) []geometry.IntervalSet {
-	subs := make([]geometry.IntervalSet, len(reqs))
-	for i, rq := range reqs {
-		if rq.part != nil {
-			subs[i] = rq.part.Subspace(point)
-		} else if rq.region.size > 0 {
-			subs[i] = geometry.NewIntervalSet(rq.region.Domain())
-		}
-	}
-	return subs
 }
 
 // defaultWork estimates a point task's processed elements as the size of
@@ -802,16 +862,18 @@ func (rt *Runtime) completeLaunch(ls *launchState) {
 	for _, v := range ls.pointPartials {
 		sum += v
 	}
-	ls.reduced.Store(sum)
+	ls.reduced.Store(math.Float64bits(sum))
 	finish := ls.finishTime()
 
 	ls.childMu.Lock()
-	ls.completed = true
-	children := ls.children
+	ls.completed.Store(true)
+	children, done := ls.children, ls.done
 	ls.children = nil
 	ls.childMu.Unlock()
 
-	ls.doneOnce.Do(func() { close(ls.done) })
+	if done != nil {
+		close(done)
+	}
 	for _, c := range children {
 		c.noteDepDone(finish, rt)
 	}

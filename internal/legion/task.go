@@ -48,9 +48,10 @@ func (p Privilege) String() string {
 func (p Privilege) writes() bool { return p != ReadOnly }
 func (p Privilege) reads() bool  { return p == ReadOnly || p == ReadWrite }
 
-// KernelFunc is the body of a point task. It runs on a worker goroutine
-// for the assigned processor and must only touch the indices in its
-// declared subspaces.
+// KernelFunc is the body of a point task. It runs on behalf of the
+// assigned processor and must only touch the indices in its declared
+// subspaces. tc belongs to the processor and is valid only until the
+// kernel returns.
 type KernelFunc func(tc *TaskContext)
 
 // req is one region requirement of a launch.
@@ -77,6 +78,7 @@ type Launch struct {
 	fused   []fusedMember         // set by the fuser on a fused launch
 	procMap func(point int) int   // optional point→proc override (index into Procs)
 	stream  int64                 // launch-stream position, set at Execute (fault/replay key)
+	reqBuf  [6]req                // backs reqs for the usual requirement counts
 }
 
 // NewLaunch begins building an index launch of the given number of point
@@ -87,7 +89,9 @@ func (rt *Runtime) NewLaunch(name string, points int, kernel KernelFunc) *Launch
 	if points <= 0 {
 		panic(fmt.Sprintf("legion: launch %q with %d points", name, points))
 	}
-	return &Launch{rt: rt, name: name, points: points, kernel: kernel, opClass: machine.Stream}
+	l := &Launch{rt: rt, name: name, points: points, kernel: kernel, opClass: machine.Stream}
+	l.reqs = l.reqBuf[:0]
+	return l
 }
 
 // Add attaches a region requirement through a partition. The partition's
@@ -152,15 +156,8 @@ func (l *Launch) MapPoints(f func(point int) int) *Launch { l.procMap = f; retur
 // the all-reduce that a distributed execution would perform, which is the
 // overhead the paper observes dominating the CG solve at 32+ nodes (§6.1).
 type Future struct {
-	launch *launchState
+	launch *launchState // nil while the launch sits in the fusion window; the fuser sets it at flush
 	rt     *Runtime
-	pend   *pendingLaunch // set instead of launch while buffered for fusion
-}
-
-// pendingLaunch carries the eventual launchState of a launch sitting in
-// the fusion window; the fuser fills it in at flush time.
-type pendingLaunch struct {
-	ls *launchState
 }
 
 // resolve returns the backing launchState, flushing the fusion window
@@ -169,7 +166,6 @@ type pendingLaunch struct {
 func (f *Future) resolve() *launchState {
 	if f.launch == nil {
 		f.rt.FlushFusion()
-		f.launch = f.pend.ls
 	}
 	return f.launch
 }
@@ -183,7 +179,7 @@ func (f *Future) Get() float64 {
 	ls.wait()
 	f.rt.maybeRecover()
 	f.rt.chargeAllReduce()
-	return ls.reduced.Load().(float64)
+	return ls.reducedValue()
 }
 
 // GetNoSync returns the reduced value without charging all-reduce cost;
@@ -192,7 +188,7 @@ func (f *Future) GetNoSync() float64 {
 	ls := f.resolve()
 	ls.wait()
 	f.rt.maybeRecover()
-	return ls.reduced.Load().(float64)
+	return ls.reducedValue()
 }
 
 // TaskContext is the interface a kernel uses to reach its data. Accessor
@@ -206,6 +202,27 @@ type TaskContext struct {
 	work       int64
 	partial    float64
 	hasPartial bool
+
+	// subsBuf backs subs for the usual requirement counts, so binding a
+	// processor's context to its next point allocates nothing.
+	subsBuf [8]geometry.IntervalSet
+}
+
+// bind points the context at one point of a kernel's requirements,
+// materializing the index subspace of each.
+func (tc *TaskContext) bind(ls *launchState, point int, reqs []req, args any) {
+	tc.launch, tc.point, tc.reqs, tc.args = ls, point, reqs, args
+	tc.work, tc.partial, tc.hasPartial = 0, 0, false
+	tc.subs = tc.subsBuf[:0]
+	for _, rq := range reqs {
+		var sub geometry.IntervalSet
+		if rq.part != nil {
+			sub = rq.part.Subspace(point)
+		} else if rq.region.size > 0 {
+			sub = geometry.NewIntervalSet(rq.region.Domain())
+		}
+		tc.subs = append(tc.subs, sub)
+	}
 }
 
 // Point returns this point task's color within the launch domain.
@@ -287,22 +304,29 @@ type launchState struct {
 
 	// Dependence DAG. depCount holds remaining unfinished dependencies
 	// plus a registration guard; the launch dispatches when it hits zero.
-	depCount  atomic.Int64
-	ready     atomic.Bool
-	completed bool
-	children  []*launchState
-	childMu   sync.Mutex
+	// depMark is the seq of the latest launch that collected this one as
+	// a dependency (de-duplication; under rt.mu).
+	depCount atomic.Int64
+	depMark  int64
+	ready    atomic.Bool
+	children []*launchState
+	childMu  sync.Mutex
 
-	// Completion.
+	// Completion. completed is set under childMu; done exists only if
+	// somebody had to block on the launch.
 	remaining atomic.Int64 // unfinished point tasks
+	completed atomic.Bool
 	done      chan struct{}
-	doneOnce  sync.Once
 
 	// Reduction result. Each point writes its own partial slot; the
 	// completing point sums the slots in point order (deterministic, and
 	// reproducible by recovery replay — see completeLaunch).
 	pointPartials []float64
-	reduced       atomic.Value // float64
+	partialBuf    [4]float64    // backs pointPartials for narrow launches
+	reduced       atomic.Uint64 // math.Float64bits of the sum
+
+	// fut is the Future Execute hands out for an unbuffered launch.
+	fut Future
 
 	// Simulated time: the launch is "issued" at issueAt on the analysis
 	// timeline; it may start once its dependencies' finish times have
@@ -313,7 +337,25 @@ type launchState struct {
 	finishAt   time.Duration
 }
 
-func (ls *launchState) wait() { <-ls.done }
+// wait blocks until the launch has completed.
+func (ls *launchState) wait() {
+	if ls.completed.Load() {
+		return
+	}
+	ls.childMu.Lock()
+	if ls.completed.Load() {
+		ls.childMu.Unlock()
+		return
+	}
+	if ls.done == nil {
+		ls.done = make(chan struct{})
+	}
+	done := ls.done
+	ls.childMu.Unlock()
+	<-done
+}
+
+func (ls *launchState) reducedValue() float64 { return math.Float64frombits(ls.reduced.Load()) }
 
 func (ls *launchState) recordFinish(t time.Duration) {
 	ls.finishMu.Lock()

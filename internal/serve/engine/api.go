@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/prof"
@@ -101,6 +102,35 @@ type UploadRequest struct {
 	Val  []float64 `json:"val"`
 
 	Meta RequestMeta `json:"-"`
+}
+
+// maxUploadDim bounds an uploaded matrix's rows and columns. Storage and
+// every solver vector are O(dimension) whatever the entry count, so a
+// declared dimension is a memory commitment that the size of the request
+// body does not limit.
+const maxUploadDim = 1 << 24
+
+// Validate reports what makes the request unusable as a matrix
+// definition — a missing name, a non-positive or oversized shape, ragged
+// triple arrays, an index outside the shape — or nil. Every backend's
+// Upload applies it before storing anything; duplicates and unsorted
+// triples are fine (core.FromTriples sums and sorts).
+func (r *UploadRequest) Validate() error {
+	if r.Name == "" || r.Rows <= 0 || r.Cols <= 0 {
+		return fmt.Errorf("upload needs name and positive rows/cols")
+	}
+	if r.Rows > maxUploadDim || r.Cols > maxUploadDim {
+		return fmt.Errorf("upload shape %dx%d exceeds the %d limit per dimension", r.Rows, r.Cols, maxUploadDim)
+	}
+	if len(r.Row) != len(r.Col) || len(r.Col) != len(r.Val) {
+		return fmt.Errorf("row/col/val lengths differ")
+	}
+	for i := range r.Row {
+		if r.Row[i] < 0 || r.Row[i] >= r.Rows || r.Col[i] < 0 || r.Col[i] >= r.Cols {
+			return fmt.Errorf("triple %d out of bounds", i)
+		}
+	}
+	return nil
 }
 
 // UploadResponse acknowledges an upload with the content fingerprint

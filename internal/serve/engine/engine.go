@@ -352,16 +352,8 @@ func (e *Engine) Eigen(ctx context.Context, req *EigenRequest) (*EigenResponse, 
 
 // Upload validates and registers an uploaded matrix.
 func (e *Engine) Upload(_ context.Context, req *UploadRequest) (*UploadResponse, error) {
-	if req.Name == "" || req.Rows <= 0 || req.Cols <= 0 {
-		return nil, badRequest(fmt.Errorf("upload needs name and positive rows/cols"))
-	}
-	if len(req.Row) != len(req.Col) || len(req.Col) != len(req.Val) {
-		return nil, badRequest(fmt.Errorf("row/col/val lengths differ"))
-	}
-	for i := range req.Row {
-		if req.Row[i] < 0 || req.Row[i] >= req.Rows || req.Col[i] < 0 || req.Col[i] >= req.Cols {
-			return nil, badRequest(fmt.Errorf("triple %d out of bounds", i))
-		}
+	if err := req.Validate(); err != nil {
+		return nil, badRequest(err)
 	}
 	d := e.store.Put(req.Name, req.Rows, req.Cols, req.Row, req.Col, req.Val)
 	e.metrics.uploads.Add(1)

@@ -74,17 +74,34 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeError(w, &engine.Error{Code: engine.CodeBadRequest, Err: err})
 }
 
+// maxBodyBytes bounds a request body. Decoding allocates in proportion
+// to the bytes read, so this is also the bound on what one request can
+// make the transport allocate; 64 MiB holds the triples of a matrix with
+// a few million entries.
+const maxBodyBytes = 64 << 20
+
+// decodeBody reads the request's JSON body into v. A body past the
+// server's limit fails like any other malformed one.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
 // server binds the handler set to one backend.
-type server struct{ b engine.Backend }
+type server struct {
+	b       engine.Backend
+	maxBody int64 // maxBodyBytes, except in tests
+}
 
 // Handler returns the HTTP surface over b.
-func Handler(b engine.Backend) http.Handler {
-	s := &server{b: b}
+func Handler(b engine.Backend) http.Handler { return newHandler(b, maxBodyBytes) }
+
+func newHandler(b engine.Backend, maxBody int64) http.Handler {
+	s := &server{b: b, maxBody: maxBody}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /solve", s.handleSolve)
 	mux.HandleFunc("POST /spmv", s.handleSpMV)
@@ -114,7 +131,7 @@ func meta(r *http.Request) (engine.RequestMeta, error) {
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req engine.SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -133,7 +150,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	var req engine.SpMVRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -152,7 +169,7 @@ func (s *server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleEigen(w http.ResponseWriter, r *http.Request) {
 	var req engine.EigenRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -171,7 +188,7 @@ func (s *server) handleEigen(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req engine.UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		badRequest(w, err)
 		return
 	}

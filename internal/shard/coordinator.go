@@ -356,16 +356,8 @@ func (c *Coordinator) Matrices() []engine.MatrixInfo { return c.store.List() }
 // Upload validates and registers a matrix exactly like a single
 // engine; blocks are cut and pushed lazily on first use.
 func (c *Coordinator) Upload(_ context.Context, req *engine.UploadRequest) (*engine.UploadResponse, error) {
-	if req.Name == "" || req.Rows <= 0 || req.Cols <= 0 {
-		return nil, badRequest(fmt.Errorf("upload needs name and positive rows/cols"))
-	}
-	if len(req.Row) != len(req.Col) || len(req.Col) != len(req.Val) {
-		return nil, badRequest(fmt.Errorf("row/col/val lengths differ"))
-	}
-	for i := range req.Row {
-		if req.Row[i] < 0 || req.Row[i] >= req.Rows || req.Col[i] < 0 || req.Col[i] >= req.Cols {
-			return nil, badRequest(fmt.Errorf("triple %d out of bounds", i))
-		}
+	if err := req.Validate(); err != nil {
+		return nil, badRequest(err)
 	}
 	d := c.store.Put(req.Name, req.Rows, req.Cols, req.Row, req.Col, req.Val)
 	c.uploads.Add(1)

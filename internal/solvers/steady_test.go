@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/legion"
+	"repro/internal/machine"
 )
 
 // cacheEntries is the part of CacheStats that measures held state.
@@ -71,4 +72,24 @@ func TestCGRetention(t *testing.T) {
 		t.Errorf("destroying the matrix took %v, want under 50ms", d)
 	}
 	runtime.KeepAlive(b)
+}
+
+// TestCGAllocBudget pins the garbage of the benchmark's lib_cg_small op
+// — a warm 8-iteration CG on 1024 rows and two CPU processors, 42
+// launches carrying 68 tasks: ROADMAP item 3's bar is 1000 allocations
+// (1772 at c3cb4f9); the budget here is what the launch path now needs
+// plus slack for sync.Pool misses.
+func TestCGAllocBudget(t *testing.T) {
+	m := machine.Summit(1)
+	rt := legion.NewRuntime(m, m.Select(machine.CPU, 2))
+	t.Cleanup(rt.Shutdown)
+	a := core.Poisson2D(rt, 32)
+	b := onesB(rt, 32*32)
+	solve := func() { CG(a, b, 8, 0).X.Destroy() }
+	for i := 0; i < 3; i++ {
+		solve()
+	}
+	if got := testing.AllocsPerRun(20, solve); got > 500 {
+		t.Errorf("warm 8-iteration CG: %v allocs, budget 500", got)
+	}
 }
