@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -103,5 +108,125 @@ func TestRecoveryAblationOverhead(t *testing.T) {
 	}
 	if res.With < res.Without*0.90 {
 		t.Fatalf("fault-free checkpointing costs more than 10%%: with=%.1f without=%.1f", res.With, res.Without)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/recovery.golden")
+
+// goldenSchedules are the fault.Parse schedules the recovery golden pins
+// through AblationRecoveryFaulted: a scheduled point fault with a
+// processor kill, and random point faults at three densities.
+var goldenSchedules = []string{
+	"point@40:2,proc@1:500us,rate:0.001:3",
+	"rate:0.02:7",
+	"rate:0.05:11",
+}
+
+// replayFaultSchedule is dense enough that faults fire while recovery is
+// replaying the log, not only during normal execution.
+const replayFaultSchedule = "rate:0.05:30"
+
+// replayFaultCounter wraps an injector and counts the faults it fires
+// during recovery replay. Replay counts each point in ReplayedPoints
+// before its kernel consults the injector, and nothing else moves that
+// counter, so a call that sees it changed since the previous call is a
+// replayed point.
+type replayFaultCounter struct {
+	legion.FaultInjector
+	stats *machine.Stats
+
+	mu       sync.Mutex
+	lastSeen int64
+	fired    int
+}
+
+func (c *replayFaultCounter) ShouldFail(stream int64, point int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rp := c.stats.ReplayedPoints.Load()
+	inReplay := rp != c.lastSeen
+	c.lastSeen = rp
+	fail := c.FaultInjector.ShouldFail(stream, point)
+	if fail && inReplay {
+		c.fired++
+	}
+	return fail
+}
+
+// recoveryGolden renders the recovery experiments at a reduced size:
+// the fault-free checkpointing ablation, the faulted ablation under its
+// built-in schedule and under each of goldenSchedules, the MTBF sweep,
+// and one run whose faults also fire during replay. The size keeps
+// every launch's footprint under the inline grain, so every point runs
+// on the issuing goroutine and a failure is noticed at the same
+// synchronization point in every run; at a size where SpMV goes to the
+// worker queues, when a failure surfaces — and so how many restores and
+// replayed launches it costs — depends on thread timing under load.
+// Every value is then a deterministic function of the simulation, so
+// the text is stable across runs, machine load and GOMAXPROCS settings.
+func recoveryGolden(t *testing.T) string {
+	opt := SmallOptions()
+	opt.UnitsPerProc = 128
+	opt.Runs = 1
+	var sb strings.Builder
+	ablation := func(spec string, res AblationResult) {
+		fmt.Fprintf(&sb, "%s [%s]\n  %s\n  with: %v   without: %v\n",
+			res.Name, spec, res.Metric, res.With, res.Without)
+	}
+	ablation("", AblationRecovery(opt))
+	ablation("built-in", AblationRecoveryFaulted(opt))
+	for _, spec := range goldenSchedules {
+		o := opt
+		o.FaultSpec = spec
+		ablation(spec, AblationRecoveryFaulted(o))
+	}
+	sb.WriteString(FigRecovery(opt).FormatFigure())
+
+	base := cgRecoveryRun(4, cgIters, opt, func(rt *legion.Runtime) {
+		rt.EnableCheckpointing(opt.checkpointEvery())
+	})
+	var counter *replayFaultCounter
+	var inj *fault.Injector
+	r := cgRecoveryRun(4, cgIters, opt, func(rt *legion.Runtime) {
+		rt.EnableCheckpointing(opt.checkpointEvery())
+		var err error
+		if inj, err = fault.Parse(replayFaultSchedule, opt.seed()); err != nil {
+			t.Fatal(err)
+		}
+		counter = &replayFaultCounter{FaultInjector: inj, stats: rt.Stats()}
+		rt.SetFaultInjector(counter)
+	})
+	if counter.fired == 0 {
+		t.Errorf("schedule %s fired no fault during replay", replayFaultSchedule)
+	}
+	identical := sameF64(base.x, r.x) && sameF64(base.residuals, r.residuals) && r.err == nil
+	fmt.Fprintf(&sb, "replay faults [%s]\n  sim=%v faults=%d during-replay=%d restores=%d replayed=%d bit-identical=%v\n",
+		replayFaultSchedule, r.sim, inj.PointFaults(), counter.fired, r.restores, r.replayed, identical)
+	return sb.String()
+}
+
+// TestRecoveryGolden pins the recovery experiments' rows — throughputs,
+// restore and replay counts, bit-identity verdicts — against
+// testdata/recovery.golden, so a change to the checkpoint/replay path
+// that moves any of them shows up as a diff. Run with -update to
+// rewrite the file.
+func TestRecoveryGolden(t *testing.T) {
+	const path = "testdata/recovery.golden"
+	got := recoveryGolden(t)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("recovery rows differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
