@@ -50,10 +50,11 @@ fuzz:
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/
-# replay bit-identity, processor-death degradation, and the CG chaos
-# acceptance test.
+# replay bit-identity (fused reductions included), cancellation
+# mid-replay, the inline executor replay runs through, processor-death
+# degradation, the CG chaos acceptance test, and the recovery golden.
 chaos:
-	$(GO) test -race -timeout 120s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos' ./internal/fault/ ./internal/legion/ ./internal/bench/
+	$(GO) test -race -timeout 120s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle|Golden' ./internal/fault/ ./internal/legion/ ./internal/bench/
 
 # overload runs the deterministic overload-chaos lifecycle suite under
 # the race detector: deadline cancellation that keeps the worker warm

@@ -76,6 +76,9 @@ func ReadMatrixMarket(rt *legion.Runtime, r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("core: negative size line %d %d %d", rows, cols, nnz)
 	}
+	if symmetry != "general" && rows != cols {
+		return nil, fmt.Errorf("core: %s matrix must be square, got %dx%d", symmetry, rows, cols)
+	}
 
 	// A file may legally repeat a coordinate, so nnz is not bounded by
 	// rows*cols; the seen != nnz check below catches a lying header.

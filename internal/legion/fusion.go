@@ -309,6 +309,7 @@ func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext) int64 {
 	}
 	if hasPartial {
 		ls.pointPartials[point] = partial
+		ls.reduces.Store(true)
 	}
 	return total
 }

@@ -119,13 +119,15 @@ func TestProfilingCopyEvents(t *testing.T) {
 }
 
 // TestProfilingReplayTags: spans re-executed by checkpoint recovery are
-// tagged Replay, and the fault/restore marks bracket them.
+// tagged Replay, carry the original launch's seq and the checkpoint
+// epoch they were replayed in, and the fault/restore marks bracket them.
 func TestProfilingReplayTags(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	sink := prof.NewSink(0)
 	rt.EnableProfiling(sink)
-	rt.EnableCheckpointing(10)
-	rt.SetFaultInjector(fault.New(1).KillPoint(2, 0))
+	// Launch 3 opens the second epoch (epoch 1) and is the one that fails.
+	rt.EnableCheckpointing(2)
+	rt.SetFaultInjector(fault.New(1).KillPoint(3, 0))
 	r := rt.CreateRegion("v", 64, Float64)
 	part := rt.BlockPartition(r, 2)
 	for i := 0; i < 3; i++ {
@@ -141,14 +143,25 @@ func TestProfilingReplayTags(t *testing.T) {
 		t.Fatalf("recovery should succeed: %v", err)
 	}
 	tr := sink.Snapshot()
-	var replayed int
-	for _, sp := range tr.Spans {
-		if sp.Replay {
-			replayed++
+	var failedSeq int64
+	for _, li := range tr.Launches {
+		if li.Stream == 3 {
+			failedSeq = li.Seq
 		}
 	}
-	if replayed == 0 {
-		t.Fatal("recovery replay must emit Replay-tagged spans")
+	var replayed int
+	for _, sp := range tr.Spans {
+		if !sp.Replay {
+			continue
+		}
+		replayed++
+		if sp.Launch != failedSeq || sp.CkptEpoch != 1 {
+			t.Fatalf("replay span of launch %d in epoch %d, want launch %d in epoch 1",
+				sp.Launch, sp.CkptEpoch, failedSeq)
+		}
+	}
+	if replayed != 2 {
+		t.Fatalf("recovery replay emitted %d Replay-tagged spans, want the failed launch's 2", replayed)
 	}
 	var faults, restores int
 	for _, m := range tr.Marks {
@@ -170,9 +183,8 @@ func TestProfilingReplayTags(t *testing.T) {
 // TestProfileCountersStableAcrossRecovery is the double-counting audit:
 // the Profile's launch/point counters and fusion totals after a faulted
 // run that recovered by restore+replay must equal a clean run's —
-// replayEntry bypasses Execute and the fuser, so nothing is recorded
-// twice. (Per-task SimTime legitimately differs: replayed work costs
-// simulated time.)
+// replayEntry re-runs logged launches without Execute or the fuser, and
+// runPoint counts replayed points apart, so nothing is recorded twice.
 func TestProfileCountersStableAcrossRecovery(t *testing.T) {
 	run := func(inject bool) *Profile {
 		rt := newTestRuntime(t, 2)

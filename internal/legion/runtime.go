@@ -496,8 +496,9 @@ func (rt *Runtime) noteWrites(reqs []req) {
 	rt.mu.Unlock()
 }
 
-// executeNow issues the launch immediately, bypassing the fusion window.
-func (rt *Runtime) executeNow(l *Launch) *launchState {
+// newLaunchState builds the record of one execution of l and registers
+// it with the fence; the launch completes when all its points have run.
+func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 	ls := &launchState{
 		name:    l.name,
 		points:  l.points,
@@ -518,7 +519,12 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	}
 	ls.remaining.Store(int64(l.points))
 	rt.pending.Add(1)
+	return ls
+}
 
+// executeNow issues the launch immediately, bypassing the fusion window.
+func (rt *Runtime) executeNow(l *Launch) *launchState {
+	ls := rt.newLaunchState(l)
 	rt.mu.Lock()
 	rt.nextSeq++
 	ls.seq = rt.nextSeq
@@ -719,9 +725,13 @@ func (rt *Runtime) dispatch(ls *launchState) {
 // requirements (modeling allocation and coherence copies), run the real
 // kernel, update the simulated timeline, and complete the launch when it
 // is the last point. It runs on w's goroutine for a queued launch and on
-// the application goroutine for an inline one.
+// the application goroutine for an inline or replayed one.
 func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
-	rt.stats.PointTasks.Add(1)
+	if ls.replay {
+		rt.stats.ReplayedPoints.Add(1)
+	} else {
+		rt.stats.PointTasks.Add(1)
+	}
 	proc, tc := w.proc, &w.tc
 	tc.bind(ls, point, ls.reqs, ls.args)
 	subs := tc.subs
@@ -768,7 +778,9 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 	// copies, and its kernel time.
 	kind := rt.mach.Proc(proc).Kind
 	dur := rt.cost.PointOverhead + copyTime + rt.cost.KernelTime(kind, ls.opClass, work)
-	rt.profile.recordPointTime(ls.name, dur)
+	if !ls.replay {
+		rt.profile.recordPointTime(ls.name, dur)
+	}
 	ls.finishMu.Lock()
 	ready := ls.depReadyAt
 	ls.finishMu.Unlock()
@@ -794,7 +806,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 			Start: start, Dur: dur,
 			FusedMembers: len(ls.fused),
 			TraceID:      ls.traceID, TraceEpoch: ls.traceEpoch, TraceReplay: ls.traceReplay,
-			CkptEpoch: ls.ckptEpoch,
+			CkptEpoch: ls.ckptEpoch, Replay: ls.replay,
 		})
 	}
 
@@ -824,6 +836,7 @@ func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (work int64, err 
 	ls.kernel(tc)
 	if tc.hasPartial {
 		ls.pointPartials[point] = tc.partial
+		ls.reduces.Store(true)
 	}
 	work = tc.work
 	if work == 0 {

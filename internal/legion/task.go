@@ -72,7 +72,6 @@ type Launch struct {
 	reqs    []req
 	args    any
 	opClass machine.OpClass
-	reduce  bool
 	workFn  func(point int) int64 // optional explicit work estimate
 	fusable bool                  // eligible for the runtime's fusion window
 	fused   []fusedMember         // set by the fuser on a fused launch
@@ -288,11 +287,12 @@ type launchState struct {
 	reqs    []req
 	args    any
 	opClass machine.OpClass
-	reduce  bool
+	reduces atomic.Bool // some point stored a reduction partial
 	workFn  func(point int) int64
 	fused   []fusedMember       // non-empty for a fused launch
 	procMap func(point int) int // optional point→proc override
 	stream  int64               // launch-stream position (0 for a fused carrier; members keep theirs)
+	replay  bool                // re-executed by recovery replay (see replayEntry)
 
 	// Profiling tags: the optimization regime this launch was issued
 	// under, set in executeNow under rt.mu, read by workers only after
