@@ -99,10 +99,7 @@ func (rt *Runtime) ClearCancel() {
 	rt.FlushFusion()
 	rt.pending.Wait()
 	if ft := rt.ft; ft != nil {
-		ft.failMu.Lock()
-		ft.failed = nil
-		ft.needRec.Store(false)
-		ft.failMu.Unlock()
+		ft.takeFailures()
 		fresh := &ftState{every: ft.every, epoch: ft.epoch + 1, snaps: map[RegionID]*regionSnap{}}
 		rt.ft = fresh
 	}
