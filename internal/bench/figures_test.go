@@ -168,3 +168,16 @@ func TestFig12Shape(t *testing.T) {
 		t.Error("table formatting empty")
 	}
 }
+
+// TestCGGolden pins the Figure 9 rows — all six series, PETSc's CG
+// included — against testdata/cg.golden at a reduced size that keeps
+// every launch under the inline grain, so the simulated throughputs are
+// a deterministic function of the solver's launch stream. A change to
+// either CG recurrence that moves any row shows up as a diff. Run with
+// -update to rewrite the file.
+func TestCGGolden(t *testing.T) {
+	opt := SmallOptions()
+	opt.UnitsPerProc = 128
+	opt.Runs = 1
+	checkGolden(t, "testdata/cg.golden", Fig9CG(opt).FormatFigure())
+}

@@ -111,7 +111,7 @@ func TestRecoveryAblationOverhead(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/recovery.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files")
 
 // goldenSchedules are the fault.Parse schedules the recovery golden pins
 // through AblationRecoveryFaulted: a scheduled point fault with a
@@ -211,8 +211,13 @@ func recoveryGolden(t *testing.T) string {
 // that moves any of them shows up as a diff. Run with -update to
 // rewrite the file.
 func TestRecoveryGolden(t *testing.T) {
-	const path = "testdata/recovery.golden"
-	got := recoveryGolden(t)
+	checkGolden(t, "testdata/recovery.golden", recoveryGolden(t))
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -227,6 +232,6 @@ func TestRecoveryGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("recovery rows differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+		t.Errorf("rows differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
