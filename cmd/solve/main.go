@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	solve -matrix A.mtx [-solver cg|pcg|bicgstab|gmres] [-gpus N]
+//	solve -matrix A.mtx [-solver NAME] [-gpus N]
 //	      [-format csr|csc|coo|dia|bsr] [-block N]
 //	      [-tol 1e-8] [-maxiter 5000] [-profile]
+//
+// NAME is a method of the solver table the solve service also serves
+// (solvers.Lookup); -h lists the names. GMRES restarts every 30 steps.
 //
 // -format converts the operand before solving; every solver runs
 // against the core.SparseMatrix interface, so any storage format's
@@ -30,7 +33,7 @@ import (
 
 func main() {
 	matrix := flag.String("matrix", "", "Matrix Market file (required)")
-	solver := flag.String("solver", "cg", "cg, pcg, bicgstab, or gmres")
+	solver := flag.String("solver", "cg", "Krylov method: "+solvers.MethodNames())
 	gpus := flag.Int("gpus", 3, "simulated GPUs")
 	tol := flag.Float64("tol", 1e-8, "residual tolerance")
 	maxiter := flag.Int("maxiter", 5000, "iteration cap")
@@ -41,6 +44,11 @@ func main() {
 	flag.Parse()
 	if *matrix == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	solve, err := solvers.Lookup(*solver)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "solve: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -97,20 +105,7 @@ func main() {
 		b = cunumeric.Full(rt, rows, 1)
 	}
 
-	var res *solvers.Result
-	switch *solver {
-	case "cg":
-		res = solvers.CG(a, b, *maxiter, *tol)
-	case "pcg":
-		res = solvers.PCGJacobi(a, b, *maxiter, *tol)
-	case "bicgstab":
-		res = solvers.BiCGSTAB(a, b, *maxiter, *tol)
-	case "gmres":
-		res = solvers.GMRES(a, b, 30, *maxiter, *tol)
-	default:
-		fmt.Fprintf(os.Stderr, "solve: unknown solver %q\n", *solver)
-		os.Exit(2)
-	}
+	res := solve(a, b, 30, *maxiter, *tol)
 	rt.Fence()
 
 	last := 0.0

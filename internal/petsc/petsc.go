@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/seq"
+	"repro/internal/solvers"
 )
 
 // Comm is the communicator: the set of ranks, their processor
@@ -209,12 +210,12 @@ func (v *Vec) AXPY(a float64, x *Vec) {
 	}
 }
 
-// AYPX computes v = x + a*v.
-func (v *Vec) AYPX(a float64, x *Vec) {
+// AXPBY computes v = a*x + b*v (PETSc's VecAXPBY).
+func (v *Vec) AXPBY(a, b float64, x *Vec) {
 	for r := range v.local {
 		xr := x.local[r]
 		for i := range v.local[r] {
-			v.local[r][i] = xr[i] + a*v.local[r][i]
+			v.local[r][i] = a*xr[i] + b*v.local[r][i]
 		}
 		v.comm.compute(r, machine.Stream, int64(len(v.local[r])))
 	}
@@ -404,35 +405,26 @@ func (m *Mat) Mult(x, y *Vec) {
 }
 
 // CG solves SPD A x = b, mirroring PETSc's KSPCG: one SpMV and two
-// all-reduced dots per iteration.
+// all-reduced dots per iteration. The loop is solvers.PCGOn, without a
+// preconditioner, on m's vectors, so the comparator runs the Legate
+// series' recurrence op for op and differs only in how each operation
+// executes and is charged.
 func (m *Mat) CG(b *Vec, maxIter int, tol float64) (*Vec, []float64, bool) {
-	c := m.comm
-	x := c.NewVec(b.n)
-	r := c.NewVec(b.n)
-	r.Copy(b)
-	p := c.NewVec(b.n)
-	p.Copy(b)
-	ap := c.NewVec(b.n)
-	var hist []float64
-	rs := r.Dot(r)
-	converged := false
-	for it := 0; it < maxIter; it++ {
-		m.Mult(p, ap)
-		den := p.Dot(ap)
-		if den == 0 {
-			break
-		}
-		alpha := rs / den
-		x.AXPY(alpha, p)
-		r.AXPY(-alpha, ap)
-		rsNew := r.Dot(r)
-		hist = append(hist, math.Sqrt(rsNew))
-		if math.Sqrt(rsNew) < tol {
-			converged = true
-			break
-		}
-		p.AYPX(rsNew/rs, r)
-		rs = rsNew
-	}
-	return x, hist, converged
+	res := solvers.PCGOn(vecSpace{m}, "cg", b, nil, maxIter, tol)
+	return res.X, res.Residuals, res.Converged
+}
+
+// vecSpace is the solvers.Space of m's distributed vectors.
+type vecSpace struct{ m *Mat }
+
+func (s vecSpace) Zeros() *Vec                   { return s.m.comm.NewVec(s.m.rows) }
+func (s vecSpace) Free(*Vec)                     {}
+func (s vecSpace) Copy(dst, src *Vec)            { dst.Copy(src) }
+func (s vecSpace) MatVec(dst, src *Vec)          { s.m.Mult(src, dst) }
+func (s vecSpace) Dot(a, b *Vec) float64         { return a.Dot(b) }
+func (s vecSpace) AXPY(alpha float64, x, y *Vec) { y.AXPY(alpha, x) }
+func (s vecSpace) Scale(alpha float64, v *Vec)   { v.Scale(alpha) }
+func (s vecSpace) Err() error                    { return nil }
+func (s vecSpace) AXPBY(alpha float64, x *Vec, beta float64, y *Vec) {
+	y.AXPBY(alpha, beta, x)
 }

@@ -125,9 +125,9 @@ func TestVecOps(t *testing.T) {
 	if n := x.Norm(); math.Abs(n-math.Sqrt(55)) > 1e-12 {
 		t.Fatalf("norm = %v", n)
 	}
-	y.AYPX(0.5, x) // y = x + y/2
+	y.AXPBY(1, 0.5, x) // y = x + y/2
 	if got := y.ToSlice(); got[0] != 1+1.5 {
-		t.Fatalf("AYPX wrong: %v", got)
+		t.Fatalf("AXPBY wrong: %v", got)
 	}
 	y.Scale(2)
 	z := comm.NewVec(5)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/prof"
+	"repro/internal/solvers"
 )
 
 // RequestMeta carries transport-derived request context into the
@@ -31,7 +32,7 @@ type RequestMeta struct {
 // SolveRequest asks for an iterative solve of A x = b.
 type SolveRequest struct {
 	Matrix  string    `json:"matrix"`             // preset name or uploaded matrix
-	Solver  string    `json:"solver,omitempty"`   // cg|cgs|bicg|bicgstab|gmres (default cg)
+	Solver  string    `json:"solver,omitempty"`   // solvers.MethodNames: cg|pcg|cgs|bicg|bicgstab|gmres (default cg)
 	Format  string    `json:"format,omitempty"`   // csr|csc|coo|dia|bsr (default csr)
 	Tol     float64   `json:"tol,omitempty"`      // convergence tolerance (default 1e-8)
 	MaxIter int       `json:"max_iter,omitempty"` // iteration cap (default 200)
@@ -39,6 +40,30 @@ type SolveRequest struct {
 	B       []float64 `json:"b,omitempty"`        // right-hand side (default all ones)
 
 	Meta RequestMeta `json:"-"`
+}
+
+// Validate fills the request's defaults and reports an unknown solver.
+// Only a zero tolerance takes the default: a negative one is kept, so the
+// solve runs its max_iter iterations without converging. Every backend's
+// Solve applies it first, so the sharded and the single-process paths
+// read the same request.
+func (r *SolveRequest) Validate() error {
+	if r.Solver == "" {
+		r.Solver = "cg"
+	}
+	if _, err := solvers.Lookup(r.Solver); err != nil {
+		return err
+	}
+	if r.Tol == 0 {
+		r.Tol = 1e-8
+	}
+	if r.MaxIter <= 0 {
+		r.MaxIter = 200
+	}
+	if r.Restart <= 0 {
+		r.Restart = 30
+	}
+	return nil
 }
 
 // SolveResponse is the outcome of a SolveRequest.
@@ -79,6 +104,14 @@ type EigenRequest struct {
 	Seed   uint64 `json:"seed,omitempty"`
 
 	Meta RequestMeta `json:"-"`
+}
+
+// SetDefaults fills the request's defaults; every backend's Eigen
+// applies it first.
+func (r *EigenRequest) SetDefaults() {
+	if r.Iters <= 0 {
+		r.Iters = 50
+	}
 }
 
 // EigenResponse is the outcome of an EigenRequest.

@@ -305,22 +305,8 @@ func (e *Engine) FlushCaches() {
 
 // Solve validates and serves one SolveRequest.
 func (e *Engine) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	if req.Solver == "" {
-		req.Solver = "cg"
-	}
-	switch req.Solver {
-	case "cg", "cgs", "bicg", "bicgstab", "gmres":
-	default:
-		return nil, badRequest(fmt.Errorf("unknown solver %q", req.Solver))
-	}
-	if req.Tol == 0 {
-		req.Tol = 1e-8
-	}
-	if req.MaxIter <= 0 {
-		req.MaxIter = 200
-	}
-	if req.Restart <= 0 {
-		req.Restart = 30
+	if err := req.Validate(); err != nil {
+		return nil, badRequest(err)
 	}
 	resp, err := e.dispatch(ctx, req.Meta, classSolve, req.Matrix, req.Format, req)
 	if err != nil {
@@ -340,9 +326,7 @@ func (e *Engine) SpMV(ctx context.Context, req *SpMVRequest) (*SpMVResponse, err
 
 // Eigen validates and serves one EigenRequest.
 func (e *Engine) Eigen(ctx context.Context, req *EigenRequest) (*EigenResponse, error) {
-	if req.Iters <= 0 {
-		req.Iters = 50
-	}
+	req.SetDefaults()
 	resp, err := e.dispatch(ctx, req.Meta, classEigen, req.Matrix, req.Format, req)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,8 @@ package engine
 
 // Unit tests for the lifecycle machinery that the end-to-end overload
 // suite (httpapi) cannot reach deterministically: the breaker's close
-// path and the retry policy's jitter function.
+// path, the retry policy's jitter function, and a worker that must
+// survive hostile request fields.
 
 import (
 	"context"
@@ -197,5 +198,27 @@ func TestOverloadQueuedCountsBatch(t *testing.T) {
 	}
 	if got := w.queued.Load(); got != 0 {
 		t.Fatalf("queued after a refused submit = %d, want 0", got)
+	}
+}
+
+// TestSolveHugeRestartServed: restart is client input. GMRES sizes its
+// basis by the steps it runs, not by restart, so an absurd restart is
+// served like any other instead of panicking the worker and costing a
+// runtime replacement.
+func TestSolveHugeRestartServed(t *testing.T) {
+	e, err := New(Config{Pool: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	resp, err := e.Solve(context.Background(), &SolveRequest{Matrix: "eye:8", Solver: "gmres", Restart: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Converged {
+		t.Errorf("gmres on eye:8 did not converge in %d iterations", resp.Iterations)
+	}
+	if n := e.Metrics().Pool.Replacements; n != 0 {
+		t.Errorf("runtime replacements = %d, want 0", n)
 	}
 }

@@ -718,19 +718,11 @@ func (w *worker) runSolve(b *binding, j *job) error {
 	}
 	defer rhs.Destroy()
 
-	var res *solvers.Result
-	switch req.Solver {
-	case "cg":
-		res = solvers.CG(b.mat, rhs, req.MaxIter, req.Tol)
-	case "cgs":
-		res = solvers.CGS(b.mat, rhs, req.MaxIter, req.Tol)
-	case "bicg":
-		res = solvers.BiCG(b.mat, rhs, req.MaxIter, req.Tol)
-	case "bicgstab":
-		res = solvers.BiCGSTAB(b.mat, rhs, req.MaxIter, req.Tol)
-	case "gmres":
-		res = solvers.GMRES(b.mat, rhs, req.Restart, req.MaxIter, req.Tol)
+	solve, err := solvers.Lookup(req.Solver)
+	if err != nil {
+		return clientError{err}
 	}
+	res := solve(b.mat, rhs, req.Restart, req.MaxIter, req.Tol)
 	if rt.Err() != nil {
 		return rt.Err()
 	}

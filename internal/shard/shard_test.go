@@ -109,6 +109,8 @@ func TestShardedServeBitIdenticalToSingleProcess(t *testing.T) {
 	single := newSingleEngine(t)
 	ctx := context.Background()
 
+	// A negative tolerance is kept, not defaulted: neither path converges.
+	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "poisson2d:10", Tol: -1, MaxIter: 60})
 	for _, m := range testPresets {
 		solveBoth(t, c, single, &engine.SolveRequest{Matrix: m, Tol: 1e-10, MaxIter: 150})
 
@@ -176,6 +178,8 @@ func TestShardFailoverBitIdentity(t *testing.T) {
 	single := newSingleEngine(t)
 	ctx := context.Background()
 
+	// A negative tolerance is kept, not defaulted: neither path converges.
+	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "poisson2d:10", Tol: -1, MaxIter: 60})
 	for _, m := range testPresets {
 		solveBoth(t, c, single, &engine.SolveRequest{Matrix: m, Tol: 1e-10, MaxIter: 150})
 
@@ -245,6 +249,7 @@ func TestShardPassthroughNonCG(t *testing.T) {
 
 	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "poisson2d:8", Solver: "bicgstab", Tol: 1e-10})
 	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "banded:40", Solver: "gmres", Tol: 1e-10})
+	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "poisson2d:8", Solver: "pcg", Tol: 1e-10})
 
 	gy, err := c.SpMV(ctx, &engine.SpMVRequest{Matrix: "poisson2d:8", Format: "coo"})
 	if err != nil {

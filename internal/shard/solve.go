@@ -130,32 +130,18 @@ func (c *Coordinator) SpMV(ctx context.Context, req *engine.SpMVRequest) (*engin
 // other solvers through whole.
 func (c *Coordinator) Solve(ctx context.Context, req *engine.SolveRequest) (*engine.SolveResponse, error) {
 	start := time.Now()
-	solver := req.Solver
-	if solver == "" {
-		solver = "cg"
-	}
-	switch solver {
-	case "cg", "cgs", "bicg", "bicgstab", "gmres":
-	default:
-		return nil, badRequest(fmt.Errorf("unknown solver %q", solver))
+	if err := req.Validate(); err != nil {
+		return nil, badRequest(err)
 	}
 	ctx, cancel, d, err := c.admit(ctx, req.Meta, req.Matrix)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
-	if solver != "cg" || !distributableFormat(req.Format) {
+	if req.Solver != "cg" || !distributableFormat(req.Format) {
 		return passthrough(c, ctx, d, func(e engine.Backend) (*engine.SolveResponse, error) {
 			return e.Solve(ctx, req)
 		})
-	}
-	tol := req.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	maxIter := req.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
 	}
 	b := req.B
 	if len(b) == 0 {
@@ -164,7 +150,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *engine.SolveRequest) (*eng
 		return nil, badRequest(fmt.Errorf("b has %d entries, matrix has %d rows", len(b), d.Rows))
 	}
 	p, hit := c.planFor(d)
-	resp, err := c.distCG(ctx, p, b, tol, maxIter)
+	resp, err := c.distCG(ctx, p, b, req.Tol, req.MaxIter)
 	if err != nil {
 		return nil, err
 	}
@@ -194,6 +180,7 @@ func (c *Coordinator) distCG(ctx context.Context, p *plan, b []float64, tol floa
 // formats through whole.
 func (c *Coordinator) Eigen(ctx context.Context, req *engine.EigenRequest) (*engine.EigenResponse, error) {
 	start := time.Now()
+	req.SetDefaults()
 	ctx, cancel, d, err := c.admit(ctx, req.Meta, req.Matrix)
 	if err != nil {
 		return nil, err
@@ -204,12 +191,8 @@ func (c *Coordinator) Eigen(ctx context.Context, req *engine.EigenRequest) (*eng
 			return e.Eigen(ctx, req)
 		})
 	}
-	iters := req.Iters
-	if iters <= 0 {
-		iters = 50
-	}
 	p, hit := c.planFor(d)
-	lambda, vec, err := c.distEigen(ctx, p, iters, req.Seed)
+	lambda, vec, err := c.distEigen(ctx, p, req.Iters, req.Seed)
 	if err != nil {
 		return nil, err
 	}
