@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // tinyOptions keeps figure tests fast while preserving the regimes the
 // shape assertions need.
@@ -180,4 +183,16 @@ func TestCGGolden(t *testing.T) {
 	opt.UnitsPerProc = 128
 	opt.Runs = 1
 	checkGolden(t, "testdata/cg.golden", Fig9CG(opt).FormatFigure())
+}
+
+// TestQuantumGolden pins the Figure 11 rows and the quantum
+// analysis-scaling ablation against testdata/quantum.golden, at a size
+// where the Hamiltonian SpMV is over the inline grain: its points are
+// queued and run concurrently, so the rows hold only because every
+// launch is mapped at issue. Run with -update to rewrite the file.
+func TestQuantumGolden(t *testing.T) {
+	opt := tinyOptions()
+	ab := AblationAnalysisScaling(opt)
+	checkGolden(t, "testdata/quantum.golden", Fig11Quantum(opt).FormatFigure()+
+		fmt.Sprintf("%s\n  %s\n  with: %v   without: %v\n", ab.Name, ab.Metric, ab.With, ab.Without))
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,6 +47,56 @@ func TestRunPresetSmoke(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPresetsDeterministic: every profiling preset on 4 GPUs publishes
+// the same spans, coherence copies and memory events on every run, at
+// GOMAXPROCS 1 and 2. The quantum and pagerank presets queue launches
+// whose points read overlapping images; each launch is mapped at issue,
+// in point order, so which point fetched a shared piece first cannot
+// move a copy, a span or the clock.
+func TestPresetsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range Presets() {
+		t.Run(name, func(t *testing.T) {
+			var want *prof.Trace
+			for _, cpus := range []int{1, 2} {
+				runtime.GOMAXPROCS(cpus)
+				for run := 0; run < 2; run++ {
+					sink := prof.NewSink(0)
+					if err := RunPreset(name, machine.GPU, 4, SmallOptions(), sink); err != nil {
+						t.Fatalf("preset %q: %v", name, err)
+					}
+					got := sink.Snapshot()
+					if got.DroppedSpans+got.DroppedCopies != 0 {
+						t.Fatalf("sink dropped %d spans and %d copies", got.DroppedSpans, got.DroppedCopies)
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					if d := firstDiff("spans", got.Spans, want.Spans) + firstDiff("copies", got.Copies, want.Copies) +
+						firstDiff("mem events", got.Mem, want.Mem); d != "" {
+						t.Fatalf("GOMAXPROCS=%d run %d differs from the first run: %s", cpus, run, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstDiff describes the first element where got and want differ, or
+// their lengths if one is a prefix of the other; "" when equal.
+func firstDiff[T comparable](name string, got, want []T) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("%s[%d] = %+v, want %+v; ", name, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d %s, want %d; ", len(got), name, len(want))
+	}
+	return ""
 }
 
 // TestRunPresetUnknown: an unrecognized preset name is an error, not a

@@ -1,7 +1,10 @@
 package legion
 
 import (
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/machine"
@@ -89,9 +92,9 @@ func TestMultiRectPartitionRequirement(t *testing.T) {
 	}
 }
 
-// TestDestroyWaitsForInFlightUse: destroying a region immediately after
+// TestDestroyDuringInFlightUse: destroying a region immediately after
 // launching work on it must not corrupt results or accounting.
-func TestDestroyWaitsForInFlightUse(t *testing.T) {
+func TestDestroyDuringInFlightUse(t *testing.T) {
 	rt := newTestRuntime(t, 4)
 	out := rt.CreateRegion("out", 1000, Float64)
 	outPart := rt.BlockPartition(out, 4)
@@ -111,13 +114,68 @@ func TestDestroyWaitsForInFlightUse(t *testing.T) {
 		acc.Add(out, outPart, ReadWrite)
 		acc.Add(tmp, tmpPart, ReadOnly)
 		acc.Execute()
-		rt.Destroy(tmp) // no Fence: Destroy must quiesce on its own
+		rt.Destroy(tmp) // no Fence
 	}
 	rt.Fence()
 	for i, v := range out.Float64s() {
 		if v != 20 {
 			t.Fatalf("out[%d] = %v, want 20", i, v)
 		}
+	}
+}
+
+// TestDestroyDoesNotWaitForQueuedUse: the launches that use a region were
+// mapped when they were issued, so Destroy pools its allocations at once,
+// even while a queued launch reading it is stalled. The outcome —
+// contents, and modeled memory once a same-sized region has reused the
+// pool — equals the Fence-then-Destroy order's.
+func TestDestroyDoesNotWaitForQueuedUse(t *testing.T) {
+	type outcome struct {
+		Dst  []float64
+		Used []int64
+	}
+	run := func(fenceFirst bool) outcome {
+		rt := newTestRuntime(t, 2)
+		rt.inlineGrain = 0 // queue every launch
+		src, dst := rt.CreateRegion("src", 64, Float64), rt.CreateRegion("dst", 64, Float64)
+		fill(rt, src, func(i int64) float64 { return float64(i) })
+		release := make(chan struct{})
+		var once sync.Once
+		open := func() { once.Do(func() { close(release) }) }
+		// A Destroy that waits for the stalled launch fails, not hangs.
+		stall := time.AfterFunc(5*time.Second, open)
+		defer stall.Stop()
+		l := rt.NewLaunch("double", 2, func(tc *TaskContext) {
+			<-release
+			d, s := tc.Float64(0), tc.Float64(1)
+			tc.Subspace(0).Each(func(i int64) { d[i] = 2 * s[i] })
+		})
+		l.Add(dst, rt.BlockPartition(dst, 2), WriteDiscard)
+		l.Add(src, rt.BlockPartition(src, 2), ReadOnly)
+		l.Execute()
+		if fenceFirst {
+			open()
+			rt.Fence()
+		}
+		rt.Destroy(src)
+		select {
+		case <-release:
+			if !fenceFirst {
+				t.Error("Destroy waited for the stalled launch that reads the region")
+			}
+		default:
+		}
+		open()
+		fill(rt, rt.CreateRegion("next", 64, Float64), func(int64) float64 { return 1 })
+		rt.Fence()
+		out := outcome{Dst: append([]float64(nil), dst.Float64s()...)}
+		for _, p := range rt.Procs() {
+			out.Used = append(out.Used, rt.Mapper().MemUsed(p))
+		}
+		return out
+	}
+	if got, want := run(false), run(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("Destroy while the launch is stalled: %+v\nFence, then Destroy: %+v", got, want)
 	}
 }
 

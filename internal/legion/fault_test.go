@@ -3,6 +3,7 @@ package legion
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +112,38 @@ func TestStickyErrSurfacesFromFusionWindow(t *testing.T) {
 	}
 	if rt.Err() == nil {
 		t.Fatal("sticky error must persist")
+	}
+}
+
+// TestOOMAtIssue: a launch is mapped when it is issued, so one whose
+// requirements do not fit fails inside Execute even while it is queued
+// behind a stalled launch — the sticky error is an OOMError when Execute
+// returns, none of the launch's kernels runs, and Fence still returns.
+func TestOOMAtIssue(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 1})
+	m.Cost().MemCapacity[machine.GPU] = 1024 // 128 floats
+	rt := NewRuntime(m, m.Select(machine.GPU, 2))
+	defer rt.Shutdown()
+	rt.inlineGrain = 0 // queue every launch
+	small, big := rt.CreateRegion("small", 16, Float64), rt.CreateRegion("big", 1000, Float64)
+	release := make(chan struct{})
+	stalled := rt.NewLaunch("stalled", 2, func(*TaskContext) { <-release })
+	stalled.Add(small, rt.BlockPartition(small, 2), ReadWrite)
+	stalled.Execute()
+	var ran atomic.Int64
+	over := rt.NewLaunch("over", 2, func(*TaskContext) { ran.Add(1) })
+	over.Add(small, rt.BlockPartition(small, 2), ReadOnly)
+	over.AddWhole(big, ReadOnly)
+	over.Execute()
+	err := rt.Err()
+	close(release)
+	rt.Fence()
+	var oom *OOMError
+	if !errors.As(err, &oom) {
+		t.Fatalf("Err when Execute returned = %v, want *OOMError", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d kernels of the launch that did not fit ran", n)
 	}
 }
 

@@ -80,12 +80,12 @@ func firstDifference(got, want streamOutcome) string {
 	return ""
 }
 
-// runStream runs body on a fresh 2-processor runtime with the given
-// grain and a profiling sink, and collects the outcome. body returns the
-// regions whose final contents count.
-func runStream(t *testing.T, grain int64, body func(rt *Runtime, out *streamOutcome) []*Region) streamOutcome {
+// runStream runs body on a fresh runtime of procs processors with the
+// given grain and a profiling sink, and collects the outcome. body
+// returns the regions whose final contents count.
+func runStream(t *testing.T, procs int, grain int64, body func(rt *Runtime, out *streamOutcome) []*Region) streamOutcome {
 	t.Helper()
-	rt := newTestRuntime(t, 2)
+	rt := newTestRuntime(t, procs)
 	rt.inlineGrain = grain
 	sink := prof.NewSink(0)
 	rt.EnableProfiling(sink)
@@ -341,20 +341,65 @@ func mixedStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
 	}
 }
 
-// TestExecutorsEquivalent runs cg-, gmg- and mixed-shaped streams with
-// every launch queued, with the shipped size selection, and with every
-// runnable launch inline: region contents and reduction values bit for
-// bit, both simulated clocks, every statistics counter, and the
+// haloStream is quantum's shape on four processors: a vector updated
+// block by block, read through an image whose color c spans block c and
+// three quarters of each neighbouring block. Points c and c+2 both need
+// the middle of block c+1, so when the points of one launch map
+// concurrently, where a point fetches that piece from — and in how many
+// copies — depends on which of them mapped first.
+func haloStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
+	return func(rt *Runtime, out *streamOutcome) []*Region {
+		const n = 1 << 12
+		procs := rt.LaunchDomain()
+		v, w := rt.CreateRegion("v", n, Float64), rt.CreateRegion("w", n, Float64)
+		fill(rt, v, func(i int64) float64 { return float64(i%9) / 8 })
+		blocks := rt.BlockPartition(v, procs)
+		reach := n / int64(procs) * 3 / 4
+		var cols []int64
+		var segs []geometry.Rect
+		for c := 0; c < procs; c++ {
+			b := blocks.Subspace(c).Bounds()
+			lo := int64(len(cols))
+			for i := max(b.Lo-reach, 0); i <= min(b.Hi+reach, n-1); i++ {
+				cols = append(cols, i)
+			}
+			segs = append(segs, geometry.NewRect(lo, int64(len(cols))-1))
+		}
+		crd := rt.CreateInt64("crd", cols)
+		halo := rt.ImageCoord(crd, rt.PartitionByRects(crd, segs), v)
+		for r := 0; r < rounds; r++ {
+			l := rt.NewLaunch("halo", procs, func(tc *TaskContext) {
+				d, s := tc.Float64(0), tc.Float64(1)
+				var sum float64
+				tc.Subspace(1).Each(func(i int64) { sum += s[i] })
+				tc.Subspace(0).Each(func(i int64) { d[i] = s[i] + sum/n })
+				tc.Reduce(sum)
+			})
+			l.Add(w, rt.AlignedPartition(blocks, w), WriteDiscard)
+			l.Add(v, halo, ReadOnly)
+			out.Futures = append(out.Futures, l.Execute().Get())
+			elementwise(rt, "relax", v, w, func(d, s float64) float64 { return (d + s) / 2 })
+		}
+		return []*Region{v, w}
+	}
+}
+
+// TestExecutorsEquivalent runs cg-, gmg-, mixed- and halo-shaped streams
+// with every launch queued, with the shipped size selection, and with
+// every runnable launch inline: region contents and reduction values bit
+// for bit, both simulated clocks, every statistics counter, and the
 // profiler's launch, dependence and span records must not depend on
 // which goroutine ran a point. Five runs each, at GOMAXPROCS 1 and 2.
 func TestExecutorsEquivalent(t *testing.T) {
 	streams := []struct {
-		name string
-		body func(rt *Runtime, out *streamOutcome) []*Region
+		name  string
+		procs int
+		body  func(rt *Runtime, out *streamOutcome) []*Region
 	}{
-		{"cg", cgStream(1<<10, 6)},
-		{"gmg", gmgStream(1<<10, 4)},
-		{"mixed", mixedStream(5)},
+		{"cg", 2, cgStream(1<<10, 6)},
+		{"gmg", 2, gmgStream(1<<10, 4)},
+		{"mixed", 2, mixedStream(5)},
+		{"halo", 4, haloStream(3)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, s := range streams {
@@ -364,7 +409,7 @@ func TestExecutorsEquivalent(t *testing.T) {
 				runtime.GOMAXPROCS(cpus)
 				for run := 0; run < 5; run++ {
 					for _, g := range grains {
-						got := runStream(t, g.grain, s.body)
+						got := runStream(t, s.procs, g.grain, s.body)
 						if want.Launches == nil {
 							want = got
 							continue

@@ -3,7 +3,6 @@ package legion
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/geometry"
@@ -79,9 +78,10 @@ func newProcMemory() *procMemory {
 //
 // Legate Sparse and cuNumeric share one Mapper per runtime — the paper's
 // "point of coupling at the runtime layer between the libraries".
+// Its one caller is the application goroutine, mapping each launch at
+// issue in program order (Runtime.mapLaunch), so it needs no lock.
 type Mapper struct {
 	rt *Runtime
-	mu sync.Mutex
 
 	mems     map[machine.ProcID]*procMemory
 	host     *procMemory
@@ -111,8 +111,6 @@ func (m *Mapper) mem(p machine.ProcID) *procMemory {
 
 // regionCreated marks a fresh region valid in host memory.
 func (m *Mapper) regionCreated(r *Region) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r.size > 0 {
 		m.host.valid[r.id] = geometry.NewIntervalSet(r.Domain())
 	}
@@ -121,8 +119,6 @@ func (m *Mapper) regionCreated(r *Region) {
 // regionDestroyed frees the region's allocations into each processor's
 // pool and drops validity state.
 func (m *Mapper) regionDestroyed(r *Region) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, pm := range m.mems {
 		for _, a := range pm.allocs[r.id] {
 			pm.pool = append(pm.pool, pooledAlloc{elemSize: a.elemSize, extent: a.extent})
@@ -140,8 +136,6 @@ func (m *Mapper) regionDestroyed(r *Region) {
 // only valid copy lived there are re-fetched from host on next use —
 // or rewritten outright by recovery replay.
 func (m *Mapper) evictProcessor(p machine.ProcID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.dead == nil {
 		m.dead = map[machine.ProcID]bool{}
 	}
@@ -170,9 +164,6 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 	if sub.Empty() {
 		return res, nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	pm := m.mem(proc)
 	cost := m.rt.cost
 	kind := m.rt.mach.Proc(proc).Kind
@@ -421,14 +412,10 @@ func (m *Mapper) sourceOrder(proc machine.ProcID) []machine.ProcID {
 
 // MemUsed returns the modeled bytes resident on a processor.
 func (m *Mapper) MemUsed(p machine.ProcID) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.mem(p).used
 }
 
 // ValidOn returns the indices of r currently valid on p (for tests).
 func (m *Mapper) ValidOn(p machine.ProcID, r *Region) geometry.IntervalSet {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.mem(p).valid[r.id]
 }

@@ -258,34 +258,18 @@ func (rt *Runtime) errSet() bool {
 }
 
 // Destroy marks a region out of scope: its allocations return to the
-// mapper's free pools for reuse by future regions (§4.3). The caller
-// must ensure no outstanding launch uses the region (Fence if unsure).
+// mapper's free pools for reuse by future regions (§4.3). Issued launches
+// may still use it — they were mapped at issue — but no later one may.
 func (rt *Runtime) Destroy(r *Region) {
 	if r == nil || r.destroyed {
 		return
 	}
-	// Buffered launches may use the region; issue them before quiescing.
+	// Buffered launches may use the region; issue, and so map, them first.
 	rt.FlushFusion()
 	// Resolve outstanding failures first: replay may still write the
 	// region, and pooling its allocations mid-recovery would skew the
 	// modeled accounting.
 	rt.maybeRecover()
-	// Quiesce: wait for every outstanding launch that reads or writes
-	// the region, so pooling its allocations cannot race with in-flight
-	// mapping (which would also make the modeled memory accounting
-	// nondeterministic).
-	rt.mu.Lock()
-	var users []*launchState
-	if st := rt.regions[r.id]; st != nil {
-		if st.lastWriter != nil {
-			users = append(users, st.lastWriter)
-		}
-		users = append(users, st.readers...)
-	}
-	rt.mu.Unlock()
-	for _, u := range users {
-		u.wait()
-	}
 	r.destroyed = true
 	rt.map_.regionDestroyed(r)
 	rt.mu.Lock()
@@ -496,8 +480,8 @@ func (rt *Runtime) noteWrites(reqs []req) {
 	rt.mu.Unlock()
 }
 
-// newLaunchState builds the record of one execution of l and registers
-// it with the fence; the launch completes when all its points have run.
+// newLaunchState builds and maps the record of one execution of l and
+// registers it with the fence; it completes when all its points have run.
 func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 	ls := &launchState{
 		name:    l.name,
@@ -513,13 +497,37 @@ func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 	}
 	ls.fut = Future{launch: ls, rt: rt}
 	if l.points <= len(ls.partialBuf) {
-		ls.pointPartials = ls.partialBuf[:l.points]
+		ls.pointPartials, ls.copyTimes = ls.partialBuf[:l.points], ls.copyBuf[:l.points]
 	} else {
-		ls.pointPartials = make([]float64, l.points)
+		ls.pointPartials, ls.copyTimes = make([]float64, l.points), make([]time.Duration, l.points)
 	}
+	rt.mapLaunch(ls)
 	ls.remaining.Store(int64(l.points))
 	rt.pending.Add(1)
 	return ls
+}
+
+// mapLaunch maps each point's requirements onto its processor, in point
+// order, and keeps the point's copy time for runPoint. Every execution of
+// a launch is built by newLaunchState on the application goroutine, so
+// the mapper sees the launch stream in program order, whoever runs the
+// points. Like kernels, mapping is skipped after the sticky error or a
+// cancellation.
+func (rt *Runtime) mapLaunch(ls *launchState) {
+	if rt.errSet() || rt.cancelFired.Load() {
+		return
+	}
+	for p := 0; p < ls.points; p++ {
+		proc := rt.workerForPoint(ls, p).proc
+		for _, rq := range ls.reqs {
+			res, err := rt.map_.mapRequirement(proc, rq.region, rq.subspace(p), rq.priv)
+			if err != nil {
+				rt.setErr(err)
+				return
+			}
+			ls.copyTimes[p] += res.copyTime
+		}
+	}
 }
 
 // executeNow issues the launch immediately, bypassing the fusion window.
@@ -721,9 +729,8 @@ func (rt *Runtime) dispatch(ls *launchState) {
 	}
 }
 
-// runPoint executes one point task on w's processor: map its region
-// requirements (modeling allocation and coherence copies), run the real
-// kernel, update the simulated timeline, and complete the launch when it
+// runPoint executes one point task on w's processor: run the real
+// kernel, charge the simulated timeline, and complete the launch when it
 // is the last point. It runs on w's goroutine for a queued launch and on
 // the application goroutine for an inline or replayed one.
 func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
@@ -734,26 +741,11 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 	}
 	proc, tc := w.proc, &w.tc
 	tc.bind(ls, point, ls.reqs, ls.args)
-	subs := tc.subs
-	var copyTime time.Duration
-	// A cancelled stream skips mapping and kernels: points still charge
-	// their timelines and complete, so fences return promptly and the
-	// worker is released instead of computing an abandoned result.
-	failed := rt.errSet() || rt.cancelFired.Load()
-	if !failed {
-		for i, rq := range ls.reqs {
-			res, err := rt.map_.mapRequirement(proc, rq.region, subs[i], rq.priv)
-			if err != nil {
-				rt.setErr(err)
-				failed = true
-				break
-			}
-			copyTime += res.copyTime
-		}
-	}
-
+	// After the sticky error or a cancellation only the kernel is skipped:
+	// the point still charges its timeline and completes, so fences return
+	// promptly and no worker computes an abandoned result.
 	var work int64
-	if !failed {
+	if !rt.errSet() && !rt.cancelFired.Load() {
 		var kerr error
 		work, kerr = rt.execPoint(ls, tc)
 		if kerr != nil {
@@ -777,7 +769,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 	// processor is free; it then pays the per-point overhead, its input
 	// copies, and its kernel time.
 	kind := rt.mach.Proc(proc).Kind
-	dur := rt.cost.PointOverhead + copyTime + rt.cost.KernelTime(kind, ls.opClass, work)
+	dur := rt.cost.PointOverhead + ls.copyTimes[point] + rt.cost.KernelTime(kind, ls.opClass, work)
 	if !ls.replay {
 		rt.profile.recordPointTime(ls.name, dur)
 	}

@@ -214,14 +214,20 @@ func (tc *TaskContext) bind(ls *launchState, point int, reqs []req, args any) {
 	tc.work, tc.partial, tc.hasPartial = 0, 0, false
 	tc.subs = tc.subsBuf[:0]
 	for _, rq := range reqs {
-		var sub geometry.IntervalSet
-		if rq.part != nil {
-			sub = rq.part.Subspace(point)
-		} else if rq.region.size > 0 {
-			sub = geometry.NewIntervalSet(rq.region.Domain())
-		}
-		tc.subs = append(tc.subs, sub)
+		tc.subs = append(tc.subs, rq.subspace(point))
 	}
+}
+
+// subspace returns the indices of rq that point touches: its color of the
+// partition, or the whole region for an unpartitioned requirement.
+func (rq req) subspace(point int) geometry.IntervalSet {
+	if rq.part != nil {
+		return rq.part.Subspace(point)
+	}
+	if rq.region.size > 0 {
+		return geometry.NewIntervalSet(rq.region.Domain())
+	}
+	return geometry.IntervalSet{}
 }
 
 // Point returns this point task's color within the launch domain.
@@ -332,6 +338,8 @@ type launchState struct {
 	// timeline; it may start once its dependencies' finish times have
 	// passed; finishAt is the max point-task finish time.
 	issueAt    time.Duration
+	copyTimes  []time.Duration  // each point's copy time, set by mapLaunch at issue
+	copyBuf    [4]time.Duration // backs copyTimes for narrow launches
 	depReadyAt time.Duration
 	finishMu   sync.Mutex
 	finishAt   time.Duration

@@ -23,9 +23,9 @@ type workItem struct {
 // Strict program order per processor is deadlock-free: a launch's
 // dependencies always have lower sequence numbers, so every point this
 // one could wait on sits *earlier* in some queue, never later. The
-// payoff is determinism — the modeled memory accounting and simulated
-// timelines are identical across runs, which the benchmark harness and
-// the OOM-driven minimum-resource search rely on.
+// payoff is determinism — with every launch mapped at issue
+// (Runtime.mapLaunch), the simulated timelines are identical across
+// runs, which the benchmark harness relies on.
 //
 // The order is a property of the processor, not of a goroutine: the
 // worker's own goroutine drains the queue, and the application goroutine
