@@ -72,12 +72,11 @@ overload:
 serve:
 	$(GO) test -race -count=1 -timeout 120s ./internal/serve/...
 
-# shard runs the scatter/gather execution-plane chaos suite under the
-# race detector: a 2-shard deployment bit-identical to a single-process
-# engine for every preset (CG, power iteration, SpMV), replica failover
-# under seeded fault injection with the same bit-identity, coordinator
-# drain, passthrough routing, and the partition/ring/reduction-fold
-# unit invariants.
+# shard runs the shard router's chaos suite under the race detector: a
+# 2-shard deployment bit-identical to a single-process engine for every
+# preset (CG, power iteration, SpMV), failover under seeded fault
+# injection with the same bit-identity, coordinator drain, re-upload
+# routing, the matrix listing, and the name-placement invariants.
 shard:
 	$(GO) test -race -count=1 -timeout 120s -run 'Shard' ./internal/shard/
 

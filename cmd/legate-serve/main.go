@@ -8,14 +8,12 @@
 //	legate-serve -addr :8080 -pool 2 -procs 4 -kind cpu
 //	             [-deadline 0] [-max-queue 256] [-quota RATE[:BURST]]
 //	             [-breaker N] [-breaker-cooldown 2s] [-drain 10s]
-//	             [-shards N] [-replicas R]
+//	             [-shards N]
 //
 // With -shards > 1 the binary runs N in-process engine instances behind
-// one scatter/gather coordinator (internal/shard): uploads are
-// partitioned into nnz-balanced row blocks placed by consistent hashing
-// over content fingerprints, CG/SpMV/power-iteration execute
-// distributed with bit-identical results, and -replicas controls how
-// many engines can answer for each block when one degrades.
+// one router (internal/shard): each request goes whole to the engine
+// that owns its matrix name and fails over to the next engine when that
+// one degrades, with results bit-identical to a single engine.
 //
 // SIGINT/SIGTERM triggers graceful shutdown: the server stops admitting
 // (new requests shed 503 "draining"), in-flight requests get up to
@@ -85,8 +83,7 @@ func main() {
 		brkCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "open -> half-open probe delay")
 		retries     = flag.Int("retry-budget", 2, "total executions per degraded batch group")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-		shards      = flag.Int("shards", 1, "in-process engine shards behind a scatter/gather coordinator (1 = single-process)")
-		replicas    = flag.Int("replicas", 2, "engines that can answer for each row block when a shard degrades (capped at -shards)")
+		shards      = flag.Int("shards", 1, "in-process engine shards behind a router that places each matrix by name (1 = single-process)")
 	)
 	flag.Parse()
 
@@ -119,7 +116,7 @@ func main() {
 	// touching a single handler.
 	var backend engine.Backend
 	if *shards > 1 {
-		c, err := shard.New(shard.Config{Shards: *shards, Replicas: *replicas, Engine: ecfg})
+		c, err := shard.New(shard.Config{Shards: *shards, Engine: ecfg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "legate-serve:", err)
 			os.Exit(1)

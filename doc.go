@@ -58,15 +58,15 @@
 //	                         admission control (wire-format agnostic)
 //	internal/serve/httpapi   the HTTP JSON transport over any Backend
 //	internal/serve/loopback  the in-process deep-copy transport
-//	internal/shard           multi-shard scatter/gather execution plane:
-//	                         nnz-balanced row blocks, consistent-hash
-//	                         placement, the solvers' loops on a host Space
+//	internal/shard           multi-shard router: each request goes whole
+//	                         to the engine that owns its matrix name,
+//	                         with failover to the next
 //	internal/bench           figure/table regeneration and ablations
 //
 // Commands:
 //
 //	cmd/legate-serve     HTTP solver service with warm runtime pool
-//	                     (-shards runs the sharded execution plane)
+//	                     (-shards routes over several engines)
 //	cmd/legate-bench     paper experiments and ablations
 //	cmd/figures          EXPERIMENTS.md table generator
 //	cmd/legate-prof      profiler artifact exporter

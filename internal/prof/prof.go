@@ -137,9 +137,9 @@ const (
 	// MarkBreaker is a circuit-breaker state transition; Task carries
 	// the new state (open, half-open, closed).
 	MarkBreaker
-	// MarkFailover is a shard-coordinator block request retried on a
-	// replica engine after its primary degraded; Proc carries the shard
-	// that was abandoned and Task the block name.
+	// MarkFailover is a shard-coordinator request retried on the next
+	// engine after the one it tried degraded; Proc carries the shard
+	// that was abandoned and Task the matrix name.
 	MarkFailover
 )
 

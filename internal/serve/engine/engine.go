@@ -357,10 +357,6 @@ func (e *Engine) Upload(_ context.Context, req *UploadRequest) (*UploadResponse,
 // uploads), sorted by name.
 func (e *Engine) Matrices() []MatrixInfo { return e.store.List() }
 
-// Store exposes the engine's matrix store (coordinators share preset
-// definitions through it).
-func (e *Engine) Store() *Store { return e.store }
-
 // dispatch runs the full request lifecycle: resolve the matrix, derive
 // the deadline context, pass admission control (drain gate, tenant
 // quota, circuit breaker, queue-wait budget, bounded queue), hand the

@@ -91,7 +91,7 @@ func FuzzFromTriples(f *testing.F) {
 		if req.Rows > 4096 || req.Cols > 4096 {
 			t.Skip("accepted, too large to materialize in a fuzz run")
 		}
-		def, err := e.Store().Get(req.Name)
+		def, err := e.store.Get(req.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,8 +100,8 @@ type MetricsSnapshot struct {
 	// dispatches through that one registry.
 	PlanCache distal.RegistryStats `json:"plan_cache"`
 
-	// Shards is filled only by the shard coordinator: per-shard comms
-	// accounting for the scatter/gather execution plane.
+	// Shards is filled only by the shard coordinator: per-shard routing
+	// accounting.
 	Shards []ShardMetrics `json:"shards,omitempty"`
 }
 
@@ -146,21 +146,22 @@ type LifecycleMetrics struct {
 	BreakerTrips  int64            `json:"breaker_trips"`
 }
 
-// ShardMetrics is one shard's comms accounting row, filled by the
-// internal/shard coordinator: how many blocks it hosts, how much
-// operand/result traffic the scatter/gather plane moved through it,
-// how many fixed-order reduction partials it contributed, and how
-// often block requests failed over to a replica.
+// ShardMetrics is one shard's routing row, filled by the internal/shard
+// coordinator: how many whole requests were forwarded to the shard and
+// how many of them failed over from it to the next shard.
+//
+// Scatters, BytesOut, BytesIn and DotPartials are always 0: the
+// coordinator no longer splits a request across shards. They remain
+// only because the benchmark's shardCounts still reads them; ROADMAP
+// item 6 deletes them.
 type ShardMetrics struct {
 	Shard       int   `json:"shard"`
-	Blocks      int64 `json:"blocks"`       // row blocks placed on this shard (primary)
-	Scatters    int64 `json:"scatters"`     // block-level requests scattered to it
-	Gathers     int64 `json:"gathers"`      // block results gathered from it
-	BytesOut    int64 `json:"bytes_out"`    // operand bytes scattered to it
-	BytesIn     int64 `json:"bytes_in"`     // result bytes gathered from it
-	DotPartials int64 `json:"dot_partials"` // reduction partials it owned
-	Failovers   int64 `json:"failovers"`    // block requests retried on a replica
-	Passthrough int64 `json:"passthrough"`  // whole requests routed to it undistributed
+	Scatters    int64 `json:"scatters"`     // always 0
+	BytesOut    int64 `json:"bytes_out"`    // always 0
+	BytesIn     int64 `json:"bytes_in"`     // always 0
+	DotPartials int64 `json:"dot_partials"` // always 0
+	Failovers   int64 `json:"failovers"`    // requests retried on the next shard after failing here
+	Passthrough int64 `json:"passthrough"`  // whole requests forwarded to it (one per attempt)
 }
 
 // Metrics snapshots every counter, including per-worker plan- and

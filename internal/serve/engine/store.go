@@ -13,8 +13,7 @@ import (
 // matrix: host-side COO triples plus a content fingerprint. Every pool
 // runtime binds regions from this description on first use, so a
 // replacement runtime reconstructs bit-identical state, and the
-// fingerprint keys every cross-request cache — including the shard
-// coordinator's consistent-hash placement ring.
+// fingerprint keys every cross-request cache.
 type MatrixDef struct {
 	Name     string
 	Rows     int64
@@ -53,10 +52,7 @@ func NewStore() *Store { return &Store{byName: map[string]*MatrixDef{}} }
 // reference. Preset names have the form "preset" or "preset:n"
 // (e.g. "poisson2d:64"); see BuildPreset.
 func (s *Store) Get(name string) (*MatrixDef, error) {
-	s.mu.RLock()
-	d := s.byName[name]
-	s.mu.RUnlock()
-	if d != nil {
+	if d := s.Peek(name); d != nil {
 		return d, nil
 	}
 	d, err := BuildPreset(name)
@@ -72,6 +68,14 @@ func (s *Store) Get(name string) (*MatrixDef, error) {
 	d.Revision = s.revision
 	s.byName[name] = d
 	return d, nil
+}
+
+// Peek returns the stored definition for name, or nil. Unlike Get it
+// never materializes a preset.
+func (s *Store) Peek(name string) *MatrixDef {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.byName[name]
 }
 
 // Put registers or replaces an uploaded matrix. A replacement bumps the

@@ -1,8 +1,8 @@
 package engine
 
 // Direct unit tests for the matrix store: content addressing (the
-// fingerprints that key binding caches and the shard placement ring),
-// re-upload invalidation via revisions, and the listing surface.
+// fingerprints that key binding caches), re-upload invalidation via
+// revisions, and the listing surface.
 
 import (
 	"fmt"
@@ -96,12 +96,20 @@ func TestStoreUploadIsolation(t *testing.T) {
 }
 
 // TestStoreListing: List returns uploads and materialized presets
-// sorted by name, with preset/NNZ/fingerprint metadata filled in.
+// sorted by name, with preset/NNZ/fingerprint metadata filled in; Peek
+// sees a preset only once Get has materialized it.
 func TestStoreListing(t *testing.T) {
 	s := NewStore()
 	s.Put("zeta", 2, 2, []int64{0}, []int64{0}, []float64{1})
-	if _, err := s.Get("eye:4"); err != nil {
+	if s.Peek("eye:4") != nil || len(s.List()) != 1 {
+		t.Fatal("Peek materialized a preset")
+	}
+	d, err := s.Get("eye:4")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if s.Peek("eye:4") != d {
+		t.Fatal("Peek does not return the materialized preset")
 	}
 	s.Put("alpha", 2, 2, []int64{1}, []int64{1}, []float64{5})
 

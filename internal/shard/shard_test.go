@@ -3,21 +3,18 @@ package shard
 // The shard chaos/acceptance suite (run by `make shard`): a 2-shard
 // in-process deployment must return BIT-IDENTICAL results to a
 // single-process engine for every preset — CG solve, power iteration,
-// and SpMV — including under seeded fault injection with one shard's
-// replica failing over. Plus deterministic unit coverage for the
-// placement ring, the tile-quantized partition, and the host-side
-// reduction fold.
+// and SpMV — including under seeded fault injection with requests
+// failing over from a degraded shard. Plus deterministic unit coverage
+// for name placement, re-upload routing and the matrix listing.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"repro/internal/cunumeric"
-	"repro/internal/geometry"
-	"repro/internal/legion"
-	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/serve/engine"
 	"repro/internal/serve/loopback"
 )
@@ -30,10 +27,10 @@ func testEngineConfig() engine.Config {
 }
 
 // newShardPlane builds a coordinator over shards engines.
-func newShardPlane(t *testing.T, shards, replicas int, shardFaults []string) *Coordinator {
+func newShardPlane(t *testing.T, shards int, shardFaults []string) *Coordinator {
 	t.Helper()
 	c, err := New(Config{
-		Shards: shards, Replicas: replicas,
+		Shards:      shards,
 		Engine:      testEngineConfig(),
 		ShardFaults: shardFaults,
 	})
@@ -67,6 +64,63 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// diagonal is an n=12 diagonal upload whose contents depend on scale.
+func diagonal(name string, scale float64) *engine.UploadRequest {
+	n := int64(12)
+	req := &engine.UploadRequest{Name: name, Rows: n, Cols: n}
+	for i := int64(0); i < n; i++ {
+		req.Row = append(req.Row, i)
+		req.Col = append(req.Col, i)
+		req.Val = append(req.Val, scale+float64(i))
+	}
+	return req
+}
+
+// uploadBoth sends the same upload to both backends.
+func uploadBoth(t *testing.T, sharded, single engine.Backend, req *engine.UploadRequest) {
+	t.Helper()
+	for _, b := range []engine.Backend{sharded, single} {
+		if _, err := b.Upload(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// lookup returns name's row in a listing.
+func lookup(list []engine.MatrixInfo, name string) (engine.MatrixInfo, bool) {
+	for _, mi := range list {
+		if mi.Name == name {
+			return mi, true
+		}
+	}
+	return engine.MatrixInfo{}, false
+}
+
+// totals sums the coordinator's per-shard routing counters.
+func totals(c *Coordinator) (failovers, passthrough int64) {
+	for _, row := range c.Metrics().Shards {
+		failovers += row.Failovers
+		passthrough += row.Passthrough
+	}
+	return failovers, passthrough
+}
+
+// sameListing compares two matrix listings on everything but the
+// revision, which counts store writes and differs by deployment.
+func sameListing(t *testing.T, got, want []engine.MatrixInfo) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("listing has %d rows, want %d: %+v vs %+v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		g.Revision, w.Revision = 0, 0
+		if g != w {
+			t.Errorf("listing row %d = %+v, want %+v", i, g, w)
+		}
+	}
 }
 
 // presets under test: one of each generator family, sized to keep the
@@ -105,7 +159,7 @@ func solveBoth(t *testing.T, sharded, single engine.Backend, req *engine.SolveRe
 // a 2-shard deployment answers CG, power iteration, and SpMV with
 // results bit-identical to a single-process engine for every preset.
 func TestShardedServeBitIdenticalToSingleProcess(t *testing.T) {
-	c := newShardPlane(t, 2, 2, nil)
+	c := newShardPlane(t, 2, nil)
 	single := newSingleEngine(t)
 	ctx := context.Background()
 
@@ -149,15 +203,15 @@ func TestShardedServeBitIdenticalToSingleProcess(t *testing.T) {
 func TestShardScalingBitIdentity(t *testing.T) {
 	single := newSingleEngine(t)
 	for _, shards := range []int{1, 4} {
-		c := newShardPlane(t, shards, 2, nil)
+		c := newShardPlane(t, shards, nil)
 		solveBoth(t, c, single, &engine.SolveRequest{Matrix: "poisson2d:10", Tol: 1e-10})
 	}
 }
 
 // TestShardFailoverBitIdentity degrades shard 0 with a seeded
 // always-fault schedule (recovery off, one execution per epoch): every
-// block request placed there fails over to its replica, and the
-// results stay bit-identical to a healthy single-process engine.
+// request owned by it fails over to shard 1, and the results stay
+// bit-identical to a healthy single-process engine.
 func TestShardFailoverBitIdentity(t *testing.T) {
 	// Recovery off and one execution per epoch, so shard 0's rate:1
 	// schedule degrades every request deterministically instead of
@@ -167,7 +221,7 @@ func TestShardFailoverBitIdentity(t *testing.T) {
 	ecfg.CheckpointEvery = -1
 	ecfg.RetryBudget = 1
 	c, err := New(Config{
-		Shards: 2, Replicas: 2,
+		Shards:      2,
 		Engine:      ecfg,
 		ShardFaults: []string{"rate:1", ""},
 	})
@@ -207,6 +261,47 @@ func TestShardFailoverBitIdentity(t *testing.T) {
 	if err != nil || rep == nil {
 		t.Fatalf("shard profile report: %v", err)
 	}
+
+	// An upload owned by the degraded shard is pushed to shard 1 only
+	// when its request fails over there.
+	if placement("m", 2)[0] != 0 {
+		t.Fatal("m must be owned by the degraded shard 0")
+	}
+	uploadBoth(t, c, single, diagonal("m", 3))
+	if _, ok := lookup(c.engines[1].Matrices(), "m"); ok {
+		t.Error("m reached shard 1 before any request failed over")
+	}
+	solveBoth(t, c, single, &engine.SolveRequest{Matrix: "m", Tol: 1e-12})
+	if _, ok := lookup(c.engines[1].Matrices(), "m"); !ok {
+		t.Error("failover did not push m to shard 1")
+	}
+
+	// An unknown name is the client's error: not_found, no failover.
+	if placement("nope", 2)[0] != 0 {
+		t.Fatal("nope must be owned by the degraded shard 0")
+	}
+	before, _ := totals(c)
+	_, err = c.Solve(ctx, &engine.SolveRequest{Matrix: "nope"})
+	if code := engine.AsError(err).Code; code != engine.CodeNotFound {
+		t.Errorf("unknown matrix: code %q, want %q", code, engine.CodeNotFound)
+	}
+	after, _ := totals(c)
+	if after != before {
+		t.Errorf("unknown matrix failed over %d times, want 0", after-before)
+	}
+
+	// Every failover left a mark, and presets materialized on both
+	// shards are listed once.
+	marks := 0
+	for _, m := range c.sink.Snapshot().Marks {
+		if m.Kind == prof.MarkFailover {
+			marks++
+		}
+	}
+	if int64(marks) != after {
+		t.Errorf("%d failover marks for %d failovers", marks, after)
+	}
+	sameListing(t, c.Matrices(), single.Matrices())
 }
 
 // TestShardFailoverWithBrokenConfig rejects a ShardFaults vector whose
@@ -221,7 +316,7 @@ func TestShardFailoverWithBrokenConfig(t *testing.T) {
 // coordinator sheds new work with the retryable draining code, drains
 // every engine within the budget, and closes cleanly.
 func TestShardCoordinatorDrain(t *testing.T) {
-	c := newShardPlane(t, 2, 2, nil)
+	c := newShardPlane(t, 2, nil)
 	ctx := context.Background()
 	if _, err := c.SpMV(ctx, &engine.SpMVRequest{Matrix: "eye:8"}); err != nil {
 		t.Fatal(err)
@@ -239,11 +334,11 @@ func TestShardCoordinatorDrain(t *testing.T) {
 	}
 }
 
-// TestShardPassthroughNonCG routes what the plane does not distribute
-// — non-CG solvers, non-CSR formats — whole to one engine, still
-// bit-identical to the single-process baseline.
+// TestShardPassthroughNonCG routes non-CG solvers and non-CSR formats
+// whole to one engine like every other request, still bit-identical to
+// the single-process baseline.
 func TestShardPassthroughNonCG(t *testing.T) {
-	c := newShardPlane(t, 2, 2, nil)
+	c := newShardPlane(t, 2, nil)
 	single := newSingleEngine(t)
 	ctx := context.Background()
 
@@ -277,27 +372,17 @@ func TestShardPassthroughNonCG(t *testing.T) {
 }
 
 // TestShardUploadInvalidation re-uploads a name with new contents: the
-// new fingerprint gets a fresh plan and fresh content-addressed
-// blocks, so sharded results track the new matrix — and still match a
-// single-process engine fed the same sequence.
+// name keeps its owner, whose engine replaces the old copy, so sharded
+// results track the new matrix — and still match a single-process
+// engine fed the same sequence — and no other shard holds a copy.
 func TestShardUploadInvalidation(t *testing.T) {
-	c := newShardPlane(t, 2, 2, nil)
+	c := newShardPlane(t, 2, nil)
 	single := newSingleEngine(t)
 	ctx := context.Background()
 
-	upload := func(scale float64) *engine.UploadRequest {
-		n := int64(12)
-		req := &engine.UploadRequest{Name: "m", Rows: n, Cols: n}
-		for i := int64(0); i < n; i++ {
-			req.Row = append(req.Row, i)
-			req.Col = append(req.Col, i)
-			req.Val = append(req.Val, scale+float64(i))
-		}
-		return req
-	}
-
+	var latest string
 	for _, scale := range []float64{2, 5} {
-		ur := upload(scale)
+		ur := diagonal("m", scale)
 		cu, err := c.Upload(ctx, ur)
 		if err != nil {
 			t.Fatal(err)
@@ -309,14 +394,19 @@ func TestShardUploadInvalidation(t *testing.T) {
 		if cu.Fingerprint != su.Fingerprint || cu.NNZ != su.NNZ {
 			t.Fatalf("upload ack mismatch: %+v vs %+v", cu, su)
 		}
+		latest = cu.Fingerprint
 		solveBoth(t, c, single, &engine.SolveRequest{Matrix: "m", Tol: 1e-12})
 	}
 
-	c.mu.Lock()
-	plans := len(c.plans)
-	c.mu.Unlock()
-	if plans != 2 {
-		t.Errorf("plan cache has %d entries after re-upload, want 2 (one per fingerprint)", plans)
+	owner := placement("m", 2)[0]
+	for s, e := range c.engines {
+		mi, ok := lookup(e.Matrices(), "m")
+		switch {
+		case s == owner && (!ok || mi.Fingerprint != latest):
+			t.Errorf("owner shard %d lists m as %+v (present %v), want fingerprint %s", s, mi, ok, latest)
+		case s != owner && ok:
+			t.Errorf("shard %d holds a copy of m; only its owner %d should", s, owner)
+		}
 	}
 
 	found := false
@@ -330,162 +420,85 @@ func TestShardUploadInvalidation(t *testing.T) {
 	}
 }
 
-// TestShardDotMatchesRuntimeDot pins the fold to the machine: the
-// host-side tiled fold must reproduce cunumeric.Dot bit-for-bit across
-// sizes and launch-domain widths, including n < procs (empty tiles).
-func TestShardDotMatchesRuntimeDot(t *testing.T) {
-	for _, procs := range []int{1, 3, 4, 7} {
-		for _, n := range []int64{1, 2, 5, 16, 33, 100} {
-			a := make([]float64, n)
-			b := make([]float64, n)
-			for i := range a {
-				a[i] = cunumeric.Uniform01(11, uint64(i))*2 - 1
-				b[i] = cunumeric.Uniform01(23, uint64(i))*2 - 1
-			}
-			p := &plan{n: n, tiles: geometry.Tile(geometry.NewRect(0, n-1), procs)}
-			got := p.fold(a, b)
-
-			m := machine.New(machine.Config{Nodes: (procs + 1) / 2})
-			rt := legion.NewRuntime(m, m.Select(machine.CPU, procs))
-			av := cunumeric.FromSlice(rt, a)
-			bv := cunumeric.FromSlice(rt, b)
-			want := cunumeric.Dot(av, bv).Get()
-			rt.Shutdown()
-
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("procs=%d n=%d: fold %v != runtime dot %v", procs, n, got, want)
-			}
-		}
-	}
-}
-
-// TestShardPartitionQuantizedBalanced checks the cut invariants: block
-// boundaries land exactly on reduction-tile boundaries, groups tile
-// the row space, localized triples are complete, and the nnz balance
-// matches core.BalancedCuts' greedy guarantee.
-func TestShardPartitionQuantizedBalanced(t *testing.T) {
-	def, err := engine.BuildPreset("poisson2d:10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRing(3, 0)
-	p := buildPlan(def, 4, 3, 2, r)
-
-	tileLo := map[int64]bool{}
-	tileHi := map[int64]bool{}
-	for _, tile := range p.tiles {
-		if !tile.Empty() {
-			tileLo[tile.Lo] = true
-			tileHi[tile.Hi] = true
-		}
-	}
-	next := int64(0)
-	var nnz int64
-	for g, grp := range p.groups {
-		if grp.rows.Empty() {
-			continue
-		}
-		if grp.rows.Lo != next {
-			t.Fatalf("group %d starts at %d, want %d (groups must tile the rows)", g, grp.rows.Lo, next)
-		}
-		if !tileLo[grp.rows.Lo] || !tileHi[grp.rows.Hi] {
-			t.Errorf("group %d [%d,%d] is not tile-aligned", g, grp.rows.Lo, grp.rows.Hi)
-		}
-		if int64(len(grp.row)) != grp.nnz {
-			t.Errorf("group %d: %d triples, nnz says %d", g, len(grp.row), grp.nnz)
-		}
-		for i, ri := range grp.row {
-			if ri < 0 || ri >= grp.rows.Size() {
-				t.Fatalf("group %d triple %d: local row %d out of [0,%d)", g, i, ri, grp.rows.Size())
-			}
-		}
-		if len(grp.owners) != 2 || grp.owners[0] == grp.owners[1] {
-			t.Errorf("group %d owners = %v, want 2 distinct shards", g, grp.owners)
-		}
-		nnz += grp.nnz
-		next = grp.rows.Hi + 1
-	}
-	if next != def.Rows {
-		t.Fatalf("groups cover rows [0,%d), want [0,%d)", next, def.Rows)
-	}
-	if nnz != int64(len(def.Val)) {
-		t.Fatalf("groups hold %d triples, matrix has %d", nnz, len(def.Val))
-	}
-}
-
 // TestShardRingDeterministicPlacement checks that placement is a pure
-// function of contents, yields distinct replicas, and respects caps.
+// function of (name, shard count), that it orders every shard exactly
+// once, and that owners spread evenly over the shards.
 func TestShardRingDeterministicPlacement(t *testing.T) {
-	a := newRing(5, 64)
-	b := newRing(5, 64)
-	for key := uint64(0); key < 200; key++ {
-		pa := a.place(key, 3)
-		pb := b.place(key, 3)
-		if len(pa) != 3 {
-			t.Fatalf("key %d: %d replicas, want 3", key, len(pa))
+	const shards, names = 5, 500
+	owned := make([]int, shards)
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("matrix-%d", i)
+		pa, pb := placement(name, shards), placement(name, shards)
+		if len(pa) != shards {
+			t.Fatalf("%s: %d shards in the order, want %d", name, len(pa), shards)
 		}
-		seen := map[int]bool{}
-		for i, s := range pa {
-			if s != pb[i] {
-				t.Fatalf("key %d: placement not deterministic: %v vs %v", key, pa, pb)
+		seen := make([]bool, shards)
+		for j, s := range pa {
+			if s != pb[j] {
+				t.Fatalf("%s: placement not deterministic: %v vs %v", name, pa, pb)
 			}
-			if s < 0 || s >= 5 || seen[s] {
-				t.Fatalf("key %d: bad replica set %v", key, pa)
+			if s < 0 || s >= shards || seen[s] {
+				t.Fatalf("%s: order %v does not visit every shard once", name, pa)
 			}
 			seen[s] = true
 		}
+		owned[pa[0]]++
 	}
-	if got := a.place(1, 99); len(got) != 5 {
-		t.Errorf("replicas should cap at shard count: got %d", len(got))
-	}
-	// Spread: no shard owns everything.
-	counts := map[int]int{}
-	for key := uint64(0); key < 500; key++ {
-		counts[a.place(key, 1)[0]]++
-	}
-	for s, n := range counts {
-		if n > 350 {
-			t.Errorf("shard %d owns %d/500 keys — ring badly skewed", s, n)
+	for s, n := range owned {
+		if n < names/shards/2 || n > 2*names/shards {
+			t.Errorf("shard %d owns %d/%d names — placement badly skewed", s, n, names)
 		}
+	}
+	if got := placement("x", 1); len(got) != 1 || got[0] != 0 {
+		t.Errorf("one shard: order %v, want [0]", got)
 	}
 }
 
-// TestShardMetricsAndSpans checks the comms accounting: scatters,
-// gathers, byte counts, dot partials, and block placements all move,
-// and the shard profile class serves the scatter/gather timeline.
+// TestShardMetricsAndSpans checks the routing accounting on a healthy
+// plane: each request is one passthrough on its owner and one
+// shard.forward span, nothing fails over, the split-era counters stay
+// 0, and the shard profile class serves the forwarding timeline.
 func TestShardMetricsAndSpans(t *testing.T) {
-	c := newShardPlane(t, 2, 2, nil)
+	c := newShardPlane(t, 2, nil)
 	ctx := context.Background()
-	if _, err := c.Solve(ctx, &engine.SolveRequest{Matrix: "poisson2d:8", Tol: 1e-10}); err != nil {
-		t.Fatal(err)
+	names := []string{"poisson2d:8", "poisson2d:10"}
+	for _, m := range names {
+		if _, err := c.Solve(ctx, &engine.SolveRequest{Matrix: m, Tol: 1e-10}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap := c.Metrics()
 	if len(snap.Shards) != 2 {
 		t.Fatalf("metrics has %d shard rows, want 2", len(snap.Shards))
 	}
-	var scatters, gathers, bytesOut, bytesIn, partials, blocks int64
-	for _, row := range snap.Shards {
-		scatters += row.Scatters
-		gathers += row.Gathers
-		bytesOut += row.BytesOut
-		bytesIn += row.BytesIn
-		partials += row.DotPartials
-		blocks += row.Blocks
-	}
-	if scatters == 0 || gathers == 0 || bytesOut == 0 || bytesIn == 0 || partials == 0 {
-		t.Errorf("comms accounting did not move: scatters=%d gathers=%d out=%d in=%d partials=%d",
-			scatters, gathers, bytesOut, bytesIn, partials)
-	}
-	if scatters != gathers {
-		t.Errorf("scatters=%d != gathers=%d on the healthy path", scatters, gathers)
-	}
-	if blocks == 0 {
-		t.Error("no block placements recorded")
+	for s, row := range snap.Shards {
+		var want int64
+		for _, m := range names {
+			if placement(m, 2)[0] == s {
+				want++
+			}
+		}
+		if row.Passthrough != want {
+			t.Errorf("shard %d: %d passthroughs, want %d", s, row.Passthrough, want)
+		}
+		if row.Failovers != 0 || row.Scatters != 0 || row.BytesOut != 0 || row.BytesIn != 0 || row.DotPartials != 0 {
+			t.Errorf("shard %d: healthy routing row %+v, want only passthroughs", s, row)
+		}
 	}
 	if snap.Uploads != 0 {
 		t.Errorf("coordinator uploads = %d, want 0 (preset only)", snap.Uploads)
 	}
 
+	forwards := 0
+	trace := c.sink.Snapshot()
+	for _, sp := range trace.Spans {
+		if sp.Task == "shard.forward" {
+			forwards++
+		}
+	}
+	if forwards != len(names) || len(trace.Marks) != 0 {
+		t.Errorf("%d shard.forward spans and %d marks, want %d and 0", forwards, len(trace.Marks), len(names))
+	}
 	rep, err := c.ProfileReport("shard")
 	if err != nil {
 		t.Fatal(err)
@@ -496,12 +509,33 @@ func TestShardMetricsAndSpans(t *testing.T) {
 	if len(rep.Runs) != 1 {
 		t.Fatalf("shard profile report has %d runs, want 1", len(rep.Runs))
 	}
-	if rr := rep.Runs[0]; rr.Spans == 0 || rr.Launches == 0 {
-		t.Errorf("shard run report empty: %d spans, %d launches", rr.Spans, rr.Launches)
+	if rr := rep.Runs[0]; rr.Spans != len(names) || rr.Launches != len(names) {
+		t.Errorf("shard run report: %d spans, %d launches, want %d each", rr.Spans, rr.Launches, len(names))
 	}
 
 	// Aggregated engine surfaces stay well-formed.
 	if h := c.Health(); !h.OK || h.Pool != 2 {
 		t.Errorf("health: ok=%v pool=%d, want ok with pool 2", h.OK, h.Pool)
 	}
+}
+
+// TestShardMatricesMatchSingle: after the same uploads and preset
+// requests, the coordinator lists what a single engine lists — each
+// preset, although only the shard that served it materialized it, and
+// each upload at its latest contents.
+func TestShardMatricesMatchSingle(t *testing.T) {
+	c := newShardPlane(t, 2, nil)
+	single := newSingleEngine(t)
+	ctx := context.Background()
+	for _, ur := range []*engine.UploadRequest{diagonal("m", 2), diagonal("tri", 1), diagonal("m", 5)} {
+		uploadBoth(t, c, single, ur)
+	}
+	for _, m := range append([]string{"m"}, testPresets...) {
+		for _, b := range []engine.Backend{c, single} {
+			if _, err := b.SpMV(ctx, &engine.SpMVRequest{Matrix: m}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sameListing(t, c.Matrices(), single.Matrices())
 }

@@ -17,11 +17,8 @@
 // and its preconditioned variants (Jacobi, two-level and multi-level
 // V-cycle), CGSOn, BiCGOn, BiCGSTABOn, GMRESOn, and PowerOn for power
 // iteration — and the exported entry points are that loop on
-// runtime-backed arrays. internal/shard runs PCGOn and PowerOn on host
-// slices behind its scatter/gather operator, which is why a sharded
-// solve repeats a single-process one bit for bit, and internal/petsc
-// runs PCGOn on its rank-local vectors. Lookup is the one table of the
-// solvers callable by name.
+// runtime-backed arrays. internal/petsc runs PCGOn on its rank-local
+// vectors. Lookup is the one table of the solvers callable by name.
 package solvers
 
 import (

@@ -14,8 +14,7 @@ import (
 // kernels the recurrences use. Every Krylov method in this package —
 // PCGOn, CGSOn, BiCGOn, BiCGSTABOn, GMRESOn — and PowerOn is written
 // once over it and runs wherever a Space exists: on runtime-backed
-// arrays here (regionSpace), on host slices with a scatter/gather
-// operator in internal/shard, on rank-local vectors in internal/petsc.
+// arrays here (regionSpace) and on rank-local vectors in internal/petsc.
 //
 // Operations do not return errors. A backend that can fail keeps the
 // first failure, makes later operations cheap, and reports it from Err;
