@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-fusion bench-serve bench-vet chaos overload prof serve shard boundary docs links
+.PHONY: check fmt vet build test race stress fuzz bench-fusion bench-serve bench-vet chaos overload prof serve shard boundary docs links
 
 # check is the full pre-merge gate: formatting, static analysis, build,
 # the race-enabled test suite — every package once, which includes the
 # suites the chaos / overload / serve / shard targets select for focused
-# runs — one pass over the fusion and serve wall-clock benchmarks
+# runs — the determinism suites under CPU starvation (stress), one pass
+# over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
 # a real -benchtime for numbers), a ten-second native fuzz of each of the
 # six fuzz targets (their seed corpora already ran as normal tests under
@@ -17,7 +18,7 @@ GO ?= go
 # Every `go test` carries an explicit -timeout (300s for ./..., 120s for
 # a single package or suite) so a hang fails in minutes with goroutine
 # stacks instead of sitting out go's ten-minute default.
-check: fmt vet build race fuzz bench-fusion bench-serve bench-vet prof boundary docs links
+check: fmt vet build race stress fuzz bench-fusion bench-serve bench-vet prof boundary docs links
 
 # fmt fails (and lists offenders) if any file is not gofmt-clean.
 fmt:
@@ -35,6 +36,26 @@ test:
 
 race:
 	$(GO) test -race -timeout 300s ./...
+
+# stress re-runs every suite whose claim is determinism three times
+# under the race detector, beside two busy-loop CPU hogs it starts and
+# stops itself: the preset and simulated-time pins, executor
+# equivalence, the figure, recovery and launch-order goldens, the
+# fault/recovery (chaos) suite, and the worker wakeup protocol. Each runs
+# at GOMAXPROCS 1 and 2 — TestPresetsDeterministic and
+# TestExecutorsEquivalent set both themselves, so -cpu would only repeat
+# them. Each suite has its own -timeout, so a hang fails with goroutine
+# stacks before the next suite starts.
+STRESS = $(GO) test -race -count=3
+stress:
+	@sh -c 'while :; do :; done' & h1=$$!; sh -c 'while :; do :; done' & h2=$$!; \
+	trap 'kill $$h1 $$h2' EXIT; set -e; \
+	$(STRESS) -timeout 600s -run 'TestPresetsDeterministic' ./internal/bench/; \
+	$(STRESS) -timeout 120s -run 'TestExecutorsEquivalent' ./internal/legion/; \
+	$(STRESS) -cpu 1,2 -timeout 480s -run 'TestCGPresetSimTimePinned|Golden' ./internal/bench/; \
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestSimDeterminism|TestDelayInjectionIsValueAndClockNeutral|TestLaunchOrderPinned' ./internal/legion/ ./internal/solvers/; \
+	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
+	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
 # seconds of mutation over each target's seed corpus. Between them the

@@ -127,27 +127,31 @@ var goldenSchedules = []string{
 const replayFaultSchedule = "rate:0.05:30"
 
 // replayFaultCounter wraps an injector and counts the faults it fires
-// during recovery replay. Replay counts each point in ReplayedPoints
-// before its kernel consults the injector, and nothing else moves that
-// counter, so a call that sees it changed since the previous call is a
-// replayed point.
+// during recovery replay. The injector is consulted as each launch is
+// issued, after the runtime has counted it: an issued launch in Tasks, a
+// replayed one in ReplayedLaunches. So the calls that follow a move of
+// ReplayedLaunches, up to the next move of Tasks, are replayed points.
 type replayFaultCounter struct {
 	legion.FaultInjector
 	stats *machine.Stats
 
-	mu       sync.Mutex
-	lastSeen int64
-	fired    int
+	mu             sync.Mutex
+	tasks, replays int64
+	inReplay       bool
+	fired          int
 }
 
 func (c *replayFaultCounter) ShouldFail(stream int64, point int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rp := c.stats.ReplayedPoints.Load()
-	inReplay := rp != c.lastSeen
-	c.lastSeen = rp
+	if n := c.stats.ReplayedLaunches.Load(); n != c.replays {
+		c.replays, c.inReplay = n, true
+	}
+	if n := c.stats.Tasks.Load(); n != c.tasks {
+		c.tasks, c.inReplay = n, false
+	}
 	fail := c.FaultInjector.ShouldFail(stream, point)
-	if fail && inReplay {
+	if fail && c.inReplay {
 		c.fired++
 	}
 	return fail

@@ -57,7 +57,8 @@ type Task struct {
 	aligns  [][2]Var
 	args    any
 	opClass machine.OpClass
-	workFn  func(point int) int64
+	workVar Var
+	workMul int64 // 0: the runtime's default work rule
 	fusable bool
 
 	// Backing arrays for the usual requirement and alignment counts:
@@ -83,8 +84,13 @@ func (t *Task) SetArgs(a any) *Task { t.args = a; return t }
 // SetOpClass sets the cost-model class of the kernel.
 func (t *Task) SetOpClass(c machine.OpClass) *Task { t.opClass = c; return t }
 
-// SetWork installs an explicit per-point work estimate.
-func (t *Task) SetWork(f func(point int) int64) *Task { t.workFn = f; return t }
+// SetWorkSource declares each point's work as factor times the size of
+// v's subspace (see legion.Launch.SetWorkSource): the solver has already
+// computed it, e.g. as the image a row block's nonzeros occupy in crd.
+func (t *Task) SetWorkSource(v Var, factor int64) *Task {
+	t.workVar, t.workMul = v, factor
+	return t
+}
 
 // SetFusable marks the launch as eligible for the runtime's task-fusion
 // window (see legion.Launch.SetFusable). Only data-parallel kernels whose
@@ -162,8 +168,8 @@ func (t *Task) Execute() *legion.Future {
 		l.SetArgs(t.args)
 	}
 	l.SetOpClass(t.opClass)
-	if t.workFn != nil {
-		l.SetWork(t.workFn)
+	if t.workMul != 0 {
+		l.SetWorkSource(int(t.workVar), t.workMul)
 	}
 	l.SetFusable(t.fusable)
 	return l.Execute()

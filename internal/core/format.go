@@ -132,8 +132,9 @@ type FormatSpec struct {
 	// bind wires a point task's region slices into the pooled kernel
 	// argument pack (tensor names y/A/x).
 	bind func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext)
-	// constrain states the launch's partitioning: align/image edges
-	// for image-derivable formats, explicit partitions for the rest.
+	// constrain states the launch's partitioning — align/image edges
+	// for image-derivable formats, explicit partitions for the rest —
+	// and its declared per-point work.
 	constrain func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array)
 }
 
@@ -174,6 +175,7 @@ var CSRSpec = &FormatSpec{
 		t.Align(vy, pack[0])
 		t.Image(pack[0], pack[1], pack[2])
 		t.Image(pack[1], vx)
+		t.SetWorkSource(pack[1], 1) // the row block's nonzeros
 	},
 }
 
@@ -194,7 +196,8 @@ var CSCSpec = &FormatSpec{
 	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
 		t.Align(vx, pack[0]) // x is indexed by columns, like pos
 		t.Image(pack[0], pack[1], pack[2])
-		t.Image(pack[1], vy) // scattered rows
+		t.Image(pack[1], vy)        // scattered rows
+		t.SetWorkSource(pack[1], 1) // the column block's nonzeros
 	},
 }
 
@@ -221,6 +224,7 @@ var COOSpec = &FormatSpec{
 		t.Align(pack[0], pack[2])
 		t.Image(pack[0], vy)
 		t.Image(pack[1], vx)
+		t.SetWorkSource(pack[0], 1) // the entry block
 	},
 }
 
@@ -268,6 +272,8 @@ var DIASpec = &FormatSpec{
 		t.UsePartition(vy, rt.BlockPartition(y.Region(), colors))
 		t.UsePartition(pack[0], rt.PartitionBySets(a.data, dataSets))
 		t.UsePartition(vx, rt.PartitionBySets(x.Region(), xSets))
+		// rows × diagonals: data's pieces are clipped at the matrix edge.
+		t.SetWorkSource(vy, int64(len(a.offsets)))
 	},
 }
 
@@ -332,6 +338,7 @@ var BSRSpec = &FormatSpec{
 		t.UsePartition(pack[1], crdPart)
 		t.UsePartition(pack[2], rt.PartitionBySets(a.vals, valSets))
 		t.UsePartition(vx, rt.PartitionBySets(x.Region(), xSets))
+		t.SetWorkSource(pack[2], 1) // stored blocks × bs²
 	},
 }
 

@@ -75,7 +75,6 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 			s.args.Accum = func(idx int64, v float64) { tc.ReduceAdd(0, idx, v) }
 		}
 		k.Exec(&s.args)
-		tc.SetWorkElems(k.WorkEstimate(&s.args))
 		s.release()
 	})
 	var vy constraint.Var
@@ -155,12 +154,7 @@ func (a *COO) SpMVOwnerInto(y, x *cunumeric.Array) {
 	task := constraint.NewTask(rt, "sparse.spmv_coo_owner", func(tc *legion.TaskContext) {
 		yv, rows, cols, vals, xv := tc.Float64(0), tc.Int64(1), tc.Int64(2), tc.Float64(3), tc.Float64(4)
 		tc.Subspace(0).Each(func(i int64) { yv[i] = 0 })
-		var n int64
-		tc.Subspace(1).Each(func(k int64) {
-			yv[rows[k]] += vals[k] * xv[cols[k]]
-			n++
-		})
-		tc.SetWorkElems(n)
+		tc.Subspace(1).Each(func(k int64) { yv[rows[k]] += vals[k] * xv[cols[k]] })
 	})
 	vy := task.AddOutput(y.Region())
 	vrow := task.AddInput(a.row)
@@ -172,6 +166,7 @@ func (a *COO) SpMVOwnerInto(y, x *cunumeric.Array) {
 	task.UsePartition(vcol, colPart)
 	task.UsePartition(vvals, valsPart)
 	task.UsePartition(vx, xPart)
+	task.SetWorkSource(vrow, 1) // the entries this point owns
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 }
@@ -259,7 +254,6 @@ func (a *CSR) SpMMInto(y, x *cunumeric.Matrix) {
 			Lo: bounds.Lo, Hi: bounds.Hi,
 		}
 		k.Exec(args)
-		tc.SetWorkElems(k.WorkEstimate(args))
 	})
 	vy := task.AddOutput(y.Region())
 	vpos := task.AddInput(a.pos)
@@ -270,6 +264,7 @@ func (a *CSR) SpMMInto(y, x *cunumeric.Matrix) {
 	task.UsePartition(vpos, rt.BlockPartition(a.pos, colors))
 	task.Image(vpos, vcrd, vvals)
 	task.UsePartition(vx, a.denseRowImage(x.Region(), kk, colors))
+	task.SetWorkSource(vcrd, kk) // nnz × the dense width
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 }
@@ -311,7 +306,6 @@ func (a *CSR) SDDMM(b, c *cunumeric.Matrix) *CSR {
 			Lo: bounds.Lo, Hi: bounds.Hi,
 		}
 		k.Exec(args)
-		tc.SetWorkElems(k.WorkEstimate(args))
 	})
 	vr := task.AddOutput(out.vals)
 	vpos := task.AddInput(a.pos)
@@ -324,6 +318,7 @@ func (a *CSR) SDDMM(b, c *cunumeric.Matrix) *CSR {
 	task.Image(vpos, vr) // R.vals shares A's layout, so the same image applies
 	task.UsePartition(vb, b.RowPartition(colors))
 	task.UsePartition(vc, a.denseRowImage(c.Region(), kk, colors))
+	task.SetWorkSource(vcrd, kk)
 	task.SetOpClass(machine.Compute)
 	task.Execute()
 	return out
@@ -344,7 +339,6 @@ func (a *CSR) SumAxis1() *cunumeric.Array {
 		s.A.Pos, s.A.Vals = tc.Rects(1), tc.Float64(2)
 		s.args.Lo, s.args.Hi = bounds.Lo, bounds.Hi
 		k.Exec(&s.args)
-		tc.SetWorkElems(k.WorkEstimate(&s.args))
 		s.release()
 	})
 	vy := task.AddOutput(out.Region())
@@ -352,6 +346,7 @@ func (a *CSR) SumAxis1() *cunumeric.Array {
 	vvals := task.AddInput(a.vals)
 	task.Align(vy, vpos)
 	task.Image(vpos, vvals)
+	task.SetWorkSource(vvals, 1) // the row block's nonzeros
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 	return out
@@ -394,7 +389,6 @@ func (a *CSR) SpMVRowSumInto(y, s, x *cunumeric.Array) {
 			Lo: bounds.Lo, Hi: bounds.Hi,
 		}
 		fused.Exec(args)
-		tc.SetWorkElems(fused.WorkEstimate(args))
 	})
 	vy := task.AddOutput(y.Region())
 	vs := task.AddOutput(s.Region())
@@ -406,6 +400,7 @@ func (a *CSR) SpMVRowSumInto(y, s, x *cunumeric.Array) {
 	task.Align(vs, vpos)
 	task.Image(vpos, vcrd, vvals)
 	task.Image(vcrd, vx)
+	task.SetWorkSource(vcrd, 2) // both stages visit every nonzero
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 }
@@ -418,14 +413,11 @@ func (a *CSR) SumAxis0() *cunumeric.Array {
 	task := constraint.NewTask(a.rt, "sparse.col_sum", func(tc *legion.TaskContext) {
 		pos, vals := tc.Rects(1), tc.Float64(3)
 		crd := tc.Int64(2)
-		var n int64
 		tc.Subspace(1).Each(func(i int64) {
 			for k := pos[i].Lo; k <= pos[i].Hi; k++ {
 				tc.ReduceAdd(0, crd[k], vals[k])
-				n++
 			}
 		})
-		tc.SetWorkElems(n)
 	})
 	vout := task.AddReduction(out.Region())
 	vpos := task.AddInput(a.pos)
@@ -433,6 +425,7 @@ func (a *CSR) SumAxis0() *cunumeric.Array {
 	vvals := task.AddInput(a.vals)
 	task.Image(vpos, vcrd, vvals)
 	task.Image(vcrd, vout)
+	task.SetWorkSource(vcrd, 1)
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 	return out

@@ -47,9 +47,6 @@ type Kernel struct {
 	Target  Target
 	Pattern string // which loop template the compiler selected
 	Exec    func(a *Args)
-	// WorkEstimate returns the elements processed for a given outer
-	// range, used for cost modeling (nnz touched, not rows).
-	WorkEstimate func(a *Args) int64
 }
 
 // CompileError reports why a program was rejected.
@@ -92,35 +89,27 @@ func Compile(p Program) (*Kernel, error) {
 	case matchSpMV(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-row"
 		k.Exec = emitSpMVRow(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = nnzWork(sparseOps[0].Tensor)
 	case matchSpMVDia(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-dia"
 		k.Exec = emitSpMVDia(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = diaWork(sparseOps[0].Tensor)
 	case matchSpMVColumn(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-col"
 		k.Exec = emitSpMVColumn(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = nnzWork(sparseOps[0].Tensor)
 	case matchSpMVCOO(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-coo"
 		k.Exec = emitSpMVCOO(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = entryWork()
 	case matchSpMVBSR(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmv-bsr"
 		k.Exec = emitSpMVBSR(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = blockWork(sparseOps[0].Tensor)
 	case matchSpMM(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmm"
 		k.Exec = emitSpMM(p, sparseOps[0], denseOps[0])
-		k.WorkEstimate = nnzTimesK(sparseOps[0].Tensor, denseOps[0].Tensor)
 	case matchSDDMM(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "sddmm"
 		k.Exec = emitSDDMM(p, sparseOps[0], denseOps[0], denseOps[1])
-		k.WorkEstimate = nnzTimesK(sparseOps[0].Tensor, denseOps[0].Tensor)
 	case matchRowReduce(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "row-reduce"
 		k.Exec = emitRowReduce(p, sparseOps[0])
-		k.WorkEstimate = nnzWork(sparseOps[0].Tensor)
 	default:
 		return nil, &CompileError{Program: p.Name, Reason: fmt.Sprintf(
 			"no loop template matches %s with formats %v", p.Compute, p.Formats)}
@@ -492,49 +481,5 @@ func emitRowReduce(p Program, a Access) func(*Args) {
 			}
 			y[i] = acc
 		}
-	}
-}
-
-// --- Work estimators ----------------------------------------------------
-
-func nnzWork(sparse string) func(*Args) int64 {
-	return func(ar *Args) int64 {
-		A := ar.Ops[sparse]
-		var n int64
-		for i := ar.Lo; i <= ar.Hi; i++ {
-			n += A.Pos[i].Size()
-		}
-		return n
-	}
-}
-
-func diaWork(sparse string) func(*Args) int64 {
-	return func(ar *Args) int64 {
-		A := ar.Ops[sparse]
-		return (ar.Hi - ar.Lo + 1) * int64(len(A.Offsets))
-	}
-}
-
-// entryWork: a COO tile's work is its entry count.
-func entryWork() func(*Args) int64 {
-	return func(ar *Args) int64 { return ar.Hi - ar.Lo + 1 }
-}
-
-// blockWork: a BSR tile's work is its stored blocks times BlockSize².
-func blockWork(sparse string) func(*Args) int64 {
-	return func(ar *Args) int64 {
-		A := ar.Ops[sparse]
-		var n int64
-		for br := ar.Lo; br <= ar.Hi; br++ {
-			n += A.Pos[br].Size()
-		}
-		return n * A.BlockSize * A.BlockSize
-	}
-}
-
-func nnzTimesK(sparse, dense string) func(*Args) int64 {
-	base := nnzWork(sparse)
-	return func(ar *Args) int64 {
-		return base(ar) * ar.Ops[dense].Stride
 	}
 }

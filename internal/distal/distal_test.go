@@ -289,22 +289,6 @@ func TestPartialRangeExecution(t *testing.T) {
 	}
 }
 
-func TestWorkEstimates(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	Aop, _ := randomCSR(rng, 40, 40, 0.2)
-	nnz := int64(len(Aop.Vals))
-	spmv := Standard.MustLookup("spmv", CSR, CPUThread)
-	args := &Args{Ops: map[string]*Operand{"A": Aop}, Lo: 0, Hi: 39}
-	if got := spmv.WorkEstimate(args); got != nnz {
-		t.Errorf("spmv work = %d, want nnz = %d", got, nnz)
-	}
-	spmm := Standard.MustLookup("spmm", CSR, CPUThread)
-	args.Ops["X"] = &Operand{Stride: 7}
-	if got := spmm.WorkEstimate(args); got != nnz*7 {
-		t.Errorf("spmm work = %d, want %d", got, nnz*7)
-	}
-}
-
 // TestDIASpMVKernel: the diagonal-format template matches a dense
 // reference on a banded matrix.
 func TestDIASpMVKernel(t *testing.T) {
@@ -345,9 +329,6 @@ func TestDIASpMVKernel(t *testing.T) {
 			t.Fatalf("y[%d] = %v, want %v", i, y.Vals[i], want)
 		}
 	}
-	if got := k.WorkEstimate(args); got != n*int64(len(offsets)) {
-		t.Fatalf("work = %d, want %d", got, n*int64(len(offsets)))
-	}
 }
 
 // TestCOOSpMVKernel: the coordinate-format scatter template matches a
@@ -382,9 +363,6 @@ func TestCOOSpMVKernel(t *testing.T) {
 	k.Exec(args)
 	if !approxEqual(y.Vals, want, 1e-9) {
 		t.Fatal("COO SpMV mismatch")
-	}
-	if got := k.WorkEstimate(args); got != nnz {
-		t.Fatalf("work = %d, want %d", got, nnz)
 	}
 	y2 := make([]float64, rows)
 	k.Exec(&Args{
@@ -449,13 +427,6 @@ func TestBSRSpMVKernel(t *testing.T) {
 		if !inside && !math.IsNaN(y.Vals[i]) {
 			t.Fatalf("row %d outside the block-row tile was written", i)
 		}
-	}
-	var wantWork int64
-	for br := int64(1); br <= bRows-2; br++ {
-		wantWork += Aop.Pos[br].Size() * bs * bs
-	}
-	if got := k.WorkEstimate(args); got != wantWork {
-		t.Fatalf("work = %d, want %d", got, wantWork)
 	}
 }
 

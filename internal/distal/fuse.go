@@ -27,9 +27,8 @@ type Stage struct {
 // processor variety — fusing a CPU loop nest into a GPU kernel has no
 // hardware analogue — and at least one stage is required.
 //
-// The composed kernel's WorkEstimate is the sum of the stages' (a fused
-// loop nest still touches every stage's elements), and its Pattern is
-// "composed" so profiles can tell fused dispatches apart.
+// The composed kernel's Pattern is "composed" so profiles can tell fused
+// dispatches apart.
 func ComposeKernels(name string, stages ...Stage) *Kernel {
 	if len(stages) == 0 {
 		panic(fmt.Sprintf("distal: ComposeKernels(%q) with no stages", name))
@@ -55,15 +54,6 @@ func ComposeKernels(name string, stages ...Stage) *Kernel {
 			for _, s := range stages {
 				s.K.Exec(bound(s, a))
 			}
-		},
-		WorkEstimate: func(a *Args) int64 {
-			var n int64
-			for _, s := range stages {
-				if s.K.WorkEstimate != nil {
-					n += s.K.WorkEstimate(bound(s, a))
-				}
-			}
-			return n
 		},
 	}
 }

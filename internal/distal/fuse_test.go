@@ -58,15 +58,6 @@ func TestComposeKernelsSpMVRowSum(t *testing.T) {
 	if !approxEqual(s, yRef, 1e-12) {
 		t.Fatalf("fused row_sum output differs:\n got %v\nwant %v", s, yRef)
 	}
-
-	// WorkEstimate sums the stages: nnz(A) + rows.
-	got := fused.WorkEstimate(&Args{Ops: map[string]*Operand{
-		"y": {Vals: y}, "A": A, "x": x, "s": {Vals: s},
-	}, Lo: 0, Hi: rows - 1})
-	want := int64(len(A.Vals)) + rows
-	if got != want {
-		t.Fatalf("WorkEstimate = %d, want %d", got, want)
-	}
 }
 
 // vecAsCSR views a dense vector as a diagonal-free CSR with one stored

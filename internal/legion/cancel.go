@@ -12,9 +12,9 @@ package legion
 // replay, i.e. the gaps *between* legion epochs. When the check fires,
 // the runtime enters the cancelled state:
 //
-//   - worker goroutines stop running kernels (points still complete
-//     their timeline bookkeeping, so nothing hangs and Fence returns
-//     promptly);
+//   - worker goroutines stop running kernels (points still complete,
+//     so nothing hangs and Fence returns promptly), and launches issued
+//     from then on charge no work;
 //   - an in-progress recovery replay is abandoned between entries;
 //   - Cancelled reports the cause so solvers can stop iterating.
 //

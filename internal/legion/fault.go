@@ -7,7 +7,9 @@ package legion
 //
 //   - Kernel panics (real bugs, or faults injected through an attached
 //     FaultInjector) are recovered on the worker and recorded as point
-//     failures instead of killing the process.
+//     failures instead of killing the process. Whether an injected fault
+//     fires is decided when the launch is issued (decideFault), so the
+//     same points fail whoever runs them.
 //   - With EnableCheckpointing(N), the runtime keeps a bounded log of
 //     the launch stream and an incremental checkpoint of region state:
 //     the first launch to write a region in an epoch snapshots it. Every
@@ -45,10 +47,12 @@ import (
 
 // FaultInjector is the runtime's view of a fault schedule (implemented
 // by internal/fault.Injector). ShouldFail is consulted once per point
-// task execution, keyed by the launch's stream position; DeadProcs is
-// polled at launch and fence boundaries with the current simulated time.
-// Implementations must be safe for concurrent use and one-shot per
-// fault, or recovery replay would re-kill the task it is recovering.
+// task execution as the launch is issued, in point order, keyed by the
+// launch's stream position; DeadProcs is polled at launch and fence
+// boundaries with the current simulated time. Both are called on the
+// application goroutine (a DelayInjector's Delay on workers).
+// Implementations must be one-shot per fault, or recovery replay would
+// re-kill the task it is recovering.
 type FaultInjector interface {
 	ShouldFail(stream int64, point int) bool
 	DeadProcs(now time.Duration) []machine.ProcID
@@ -167,8 +171,8 @@ func (ft *ftState) takeFailures() []pointFailure {
 }
 
 // SetFaultInjector attaches a fault schedule to the runtime. It fences
-// first: worker goroutines read the injector without locks, so it must
-// be in place before the launches it applies to are issued.
+// first: worker goroutines read the injector's delays without locks, so
+// it must be in place before the launches it applies to are issued.
 func (rt *Runtime) SetFaultInjector(fi FaultInjector) {
 	rt.Fence()
 	rt.faultInj = fi
@@ -324,7 +328,7 @@ func (rt *Runtime) notePointFailure(ls *launchState, point int, err error) bool 
 	ft.needRec.Store(true)
 	if ps := rt.prof; ps != nil {
 		ps.RecordMark(prof.Mark{Run: rt.profRun, Kind: prof.MarkFault,
-			At: rt.peekSimTime(), Task: ls.name, Point: point})
+			At: ls.finishes[point], Task: ls.name, Point: point})
 	}
 	return true
 }
@@ -415,10 +419,9 @@ func (rt *Runtime) replayLog() (ok bool, failure error) {
 // complete — which is exactly when runsInline lets the issuing goroutine
 // run a launch's points itself, so each point runs in point order on its
 // processor's worker context, through the same runPoint as any other
-// execution. The replay state's issue and dependency times are zero, so
-// each point starts when its processor is free. A reduction is
-// republished into the launch the application's Future holds, summed in
-// point order by completeLaunch, so it matches a fault-free run exactly.
+// execution. A reduction is republished into the launch the
+// application's Future holds, summed in point order by completeLaunch,
+// so it matches a fault-free run exactly.
 func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 	orig := e.state()
 	rt.stats.ReplayedLaunches.Add(1)
@@ -429,6 +432,7 @@ func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 	ls := rt.newLaunchState(e.launch)
 	ls.replay = true
 	ls.seq, ls.ckptEpoch = orig.seq, rt.ckptEpoch()
+	rt.mapLaunch(ls, 0)
 	for p := 0; p < ls.points; p++ {
 		rt.workerForPoint(ls, p).exec(workItem{ls: ls, point: p})
 	}
@@ -442,17 +446,36 @@ func (rt *Runtime) replayEntry(e *ftLogEntry) error {
 	return nil
 }
 
-// injectFault panics with an InjectedFault if the attached injector
-// schedules a failure for this (stream, point). Runs on worker
-// goroutines; the injector is attached before launches are issued.
-func (rt *Runtime) injectFault(stream int64, point int) {
+// decideFault asks the attached injector, as point p of ls is issued,
+// whether an injected fault fires in it — member by member for a fused
+// launch, in program order, up to the first that fails — and records the
+// failing member in ls.failAt for execPoint to raise.
+func (rt *Runtime) decideFault(ls *launchState, p int) bool {
 	fi := rt.faultInj
 	if fi == nil {
-		return
+		return false
 	}
-	if fi.ShouldFail(stream, point) {
-		panic(InjectedFault{Stream: stream, Point: point})
+	member := -1
+	if len(ls.fused) == 0 {
+		if fi.ShouldFail(ls.stream, p) {
+			member = 0
+		}
+	} else {
+		for mi := range ls.fused {
+			if fi.ShouldFail(ls.fused[mi].stream, p) {
+				member = mi
+				break
+			}
+		}
 	}
+	if member < 0 {
+		return false
+	}
+	if ls.failAt == nil {
+		ls.failAt = map[int]int{}
+	}
+	ls.failAt[p] = member
+	return true
 }
 
 // checkProcDeaths polls the injector for processors whose kill time has
@@ -467,7 +490,8 @@ func (rt *Runtime) checkProcDeaths() {
 	if fi == nil {
 		return
 	}
-	dead := fi.DeadProcs(rt.peekSimTime())
+	now := rt.peekSimTime()
+	dead := fi.DeadProcs(now)
 	if len(dead) == 0 {
 		return
 	}
@@ -475,7 +499,7 @@ func (rt *Runtime) checkProcDeaths() {
 	rt.pending.Wait()
 	retired := 0
 	for _, p := range dead {
-		if rt.retireProc(p) {
+		if rt.retireProc(p, now) {
 			retired++
 		}
 	}
@@ -499,8 +523,9 @@ func (rt *Runtime) checkProcDeaths() {
 
 // retireProc removes p from the runtime: its worker stops, its queue is
 // already empty (callers quiesce first), and the mapper forgets its
-// allocations. Returns false if p was not a live processor.
-func (rt *Runtime) retireProc(p machine.ProcID) bool {
+// allocations. The death is marked at the simulated time it was polled
+// at. Returns false if p was not a live processor.
+func (rt *Runtime) retireProc(p machine.ProcID, at time.Duration) bool {
 	idx := -1
 	for i, q := range rt.procs {
 		if q == p {
@@ -515,54 +540,35 @@ func (rt *Runtime) retireProc(p machine.ProcID) bool {
 	rt.workers[idx].stop()
 	rt.workers = append(rt.workers[:idx], rt.workers[idx+1:]...)
 	rt.map_.evictProcessor(p)
-	rt.simMu.Lock()
 	delete(rt.procBusy, p)
-	rt.simMu.Unlock()
 	if ps := rt.prof; ps != nil {
 		ps.RecordMark(prof.Mark{Run: rt.profRun, Kind: prof.MarkProcDeath,
-			At: rt.peekSimTime(), Proc: int(p)})
+			At: at, Proc: int(p)})
 	}
 	return true
 }
 
 // chargeBarrier advances every processor to the common time
 // max(timelines)+dt — the shape of a stop-the-world event (checkpoint
-// commit, restore).
+// commit, restore, a future's all-reduce).
 func (rt *Runtime) chargeBarrier(dt time.Duration) {
-	rt.simMu.Lock()
 	var t time.Duration
 	for _, p := range rt.procs {
-		if rt.procBusy[p] > t {
-			t = rt.procBusy[p]
-		}
+		t = max(t, rt.procBusy[p])
 	}
 	t += dt
 	for _, p := range rt.procs {
 		rt.procBusy[p] = t
 	}
-	if t > rt.simMax {
-		rt.simMax = t
-	}
-	rt.simMu.Unlock()
+	rt.simMax = max(rt.simMax, t)
 }
 
 // peekSimTime is SimTime without the fusion flush: the furthest point on
 // any timeline, used for death polling at launch boundaries.
 func (rt *Runtime) peekSimTime() time.Duration {
-	rt.simMu.Lock()
-	t := rt.simMax
-	for _, b := range rt.procBusy {
-		if b > t {
-			t = b
-		}
-	}
-	rt.simMu.Unlock()
 	rt.mu.Lock()
-	if rt.analysisClock > t {
-		t = rt.analysisClock
-	}
-	rt.mu.Unlock()
-	return t
+	defer rt.mu.Unlock()
+	return max(rt.simMax, rt.analysisClock)
 }
 
 // pointBackstop converts a panic that escaped runPoint's own handling

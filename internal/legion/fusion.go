@@ -96,7 +96,7 @@ type fusedMember struct {
 	kernel KernelFunc
 	reqs   []req
 	args   any
-	workFn func(point int) int64
+	work   workSource
 	stream int64 // the member's own launch-stream position (fault/replay key)
 }
 
@@ -253,7 +253,7 @@ func (f *fuser) submitLocked() {
 	}
 	fl.fused = make([]fusedMember, len(buf))
 	for i, l := range buf {
-		fl.fused[i] = fusedMember{name: l.name, kernel: l.kernel, reqs: l.reqs, args: l.args, workFn: l.workFn, stream: l.stream}
+		fl.fused[i] = fusedMember{name: l.name, kernel: l.kernel, reqs: l.reqs, args: l.args, work: l.work, stream: l.stream}
 	}
 	inner := rt.executeNow(fl)
 	rt.profile.recordFusion(len(buf))
@@ -279,37 +279,29 @@ func fusedName(buf []*Launch) string {
 }
 
 // runFusedPoint executes one point of a fused launch: each member kernel
-// runs in program order against its own requirements and subspaces, and
-// the summed work estimate feeds a single kernel-time charge. Fault
-// injection fires per member, keyed on each member's own stream
-// position; a member panic aborts the whole point (the caller records
-// one point failure) and recovery replays the members individually.
-func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext) int64 {
+// runs in program order against its own requirements and subspaces.
+// Member fail's injected fault (decided at issue; -1 for none) panics
+// before its kernel, aborting the whole point (the caller records one
+// point failure), and recovery replays the members individually.
+func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext, fail int) {
 	point := tc.point
-	var total int64
 	var partial float64
 	var hasPartial bool
 	for mi := range ls.fused {
 		m := &ls.fused[mi]
 		rt.injectDelay(m.stream, point)
-		rt.injectFault(m.stream, point)
+		if mi == fail {
+			panic(InjectedFault{Stream: m.stream, Point: point})
+		}
 		tc.bind(ls, point, m.reqs, m.args)
 		m.kernel(tc)
 		if tc.hasPartial {
 			partial += tc.partial
 			hasPartial = true
 		}
-		w := tc.work
-		if m.workFn != nil {
-			w = m.workFn(point)
-		} else if w == 0 {
-			w = defaultWork(m.reqs, tc.subs)
-		}
-		total += w
 	}
 	if hasPartial {
 		ls.pointPartials[point] = partial
 		ls.reduces.Store(true)
 	}
-	return total
 }

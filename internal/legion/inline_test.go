@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -561,6 +562,59 @@ func TestInlineLifecycle(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.dots, want.dots) || !reflect.DeepEqual(got.x, want.x) {
 				t.Fatalf("grain %s: recovered run differs from the fault-free one", g.name)
+			}
+		}
+	})
+
+	t.Run("a capped fault schedule fires the same points", func(t *testing.T) {
+		// rate:0.02:7 stops after seven faults (this seed would fire an
+		// eighth). Faults are decided as each launch is issued, so which
+		// points fail must not depend on which goroutine runs them or on
+		// how many cores there are.
+		clean := newTestRuntime(t, 4)
+		clean.EnableCheckpointing(16)
+		want := runFaultLoop(clean)
+		var wantFaults []prof.Mark
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, cpus := range []int{1, 2} {
+			runtime.GOMAXPROCS(cpus)
+			for _, grain := range []int64{0, math.MaxInt64} {
+				rt := newTestRuntime(t, 4)
+				rt.inlineGrain = grain
+				sink := prof.NewSink(0)
+				rt.EnableProfiling(sink)
+				rt.EnableCheckpointing(16)
+				inj, err := fault.Parse("rate:0.02:7", 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.SetFaultInjector(inj)
+				got := runFaultLoop(rt)
+				if got.err != nil || inj.PointFaults() != 7 {
+					t.Fatalf("GOMAXPROCS=%d grain %d: %d faults fired, err %v; want the cap of 7 recovered", cpus, grain, inj.PointFaults(), got.err)
+				}
+				if !reflect.DeepEqual(got.dots, want.dots) || !reflect.DeepEqual(got.x, want.x) {
+					t.Fatalf("GOMAXPROCS=%d grain %d: recovered run differs from the fault-free one", cpus, grain)
+				}
+				// The failures one recovery repairs may be noted by two
+				// workers in either order, so each such run is sorted.
+				// Which synchronization point first sees a queued failure
+				// depends on the executor, and with it when the recovery
+				// runs, so the marks' times are not compared here.
+				var faults, run []prof.Mark
+				for _, m := range append(sink.Snapshot().Marks, prof.Mark{Kind: prof.MarkRestore}) {
+					if m.Kind == prof.MarkFault {
+						run = append(run, prof.Mark{Kind: m.Kind, Task: m.Task, Point: m.Point})
+						continue
+					}
+					sort.Slice(run, func(i, j int) bool { return run[i].Point < run[j].Point })
+					faults, run = append(faults, run...), run[:0]
+				}
+				if wantFaults == nil {
+					wantFaults = faults
+				} else if !reflect.DeepEqual(faults, wantFaults) {
+					t.Fatalf("GOMAXPROCS=%d grain %d: faults %v, want %v", cpus, grain, faults, wantFaults)
+				}
 			}
 		}
 	})

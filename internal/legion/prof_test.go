@@ -1,6 +1,8 @@
 package legion
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -121,8 +123,18 @@ func TestProfilingCopyEvents(t *testing.T) {
 // TestProfilingReplayTags: spans re-executed by checkpoint recovery are
 // tagged Replay, carry the original launch's seq and the checkpoint
 // epoch they were replayed in, and the fault/restore marks bracket them.
+// The marks, times included, are the same whether the failing launch was
+// queued or ran inline.
 func TestProfilingReplayTags(t *testing.T) {
+	queued := profilingReplayTags(t, 0)
+	if inline := profilingReplayTags(t, math.MaxInt64); !reflect.DeepEqual(inline, queued) {
+		t.Fatalf("marks with every launch inline\n%v\ndiffer from every launch queued\n%v", inline, queued)
+	}
+}
+
+func profilingReplayTags(t *testing.T, grain int64) []prof.Mark {
 	rt := newTestRuntime(t, 2)
+	rt.inlineGrain = grain
 	sink := prof.NewSink(0)
 	rt.EnableProfiling(sink)
 	// Launch 3 opens the second epoch (epoch 1) and is the one that fails.
@@ -178,6 +190,7 @@ func TestProfilingReplayTags(t *testing.T) {
 	if err := tr.CheckSpans(); err != nil {
 		t.Fatalf("replay spans must not overlap normal spans: %v", err)
 	}
+	return tr.Marks
 }
 
 // TestProfileCountersStableAcrossRecovery is the double-counting audit:

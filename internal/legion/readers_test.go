@@ -8,8 +8,9 @@ import (
 // TestReaderCompactionKeepsSimTime pins the simulated clock and the
 // copy counters across 100 reads of one never-written region, one write
 // and a fence, to the values the runtime produced when every reader
-// stayed in the region state until the write (captured at 10833fe, the
-// same pattern as solvers/testdata/cg8.launches). The heavy readers run
+// stayed in the region state until the write (captured at 10833fe, and
+// at 1bbd3f3 for these per-point works; the same pattern as
+// solvers/testdata/cg8.launches). The heavy readers run
 // first, on processor 3, and are fenced, so the next compaction folds
 // exactly them; the light readers run on processor 1 and the writer on
 // processor 0, so the writer's start is set by the heavy readers' finish
@@ -20,27 +21,28 @@ func TestReaderCompactionKeepsSimTime(t *testing.T) {
 	rt := newTestRuntime(t, 4)
 	shared := rt.CreateFloat64("shared", make([]float64, 1<<12))
 	nop := func(*TaskContext) {}
-	issue := func(name string, proc int, priv Privilege, work int64) {
+	// Each point's work is a multiple of shared's 4096 elements.
+	issue := func(name string, proc int, priv Privilege, factor int64) {
 		l := rt.NewLaunch(name, 1, nop)
 		l.AddWhole(shared, priv)
 		l.MapPoints(func(int) int { return proc })
-		l.SetWork(func(int) int64 { return work })
+		l.SetWorkSource(0, factor)
 		l.Execute()
 	}
 
 	for i := 0; i < 50; i++ {
-		issue("heavy-read", 3, ReadOnly, int64(1+i%3)<<22)
+		issue("heavy-read", 3, ReadOnly, int64(1+i%3)<<10)
 	}
 	rt.Fence()
 	for i := 0; i < 50; i++ {
-		issue("light-read", 1, ReadOnly, 1<<8)
+		issue("light-read", 1, ReadOnly, 1)
 	}
-	issue("write", 0, ReadWrite, 1<<12)
-	issue("read-back", 2, ReadOnly, 1<<8)
+	issue("write", 0, ReadWrite, 1)
+	issue("read-back", 2, ReadOnly, 1)
 	rt.Fence()
 
 	const (
-		wantSim    = time.Duration(15270316)
+		wantSim    = time.Duration(15270444)
 		wantCopies = 4
 	)
 	wantBytes := [4]int64{0, 32768, 98304, 0}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geometry"
 	"repro/internal/machine"
 	"repro/internal/prof"
 )
@@ -24,7 +23,9 @@ import (
 // weak-scaling (the host has a fixed core count); the *simulated* clock
 // assigns each point task a start/finish on its processor's timeline
 // using the machine cost model (kernel rates, copy bandwidths, launch
-// overheads), which is what the benchmark harness reports.
+// overheads), which is what the benchmark harness reports. The simulated
+// timeline is computed when a launch is issued, in issue order (see
+// mapLaunch), so it does not depend on who runs the kernels or when.
 type Runtime struct {
 	mach    *machine.Machine
 	cost    *machine.CostModel
@@ -35,8 +36,8 @@ type Runtime struct {
 	fuser   *fuser // nil when task fusion is disabled
 
 	// Fault tolerance (see fault.go). faultInj and ft are written on the
-	// application goroutine behind a Fence, then read by workers; domain
-	// and streamPos are application-goroutine-only.
+	// application goroutine behind a Fence, then read by workers (delays,
+	// failure records); domain and streamPos are application-goroutine-only.
 	faultInj  FaultInjector
 	ft        *ftState
 	domain    int   // default launch-domain size; stable across proc loss
@@ -76,7 +77,9 @@ type Runtime struct {
 	traceEpoch     int64           // nth execution of the active trace (1 = recording)
 	traceEpochs    map[int64]int64 // executions so far per trace id
 
-	simMu    sync.Mutex
+	// The simulated clock: when each processor's last issued point
+	// finishes, and the furthest time any timeline reached. Written only
+	// on the application goroutine, in issue order.
 	procBusy map[machine.ProcID]time.Duration
 	simMax   time.Duration
 
@@ -127,7 +130,7 @@ func (st *regionState) addReader(ls *launchState) {
 		live := st.readers[:0]
 		for _, rd := range st.readers {
 			if rd.completed.Load() {
-				st.readDone = max(st.readDone, rd.finishTime())
+				st.readDone = max(st.readDone, rd.finishAt)
 			} else {
 				live = append(live, rd)
 			}
@@ -321,12 +324,8 @@ func (rt *Runtime) SimTime() time.Duration {
 // the paper's protocol of timing iterations after startup.
 // Callers must Fence first.
 func (rt *Runtime) ResetMetrics() {
-	rt.simMu.Lock()
-	for p := range rt.procBusy {
-		rt.procBusy[p] = 0
-	}
+	clear(rt.procBusy)
 	rt.simMax = 0
-	rt.simMu.Unlock()
 	rt.mu.Lock()
 	rt.analysisClock = 0
 	// Rebase the recorded finish times of completed launches still
@@ -354,22 +353,7 @@ func (rt *Runtime) chargeAllReduce() {
 		return
 	}
 	rt.stats.AllReduces.Add(1)
-	dt := rt.cost.AllReduceTime(len(rt.procs))
-	rt.simMu.Lock()
-	var t time.Duration
-	for _, p := range rt.procs {
-		if rt.procBusy[p] > t {
-			t = rt.procBusy[p]
-		}
-	}
-	t += dt
-	for _, p := range rt.procs {
-		rt.procBusy[p] = t
-	}
-	if t > rt.simMax {
-		rt.simMax = t
-	}
-	rt.simMu.Unlock()
+	rt.chargeBarrier(rt.cost.AllReduceTime(len(rt.procs)))
 }
 
 // AnalysisTime returns the simulated analysis-pipeline clock: the summed
@@ -480,8 +464,9 @@ func (rt *Runtime) noteWrites(reqs []req) {
 	rt.mu.Unlock()
 }
 
-// newLaunchState builds and maps the record of one execution of l and
-// registers it with the fence; it completes when all its points have run.
+// newLaunchState builds the record of one execution of l and registers
+// it with the fence; it completes when all its points have run. The
+// caller issues it with mapLaunch.
 func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 	ls := &launchState{
 		name:    l.name,
@@ -490,44 +475,89 @@ func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 		reqs:    l.reqs,
 		args:    l.args,
 		opClass: l.opClass,
-		workFn:  l.workFn,
+		work:    l.work,
 		fused:   l.fused,
 		procMap: l.procMap,
 		stream:  l.stream,
 	}
 	ls.fut = Future{launch: ls, rt: rt}
 	if l.points <= len(ls.partialBuf) {
-		ls.pointPartials, ls.copyTimes = ls.partialBuf[:l.points], ls.copyBuf[:l.points]
+		ls.pointPartials, ls.finishes = ls.partialBuf[:l.points], ls.finishBuf[:l.points]
 	} else {
-		ls.pointPartials, ls.copyTimes = make([]float64, l.points), make([]time.Duration, l.points)
+		ls.pointPartials, ls.finishes = make([]float64, l.points), make([]time.Duration, l.points)
 	}
-	rt.mapLaunch(ls)
 	ls.remaining.Store(int64(l.points))
 	rt.pending.Add(1)
 	return ls
 }
 
-// mapLaunch maps each point's requirements onto its processor, in point
-// order, and keeps the point's copy time for runPoint. Every execution of
-// a launch is built by newLaunchState on the application goroutine, so
-// the mapper sees the launch stream in program order, whoever runs the
-// points. Like kernels, mapping is skipped after the sticky error or a
-// cancellation.
-func (rt *Runtime) mapLaunch(ls *launchState) {
-	if rt.errSet() || rt.cancelFired.Load() {
-		return
-	}
+// mapLaunch issues ls point by point, in point order, on the application
+// goroutine, so the mapper, the fault injector and the simulated clock
+// see the launch stream in program order whoever later runs the points.
+// For each point it maps the requirements onto the point's processor,
+// decides whether an injected fault fires in it (decideFault), and
+// places it on the processor's timeline: it starts once the launch is
+// issued, its dependencies have finished (ready) and the processor's
+// earlier points are done, and lasts the per-point overhead plus its
+// copies plus its kernel time for its declared work — zero work if it
+// fails. After the sticky error or a cancellation nothing is mapped or
+// decided and points charge no work, since their kernels will not run.
+func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
+	skip := rt.errSet() || rt.cancelFired.Load()
+	ready = max(ready, ls.issueAt)
 	for p := 0; p < ls.points; p++ {
 		proc := rt.workerForPoint(ls, p).proc
-		for _, rq := range ls.reqs {
+		var copyTime time.Duration
+		for i := 0; !skip && i < len(ls.reqs); i++ {
+			rq := ls.reqs[i]
 			res, err := rt.map_.mapRequirement(proc, rq.region, rq.subspace(p), rq.priv)
 			if err != nil {
 				rt.setErr(err)
-				return
+				skip = true
+				break
 			}
-			ls.copyTimes[p] += res.copyTime
+			copyTime += res.copyTime
+		}
+		var work int64
+		if !skip && !rt.decideFault(ls, p) {
+			work = ls.pointWork(p)
+		}
+
+		kind := rt.mach.Proc(proc).Kind
+		dur := rt.cost.PointOverhead + copyTime + rt.cost.KernelTime(kind, ls.opClass, work)
+		start := max(rt.procBusy[proc], ready)
+		finish := start + dur
+		rt.procBusy[proc] = finish
+		rt.simMax = max(rt.simMax, finish)
+		ls.finishes[p] = finish
+		ls.finishAt = max(ls.finishAt, finish)
+		if !ls.replay {
+			rt.profile.recordPointTime(ls.name, dur)
+		}
+		if ps := rt.prof; ps != nil {
+			ps.RecordSpan(prof.Span{
+				Run: rt.profRun, Task: ls.name, Launch: ls.seq, Point: p,
+				Proc: int(proc), Node: rt.mach.Proc(proc).Node,
+				Start: start, Dur: dur, Work: work,
+				FusedMembers: len(ls.fused),
+				TraceID:      ls.traceID, TraceEpoch: ls.traceEpoch, TraceReplay: ls.traceReplay,
+				CkptEpoch: ls.ckptEpoch, Replay: ls.replay,
+			})
 		}
 	}
+}
+
+// pointWork is the work point p declares; a fused point charges the sum
+// of its members', since it still touches every member's elements.
+func (ls *launchState) pointWork(p int) int64 {
+	if len(ls.fused) == 0 {
+		return ls.work.of(ls.reqs, p)
+	}
+	var n int64
+	for i := range ls.fused {
+		n += ls.fused[i].work.of(ls.fused[i].reqs, p)
+	}
+	return n
 }
 
 // executeNow issues the launch immediately, bypassing the fusion window.
@@ -605,13 +635,14 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	}
 	rt.mu.Unlock()
 
+	// Every dependency was issued earlier, so its finish time is final.
+	ready := readDone
+	for _, dep := range deps {
+		ready = max(ready, dep.finishAt)
+	}
+	rt.mapLaunch(ls, ready)
+
 	if rt.runsInline(ls, footprint, deps) {
-		// Every dependency has completed, so the finish times read here
-		// are the ones the queued path would have been handed.
-		ls.noteDepFinish(readDone)
-		for _, dep := range deps {
-			ls.noteDepFinish(dep.finishTime())
-		}
 		for p := 0; p < ls.points; p++ {
 			rt.workerForPoint(ls, p).exec(workItem{ls: ls, point: p})
 		}
@@ -629,13 +660,10 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	// launch from dispatching until registration finishes, even if a
 	// dependency completes concurrently.
 	ls.depCount.Store(1)
-	ls.noteDepFinish(readDone)
 	for _, dep := range deps {
 		ls.depCount.Add(1)
 		if !dep.addChild(ls) {
-			// Already complete: take its finish time directly.
-			ls.noteDepFinish(dep.finishTime())
-			ls.depCount.Add(-1)
+			ls.depCount.Add(-1) // already complete
 		}
 	}
 	if ls.depCount.Add(-1) == 0 {
@@ -648,11 +676,11 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 // analysed. The issuing goroutine runs them itself, in point order, when
 // three things it can observe hold: the launch touches at most the
 // parallel grain of elements, so there is nothing for a second core to
-// win; every dependency has completed, so the launch is runnable now and
-// its ready time is final; and every processor it targets is idle, so
-// running its points here is exactly that processor's program order —
-// only this goroutine enqueues, so idleness cannot end while it runs
-// them. Otherwise the points go to the workers' queues.
+// win; every dependency has completed, so the launch is runnable now;
+// and every processor it targets is idle, so running its points here is
+// exactly that processor's program order — only this goroutine enqueues,
+// so idleness cannot end while it runs them. Otherwise the points go to
+// the workers' queues.
 func (rt *Runtime) runsInline(ls *launchState, footprint int64, deps []*launchState) bool {
 	if footprint > rt.inlineGrain {
 		return false
@@ -691,17 +719,8 @@ func (ls *launchState) addChild(child *launchState) bool {
 	return true
 }
 
-func (ls *launchState) noteDepFinish(t time.Duration) {
-	ls.finishMu.Lock()
-	if t > ls.depReadyAt {
-		ls.depReadyAt = t
-	}
-	ls.finishMu.Unlock()
-}
-
 // noteDepDone is called by a completing dependency.
-func (ls *launchState) noteDepDone(finish time.Duration, rt *Runtime) {
-	ls.noteDepFinish(finish)
+func (ls *launchState) noteDepDone(rt *Runtime) {
 	if ls.depCount.Add(-1) == 0 {
 		rt.dispatch(ls)
 	}
@@ -730,78 +749,34 @@ func (rt *Runtime) dispatch(ls *launchState) {
 }
 
 // runPoint executes one point task on w's processor: run the real
-// kernel, charge the simulated timeline, and complete the launch when it
-// is the last point. It runs on w's goroutine for a queued launch and on
-// the application goroutine for an inline or replayed one.
+// kernel and complete the launch when it is the last point. Its place on
+// the simulated timeline was fixed when the launch was issued. It runs
+// on w's goroutine for a queued launch and on the application goroutine
+// for an inline or replayed one.
 func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 	if ls.replay {
 		rt.stats.ReplayedPoints.Add(1)
 	} else {
 		rt.stats.PointTasks.Add(1)
 	}
-	proc, tc := w.proc, &w.tc
+	tc := &w.tc
 	tc.bind(ls, point, ls.reqs, ls.args)
-	// After the sticky error or a cancellation only the kernel is skipped:
-	// the point still charges its timeline and completes, so fences return
-	// promptly and no worker computes an abandoned result.
-	var work int64
+	// After the sticky error or a cancellation the kernel is skipped and
+	// the point just completes, so fences return promptly and no worker
+	// computes an abandoned result.
 	if !rt.errSet() && !rt.cancelFired.Load() {
-		var kerr error
-		work, kerr = rt.execPoint(ls, tc)
-		if kerr != nil {
+		if err := rt.execPoint(ls, tc); err != nil {
 			// A panicking kernel (injected or real). With checkpointing
 			// on this becomes a recorded point failure that the next
 			// synchronization point repairs by replay; otherwise it is
-			// the runtime's sticky error. Either way the point still
-			// charges its timeline and completes, so nothing hangs.
+			// the runtime's sticky error. Either way the point completes,
+			// so nothing hangs.
 			rt.stats.PointFailures.Add(1)
-			if !rt.notePointFailure(ls, point, kerr) {
-				rt.setErr(kerr)
+			if !rt.notePointFailure(ls, point, err) {
+				rt.setErr(err)
 			}
 		}
 	}
-	if ls.workFn != nil {
-		work = ls.workFn(point)
-	}
-
-	// Simulated timeline update for this point: it may start once the
-	// runtime has issued it, its dependencies have finished, and its
-	// processor is free; it then pays the per-point overhead, its input
-	// copies, and its kernel time.
-	kind := rt.mach.Proc(proc).Kind
-	dur := rt.cost.PointOverhead + ls.copyTimes[point] + rt.cost.KernelTime(kind, ls.opClass, work)
-	if !ls.replay {
-		rt.profile.recordPointTime(ls.name, dur)
-	}
-	ls.finishMu.Lock()
-	ready := ls.depReadyAt
-	ls.finishMu.Unlock()
-	if ls.issueAt > ready {
-		ready = ls.issueAt
-	}
-	rt.simMu.Lock()
-	start := rt.procBusy[proc]
-	if ready > start {
-		start = ready
-	}
-	finish := start + dur
-	rt.procBusy[proc] = finish
-	if finish > rt.simMax {
-		rt.simMax = finish
-	}
-	rt.simMu.Unlock()
-	ls.recordFinish(finish)
-	if ps := rt.prof; ps != nil {
-		ps.RecordSpan(prof.Span{
-			Run: rt.profRun, Task: ls.name, Launch: ls.seq, Point: point,
-			Proc: int(proc), Node: rt.mach.Proc(proc).Node,
-			Start: start, Dur: dur,
-			FusedMembers: len(ls.fused),
-			TraceID:      ls.traceID, TraceEpoch: ls.traceEpoch, TraceReplay: ls.traceReplay,
-			CkptEpoch: ls.ckptEpoch, Replay: ls.replay,
-		})
-	}
-
 	*tc = TaskContext{} // the processor keeps no reference to the launch
 	if ls.remaining.Add(-1) == 0 {
 		rt.completeLaunch(ls)
@@ -810,49 +785,34 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 
 // execPoint runs the point's kernel(s) under a recover barrier, so a
 // panicking kernel becomes a point failure instead of tearing the
-// process down. tc arrives bound to the launch's own requirements. Fault
-// injection fires here, keyed on the launch's stream position (per
-// member for a fused launch).
-func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (work int64, err error) {
+// process down. tc arrives bound to the launch's own requirements. An
+// injected fault decided at issue panics at its member, after the
+// members before it have run (runFusedPoint).
+func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (err error) {
 	point := tc.point
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskPanicError{Task: ls.name, Point: point, Value: r}
 		}
 	}()
+	fail := -1
+	if m, ok := ls.failAt[point]; ok {
+		fail = m
+	}
 	if len(ls.fused) > 0 {
-		return rt.runFusedPoint(ls, tc), nil
+		rt.runFusedPoint(ls, tc, fail)
+		return nil
 	}
 	rt.injectDelay(ls.stream, point)
-	rt.injectFault(ls.stream, point)
+	if fail == 0 {
+		panic(InjectedFault{Stream: ls.stream, Point: point})
+	}
 	ls.kernel(tc)
 	if tc.hasPartial {
 		ls.pointPartials[point] = tc.partial
 		ls.reduces.Store(true)
 	}
-	work = tc.work
-	if work == 0 {
-		work = defaultWork(ls.reqs, tc.subs)
-	}
-	return work, nil
-}
-
-// defaultWork estimates a point task's processed elements as the size of
-// its first written subspace (or first subspace if it only reads).
-func defaultWork(reqs []req, subs []geometry.IntervalSet) int64 {
-	var firstRead int64 = -1
-	for i, rq := range reqs {
-		if rq.priv.writes() {
-			return subs[i].Size()
-		}
-		if firstRead < 0 {
-			firstRead = subs[i].Size()
-		}
-	}
-	if firstRead < 0 {
-		return 0
-	}
-	return firstRead
+	return nil
 }
 
 // completeLaunch publishes the reduction value, notifies children, and
@@ -868,7 +828,6 @@ func (rt *Runtime) completeLaunch(ls *launchState) {
 		sum += v
 	}
 	ls.reduced.Store(math.Float64bits(sum))
-	finish := ls.finishTime()
 
 	ls.childMu.Lock()
 	ls.completed.Store(true)
@@ -880,7 +839,7 @@ func (rt *Runtime) completeLaunch(ls *launchState) {
 		close(done)
 	}
 	for _, c := range children {
-		c.noteDepDone(finish, rt)
+		c.noteDepDone(rt)
 	}
 	rt.pending.Done()
 }

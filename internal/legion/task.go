@@ -72,12 +72,42 @@ type Launch struct {
 	reqs    []req
 	args    any
 	opClass machine.OpClass
-	workFn  func(point int) int64 // optional explicit work estimate
-	fusable bool                  // eligible for the runtime's fusion window
-	fused   []fusedMember         // set by the fuser on a fused launch
-	procMap func(point int) int   // optional point→proc override (index into Procs)
-	stream  int64                 // launch-stream position, set at Execute (fault/replay key)
-	reqBuf  [6]req                // backs reqs for the usual requirement counts
+	work    workSource          // the cost model's per-point work
+	fusable bool                // eligible for the runtime's fusion window
+	fused   []fusedMember       // set by the fuser on a fused launch
+	procMap func(point int) int // optional point→proc override (index into Procs)
+	stream  int64               // launch-stream position, set at Execute (fault/replay key)
+	reqBuf  [6]req              // backs reqs for the usual requirement counts
+}
+
+// workSource declares how many elements a point task processes — the
+// work the cost model charges its kernel for: factor times the size of
+// requirement req's subspace. The zero value is the default rule: the
+// first written requirement's subspace, else the first read one's. A
+// declared size of 0 falls back to that rule too, so a row block without
+// nonzeros still charges its rows.
+type workSource struct {
+	req    int
+	factor int64 // 0: the default rule
+}
+
+// of returns the work of point p of a kernel with requirements reqs.
+func (ws workSource) of(reqs []req, p int) int64 {
+	if ws.factor > 0 {
+		if n := reqs[ws.req].size(p); n > 0 {
+			return n * ws.factor
+		}
+	}
+	firstRead := int64(-1)
+	for _, rq := range reqs {
+		if rq.priv.writes() {
+			return rq.size(p)
+		}
+		if firstRead < 0 {
+			firstRead = rq.size(p)
+		}
+	}
+	return max(firstRead, 0)
 }
 
 // NewLaunch begins building an index launch of the given number of point
@@ -133,10 +163,18 @@ func (l *Launch) SetArgs(a any) *Launch { l.args = a; return l }
 // SetOpClass sets the cost-model class of the kernel (default Stream).
 func (l *Launch) SetOpClass(c machine.OpClass) *Launch { l.opClass = c; return l }
 
-// SetWork installs an explicit per-point work estimate (elements
-// processed), overriding the default estimate (the size of the point's
-// first written subspace, or first read subspace if none is written).
-func (l *Launch) SetWork(f func(point int) int64) *Launch { l.workFn = f; return l }
+// SetWorkSource declares each point's work (elements processed) as
+// factor times the size of requirement req's subspace — a SpMV row
+// block's nonzeros, say, as the size of its image in crd. The runtime
+// reads it when it issues the launch (workSource has the default), so no
+// kernel reports work.
+func (l *Launch) SetWorkSource(req int, factor int64) *Launch {
+	if req < 0 || req >= len(l.reqs) || factor < 1 {
+		panic(fmt.Sprintf("legion: launch %q: work source %d×%d of %d requirements", l.name, req, factor, len(l.reqs)))
+	}
+	l.work = workSource{req: req, factor: factor}
+	return l
+}
 
 // SetFusable marks the launch as eligible for the runtime's task-fusion
 // window (see fusion.go). Only side-effect-free data-parallel kernels
@@ -198,7 +236,6 @@ type TaskContext struct {
 	subs       []geometry.IntervalSet
 	reqs       []req // this kernel's requirements (≠ launch reqs when fused)
 	args       any
-	work       int64
 	partial    float64
 	hasPartial bool
 
@@ -211,7 +248,7 @@ type TaskContext struct {
 // materializing the index subspace of each.
 func (tc *TaskContext) bind(ls *launchState, point int, reqs []req, args any) {
 	tc.launch, tc.point, tc.reqs, tc.args = ls, point, reqs, args
-	tc.work, tc.partial, tc.hasPartial = 0, 0, false
+	tc.partial, tc.hasPartial = 0, false
 	tc.subs = tc.subsBuf[:0]
 	for _, rq := range reqs {
 		tc.subs = append(tc.subs, rq.subspace(point))
@@ -228,6 +265,14 @@ func (rq req) subspace(point int) geometry.IntervalSet {
 		return geometry.NewIntervalSet(rq.region.Domain())
 	}
 	return geometry.IntervalSet{}
+}
+
+// size is the number of indices of rq that point touches.
+func (rq req) size(point int) int64 {
+	if rq.part != nil {
+		return rq.part.Subspace(point).Size()
+	}
+	return rq.region.size
 }
 
 // Point returns this point task's color within the launch domain.
@@ -257,11 +302,6 @@ func (tc *TaskContext) Rects(i int) []geometry.Rect { return tc.reqs[i].region.R
 
 // Complex returns the complex128 backing slice of requirement i's region.
 func (tc *TaskContext) Complex(i int) []complex128 { return tc.reqs[i].region.Complexes() }
-
-// SetWorkElems reports how many elements this point actually processed,
-// improving the cost model's duration estimate (e.g. a SpMV point reports
-// its nonzero count rather than its row count).
-func (tc *TaskContext) SetWorkElems(n int64) { tc.work = n }
 
 // Reduce contributes this point's partial value to the launch's reduction
 // future. Partials are summed.
@@ -294,7 +334,7 @@ type launchState struct {
 	args    any
 	opClass machine.OpClass
 	reduces atomic.Bool // some point stored a reduction partial
-	workFn  func(point int) int64
+	work    workSource
 	fused   []fusedMember       // non-empty for a fused launch
 	procMap func(point int) int // optional point→proc override
 	stream  int64               // launch-stream position (0 for a fused carrier; members keep theirs)
@@ -334,15 +374,17 @@ type launchState struct {
 	// fut is the Future Execute hands out for an unbuffered launch.
 	fut Future
 
-	// Simulated time: the launch is "issued" at issueAt on the analysis
-	// timeline; it may start once its dependencies' finish times have
-	// passed; finishAt is the max point-task finish time.
-	issueAt    time.Duration
-	copyTimes  []time.Duration  // each point's copy time, set by mapLaunch at issue
-	copyBuf    [4]time.Duration // backs copyTimes for narrow launches
-	depReadyAt time.Duration
-	finishMu   sync.Mutex
-	finishAt   time.Duration
+	// Simulated time, all of it computed by mapLaunch at issue: the
+	// launch is issued at issueAt on the analysis timeline, point p
+	// finishes at finishes[p], and finishAt is the latest of them.
+	issueAt   time.Duration
+	finishes  []time.Duration
+	finishBuf [4]time.Duration // backs finishes for narrow launches
+	finishAt  time.Duration
+
+	// failAt maps a point whose injected fault was decided at issue to
+	// the member (0 unless fused) whose kernel raises it; nil if none.
+	failAt map[int]int
 }
 
 // wait blocks until the launch has completed.
@@ -365,26 +407,6 @@ func (ls *launchState) wait() {
 
 func (ls *launchState) reducedValue() float64 { return math.Float64frombits(ls.reduced.Load()) }
 
-func (ls *launchState) recordFinish(t time.Duration) {
-	ls.finishMu.Lock()
-	if t > ls.finishAt {
-		ls.finishAt = t
-	}
-	ls.finishMu.Unlock()
-}
-
-func (ls *launchState) finishTime() time.Duration {
-	ls.finishMu.Lock()
-	defer ls.finishMu.Unlock()
-	return ls.finishAt
-}
-
 // resetTimeline zeroes the launch's simulated-time marks; only valid for
 // completed launches (callers hold the runtime fenced).
-func (ls *launchState) resetTimeline() {
-	ls.finishMu.Lock()
-	ls.finishAt = 0
-	ls.depReadyAt = 0
-	ls.finishMu.Unlock()
-	ls.issueAt = 0
-}
+func (ls *launchState) resetTimeline() { ls.issueAt, ls.finishAt = 0, 0 }

@@ -22,10 +22,9 @@ type workItem struct {
 //
 // Strict program order per processor is deadlock-free: a launch's
 // dependencies always have lower sequence numbers, so every point this
-// one could wait on sits *earlier* in some queue, never later. The
-// payoff is determinism — with every launch mapped at issue
-// (Runtime.mapLaunch), the simulated timelines are identical across
-// runs, which the benchmark harness relies on.
+// one could wait on sits *earlier* in some queue, never later. A worker
+// only runs kernels: mapping, fault decisions and the simulated timeline
+// were computed when the launch was issued (Runtime.mapLaunch).
 //
 // The order is a property of the processor, not of a goroutine: the
 // worker's own goroutine drains the queue, and the application goroutine

@@ -245,14 +245,11 @@ func (m *Model) errorMatrix(bt *batch, pred *core.CSR) *core.CSR {
 		r, p := tc.Float64(3), tc.Float64(4)
 		bu, ci := tc.Float64(5), tc.Float64(6)
 		mu := tc.Args().(float64)
-		var work int64
 		tc.Subspace(1).Each(func(u int64) {
 			for k := pos[u].Lo; k <= pos[u].Hi; k++ {
 				e[k] = r[k] - mu - bu[u] - ci[crd[k]] - p[k]
-				work++
 			}
 		})
-		tc.SetWorkElems(work)
 	})
 	ve := task.AddOutput(evals)
 	vpos := task.AddInput(bt.b.Pos())
@@ -264,6 +261,7 @@ func (m *Model) errorMatrix(bt *batch, pred *core.CSR) *core.CSR {
 	task.Align(vpos, vbu)
 	task.Image(vpos, vcrd, vr, vp, ve)
 	task.Image(vcrd, vci)
+	task.SetWorkSource(vcrd, 1) // the user block's ratings
 	task.SetArgs(m.Mu)
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()

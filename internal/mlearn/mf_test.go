@@ -2,10 +2,13 @@ package mlearn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/geometry"
 	"repro/internal/legion"
 	"repro/internal/machine"
+	"repro/internal/prof"
 )
 
 func newRT(t testing.TB, gpus int) *legion.Runtime {
@@ -204,5 +207,44 @@ func TestHeldOutEvaluation(t *testing.T) {
 	after := m.RMSEOn(test)
 	if after >= before-0.05 {
 		t.Fatalf("held-out RMSE did not improve enough: %v -> %v", before, after)
+	}
+}
+
+// TestErrorMatrixWork: mf.error declares its per-point work as the image
+// of its user block in crd, so each point charges the batch's ratings by
+// the users it owns — counted here straight from the samples.
+func TestErrorMatrixWork(t *testing.T) {
+	rt := newRT(t, 3)
+	sink := prof.NewSink(0)
+	rt.EnableProfiling(sink)
+	ds := Synthetic("work", 90, 40, 1500, 3)
+	cfg := DefaultConfig()
+	cfg.Rank = 4
+	m := NewModel(rt, ds, cfg)
+	defer m.Destroy()
+	samples := make([]int64, 300)
+	for k := range samples {
+		samples[k] = int64(k) * (ds.NNZ() / int64(len(samples)))
+	}
+	m.TrainBatch(samples)
+	rt.Fence()
+
+	blocks := geometry.Tile(geometry.NewRect(0, ds.Users-1), rt.LaunchDomain())
+	want := make([]int64, len(blocks))
+	for _, s := range samples {
+		for p, b := range blocks {
+			if b.Contains(ds.U[s]) {
+				want[p]++
+			}
+		}
+	}
+	got := make([]int64, len(blocks))
+	for _, sp := range sink.Snapshot().Spans {
+		if sp.Task == "mf.error" {
+			got[sp.Point] = sp.Work
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("mf.error work per point = %v, want the ratings per user block %v", got, want)
 	}
 }

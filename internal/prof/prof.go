@@ -46,6 +46,7 @@ type Span struct {
 	Node   int           `json:"node"`   // node hosting the processor
 	Start  time.Duration `json:"start"`  // simulated start time
 	Dur    time.Duration `json:"dur"`    // simulated duration (overhead + copies + kernel)
+	Work   int64         `json:"work"`   // elements the kernel time was charged for
 
 	// Composition tags: which optimization regime the span ran under.
 	FusedMembers int   `json:"fused_members,omitempty"` // >0: carrier of that many fused launches
