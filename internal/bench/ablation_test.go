@@ -41,15 +41,3 @@ func TestAblationFusion(t *testing.T) {
 			res.With, res.Without, 100*(res.With/res.Without-1))
 	}
 }
-
-// TestAblationAnalysisScaling: tracing must also help the quantum
-// workload at the largest processor count, where per-point analysis
-// grows with the launch domain.
-func TestAblationAnalysisScaling(t *testing.T) {
-	opt := tinyOptions()
-	res := AblationAnalysisScaling(opt)
-	if res.With <= res.Without {
-		t.Fatalf("tracing should improve scaled quantum throughput: with=%v without=%v",
-			res.With, res.Without)
-	}
-}

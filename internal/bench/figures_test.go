@@ -113,29 +113,6 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
-// TestFig11Shape: CuPy leads on one GPU; the near-all-to-all
-// communication pattern costs Legate-GPU weak-scaling efficiency as
-// processors are added.
-func TestFig11Shape(t *testing.T) {
-	fig := Fig11Quantum(tinyOptions())
-	legate := fig.Find("Legate-GPU")
-	cupy := fig.Find("CuPy (1 GPU)")
-	if cupy.First() <= legate.First() {
-		t.Error("CuPy should lead Legate on one GPU (paper: 40%)")
-	}
-	if eff := legate.Last() / legate.First(); eff > 0.96 {
-		t.Errorf("quantum weak-scaling should lose efficiency (all-to-all), got %v", eff)
-	}
-	// The GPU version beats the CPU version at small scale (NVLink).
-	lc := fig.Find("Legate-CPU")
-	if legate.First() < lc.First() {
-		t.Error("GPU quantum should beat CPU at small scale")
-	}
-	if sci := fig.Find("SciPy"); lc.First() < 2*sci.First() {
-		t.Error("Legate-CPU should be far faster than SciPy")
-	}
-}
-
 // TestFig12Shape reproduces the Figure 12 table qualitatively: CuPy wins
 // the smallest dataset, cannot fit the two largest, and Legate's minimum
 // resource requirement grows with the dataset.
@@ -189,10 +166,42 @@ func TestCGGolden(t *testing.T) {
 // analysis-scaling ablation against testdata/quantum.golden, at a size
 // where the Hamiltonian SpMV is over the inline grain: its points are
 // queued and run concurrently, so the rows hold only because every
-// launch is mapped at issue. Run with -update to rewrite the file.
+// launch is mapped at issue. Run with -update to rewrite the file. The
+// same simulation feeds the Figure 11 shape and ablation assertions.
 func TestQuantumGolden(t *testing.T) {
 	opt := tinyOptions()
-	ab := AblationAnalysisScaling(opt)
-	checkGolden(t, "testdata/quantum.golden", Fig11Quantum(opt).FormatFigure()+
+	fig, ab := Fig11Quantum(opt), AblationAnalysisScaling(opt)
+	checkGolden(t, "testdata/quantum.golden", fig.FormatFigure()+
 		fmt.Sprintf("%s\n  %s\n  with: %v   without: %v\n", ab.Name, ab.Metric, ab.With, ab.Without))
+
+	// CuPy leads on one GPU; the near-all-to-all communication pattern
+	// costs Legate-GPU weak-scaling efficiency as processors are added.
+	t.Run("Fig11Shape", func(t *testing.T) {
+		legate := fig.Find("Legate-GPU")
+		cupy := fig.Find("CuPy (1 GPU)")
+		if cupy.First() <= legate.First() {
+			t.Error("CuPy should lead Legate on one GPU (paper: 40%)")
+		}
+		if eff := legate.Last() / legate.First(); eff > 0.96 {
+			t.Errorf("quantum weak-scaling should lose efficiency (all-to-all), got %v", eff)
+		}
+		// The GPU version beats the CPU version at small scale (NVLink).
+		lc := fig.Find("Legate-CPU")
+		if legate.First() < lc.First() {
+			t.Error("GPU quantum should beat CPU at small scale")
+		}
+		if sci := fig.Find("SciPy"); lc.First() < 2*sci.First() {
+			t.Error("Legate-CPU should be far faster than SciPy")
+		}
+	})
+
+	// Tracing must also help the quantum workload at the largest
+	// processor count, where per-point analysis grows with the launch
+	// domain.
+	t.Run("AblationAnalysisScaling", func(t *testing.T) {
+		if ab.With <= ab.Without {
+			t.Fatalf("tracing should improve scaled quantum throughput: with=%v without=%v",
+				ab.With, ab.Without)
+		}
+	})
 }

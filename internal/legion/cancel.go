@@ -123,7 +123,7 @@ type DelayInjector interface {
 // injectDelay sleeps out any latency the attached injector schedules
 // for this (stream, point). Runs on worker goroutines (and on the
 // application goroutine during replay); the injector is attached before
-// the launches it applies to, like injectFault.
+// the launches it applies to, as for decideFault.
 func (rt *Runtime) injectDelay(stream int64, point int) {
 	di, ok := rt.faultInj.(DelayInjector)
 	if !ok {

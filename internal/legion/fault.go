@@ -95,19 +95,6 @@ type pointFailure struct {
 	err   error
 }
 
-// ftLogEntry is one logged launch of the current checkpoint epoch. It
-// keeps the original (pre-fusion) Launch so replay re-executes members
-// individually, and the Future so replay can re-publish reduction values.
-type ftLogEntry struct {
-	launch *Launch
-	fut    *Future
-}
-
-// state returns the launchState the entry's future resolved to. Execute
-// attaches the future before any recovery can run, and recovery flushes
-// the fusion window first, so it is always set by then.
-func (e *ftLogEntry) state() *launchState { return e.fut.launch }
-
 // regionSnap is the checkpointed contents of one region.
 type regionSnap struct {
 	region *Region
@@ -151,8 +138,8 @@ func (s *regionSnap) restore() {
 type ftState struct {
 	every     int // launches per checkpoint epoch
 	sinceCkpt int
-	epoch     int64 // committed checkpoint epochs (profiling tag)
-	log       []*ftLogEntry
+	epoch     int64     // committed checkpoint epochs (profiling tag)
+	log       []*Launch // the epoch's issued launches, pre-fusion, in program order
 	snaps     map[RegionID]*regionSnap
 
 	failMu  sync.Mutex
@@ -252,14 +239,12 @@ func (rt *Runtime) Rescale(n int) {
 // issued (or buffered for fusion): observe processor deaths, resolve
 // outstanding failures, roll the checkpoint epoch, snapshot regions this
 // launch writes for the first time in the epoch, and log the launch.
-// Returns the log entry (nil when checkpointing is off) so Execute can
-// attach the launch's Future for replay.
-func (rt *Runtime) preLaunch(l *Launch) *ftLogEntry {
+func (rt *Runtime) preLaunch(l *Launch) {
 	rt.checkProcDeaths()
 	rt.maybeRecover()
 	ft := rt.ft
 	if ft == nil {
-		return nil
+		return
 	}
 	if ft.sinceCkpt >= ft.every {
 		rt.takeCheckpoint()
@@ -270,9 +255,7 @@ func (rt *Runtime) preLaunch(l *Launch) *ftLogEntry {
 			rt.snapshotRegion(rq.region)
 		}
 	}
-	e := &ftLogEntry{launch: l}
-	ft.log = append(ft.log, e)
-	return e
+	ft.log = append(ft.log, l)
 }
 
 // snapshotRegion checkpoints r if this epoch has not already done so.
@@ -323,12 +306,12 @@ func (rt *Runtime) notePointFailure(ls *launchState, point int, err error) bool 
 		return false
 	}
 	ft.failMu.Lock()
-	ft.failed = append(ft.failed, pointFailure{task: ls.name, point: point, err: err})
+	ft.failed = append(ft.failed, pointFailure{task: ls.l.name, point: point, err: err})
 	ft.failMu.Unlock()
 	ft.needRec.Store(true)
 	if ps := rt.prof; ps != nil {
 		ps.RecordMark(prof.Mark{Run: rt.profRun, Kind: prof.MarkFault,
-			At: ls.finishes[point], Task: ls.name, Point: point})
+			At: ls.finishes[point], Task: ls.l.name, Point: point})
 	}
 	return true
 }
@@ -395,7 +378,7 @@ func (rt *Runtime) restoreCheckpoint() {
 // the caller restores and retries — and ok=true either on success or
 // when a sticky error (e.g. OOM during re-mapping) ends recovery.
 func (rt *Runtime) replayLog() (ok bool, failure error) {
-	for _, e := range rt.ft.log {
+	for _, l := range rt.ft.log {
 		// Replay entries are cooperative cancellation checkpoints: a
 		// deadline that expires mid-replay abandons the rest of the
 		// epoch (the caller discards it via ClearCancel) instead of
@@ -404,7 +387,7 @@ func (rt *Runtime) replayLog() (ok bool, failure error) {
 		if rt.cancelFired.Load() {
 			return true, nil
 		}
-		if err := rt.replayEntry(e); err != nil {
+		if err := rt.replayEntry(l); err != nil {
 			return false, err
 		}
 		if rt.errSet() {
@@ -421,19 +404,20 @@ func (rt *Runtime) replayLog() (ok bool, failure error) {
 // processor's worker context, through the same runPoint as any other
 // execution. A reduction is republished into the launch the
 // application's Future holds, summed in point order by completeLaunch,
-// so it matches a fault-free run exactly.
-func (rt *Runtime) replayEntry(e *ftLogEntry) error {
-	orig := e.state()
+// so it matches a fault-free run exactly. Recovery flushes the fusion
+// window first, so that Future has resolved by now.
+func (rt *Runtime) replayEntry(l *Launch) error {
+	orig := l.fut.launch
 	rt.stats.ReplayedLaunches.Add(1)
 	rt.mu.Lock()
-	rt.analysisClock += rt.analysisCost(e.launch.points)
+	rt.analysisClock += rt.analysisCost(l.points)
 	rt.mu.Unlock()
 
-	ls := rt.newLaunchState(e.launch)
+	ls := rt.newLaunchState(l)
 	ls.replay = true
 	ls.seq, ls.ckptEpoch = orig.seq, rt.ckptEpoch()
 	rt.mapLaunch(ls, 0)
-	for p := 0; p < ls.points; p++ {
+	for p := 0; p < l.points; p++ {
 		rt.workerForPoint(ls, p).exec(workItem{ls: ls, point: p})
 	}
 
@@ -456,13 +440,13 @@ func (rt *Runtime) decideFault(ls *launchState, p int) bool {
 		return false
 	}
 	member := -1
-	if len(ls.fused) == 0 {
-		if fi.ShouldFail(ls.stream, p) {
+	if len(ls.l.fused) == 0 {
+		if fi.ShouldFail(ls.l.stream, p) {
 			member = 0
 		}
 	} else {
-		for mi := range ls.fused {
-			if fi.ShouldFail(ls.fused[mi].stream, p) {
+		for mi, m := range ls.l.fused {
+			if fi.ShouldFail(m.stream, p) {
 				member = mi
 				break
 			}
@@ -575,7 +559,7 @@ func (rt *Runtime) peekSimTime() time.Duration {
 // (runtime bookkeeping, not the kernel — execPoint recovers those) into
 // a sticky error and finalizes the point so Fence cannot hang.
 func (rt *Runtime) pointBackstop(ls *launchState, point int, rec any) {
-	rt.setErr(&TaskPanicError{Task: ls.name, Point: point, Value: rec})
+	rt.setErr(&TaskPanicError{Task: ls.l.name, Point: point, Value: rec})
 	if ls.remaining.Add(-1) == 0 {
 		rt.completeLaunch(ls)
 	}

@@ -26,6 +26,7 @@ package legion
 // TraceReplayFactor-discounted analysis cost like any other launch.
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,21 +84,8 @@ func (rt *Runtime) FlushFusion() {
 	f.submitLocked()
 	// Drop the window's references; the next window refills the arrays.
 	clear(f.buf)
-	clear(f.futs)
 	clear(f.entries)
-	f.buf, f.futs, f.entries = f.buf[:0], f.futs[:0], f.entries[:0]
-}
-
-// fusedMember is one original launch folded into a fused launch. It
-// keeps its own requirements and args so its kernel sees exactly the
-// TaskContext it would have seen unfused.
-type fusedMember struct {
-	name   string
-	kernel KernelFunc
-	reqs   []req
-	args   any
-	work   workSource
-	stream int64 // the member's own launch-stream position (fault/replay key)
+	f.buf, f.entries = f.buf[:0], f.entries[:0]
 }
 
 // winEntry tracks one (region, partition) access pattern accumulated in
@@ -134,20 +122,19 @@ type fuser struct {
 
 	mu      sync.Mutex
 	buf     []*Launch
-	futs    []*Future
 	entries []winEntry // at most max launches × a few requirements: scanned, not indexed
 	points  int
 	opClass machine.OpClass
 }
 
 // offer buffers l if it is fusable and compatible with the current
-// window, returning its pending Future; it returns nil when the launch
-// must be issued immediately (flushing the window first so program
-// order is preserved).
-func (f *fuser) offer(l *Launch) *Future {
+// window and reports whether it did; a launch it does not buffer must be
+// issued immediately (the window is flushed first so program order is
+// preserved).
+func (f *fuser) offer(l *Launch) bool {
 	if !l.fusionEligible() {
 		f.rt.FlushFusion()
-		return nil
+		return false
 	}
 	f.mu.Lock()
 	compatible := len(f.buf) == 0 || f.compatLocked(l)
@@ -156,13 +143,13 @@ func (f *fuser) offer(l *Launch) *Future {
 		f.rt.FlushFusion()
 	}
 	f.mu.Lock()
-	fut := f.admitLocked(l)
+	f.admitLocked(l)
 	full := len(f.buf) >= f.max
 	f.mu.Unlock()
 	if full {
 		f.rt.FlushFusion()
 	}
-	return fut
+	return true
 }
 
 // fusionEligible reports whether the launch may enter the window at all.
@@ -204,8 +191,8 @@ func (f *fuser) compatLocked(l *Launch) bool {
 	return true
 }
 
-// admitLocked adds l to the window and returns its pending Future.
-func (f *fuser) admitLocked(l *Launch) *Future {
+// admitLocked adds l to the window.
+func (f *fuser) admitLocked(l *Launch) {
 	if len(f.buf) == 0 {
 		f.points = l.points
 		f.opClass = l.opClass
@@ -227,14 +214,12 @@ func (f *fuser) admitLocked(l *Launch) *Future {
 		}
 	}
 	f.buf = append(f.buf, l)
-	fut := &Future{rt: f.rt}
-	f.futs = append(f.futs, fut)
-	return fut
 }
 
 // submitLocked issues the window: a single launch goes out as-is; a run
 // of two or more becomes one fused launch with the union requirements
-// and the member kernels composed in program order.
+// whose members are the buffered launches, run in program order. Each
+// member's Future resolves to the fused launch.
 func (f *fuser) submitLocked() {
 	buf := f.buf
 	if len(buf) == 0 {
@@ -242,7 +227,7 @@ func (f *fuser) submitLocked() {
 	}
 	rt := f.rt
 	if len(buf) == 1 {
-		f.futs[0].launch = rt.executeNow(buf[0])
+		rt.executeNow(buf[0])
 		return
 	}
 	fl := rt.NewLaunch(fusedName(buf), buf[0].points, nil)
@@ -251,14 +236,10 @@ func (f *fuser) submitLocked() {
 		e := &f.entries[i]
 		fl.reqs = append(fl.reqs, req{region: e.region, part: e.part, priv: e.merged()})
 	}
-	fl.fused = make([]fusedMember, len(buf))
-	for i, l := range buf {
-		fl.fused[i] = fusedMember{name: l.name, kernel: l.kernel, reqs: l.reqs, args: l.args, work: l.work, stream: l.stream}
-	}
+	fl.fused = slices.Clone(buf)
 	inner := rt.executeNow(fl)
-	rt.profile.recordFusion(len(buf))
-	for _, fu := range f.futs {
-		fu.launch = inner
+	for _, l := range buf {
+		l.fut.launch = inner
 	}
 }
 
@@ -287,8 +268,7 @@ func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext, fail int) {
 	point := tc.point
 	var partial float64
 	var hasPartial bool
-	for mi := range ls.fused {
-		m := &ls.fused[mi]
+	for mi, m := range ls.l.fused {
 		rt.injectDelay(m.stream, point)
 		if mi == fail {
 			panic(InjectedFault{Stream: m.stream, Point: point})

@@ -300,6 +300,22 @@ func TestWriteThroughAliasedPartitionPanics(t *testing.T) {
 	l.Add(dst, img, WriteDiscard)
 }
 
+// TestExecuteTwicePanics: a Launch is one entry of the launch stream, so
+// executing it again is a misuse, not a re-run.
+func TestExecuteTwicePanics(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	x := rt.CreateRegion("x", 4, Float64)
+	l := rt.NewLaunch("once", 2, func(tc *TaskContext) {})
+	l.Add(x, rt.BlockPartition(x, 2), ReadOnly)
+	l.Execute()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("executing a launch twice must panic")
+		}
+	}()
+	l.Execute()
+}
+
 func TestOOM(t *testing.T) {
 	m := machine.New(machine.Config{Nodes: 1})
 	m.Cost().MemCapacity[machine.GPU] = 1024 // 128 floats

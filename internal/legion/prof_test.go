@@ -248,6 +248,78 @@ func TestProfileCountersStableAcrossRecovery(t *testing.T) {
 	}
 }
 
+// TestProfileAgreesWithSink: the always-on Profile and an attached sink
+// large enough to drop nothing see the same launch stream. Under fusion,
+// a rate fault schedule and checkpoint replay, each task name's
+// Profile launches, points and simulated time equal the sink's launch
+// count, summed launch points and summed non-replay span durations.
+func TestProfileAgreesWithSink(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	sink := prof.NewSink(1 << 16)
+	rt.EnableProfiling(sink)
+	rt.SetFusionWindow(4)
+	rt.EnableCheckpointing(8)
+	inj, err := fault.Parse("rate:0.05:4", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetFaultInjector(inj)
+	x := rt.CreateRegion("x", 64, Float64)
+	y := rt.CreateRegion("y", 64, Float64)
+	px, py := rt.BlockPartition(x, 2), rt.BlockPartition(y, 2)
+	for i := 0; i < 24; i++ {
+		for _, name := range []string{"scale", "shift"} {
+			l := rt.NewLaunch(name, 2, func(tc *TaskContext) {
+				d := tc.Float64(0)
+				tc.Subspace(0).Each(func(j int64) { d[j] = 0.5*d[j] + 1 })
+			})
+			l.Add(x, px, ReadWrite)
+			l.SetFusable(true)
+			l.Execute()
+		}
+		profStep(rt, "axpy", y, x, py, px)
+	}
+	rt.Fence()
+	if err := rt.Err(); err != nil {
+		t.Fatalf("recovery should succeed: %v", err)
+	}
+	if inj.PointFaults() == 0 || rt.Stats().ReplayedLaunches.Load() == 0 {
+		t.Fatal("test setup: the schedule must fail a point and recovery replay it")
+	}
+	if g, _ := rt.Profile().FusedLaunchCounts(); g == 0 {
+		t.Fatal("test setup: the stream must fuse")
+	}
+
+	tr := sink.Snapshot()
+	if tr.DroppedSpans+tr.DroppedLaunches > 0 {
+		t.Fatalf("sink dropped %d spans and %d launches", tr.DroppedSpans, tr.DroppedLaunches)
+	}
+	want := map[string]ProfileEntry{}
+	for _, li := range tr.Launches {
+		e := want[li.Name]
+		e.Name = li.Name
+		e.Launches++
+		e.Points += int64(li.Points)
+		want[li.Name] = e
+	}
+	for _, sp := range tr.Spans {
+		if !sp.Replay {
+			e := want[sp.Task]
+			e.SimTime += sp.Dur
+			want[sp.Task] = e
+		}
+	}
+	got := rt.Profile().Entries()
+	if len(got) != len(want) {
+		t.Fatalf("Profile has %d task names, the sink %d", len(got), len(want))
+	}
+	for _, e := range got {
+		if e != want[e.Name] {
+			t.Fatalf("task %q: Profile %+v, sink %+v", e.Name, e, want[e.Name])
+		}
+	}
+}
+
 // TestProfilingCheckpointEpochTags: launches issued after a checkpoint
 // commit carry the incremented epoch.
 func TestProfilingCheckpointEpochTags(t *testing.T) {

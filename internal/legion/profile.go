@@ -11,7 +11,7 @@ import (
 // Profile accumulates per-task-name statistics, the role Legion Prof
 // plays for the real runtime: how many launches and points each
 // operation issued and how much simulated processor time its kernels
-// consumed. Profiling is always on (the bookkeeping is two map updates
+// consumed. Profiling is always on (the bookkeeping is one map update
 // per launch) and survives ResetMetrics so applications can inspect a
 // whole run.
 type Profile struct {
@@ -33,7 +33,9 @@ func newProfile() *Profile {
 	return &Profile{entries: map[string]*ProfileEntry{}}
 }
 
-func (p *Profile) recordLaunch(name string, points int) {
+// record adds one issued launch: its points and their summed simulated
+// durations under name, and, for a fused launch, its members.
+func (p *Profile) record(name string, points int, simTime time.Duration, members int) {
 	p.mu.Lock()
 	e := p.entries[name]
 	if e == nil {
@@ -42,14 +44,11 @@ func (p *Profile) recordLaunch(name string, points int) {
 	}
 	e.Launches++
 	e.Points += int64(points)
-	p.mu.Unlock()
-}
-
-// recordFusion notes that one fused launch replaced members originals.
-func (p *Profile) recordFusion(members int) {
-	p.mu.Lock()
-	p.fusedGroups++
-	p.fusedMembers += int64(members)
+	e.SimTime += simTime
+	if members > 0 {
+		p.fusedGroups++
+		p.fusedMembers += int64(members)
+	}
 	p.mu.Unlock()
 }
 
@@ -59,14 +58,6 @@ func (p *Profile) FusedLaunchCounts() (groups, members int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.fusedGroups, p.fusedMembers
-}
-
-func (p *Profile) recordPointTime(name string, d time.Duration) {
-	p.mu.Lock()
-	if e := p.entries[name]; e != nil {
-		e.SimTime += d
-	}
-	p.mu.Unlock()
 }
 
 // Entries returns the profile sorted by descending simulated time.

@@ -1,6 +1,7 @@
 package legion
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -394,8 +395,8 @@ func (rt *Runtime) ProcForPoint(p int) machine.ProcID {
 // in procs/workers, honoring a MapPoints override.
 func (rt *Runtime) workerIndex(ls *launchState, p int) int {
 	i := p
-	if ls.procMap != nil {
-		i = ls.procMap(p)
+	if ls.l.procMap != nil {
+		i = ls.l.procMap(p)
 	}
 	i %= len(rt.workers)
 	if i < 0 {
@@ -421,27 +422,24 @@ func (rt *Runtime) workerForPoint(ls *launchState, p int) *worker {
 // window rather than issued immediately; its Future resolves the window
 // on first use, and any barrier (Fence, Destroy, SimTime, traces) also
 // flushes it. Sequential semantics are preserved either way.
+//
+// A Launch is executed once; build a new one to run the same task again.
 func (l *Launch) Execute() *Future {
+	if l.stream != 0 {
+		panic(fmt.Sprintf("legion: launch %q executed twice", l.name))
+	}
 	rt := l.rt
 	rt.pollCancel()
 	rt.streamPos++
 	l.stream = rt.streamPos
-	var entry *ftLogEntry
 	if rt.faultInj != nil || rt.ft != nil {
-		entry = rt.preLaunch(l)
+		rt.preLaunch(l)
 	}
 	rt.noteWrites(l.reqs)
-	var fut *Future
-	if f := rt.fuser; f != nil {
-		fut = f.offer(l)
+	if f := rt.fuser; f == nil || !f.offer(l) {
+		rt.executeNow(l)
 	}
-	if fut == nil {
-		fut = &rt.executeNow(l).fut
-	}
-	if entry != nil {
-		entry.fut = fut
-	}
-	return fut
+	return &l.fut
 }
 
 // noteWrites applies the program-order effects of a launch's writes that
@@ -468,19 +466,7 @@ func (rt *Runtime) noteWrites(reqs []req) {
 // it with the fence; it completes when all its points have run. The
 // caller issues it with mapLaunch.
 func (rt *Runtime) newLaunchState(l *Launch) *launchState {
-	ls := &launchState{
-		name:    l.name,
-		points:  l.points,
-		kernel:  l.kernel,
-		reqs:    l.reqs,
-		args:    l.args,
-		opClass: l.opClass,
-		work:    l.work,
-		fused:   l.fused,
-		procMap: l.procMap,
-		stream:  l.stream,
-	}
-	ls.fut = Future{launch: ls, rt: rt}
+	ls := &launchState{l: l}
 	if l.points <= len(ls.partialBuf) {
 		ls.pointPartials, ls.finishes = ls.partialBuf[:l.points], ls.finishBuf[:l.points]
 	} else {
@@ -503,13 +489,15 @@ func (rt *Runtime) newLaunchState(l *Launch) *launchState {
 // fails. After the sticky error or a cancellation nothing is mapped or
 // decided and points charge no work, since their kernels will not run.
 func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
+	l := ls.l
 	skip := rt.errSet() || rt.cancelFired.Load()
 	ready = max(ready, ls.issueAt)
-	for p := 0; p < ls.points; p++ {
+	var simTime time.Duration
+	for p := 0; p < l.points; p++ {
 		proc := rt.workerForPoint(ls, p).proc
 		var copyTime time.Duration
-		for i := 0; !skip && i < len(ls.reqs); i++ {
-			rq := ls.reqs[i]
+		for i := 0; !skip && i < len(l.reqs); i++ {
+			rq := l.reqs[i]
 			res, err := rt.map_.mapRequirement(proc, rq.region, rq.subspace(p), rq.priv)
 			if err != nil {
 				rt.setErr(err)
@@ -520,56 +508,58 @@ func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 		}
 		var work int64
 		if !skip && !rt.decideFault(ls, p) {
-			work = ls.pointWork(p)
+			work = l.pointWork(p)
 		}
 
 		kind := rt.mach.Proc(proc).Kind
-		dur := rt.cost.PointOverhead + copyTime + rt.cost.KernelTime(kind, ls.opClass, work)
+		dur := rt.cost.PointOverhead + copyTime + rt.cost.KernelTime(kind, l.opClass, work)
 		start := max(rt.procBusy[proc], ready)
 		finish := start + dur
 		rt.procBusy[proc] = finish
 		rt.simMax = max(rt.simMax, finish)
 		ls.finishes[p] = finish
 		ls.finishAt = max(ls.finishAt, finish)
-		if !ls.replay {
-			rt.profile.recordPointTime(ls.name, dur)
-		}
+		simTime += dur
 		if ps := rt.prof; ps != nil {
 			ps.RecordSpan(prof.Span{
-				Run: rt.profRun, Task: ls.name, Launch: ls.seq, Point: p,
+				Run: rt.profRun, Task: l.name, Launch: ls.seq, Point: p,
 				Proc: int(proc), Node: rt.mach.Proc(proc).Node,
 				Start: start, Dur: dur, Work: work,
-				FusedMembers: len(ls.fused),
+				FusedMembers: len(l.fused),
 				TraceID:      ls.traceID, TraceEpoch: ls.traceEpoch, TraceReplay: ls.traceReplay,
 				CkptEpoch: ls.ckptEpoch, Replay: ls.replay,
 			})
 		}
 	}
+	if !ls.replay {
+		rt.profile.record(l.name, l.points, simTime, len(l.fused))
+	}
 }
 
 // pointWork is the work point p declares; a fused point charges the sum
 // of its members', since it still touches every member's elements.
-func (ls *launchState) pointWork(p int) int64 {
-	if len(ls.fused) == 0 {
-		return ls.work.of(ls.reqs, p)
+func (l *Launch) pointWork(p int) int64 {
+	if len(l.fused) == 0 {
+		return l.work.of(l.reqs, p)
 	}
 	var n int64
-	for i := range ls.fused {
-		n += ls.fused[i].work.of(ls.fused[i].reqs, p)
+	for _, m := range l.fused {
+		n += m.work.of(m.reqs, p)
 	}
 	return n
 }
 
-// executeNow issues the launch immediately, bypassing the fusion window.
+// executeNow issues the launch immediately, bypassing the fusion window,
+// and points its Future at the new launch state.
 func (rt *Runtime) executeNow(l *Launch) *launchState {
 	ls := rt.newLaunchState(l)
+	l.fut.launch = ls
 	rt.mu.Lock()
 	rt.nextSeq++
 	ls.seq = rt.nextSeq
 	rt.analysisClock += rt.analysisCost(l.points)
 	ls.issueAt = rt.analysisClock
 	rt.stats.Tasks.Add(1)
-	rt.profile.recordLaunch(l.name, l.points)
 
 	// Dynamic dependence analysis (paper §2.2): collect the earlier
 	// launches this one must wait for, each once, then update per-region
@@ -619,16 +609,16 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	ls.ckptEpoch = rt.ckptEpoch()
 	if ps := rt.prof; ps != nil {
 		var members []string
-		for i := range ls.fused {
-			members = append(members, ls.fused[i].name)
+		for _, m := range l.fused {
+			members = append(members, m.name)
 		}
 		depSeqs := make([]int64, 0, len(deps))
 		for _, dep := range deps {
 			depSeqs = append(depSeqs, dep.seq)
 		}
 		ps.RecordLaunch(prof.LaunchInfo{
-			Run: rt.profRun, Seq: ls.seq, Name: ls.name, Points: ls.points,
-			Stream: ls.stream, Members: members,
+			Run: rt.profRun, Seq: ls.seq, Name: l.name, Points: l.points,
+			Stream: l.stream, Members: members,
 			TraceID: ls.traceID, TraceEpoch: ls.traceEpoch, TraceReplay: ls.traceReplay,
 			CkptEpoch: ls.ckptEpoch,
 		}, depSeqs)
@@ -643,7 +633,7 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	rt.mapLaunch(ls, ready)
 
 	if rt.runsInline(ls, footprint, deps) {
-		for p := 0; p < ls.points; p++ {
+		for p := 0; p < l.points; p++ {
 			rt.workerForPoint(ls, p).exec(workItem{ls: ls, point: p})
 		}
 		return ls
@@ -652,7 +642,7 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	// Enqueue every point task now, in launch-sequence order, so each
 	// worker executes its points in a deterministic, deadlock-free
 	// program order; the launch's ready flag gates actual execution.
-	for p := 0; p < ls.points; p++ {
+	for p := 0; p < l.points; p++ {
 		rt.workerForPoint(ls, p).enqueue(ls, p)
 	}
 
@@ -690,16 +680,16 @@ func (rt *Runtime) runsInline(ls *launchState, footprint int64, deps []*launchSt
 			return false
 		}
 	}
-	if ls.procMap == nil {
+	if ls.l.procMap == nil {
 		// Round-robin: the first min(points, procs) workers host every point.
-		for _, w := range rt.workers[:min(ls.points, len(rt.workers))] {
+		for _, w := range rt.workers[:min(ls.l.points, len(rt.workers))] {
 			if !w.idle() {
 				return false
 			}
 		}
 		return true
 	}
-	for p := 0; p < ls.points; p++ {
+	for p := 0; p < ls.l.points; p++ {
 		if !rt.workerForPoint(ls, p).idle() {
 			return false
 		}
@@ -732,15 +722,15 @@ func (ls *launchState) noteDepDone(rt *Runtime) {
 // the workers to wake are derived from the mapping itself.
 func (rt *Runtime) dispatch(ls *launchState) {
 	ls.ready.Store(true)
-	if ls.procMap == nil {
+	if ls.l.procMap == nil {
 		// Round-robin: the first min(points, procs) workers host every point.
-		for _, w := range rt.workers[:min(ls.points, len(rt.workers))] {
+		for _, w := range rt.workers[:min(ls.l.points, len(rt.workers))] {
 			w.wake()
 		}
 		return
 	}
 	woken := make([]bool, len(rt.workers))
-	for p := 0; p < ls.points; p++ {
+	for p := 0; p < ls.l.points; p++ {
 		if i := rt.workerIndex(ls, p); !woken[i] {
 			woken[i] = true
 			rt.workers[i].wake()
@@ -760,7 +750,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 		rt.stats.PointTasks.Add(1)
 	}
 	tc := &w.tc
-	tc.bind(ls, point, ls.reqs, ls.args)
+	tc.bind(ls, point, ls.l.reqs, ls.l.args)
 	// After the sticky error or a cancellation the kernel is skipped and
 	// the point just completes, so fences return promptly and no worker
 	// computes an abandoned result.
@@ -789,25 +779,25 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 // injected fault decided at issue panics at its member, after the
 // members before it have run (runFusedPoint).
 func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (err error) {
-	point := tc.point
+	l, point := ls.l, tc.point
 	defer func() {
 		if r := recover(); r != nil {
-			err = &TaskPanicError{Task: ls.name, Point: point, Value: r}
+			err = &TaskPanicError{Task: l.name, Point: point, Value: r}
 		}
 	}()
 	fail := -1
 	if m, ok := ls.failAt[point]; ok {
 		fail = m
 	}
-	if len(ls.fused) > 0 {
+	if len(l.fused) > 0 {
 		rt.runFusedPoint(ls, tc, fail)
 		return nil
 	}
-	rt.injectDelay(ls.stream, point)
+	rt.injectDelay(l.stream, point)
 	if fail == 0 {
-		panic(InjectedFault{Stream: ls.stream, Point: point})
+		panic(InjectedFault{Stream: l.stream, Point: point})
 	}
-	ls.kernel(tc)
+	l.kernel(tc)
 	if tc.hasPartial {
 		ls.pointPartials[point] = tc.partial
 		ls.reduces.Store(true)

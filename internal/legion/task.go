@@ -74,9 +74,10 @@ type Launch struct {
 	opClass machine.OpClass
 	work    workSource          // the cost model's per-point work
 	fusable bool                // eligible for the runtime's fusion window
-	fused   []fusedMember       // set by the fuser on a fused launch
+	fused   []*Launch           // a fused launch's members, in program order
 	procMap func(point int) int // optional point→proc override (index into Procs)
 	stream  int64               // launch-stream position, set at Execute (fault/replay key)
+	fut     Future              // what Execute returns
 	reqBuf  [6]req              // backs reqs for the usual requirement counts
 }
 
@@ -118,7 +119,7 @@ func (rt *Runtime) NewLaunch(name string, points int, kernel KernelFunc) *Launch
 	if points <= 0 {
 		panic(fmt.Sprintf("legion: launch %q with %d points", name, points))
 	}
-	l := &Launch{rt: rt, name: name, points: points, kernel: kernel, opClass: machine.Stream}
+	l := &Launch{rt: rt, name: name, points: points, kernel: kernel, opClass: machine.Stream, fut: Future{rt: rt}}
 	l.reqs = l.reqBuf[:0]
 	return l
 }
@@ -193,7 +194,7 @@ func (l *Launch) MapPoints(f func(point int) int) *Launch { l.procMap = f; retur
 // the all-reduce that a distributed execution would perform, which is the
 // overhead the paper observes dominating the CG solve at 32+ nodes (§6.1).
 type Future struct {
-	launch *launchState // nil while the launch sits in the fusion window; the fuser sets it at flush
+	launch *launchState // set at issue; nil while the launch sits in the fusion window
 	rt     *Runtime
 }
 
@@ -279,7 +280,7 @@ func (rq req) size(point int) int64 {
 func (tc *TaskContext) Point() int { return tc.point }
 
 // NumPoints returns the launch domain size.
-func (tc *TaskContext) NumPoints() int { return tc.launch.points }
+func (tc *TaskContext) NumPoints() int { return tc.launch.l.points }
 
 // Args returns the launch arguments set with SetArgs.
 func (tc *TaskContext) Args() any { return tc.args }
@@ -322,27 +323,19 @@ func (tc *TaskContext) ReduceAdd(i int, idx int64, v float64) {
 	}
 }
 
-// launchState is the runtime's record of an executing launch: its
-// dependence edges, completion tracking, reduction accumulator, and
-// simulated-time bookkeeping.
+// launchState is what the runtime decided when it issued one execution
+// of a Launch: its dependence edges, completion tracking, reduction
+// accumulator, and simulated-time bookkeeping. A recovery replay builds
+// a new launchState over the same Launch.
 type launchState struct {
+	l       *Launch
 	seq     int64
-	name    string
-	points  int
-	kernel  KernelFunc
-	reqs    []req
-	args    any
-	opClass machine.OpClass
 	reduces atomic.Bool // some point stored a reduction partial
-	work    workSource
-	fused   []fusedMember       // non-empty for a fused launch
-	procMap func(point int) int // optional point→proc override
-	stream  int64               // launch-stream position (0 for a fused carrier; members keep theirs)
-	replay  bool                // re-executed by recovery replay (see replayEntry)
+	replay  bool        // re-executed by recovery replay (see replayEntry)
 
 	// Profiling tags: the optimization regime this launch was issued
-	// under, set in executeNow under rt.mu, read by workers only after
-	// the launch dispatches (see internal/prof).
+	// under, set in executeNow under rt.mu and read as mapLaunch records
+	// the launch's spans at issue (see internal/prof).
 	traceID     int64
 	traceEpoch  int64
 	traceReplay bool
@@ -370,9 +363,6 @@ type launchState struct {
 	pointPartials []float64
 	partialBuf    [4]float64    // backs pointPartials for narrow launches
 	reduced       atomic.Uint64 // math.Float64bits of the sum
-
-	// fut is the Future Execute hands out for an unbuffered launch.
-	fut Future
 
 	// Simulated time, all of it computed by mapLaunch at issue: the
 	// launch is issued at issueAt on the analysis timeline, point p
