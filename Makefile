@@ -54,7 +54,7 @@ stress:
 	$(STRESS) -timeout 120s -run 'TestExecutorsEquivalent' ./internal/legion/; \
 	$(STRESS) -cpu 1,2 -timeout 480s -run 'TestCGPresetSimTimePinned|Golden' ./internal/bench/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestSimDeterminism|TestDelayInjectionIsValueAndClockNeutral|TestLaunchOrderPinned' ./internal/legion/ ./internal/solvers/; \
-	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
+	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
@@ -75,7 +75,7 @@ fuzz:
 # mid-replay, the inline executor replay runs through, processor-death
 # degradation, the CG chaos acceptance test, and the recovery golden.
 chaos:
-	$(GO) test -race -timeout 120s -run 'Fault|Panic|Recovery|ProcDeath|Rescale|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle|Golden' ./internal/fault/ ./internal/legion/ ./internal/bench/
+	$(GO) test -race -timeout 120s -run 'Fault|Panic|Recovery|ProcDeath|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle|Golden' ./internal/fault/ ./internal/legion/ ./internal/bench/
 
 # overload runs the deterministic overload-chaos lifecycle suite under
 # the race detector: deadline cancellation that keeps the worker warm

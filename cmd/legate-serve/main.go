@@ -71,17 +71,14 @@ func main() {
 		pool        = flag.Int("pool", 2, "warm runtimes in the pool (per shard when -shards > 1)")
 		procs       = flag.Int("procs", 4, "processors per pool runtime")
 		kind        = flag.String("kind", "cpu", "processor kind: cpu or gpu")
-		cacheSize   = flag.Int("cache-size", 8, "bound matrices cached per worker (LRU)")
-		seed        = flag.Uint64("seed", 42, "fault-injection seed (also salts retry jitter)")
+		seed        = flag.Uint64("seed", 42, "fault-injection seed")
 		faults      = flag.String("faults", "", "fault spec, e.g. 'point@120:1,proc@2:80ms,rate:0.001,lag:0.05:5ms' (see internal/fault)")
 		ckptEvery   = flag.Int("checkpoint-every", 64, "launches per checkpoint epoch (-1 disables recovery)")
-		profCap     = flag.Int("prof-capacity", 4096, "profiling sink capacity per request class")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline budget (0 = none; X-Deadline header overrides)")
 		maxQueue    = flag.Int("max-queue", 256, "bounded per-worker queue depth; a full queue sheds 503")
 		quota       = flag.String("quota", "", "per-tenant admission quota RATE[:BURST] in requests/sec (empty disables)")
 		brkN        = flag.Int("breaker", 0, "consecutive degradations that trip a worker's circuit breaker (0 disables)")
 		brkCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "open -> half-open probe delay")
-		retries     = flag.Int("retry-budget", 2, "total executions per degraded batch group")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		shards      = flag.Int("shards", 1, "in-process engine shards behind a router that places each matrix by name (1 = single-process)")
 	)
@@ -97,18 +94,15 @@ func main() {
 		Pool:             *pool,
 		Procs:            *procs,
 		Kind:             *kind,
-		CacheSize:        *cacheSize,
 		Seed:             *seed,
 		Faults:           *faults,
 		CheckpointEvery:  *ckptEvery,
-		ProfCapacity:     *profCap,
 		Deadline:         *deadline,
 		MaxQueue:         *maxQueue,
 		QuotaRate:        quotaRate,
 		QuotaBurst:       quotaBurst,
 		BreakerThreshold: *brkN,
 		BreakerCooldown:  *brkCooldown,
-		RetryBudget:      *retries,
 	}
 
 	// One Backend serves both deployments: the transport only sees the
@@ -135,7 +129,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("legate-serve: listening on %s (shards=%d pool=%d procs=%d kind=%s cache=%d deadline=%v max-queue=%d)",
-			*addr, *shards, *pool, *procs, *kind, *cacheSize, *deadline, *maxQueue)
+			*addr, *shards, *pool, *procs, *kind, engine.CacheSize, *deadline, *maxQueue)
 		errCh <- srv.ListenAndServe()
 	}()
 

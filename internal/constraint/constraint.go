@@ -75,9 +75,6 @@ func NewTask(rt *legion.Runtime, name string, kernel legion.KernelFunc) *Task {
 	return t
 }
 
-// SetPoints overrides the launch-domain size.
-func (t *Task) SetPoints(n int) *Task { t.points = n; return t }
-
 // SetArgs attaches by-value arguments for the kernel.
 func (t *Task) SetArgs(a any) *Task { t.args = a; return t }
 

@@ -322,21 +322,3 @@ func TestPartAndAlignCounters(t *testing.T) {
 		t.Fatalf("align counters: hits=%d misses=%d, want 1/1", s.AlignHits, s.AlignMisses)
 	}
 }
-
-// TestRescaleClearsImageSets: changing the launch domain invalidates
-// every cached image set (their color count no longer matches).
-func TestRescaleClearsImageSets(t *testing.T) {
-	rt := cacheTestRuntime(t)
-	crd := rt.CreateInt64("crd", []int64{0, 1, 2, 3, 4, 5, 6, 7})
-	part := rt.BlockPartition(crd, 4)
-	dst := rt.CreateRegion("x", 8, Float64)
-	rt.ImageCoord(crd, part, dst)
-	rt.AlignedPartition(part, rt.CreateRegion("y", 8, Float64))
-	if s := rt.CacheStats(); s.ImageSetEntries != 1 || s.AlignEntries != 1 {
-		t.Fatalf("expected one image set and one alignment entry: %+v", s)
-	}
-	rt.Rescale(2)
-	if s := rt.CacheStats(); s.ImageSetEntries != 0 || s.ImageEntries != 0 || s.AlignEntries != 0 || s.PartEntries != 0 {
-		t.Fatalf("Rescale left caches populated: %+v", s)
-	}
-}

@@ -101,7 +101,6 @@ type regionSnap struct {
 	f64    []float64
 	i64    []int64
 	rect   []geometry.Rect
-	c128   []complex128
 }
 
 func snapshotOf(r *Region) *regionSnap {
@@ -113,8 +112,6 @@ func snapshotOf(r *Region) *regionSnap {
 		s.i64 = append([]int64(nil), r.i64...)
 	case RectType:
 		s.rect = append([]geometry.Rect(nil), r.rect...)
-	case Complex128:
-		s.c128 = append([]complex128(nil), r.c128...)
 	}
 	return s
 }
@@ -127,8 +124,6 @@ func (s *regionSnap) restore() {
 		copy(s.region.i64, s.i64)
 	case RectType:
 		copy(s.region.rect, s.rect)
-	case Complex128:
-		copy(s.region.c128, s.c128)
 	}
 }
 
@@ -178,15 +173,6 @@ func (rt *Runtime) EnableCheckpointing(every int) {
 	rt.ft = &ftState{every: every, snaps: map[RegionID]*regionSnap{}}
 }
 
-// CheckpointEvery returns the current checkpoint epoch length (0 when
-// checkpointing is disabled).
-func (rt *Runtime) CheckpointEvery() int {
-	if rt.ft == nil {
-		return 0
-	}
-	return rt.ft.every
-}
-
 // ckptEpoch returns the number of committed checkpoint epochs — the
 // profiling tag launches are stamped with (0 when checkpointing is off
 // or before the first commit). Application goroutine only.
@@ -203,37 +189,8 @@ func (rt *Runtime) ckptEpoch() int64 {
 // shrink when a processor dies: a stable domain preserves the grouping
 // of reduction partial sums, which is what keeps recovered results
 // bit-identical to a fault-free run. Surviving processors simply pick up
-// the orphaned points round-robin. Use Rescale to change it explicitly.
+// the orphaned points round-robin.
 func (rt *Runtime) LaunchDomain() int { return rt.domain }
-
-// Rescale fences and re-targets the default launch domain to n points
-// (n <= 0 means the current processor count) — typically called after
-// processor loss, when the caller prefers a repartitioned steady state
-// over bit-stable results. Key partitions and cached partitions with a
-// different color count are invalidated so the constraint solver's next
-// per-op solve rebuilds them at the new width.
-func (rt *Runtime) Rescale(n int) {
-	rt.Fence()
-	if n <= 0 {
-		n = len(rt.procs)
-	}
-	rt.domain = n
-	rt.mu.Lock()
-	for _, st := range rt.regions {
-		if st.region != nil && st.region.keyPartition != nil && st.region.keyPartition.Colors() != n {
-			st.region.keyPartition = nil
-		}
-	}
-	for k := range rt.partCache {
-		if k.colors != n {
-			delete(rt.partCache, k)
-		}
-	}
-	rt.imageCache = map[imageKey]*Partition{}
-	rt.alignCache = map[alignKey]*Partition{}
-	rt.imageSets = map[imageSetsKey]*imageSetsEntry{}
-	rt.mu.Unlock()
-}
 
 // preLaunch runs the fault-tolerance protocol for a launch about to be
 // issued (or buffered for fusion): observe processor deaths, resolve

@@ -296,39 +296,6 @@ func TestProcDeathWithoutCheckpointing(t *testing.T) {
 	}
 }
 
-// TestRescaleInvalidatesPartitions: Rescale re-targets the launch
-// domain and drops key partitions and cached partitions of the old
-// width, so the next solve repartitions at the new width.
-func TestRescaleInvalidatesPartitions(t *testing.T) {
-	rt := newTestRuntime(t, 2)
-	r := rt.CreateRegion("v", 64, Float64)
-	part := rt.BlockPartition(r, 2)
-	l := rt.NewLaunch("fill", 2, func(tc *TaskContext) {
-		d := tc.Float64(0)
-		tc.Subspace(0).Each(func(i int64) { d[i] = 1 })
-	})
-	l.Add(r, part, WriteDiscard)
-	l.Execute()
-	rt.Fence()
-	if r.KeyPartition() != part {
-		t.Fatal("setup: write must set the key partition")
-	}
-	rt.Rescale(1)
-	if d := rt.LaunchDomain(); d != 1 {
-		t.Fatalf("LaunchDomain = %d, want 1", d)
-	}
-	if r.KeyPartition() != nil {
-		t.Fatal("Rescale must clear key partitions of a different width")
-	}
-	if p := rt.BlockPartition(r, 2); p == part {
-		t.Fatal("Rescale must purge cached partitions of the old width")
-	}
-	rt.Rescale(0) // back to the live processor count
-	if d := rt.LaunchDomain(); d != 2 {
-		t.Fatalf("LaunchDomain after Rescale(0) = %d, want 2", d)
-	}
-}
-
 // TestRecoveryAbandonedOnPersistentFault: a kernel that fails
 // deterministically on every replay must not loop forever — after
 // maxRecoveryAttempts restores the runtime gives up with a sticky error.

@@ -62,15 +62,6 @@ func (rt *Runtime) SetFusionWindow(n int) {
 	rt.fuser = &fuser{rt: rt, max: n}
 }
 
-// FusionWindow returns the runtime's current fusion window size (0 when
-// fusion is disabled).
-func (rt *Runtime) FusionWindow() int {
-	if rt.fuser == nil {
-		return 0
-	}
-	return rt.fuser.max
-}
-
 // FlushFusion issues any launches buffered in the fusion window. Like
 // Execute, it must be called from the application goroutine; it is a
 // no-op when fusion is disabled or the window is empty.

@@ -45,21 +45,6 @@ func (p *Partition) String() string {
 		p.kind, p.region.name, len(p.subspaces), p.disjoint)
 }
 
-// Aligned reports whether q subdivides its region identically to p;
-// the constraint solver uses this to decide whether existing partitions
-// satisfy an alignment constraint.
-func (p *Partition) Aligned(q *Partition) bool {
-	if p == nil || q == nil || p.Colors() != q.Colors() {
-		return false
-	}
-	for c := range p.subspaces {
-		if !p.subspaces[c].Equal(q.subspaces[c]) {
-			return false
-		}
-	}
-	return true
-}
-
 // newPartition mints a partition whose subspaces no other partition is
 // known to share: it gets a coloring of its own.
 func (rt *Runtime) newPartition(r *Region, subs []geometry.IntervalSet, disjoint bool, kind string) *Partition {

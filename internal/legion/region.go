@@ -32,15 +32,13 @@ import (
 
 // FieldType enumerates the element types a Region can hold. Sparse matrix
 // formats need ranges (the pos array of Figure 3 stores a tuple
-// [lo, hi] per row), coordinates (int64), and values (float64 or
-// complex128 for the quantum workload).
+// [lo, hi] per row), coordinates (int64), and values (float64).
 type FieldType int
 
 const (
 	Float64 FieldType = iota
 	Int64
 	RectType // geometry.Rect entries, used by CSR/CSC pos regions
-	Complex128
 )
 
 func (t FieldType) String() string {
@@ -51,8 +49,6 @@ func (t FieldType) String() string {
 		return "int64"
 	case RectType:
 		return "rect"
-	case Complex128:
-		return "complex128"
 	default:
 		return fmt.Sprintf("FieldType(%d)", int(t))
 	}
@@ -64,7 +60,7 @@ func (t FieldType) ElemSize() int64 {
 	switch t {
 	case Float64, Int64:
 		return 8
-	case RectType, Complex128:
+	case RectType:
 		return 16
 	default:
 		panic("legion: unknown field type")
@@ -89,7 +85,6 @@ type Region struct {
 	f64  []float64
 	i64  []int64
 	rect []geometry.Rect
-	c128 []complex128
 
 	// version is bumped on every write launch; image partitions cache on
 	// (source region, version) so that reused partitions are free in the
@@ -118,13 +113,11 @@ func (rt *Runtime) CreateRegion(name string, size int64, typ FieldType) *Region 
 		r.i64 = make([]int64, size)
 	case RectType:
 		r.rect = make([]geometry.Rect, size)
-	case Complex128:
-		r.c128 = make([]complex128, size)
 	}
 	rt.mu.Lock()
 	rt.nextRegion++
 	r.id = rt.nextRegion
-	rt.regions[r.id] = &regionState{region: r}
+	rt.regions[r.id] = &regionState{}
 	rt.mu.Unlock()
 	rt.map_.regionCreated(r)
 	return r
@@ -151,13 +144,6 @@ func (rt *Runtime) CreateInt64(name string, data []int64) *Region {
 func (rt *Runtime) CreateRects(name string, data []geometry.Rect) *Region {
 	r := rt.CreateRegion(name, int64(len(data)), RectType)
 	copy(r.rect, data)
-	return r
-}
-
-// CreateComplex wraps CreateRegion and copies data into the new region.
-func (rt *Runtime) CreateComplex(name string, data []complex128) *Region {
-	r := rt.CreateRegion(name, int64(len(data)), Complex128)
-	copy(r.c128, data)
 	return r
 }
 
@@ -205,9 +191,6 @@ func (r *Region) Int64s() []int64 { r.checkType(Int64); return r.i64 }
 
 // Rects returns the region's backing rect slice (see Float64s).
 func (r *Region) Rects() []geometry.Rect { r.checkType(RectType); return r.rect }
-
-// Complexes returns the region's backing complex128 slice (see Float64s).
-func (r *Region) Complexes() []complex128 { r.checkType(Complex128); return r.c128 }
 
 func (r *Region) checkType(t FieldType) {
 	if r.typ != t {

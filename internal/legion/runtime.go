@@ -102,8 +102,7 @@ type Runtime struct {
 const inlineGrainElems = 1 << 15
 
 // regionState is the dependence-analysis state of one region: the
-// launches that last wrote it and the readers since. The back-pointer
-// lets Rescale find and invalidate stale key partitions.
+// launches that last wrote it and the readers since.
 //
 // Only a writer clears readers, so a region that is never written again
 // (a matrix's pos/crd/vals) would otherwise retain every launch that ever
@@ -111,7 +110,6 @@ const inlineGrainElems = 1 << 15
 // their finish times into readDone, which the next writer waits for
 // exactly as it would have waited for them.
 type regionState struct {
-	region     *Region
 	lastWriter *launchState
 	readers    []*launchState
 	readDone   time.Duration // largest finish time among compacted readers

@@ -279,9 +279,6 @@ func (rq req) size(point int) int64 {
 // Point returns this point task's color within the launch domain.
 func (tc *TaskContext) Point() int { return tc.point }
 
-// NumPoints returns the launch domain size.
-func (tc *TaskContext) NumPoints() int { return tc.launch.l.points }
-
 // Args returns the launch arguments set with SetArgs.
 func (tc *TaskContext) Args() any { return tc.args }
 
@@ -300,9 +297,6 @@ func (tc *TaskContext) Int64(i int) []int64 { return tc.reqs[i].region.Int64s() 
 
 // Rects returns the rect backing slice of requirement i's region.
 func (tc *TaskContext) Rects(i int) []geometry.Rect { return tc.reqs[i].region.Rects() }
-
-// Complex returns the complex128 backing slice of requirement i's region.
-func (tc *TaskContext) Complex(i int) []complex128 { return tc.reqs[i].region.Complexes() }
 
 // Reduce contributes this point's partial value to the launch's reduction
 // future. Partials are summed.

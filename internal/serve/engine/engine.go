@@ -2,7 +2,7 @@
 // matrix store, a pool of warm legion.Runtimes (one application
 // goroutine each, honoring the runtime's sequential launch-stream
 // discipline), and the full request lifecycle — admission control,
-// batching, retry, and metrics — behind the typed Backend API.
+// batching, and metrics — behind the typed Backend API.
 //
 // The point of the pool being *warm* is cross-request caching. Three
 // layers of per-launch setup cost are amortized across requests:
@@ -22,8 +22,9 @@
 // its caches actually hit) and concurrent same-matrix requests coalesce
 // into one batch executed as a single fused launch-stream epoch. A
 // runtime that degrades under fault injection — sticky Err, or lost
-// processors — is drained and replaced in the pool; its batch is
-// retried on the replacement under the budgeted retry policy.
+// processors — is drained and replaced in the pool. A batch is never
+// re-executed here: a degraded one is answered CodeDegraded, and the
+// shard router is the one layer that runs it elsewhere.
 //
 // The engine knows nothing about wires: it never imports net/http or
 // encoding/json (scripts/check_boundary.sh enforces this). Transports
@@ -53,30 +54,33 @@ type Config struct {
 	Pool            int    // warm runtimes in the pool (default 2)
 	Procs           int    // processors per runtime (default 4)
 	Kind            string // "cpu" or "gpu" processors (default cpu)
-	CacheSize       int    // bound matrices kept per worker (default 8)
-	Seed            uint64 // fault-injection seed (also salts retry jitter)
+	Seed            uint64 // fault-injection seed
 	Faults          string // fault.Parse spec applied to every pool runtime
 	CheckpointEvery int    // launches per checkpoint epoch (default 64; 0 disables recovery)
-	ProfCapacity    int    // per-class profiling sink capacity (default 4096)
 
 	// Request-lifecycle knobs (see DESIGN.md "request lifecycle &
 	// overload"). Zero values keep the pre-lifecycle behavior: no
-	// deadline, a 256-deep queue, no quotas, breaker disabled, one
-	// retry.
+	// deadline, a 256-deep queue, no quotas, breaker disabled.
 	Deadline         time.Duration // per-request deadline budget (0 = none; RequestMeta.Deadline overrides)
 	MaxQueue         int           // bounded per-worker queue depth (default 256); a full queue sheds
 	QuotaRate        float64       // per-tenant admissions per second (0 disables quotas)
 	QuotaBurst       int           // per-tenant token-bucket burst (default ceil(QuotaRate), min 1)
 	BreakerThreshold int           // consecutive degradations that trip a worker's breaker (0 disables)
 	BreakerCooldown  time.Duration // open -> half-open probe delay (default 2s)
-	RetryBudget      int           // total executions per degraded batch group (default 2 = one retry)
-	RetryBackoff     time.Duration // base backoff before a retry, exponential with deterministic jitter (default 1ms)
 
 	// Deprecated: ignored. Read only by the frozen benchmark/layers.go;
 	// delete in the ruler PR that drops `tune.speedup_x` and
 	// `tune.decisions`.
 	NoTune bool
 }
+
+// CacheSize is how many (matrix, format) bindings a worker keeps warm;
+// the least recently used one is evicted past it.
+const CacheSize = 8
+
+// ProfCapacity is the capacity of each profiling sink: one per request
+// class and the lifecycle sink here, the coordinator's in internal/shard.
+const ProfCapacity = 4096
 
 // TuneSnapshot is what remains of the removed autotuner's report.
 //
@@ -108,26 +112,14 @@ func (c Config) withDefaults() Config {
 	if c.Kind == "" {
 		c.Kind = "cpu"
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 8
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
-	}
-	if c.ProfCapacity <= 0 {
-		c.ProfCapacity = 4096
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	return c
 }
@@ -145,7 +137,6 @@ type Engine struct {
 	start    time.Time // birth; lifecycle marks are stamped relative to it
 	lifeRun  int       // run index of the lifecycle sink
 	quota    *quotas   // nil when quotas are disabled
-	retry    retryPolicy
 	draining atomic.Bool
 
 	mu     sync.Mutex
@@ -180,12 +171,11 @@ func New(cfg Config) (*Engine, error) {
 		sinks:   map[string]*prof.Sink{},
 		sticky:  map[core.Fingerprint]int{},
 		start:   time.Now(),
-		retry:   retryPolicy{attempts: cfg.RetryBudget, backoff: cfg.RetryBackoff, seed: cfg.Seed},
 	}
 	for _, class := range requestClasses {
-		e.sinks[class] = prof.NewSink(cfg.ProfCapacity)
+		e.sinks[class] = prof.NewSink(ProfCapacity)
 	}
-	life := prof.NewSink(cfg.ProfCapacity)
+	life := prof.NewSink(ProfCapacity)
 	e.sinks[lifecycleClass] = life
 	e.lifeRun = life.AttachRun()
 	if cfg.QuotaRate > 0 {
@@ -444,8 +434,7 @@ func (e *Engine) dispatch(ctx context.Context, meta RequestMeta, class reqClass,
 // jobError maps a job failure onto the typed taxonomy: client errors
 // are CodeBadRequest, expired deadlines CodeDeadline (the work was
 // cancelled cleanly at a cooperative checkpoint), abandoned contexts
-// CodeCancelled, and runtime degradations past the retry budget are
-// retryable CodeDegraded.
+// CodeCancelled, and degraded batch groups are retryable CodeDegraded.
 func (e *Engine) jobError(err error) *Error {
 	var ce clientError
 	var de *degradedError

@@ -19,7 +19,7 @@ const (
 	CodeDraining    ErrorCode = "draining"          // engine is shutting down
 	CodeDeadline    ErrorCode = "deadline_exceeded" // admitted, but the deadline expired; cancelled cleanly
 	CodeCancelled   ErrorCode = "cancelled"         // client abandoned the request mid-flight
-	CodeDegraded    ErrorCode = "degraded"          // runtime degraded past the retry budget
+	CodeDegraded    ErrorCode = "degraded"          // the group's one execution left the runtime degraded
 	CodeInternal    ErrorCode = "internal"
 )
 

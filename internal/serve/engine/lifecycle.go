@@ -1,34 +1,28 @@
 package engine
 
 // Request-lifecycle machinery: admission control (per-tenant
-// token-bucket quotas, bounded queues, queue-wait shedding), the
-// budgeted retry policy with deterministic jitter, and the per-worker
-// circuit breaker. Together with the runtime's cooperative cancellation
-// (legion/cancel.go) and the fault injector's latency schedules
-// (internal/fault), these bound what overload can do to the service:
-// work is either admitted — and then completes within its deadline
-// budget or is cancelled cleanly — or it is refused up front with a
-// typed *Error carrying a RetryAfter the client can act on. The wire
-// spelling of refusals (JSON envelope, Retry-After header) lives in the
-// transport layer. See DESIGN.md ("request lifecycle & overload").
+// token-bucket quotas, bounded queues, queue-wait shedding) and the
+// per-worker circuit breaker. Together with the runtime's cooperative
+// cancellation (legion/cancel.go) and the fault injector's latency
+// schedules (internal/fault), these bound what overload can do to the
+// service: work is either admitted — and then completes within its
+// deadline budget or is cancelled cleanly — or it is refused up front
+// with a typed *Error carrying a RetryAfter the client can act on. The
+// wire spelling of refusals (JSON envelope, Retry-After header) lives in
+// the transport layer. See DESIGN.md ("request lifecycle & overload").
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
 )
 
-// degradedError reports a batch group that exhausted its retry budget:
-// every attempt ended with a sticky runtime error.
-type degradedError struct {
-	attempts int
-	cause    error
-}
+// degradedError reports a batch group whose one execution ended with a
+// sticky runtime error or a recovered panic. Re-running it elsewhere is
+// the shard router's job, not the engine's.
+type degradedError struct{ cause error }
 
-func (e *degradedError) Error() string {
-	return fmt.Sprintf("runtime degraded on all %d attempts: %v", e.attempts, e.cause)
-}
+func (e *degradedError) Error() string { return "runtime degraded: " + e.cause.Error() }
 
 func (e *degradedError) Unwrap() error { return e.cause }
 
@@ -83,43 +77,6 @@ func (q *quotas) admit(tenant string, now time.Time) (time.Duration, bool) {
 	return wait, false
 }
 
-// ---- retry policy ------------------------------------------------------
-
-// retryPolicy is the budgeted retry applied to a degraded batch group:
-// at most attempts total executions, with exponential backoff between
-// them. The jitter is a pure function of (seed, worker, attempt) — the
-// same decorrelation trick the fault injector uses — so a chaos run
-// with a fixed seed retries at reproducible offsets.
-type retryPolicy struct {
-	attempts int           // total executions per group (>= 1)
-	backoff  time.Duration // base backoff before the first retry
-	seed     uint64
-}
-
-// delay returns how long to back off before retry number attempt
-// (0-based: the delay between execution attempt and attempt+1).
-func (p retryPolicy) delay(workerID, attempt int) time.Duration {
-	if p.backoff <= 0 {
-		return 0
-	}
-	base := p.backoff << uint(attempt)
-	if base > time.Second {
-		base = time.Second
-	}
-	// Deterministic jitter in [0.5, 1.0): full backoff scaled by a hash
-	// of the identifying coordinates.
-	h := splitmix64(p.seed ^ uint64(workerID)<<32 ^ uint64(attempt) ^ 0x9e3779b97f4a7c15)
-	frac := 0.5 + 0.5*float64(h>>11)/float64(1<<53)
-	return time.Duration(float64(base) * frac)
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // ---- circuit breaker ---------------------------------------------------
 
 // breakerState is a circuit breaker's position.
@@ -145,10 +102,10 @@ func (s breakerState) String() string {
 }
 
 // breaker is the per-worker circuit breaker. It trips open after
-// threshold consecutive degradations (sticky runtime errors that
-// exhausted the retry budget), sheds admissions while open, and after
-// the cooldown half-opens to admit a single probe: the probe's outcome
-// closes the breaker or re-opens it for another cooldown.
+// threshold consecutive degraded groups, sheds admissions while open,
+// and after the cooldown half-opens to admit a single probe: the
+// probe's outcome closes the breaker or re-opens it for another
+// cooldown.
 type breaker struct {
 	threshold int           // consecutive degradations to trip; <= 0 disables
 	cooldown  time.Duration // open -> half-open probe delay

@@ -2,8 +2,7 @@ package engine
 
 // Unit tests for the lifecycle machinery that the end-to-end overload
 // suite (httpapi) cannot reach deterministically: the breaker's close
-// path, the retry policy's jitter function, and a worker that must
-// survive hostile request fields.
+// path and a worker that must survive hostile request fields.
 
 import (
 	"context"
@@ -59,36 +58,6 @@ func TestOverloadBreakerCloses(t *testing.T) {
 		if transitions[i] != want[i] {
 			t.Fatalf("transitions %v, want %v", transitions, want)
 		}
-	}
-}
-
-// TestOverloadRetryJitterDeterministic pins the retry policy: delays
-// are a pure function of (seed, worker, attempt), exponential, capped,
-// and jittered within [base/2, base).
-func TestOverloadRetryJitterDeterministic(t *testing.T) {
-	p := retryPolicy{attempts: 4, backoff: 2 * time.Millisecond, seed: 42}
-	for attempt := 0; attempt < 3; attempt++ {
-		base := p.backoff << uint(attempt)
-		for workerID := 0; workerID < 3; workerID++ {
-			d1 := p.delay(workerID, attempt)
-			d2 := p.delay(workerID, attempt)
-			if d1 != d2 {
-				t.Fatalf("delay(%d,%d) not deterministic: %v vs %v", workerID, attempt, d1, d2)
-			}
-			if d1 < base/2 || d1 >= base {
-				t.Errorf("delay(%d,%d) = %v outside [%v, %v)", workerID, attempt, d1, base/2, base)
-			}
-		}
-		if p.delay(0, attempt) == p.delay(1, attempt) {
-			t.Errorf("attempt %d: workers 0 and 1 share a jitter — no decorrelation", attempt)
-		}
-	}
-	// The exponential cap: huge attempts stay at ~1s.
-	if d := p.delay(0, 20); d >= time.Second {
-		t.Errorf("uncapped backoff: %v", d)
-	}
-	if (retryPolicy{}).delay(0, 0) != 0 {
-		t.Error("zero policy must not sleep")
 	}
 }
 

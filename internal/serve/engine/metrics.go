@@ -27,7 +27,6 @@ type metrics struct {
 	maxBatch    atomic.Int64
 
 	replacements atomic.Int64
-	retries      atomic.Int64
 
 	// Request-lifecycle counters. sheds is the total; the per-reason
 	// map is guarded by shedMu (bumped on shed paths only, which are
@@ -132,7 +131,11 @@ type BatchMetrics struct {
 type PoolMetrics struct {
 	Workers      int   `json:"workers"`
 	Replacements int64 `json:"replacements"`
-	Retries      int64 `json:"retries"`
+
+	// Deprecated: always 0; the engine never re-executes a group. Read
+	// only by the frozen benchmark/layers.go; delete in the ruler PR
+	// that drops `engine.retries`.
+	Retries int64 `json:"retries"`
 }
 
 // LifecycleMetrics reports admission control and cancellation: how much
@@ -187,7 +190,6 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		Pool: PoolMetrics{
 			Workers:      len(e.workers),
 			Replacements: m.replacements.Load(),
-			Retries:      m.retries.Load(),
 		},
 		Lifecycle: LifecycleMetrics{
 			Sheds:         m.sheds.Load(),

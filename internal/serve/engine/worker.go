@@ -322,7 +322,7 @@ func (w *worker) collectBatch(first *job) []*job {
 
 // serveBatch expires jobs whose deadline passed while they were
 // queued, groups the rest by (matrix, format), and runs each group as
-// one epoch on the warm runtime under the retry policy.
+// one epoch on the warm runtime.
 func (w *worker) serveBatch(batch []*job) {
 	w.dropStaleBindings()
 	// Group jobs by binding key, preserving arrival order of groups.
@@ -354,60 +354,41 @@ func (w *worker) serveBatch(batch []*job) {
 	}
 }
 
-// runGroup executes one same-binding group under the retry policy:
-// each degraded attempt (sticky runtime error) replaces the runtime,
-// feeds the circuit breaker, and backs off with deterministic jitter
-// before the next attempt — until the budget is spent or every job's
-// deadline is gone.
+// runGroup executes one same-binding group once. A clean epoch answers;
+// if it lost processors the runtime is replaced after answering. A
+// sticky runtime error or a recovered panic replaces the runtime, feeds
+// the circuit breaker and answers the group degraded: the engine never
+// re-executes, and re-running elsewhere is the shard router's job
+// (DESIGN "Fault model & recovery invariants" has the owner table).
 func (w *worker) runGroup(k bindKey, group []*job) {
-	for attempt := 1; ; attempt++ {
-		err := w.runGroupOnce(k, group)
-		var ce clientError
-		if errors.As(err, &ce) && w.rt.Err() == nil {
-			w.finish(group, err)
-			return
-		}
-		if err == nil && w.rt.Err() == nil {
-			w.brk.onSuccess()
-			healthy := w.rt.NumProcs() >= w.eng.cfg.Procs
-			w.finish(group, nil)
-			if !healthy {
-				// Processor death mid-epoch: checkpoint recovery already
-				// re-homed the work, so results are valid — but the shrunken
-				// runtime would serve degraded from here on. Replace it
-				// after responding.
-				w.replaceRuntime()
-			}
-			return
-		}
-		if err == nil {
-			err = w.rt.Err()
-		}
-		// Degraded epoch: sticky runtime error (recovery abandoned,
-		// modeled OOM, all processors lost). Results are suspect —
-		// discard them and replace the runtime.
-		w.replaceRuntime()
-		w.brk.onFailure(time.Now())
-		if attempt >= w.eng.retry.attempts || groupExpired(group) {
-			w.finish(group, &degradedError{attempts: attempt, cause: err})
-			return
-		}
-		w.eng.metrics.retries.Add(1)
-		if d := w.eng.retry.delay(w.id, attempt-1); d > 0 {
-			time.Sleep(d)
-		}
+	err := w.runGroupOnce(k, group)
+	var ce clientError
+	if errors.As(err, &ce) && w.rt.Err() == nil {
+		w.finish(group, err)
+		return
 	}
-}
-
-// groupExpired reports whether every unfinished job in the group has a
-// dead context — retrying then would compute results nobody can read.
-func groupExpired(group []*job) bool {
-	for _, j := range group {
-		if !j.finished && j.ctxErr() == nil {
-			return false
+	if err == nil && w.rt.Err() == nil {
+		w.brk.onSuccess()
+		healthy := w.rt.NumProcs() >= w.eng.cfg.Procs
+		w.finish(group, nil)
+		if !healthy {
+			// Processor death mid-epoch: checkpoint recovery already
+			// re-homed the work, so results are valid — but the shrunken
+			// runtime would serve degraded from here on. Replace it
+			// after responding.
+			w.replaceRuntime()
 		}
+		return
 	}
-	return true
+	if err == nil {
+		err = w.rt.Err()
+	}
+	// Degraded epoch: sticky runtime error (recovery abandoned, modeled
+	// OOM, all processors lost) or a panic. Results are suspect —
+	// discard them and replace the runtime.
+	w.replaceRuntime()
+	w.brk.onFailure(time.Now())
+	w.finish(group, &degradedError{cause: err})
 }
 
 // cancelJob completes a job that hit a cooperative cancellation
@@ -575,7 +556,7 @@ func (w *worker) binding(k bindKey, def *MatrixDef) (*binding, bool, error) {
 		used: w.lruClock,
 	}
 	w.bindings[k] = b
-	for len(w.bindings) > w.eng.cfg.CacheSize {
+	for len(w.bindings) > CacheSize {
 		w.evictLRU()
 	}
 	return b, false, nil

@@ -2,13 +2,13 @@ package httpapi
 
 // Deterministic overload-chaos suite for the request lifecycle:
 // deadlines and cooperative cancellation, admission control (bounded
-// queues, quotas, queue-wait pricing), the budgeted retry policy, the
-// per-worker circuit breaker, and graceful drain. The latency faults
+// queues, quotas, queue-wait pricing), the one-execution degraded
+// answer, the per-worker circuit breaker, and graceful drain. The latency faults
 // (internal/fault's slow/stall/lag schedules) never touch computed
 // values, so the headline invariant is checkable exactly: every request
 // the engine ADMITS and answers 200 returns bits identical to an
 // unloaded run; everything else is an envelope with a stable code.
-// Breaker and retry-policy unit tests live with the engine
+// Breaker unit tests live with the engine
 // (engine/lifecycle_test.go); this file is the end-to-end view.
 
 import (
@@ -236,7 +236,6 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 		Pool: 1, Procs: 2,
 		Faults: "rate:1", Seed: 3,
 		CheckpointEvery:  -1, // recovery off: every fault is sticky
-		RetryBudget:      1,  // one execution per group
 		BreakerThreshold: 2,
 		BreakerCooldown:  300 * time.Millisecond,
 	})
@@ -249,6 +248,11 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 			t.Fatalf("degrading request %d: got status=%d code=%q retryable=%v, want 503 %q true",
 				i, status, env.Code, env.Retryable, engine.CodeDegraded)
 		}
+	}
+	// One degraded request is one execution and one replacement.
+	if pool := e.Metrics().Pool; pool.Replacements != 2 || pool.Retries != 0 {
+		t.Fatalf("after two degraded requests: replacements=%d retries=%d, want 2 and 0",
+			pool.Replacements, pool.Retries)
 	}
 
 	status, env, retryAfter := postEnvelope(t, ts.URL+"/spmv", nil, spmv, nil)

@@ -82,7 +82,7 @@ func New(cfg Config) (*Coordinator, error) {
 		store:  engine.NewStore(),
 		pushed: make([]map[string]int64, cfg.Shards),
 		stats:  make([]shardCounters, cfg.Shards),
-		sink:   prof.NewSink(cfg.Engine.ProfCapacity),
+		sink:   prof.NewSink(engine.ProfCapacity),
 		epoch:  time.Now(),
 	}
 	c.run = c.sink.AttachRun()
@@ -219,7 +219,6 @@ func (c *Coordinator) Metrics() engine.MetricsSnapshot {
 		}
 		out.Pool.Workers += s.Pool.Workers
 		out.Pool.Replacements += s.Pool.Replacements
-		out.Pool.Retries += s.Pool.Retries
 		out.Lifecycle.Sheds += s.Lifecycle.Sheds
 		if out.Lifecycle.ShedByReason == nil {
 			out.Lifecycle.ShedByReason = map[string]int64{}

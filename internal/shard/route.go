@@ -18,7 +18,7 @@ import (
 )
 
 // splitmix64 is the repo's standard avalanche hash (the same mix the
-// fault injector and retry jitter use).
+// fault injector uses).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
