@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race stress fuzz bench-fusion bench-serve bench-vet chaos overload prof serve shard boundary docs links
+.PHONY: check fmt vet build test race stress fuzz bench-fusion bench-serve bench-vet chaos overload prof info serve shard boundary docs links
 
 # check is the full pre-merge gate: formatting, static analysis, build,
 # the race-enabled test suite — every package once, which includes the
@@ -12,13 +12,13 @@ GO ?= go
 # six fuzz targets (their seed corpora already ran as normal tests under
 # `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
-# the legate-prof artifact smoke test, the engine/transport boundary
-# check, and the documentation gates.
+# the legate-prof artifact and legate-bench inventory smoke tests, the
+# engine/transport boundary check, and the documentation gates.
 #
 # Every `go test` carries an explicit -timeout (300s for ./..., 120s for
 # a single package or suite) so a hang fails in minutes with goroutine
 # stacks instead of sitting out go's ten-minute default.
-check: fmt vet build race stress fuzz bench-fusion bench-serve bench-vet prof boundary docs links
+check: fmt vet build race stress fuzz bench-fusion bench-serve bench-vet prof info boundary docs links
 
 # fmt fails (and lists offenders) if any file is not gofmt-clean.
 fmt:
@@ -135,3 +135,8 @@ links:
 prof:
 	$(GO) run ./cmd/legate-prof -preset cg -procs 4 -units 1024 \
 		-out $${TMPDIR:-/tmp}/legate-prof-smoke -check >/dev/null
+
+# info smoke-tests the inventory: the machine model, kernel registry,
+# API coverage and the fusion demo's profile and copy tables.
+info:
+	$(GO) run ./cmd/legate-bench -exp info >/dev/null

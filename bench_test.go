@@ -13,7 +13,7 @@ import (
 )
 
 // benchOptions is a reduced sweep so `go test -bench=.` completes in
-// minutes; use cmd/legate-bench or cmd/figures for the full ladders.
+// minutes; use cmd/legate-bench for the full ladders.
 func benchOptions() bench.Options {
 	opt := bench.SmallOptions()
 	opt.GPUCounts = []int{1, 3, 6}

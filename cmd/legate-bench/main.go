@@ -4,9 +4,15 @@
 //
 // Usage:
 //
-//	legate-bench -exp spmv|cg|gmg|quantum|mf|ablation|recovery|all [-preset small|paper]
-//	             [-units N] [-iters N] [-runs N] [-mfscale N]
-//	             [-seed N] [-faults SPEC] [-checkpoint-every N]
+//	legate-bench -exp spmv|cg|gmg|quantum|mf|ablation|recovery|figures|info|all
+//	             [-preset small|paper] [-units N] [-iters N] [-runs N] [-mfscale N]
+//	             [-seed N] [-faults SPEC] [-checkpoint-every N] [-fusion=false]
+//
+// -exp figures prints every figure and table as the markdown embedded
+// in EXPERIMENTS.md (experiments-data.md is its -preset paper output).
+// -exp info prints the inventory: the 1-node machine model, the
+// DISTAL-generated kernel variants, the SciPy Sparse API coverage in the
+// taxonomy of §5, and a task-fusion demo with its profile and copies.
 //
 // -exp recovery runs the fault-tolerance experiments: the fault-free
 // checkpointing overhead, a faulted run verified bit-identical to the
@@ -27,15 +33,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/cunumeric"
+	"repro/internal/distal"
 	"repro/internal/legion"
+	"repro/internal/machine"
 	"repro/internal/prof"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, or all")
+	exp := flag.String("exp", "all", "experiment: spmv, cg, gmg, quantum, mf, ablation, recovery, figures, info, or all")
 	preset := flag.String("preset", "small", "option preset: small or paper")
 	units := flag.Int64("units", 0, "override units (rows/dimensions) per processor")
 	iters := flag.Int("iters", 0, "override timed iterations per run")
@@ -137,6 +148,10 @@ func main() {
 		runAblations()
 	case "recovery":
 		runRecovery()
+	case "figures":
+		fmt.Print(figures(opt, *preset))
+	case "info":
+		info()
 	case "all":
 		run("fig8", bench.Fig8SpMV)
 		run("fig9", bench.Fig9CG)
@@ -146,6 +161,82 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
+	}
+}
+
+// figures renders every figure and table as the markdown embedded in
+// EXPERIMENTS.md, logging each one's time to stderr.
+func figures(opt bench.Options, preset string) string {
+	var sb strings.Builder
+	start := time.Now()
+	for _, f := range []struct {
+		paper string
+		fn    func(bench.Options) *bench.Figure
+	}{
+		{"Figure 8", bench.Fig8SpMV},
+		{"Figure 9", bench.Fig9CG},
+		{"Figure 10", bench.Fig10GMG},
+		{"Figure 11", bench.Fig11Quantum},
+	} {
+		t0 := time.Now()
+		fig := f.fn(opt)
+		fmt.Fprintf(os.Stderr, "%s done in %v\n", fig.Name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(&sb, "### %s — %s\n\n%s\n", f.paper, fig.Title, fig.Markdown())
+	}
+	t0 := time.Now()
+	tab := bench.Fig12MF(opt)
+	fmt.Fprintf(os.Stderr, "fig12 done in %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(&sb, "### Figure 12 — Sparse Matrix Factorization Performance (datasets scaled 1/%d)\n\n%s\n", tab.Scale, tab.Markdown())
+	fmt.Fprintf(&sb, "_Generated by `go run ./cmd/legate-bench -exp figures -preset %s` in %v._\n", preset, time.Since(start).Round(time.Second))
+	return sb.String()
+}
+
+// info prints the inventory and the task-fusion demo.
+func info() {
+	m := machine.Summit(1)
+	fmt.Printf("Simulated machine: %d node(s), %d CPU sockets, %d GPUs\n",
+		m.Nodes, m.CountKind(machine.CPU), m.CountKind(machine.GPU))
+	cost := machine.LegateCost()
+	fmt.Printf("  GPU sparse rate %.2e elem/s, CPU %.2e; NVLink %.0f GB/s, IB %.1f GB/s\n",
+		cost.Rate[machine.GPU][machine.SparseIter], cost.Rate[machine.CPU][machine.SparseIter],
+		cost.Bandwidth[machine.NVLink]/1e9, cost.Bandwidth[machine.InterNode]/1e9)
+	fmt.Printf("  Legate launch overhead %v (+%v/point); PETSc %v; CuPy %v\n\n",
+		cost.LaunchOverhead, cost.AnalysisPerPoint,
+		machine.PETScCost().LaunchOverhead, machine.CuPyCost().LaunchOverhead)
+
+	fmt.Println("DISTAL-generated kernel variants (op/format/target):")
+	for _, k := range distal.Standard.Keys() {
+		fmt.Printf("  %s\n", k)
+	}
+
+	counts := core.CoverageCounts()
+	fmt.Printf("\nSciPy Sparse API coverage (§5 taxonomy): %d generated, %d ported, %d hand-written\n",
+		counts[core.Generated], counts[core.Ported], counts[core.HandWritten])
+	for _, e := range core.Coverage() {
+		fmt.Printf("  %-45s %-18s %s\n", e.Name, e.Formats, e.Kind)
+	}
+
+	fmt.Printf("\nTask-fusion window: %d launches (set -fusion=false to disable)\n",
+		legion.DefaultFusionWindow())
+	fmt.Println("Fusion demo: 8 back-to-back AXPY launches on 2 GPUs:")
+	rt := legion.NewRuntime(m, m.Select(machine.GPU, 2))
+	defer rt.Shutdown()
+	x := cunumeric.Full(rt, 1<<12, 1)
+	y := cunumeric.Zeros(rt, 1<<12)
+	for k := 0; k < 8; k++ {
+		cunumeric.AXPY(0.125, x, y)
+	}
+	rt.Fence()
+	groups, members := rt.Profile().FusedLaunchCounts()
+	fmt.Printf("  fused launches issued: %d (absorbing %d originals); simulated time %v\n",
+		groups, members, rt.SimTime())
+	fmt.Println("\nDemo run profile:")
+	fmt.Print(rt.Profile().String())
+	fmt.Println("\nDemo run copies by link class:")
+	fmt.Printf("  %-12s %10s %14s\n", "link", "copies", "bytes")
+	st := rt.Stats()
+	for l := machine.SameProc; l <= machine.InterNode; l++ {
+		fmt.Printf("  %-12s %10d %14d\n", l, st.LinkCopies(l), st.LinkBytes(l))
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 	tol := flag.Float64("tol", 1e-8, "residual tolerance")
 	maxiter := flag.Int("maxiter", 5000, "iteration cap")
 	rhsRandom := flag.Bool("rhs-random", false, "random right-hand side instead of ones")
-	format := flag.String("format", "csr", "operand storage format: csr, csc, coo, dia, or bsr")
+	format := flag.String("format", "csr", "operand storage format: "+core.FormatNames())
 	block := flag.Int64("block", 2, "BSR block size (with -format bsr)")
 	profile := flag.Bool("profile", false, "print the per-task runtime profile")
 	flag.Parse()
@@ -75,25 +75,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var a core.SparseMatrix
-	switch *format {
-	case "csr":
-		a = csr
-	case "csc":
-		a = csr.ToCSC()
-	case "coo":
-		a = csr.ToCOO()
-	case "dia":
-		a = csr.ToDIA()
-	case "bsr":
-		if *block <= 0 || rows%*block != 0 {
-			fmt.Fprintf(os.Stderr, "solve: -block %d must be positive and divide the dimension %d (BSR conversion pads otherwise)\n",
-				*block, rows)
-			os.Exit(2)
-		}
-		a = csr.ToBSR(*block)
-	default:
-		fmt.Fprintf(os.Stderr, "solve: unknown format %q\n", *format)
+	a, err := core.Convert(csr, *format, *block)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "solve: %v\n", err)
 		os.Exit(2)
 	}
 	fmt.Printf("loaded %v from %s\n", a, *matrix)

@@ -67,9 +67,9 @@
 //
 //	cmd/legate-serve     HTTP solver service with warm runtime pool
 //	                     (-shards routes over several engines)
-//	cmd/legate-bench     paper experiments and ablations
-//	cmd/figures          EXPERIMENTS.md table generator
+//	cmd/legate-bench     paper experiments and ablations, the
+//	                     EXPERIMENTS.md tables (-exp figures) and the
+//	                     machine/kernel/API inventory (-exp info)
 //	cmd/legate-prof      profiler artifact exporter
-//	cmd/legate-info      machine/kernel/API inventory
 //	cmd/solve            Matrix Market solver front end
 package repro

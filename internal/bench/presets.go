@@ -3,8 +3,7 @@ package bench
 // Profiling presets: single-configuration runs of the paper's workloads
 // sized for observability rather than measurement. cmd/legate-prof runs
 // one of these with a prof.Sink attached and exports the timeline,
-// dependence graph, and critical-path report; cmd/legate-info uses them
-// as sample runs for its table dumps.
+// dependence graph, and critical-path report.
 
 import (
 	"fmt"

@@ -137,12 +137,7 @@ func (a *BSR) ToCSR() *CSR {
 	return buildCSR(a.rt, a.rows, a.cols, rr, cc, vv)
 }
 
-// SpMVInto computes y = A @ x for a BSR matrix: block rows are
-// distributed like CSR rows, the vals partition is the block-scaled
-// image of pos, and x's partition is the block-scaled image of crd —
-// the same constraint structure as Figure 4, lifted to blocks. The
-// launch goes through the generic planner and the registry's compiled
-// BSR variant (the §5.4 extension kernels).
+// SpMVInto computes y = A @ x.
 func (a *BSR) SpMVInto(y, x *cunumeric.Array) { spmvLaunch(a, y, x) }
 
 // SpMV allocates and returns y = A @ x.

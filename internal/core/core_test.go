@@ -468,29 +468,6 @@ func TestEmptyRowsAndMatrix(t *testing.T) {
 	}
 }
 
-// TestCOOOwnerComputesSpMV: the preimage-based owner-computes strategy
-// agrees with the reduction-based scatter and the CSR reference.
-func TestCOOOwnerComputesSpMV(t *testing.T) {
-	rt := newRT(t, 4)
-	rng := rand.New(rand.NewSource(21))
-	a := Random(rt, 45, 33, 0.2, 13)
-	coo := a.ToCOO()
-	xs := randVec(rng, 33)
-	x := cunumeric.FromSlice(rt, xs)
-	want := a.SpMV(x).ToSlice()
-	y := cunumeric.Zeros(rt, 45)
-	coo.SpMVOwnerInto(y, x)
-	if got := y.ToSlice(); !approx(got, want, 1e-10) {
-		t.Fatal("owner-computes COO SpMV differs from CSR")
-	}
-	// Owner-computes must not use reduction privileges: re-running keeps
-	// deterministic results.
-	coo.SpMVOwnerInto(y, x)
-	if got := y.ToSlice(); !approx(got, want, 1e-10) {
-		t.Fatal("second run differs")
-	}
-}
-
 // TestPoisson3D: the 7-point operator is symmetric, diagonally dominant,
 // and CG-solvable.
 func TestPoisson3D(t *testing.T) {

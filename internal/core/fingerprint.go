@@ -5,14 +5,10 @@ package core
 // *contents*, not its Go object: two uploads of the same triples — or a
 // preset rebuilt on a replacement runtime — must land on the same cache
 // entries, and a re-upload with different values must not. The
-// fingerprint is FNV-1a over (shape, format tag, pack-region contents,
-// format metadata); it is a cache key, not a cryptographic digest.
+// fingerprint is FNV-1a over the shape and the canonicalized triples; it
+// is a cache key, not a cryptographic digest.
 
-import (
-	"math"
-
-	"repro/internal/legion"
-)
+import "math"
 
 // Fingerprint is the 64-bit content identity of a sparse matrix.
 type Fingerprint uint64
@@ -76,50 +72,4 @@ func FingerprintTriples(rows, cols int64, r, c []int64, v []float64) Fingerprint
 	f.int64s(cc)
 	f.float64s(cv)
 	return Fingerprint(f.h)
-}
-
-// FingerprintMatrix fingerprints a bound matrix: shape, format tag,
-// the contents of every pack region, and the format metadata that the
-// regions alone do not express (BSR block size, DIA offsets). It fences
-// the runtime first so region contents are materialized.
-func FingerprintMatrix(a SparseMatrix) Fingerprint {
-	rt := a.Runtime()
-	rt.Fence()
-	f := newFNV()
-	spec := a.Spec()
-	f.str(spec.Name)
-	rows, cols := a.Shape()
-	f.int64(rows)
-	f.int64(cols)
-	for i, r := range a.Pack() {
-		f.str(spec.PackFields[i].Name)
-		hashRegion(f, r)
-	}
-	switch m := a.(type) {
-	case *BSR:
-		f.str("blocksize")
-		f.int64(m.blockSize)
-	case *DIA:
-		f.str("offsets")
-		f.int64s(m.offsets)
-	}
-	return Fingerprint(f.h)
-}
-
-func hashRegion(f *fnv, r *legion.Region) {
-	switch r.Type() {
-	case legion.Float64:
-		f.float64s(r.Float64s())
-	case legion.Int64:
-		f.int64s(r.Int64s())
-	case legion.RectType:
-		for _, rect := range r.Rects() {
-			f.int64(rect.Lo)
-			f.int64(rect.Hi)
-		}
-		f.word(uint64(r.Size()))
-	default:
-		f.str(r.Type().String())
-		f.word(uint64(r.Size()))
-	}
 }

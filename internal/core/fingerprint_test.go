@@ -21,43 +21,3 @@ func TestFingerprintTriplesOrderInvariant(t *testing.T) {
 		t.Error("different shape fingerprints identically")
 	}
 }
-
-func TestFingerprintMatrixStableAcrossRuntimes(t *testing.T) {
-	rt1 := newRT(t, 2)
-	rt2 := newRT(t, 3)
-	a1 := Poisson2D(rt1, 8)
-	a2 := Poisson2D(rt2, 8)
-	defer a1.Destroy()
-	defer a2.Destroy()
-	if FingerprintMatrix(a1) != FingerprintMatrix(a2) {
-		t.Error("same matrix on different runtimes fingerprints differently")
-	}
-	b := Poisson2D(rt1, 9)
-	defer b.Destroy()
-	if FingerprintMatrix(b) == FingerprintMatrix(a1) {
-		t.Error("different matrices share a fingerprint")
-	}
-}
-
-func TestFingerprintMatrixFormatDistinct(t *testing.T) {
-	rt := newRT(t, 2)
-	a := Poisson2D(rt, 8)
-	defer a.Destroy()
-	coo := a.ToCOO()
-	defer coo.Destroy()
-	if FingerprintMatrix(a) == FingerprintMatrix(coo) {
-		t.Error("CSR and COO of the same matrix must fingerprint differently (distinct bindings)")
-	}
-}
-
-func TestFingerprintMatrixSeesContentChange(t *testing.T) {
-	rt := newRT(t, 2)
-	a := Banded(rt, 32, 2, 7)
-	defer a.Destroy()
-	fp := FingerprintMatrix(a)
-	b := Banded(rt, 32, 2, 8) // different seed → different values
-	defer b.Destroy()
-	if FingerprintMatrix(b) == fp {
-		t.Error("different contents share a fingerprint")
-	}
-}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/constraint"
 	"repro/internal/cunumeric"
@@ -26,13 +28,16 @@ type SparseMatrix interface {
 	NNZ() int64
 	Runtime() *legion.Runtime
 	// Spec returns the format's descriptor: level modes, region-pack
-	// layout, DISTAL dispatch tag, and preferred distribution
-	// constraint. All launches derive from it.
+	// layout, DISTAL dispatch tag, and partitioning constraint. All
+	// launches derive from it.
 	Spec() *FormatSpec
 	// Pack returns the legion regions backing the matrix, in the
 	// spec's PackFields order — the "pack of regions" representation
 	// of Figure 3, exposed uniformly for interoperation.
 	Pack() []*legion.Region
+	// Meta returns what the pack cannot express (BSR block size, DIA
+	// offsets).
+	Meta() PackMeta
 	// SpMVInto computes y = A @ x through the format-generic planner.
 	SpMVInto(y, x *cunumeric.Array)
 	// SpMV allocates and returns y = A @ x.
@@ -54,60 +59,26 @@ var (
 	_ SparseMatrix = (*BSR)(nil)
 )
 
-// DistKind names a format's preferred distribution constraint — how the
-// launch planner derives the partition family for an owner/scatter
-// iteration over the format's stored structure.
-type DistKind int
-
-const (
-	// DistAlignPos: owner-computes over the compressed outer level;
-	// the output aligns with pos and images induce the rest (CSR,
-	// Figure 4).
-	DistAlignPos DistKind = iota
-	// DistImageCrd: the iteration owns pos (columns for CSC) and the
-	// output is the aliased image of crd — a scatter with reduction
-	// privilege (§5.3).
-	DistImageCrd
-	// DistEntries: the flat entry space is block-divided and both
-	// dense operands are images of the coordinate regions (COO).
-	DistEntries
-	// DistBanded: explicit interval partitions built from the stored
-	// diagonal offsets — a fixed-width halo (DIA).
-	DistBanded
-	// DistBlockRow: block rows tiled like CSR rows with block-scaled
-	// images for vals and x (BSR, the §5.4 extension).
-	DistBlockRow
-)
-
-func (d DistKind) String() string {
-	switch d {
-	case DistAlignPos:
-		return "align-pos"
-	case DistImageCrd:
-		return "image-crd"
-	case DistEntries:
-		return "entries"
-	case DistBanded:
-		return "banded"
-	case DistBlockRow:
-		return "block-row"
-	default:
-		return fmt.Sprintf("DistKind(%d)", int(d))
-	}
-}
-
 // PackField describes one region of a format's pack: its role name and
-// required element type. FromPack validates interop regions against it.
+// required element type. FromPack validates interop regions against it,
+// and the SpMV binder maps each field onto the kernel operand by type.
 type PackField struct {
 	Name string
 	Type legion.FieldType
 }
 
+// PackMeta carries format metadata that region packs alone cannot
+// express: the dense tile edge for BSR and the stored diagonal offsets
+// for DIA.
+type PackMeta struct {
+	BlockSize int64
+	Offsets   []int64
+}
+
 // FormatSpec is the single per-format description every operation
 // launches from: the level modes (via the DISTAL format tag), the
-// region-pack layout, and the distribution constraint. What used to be
-// five copies of launch boilerplate in ops.go is now one planner
-// parameterized by this struct.
+// region-pack layout, the partitioning constraint, and how to build the
+// format from a pack or from CSR.
 type FormatSpec struct {
 	// Name is the lowercase format tag ("csr", "coo", ...).
 	Name string
@@ -116,8 +87,6 @@ type FormatSpec struct {
 	// Distal is the registry dispatch tag; kernel variants are keyed
 	// on (op, Distal, target).
 	Distal distal.Format
-	// Dist is the preferred distribution constraint.
-	Dist DistKind
 	// PackFields is the region-pack layout, in Pack() order.
 	PackFields []PackField
 
@@ -129,13 +98,18 @@ type FormatSpec struct {
 	// reduction privilege (CSC, COO); the planner zero-fills y and
 	// installs a ReduceAdd accumulator.
 	scatter bool
-	// bind wires a point task's region slices into the pooled kernel
-	// argument pack (tensor names y/A/x).
-	bind func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext)
+	// slots is where bind finds each kernel operand, fixed from
+	// PackFields when the spec is built.
+	slots bindSlots
 	// constrain states the launch's partitioning — align/image edges
 	// for image-derivable formats, explicit partitions for the rest —
 	// and its declared per-point work.
-	constrain func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array)
+	constrain func(t *constraint.Task, o spmvOperands)
+	// assemble wraps a validated pack as a matrix and reports whether
+	// the region sizes and meta agree with the shape.
+	assemble func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool)
+	// convert builds the format from CSR (the receiver itself for CSR).
+	convert func(a *CSR, blockSize int64) SparseMatrix
 }
 
 // Levels returns the per-dimension level modes (dense, compressed,
@@ -148,7 +122,174 @@ func (s *FormatSpec) Levels() []distal.Mode { return s.Distal.Modes }
 func (s *FormatSpec) Scatter() bool { return s.scatter }
 
 func (s *FormatSpec) String() string {
-	return fmt.Sprintf("FormatSpec(%s: %v, dist=%v)", s.Name, s.Distal, s.Dist)
+	return fmt.Sprintf("FormatSpec(%s: %v)", s.Name, s.Distal)
+}
+
+// bindSlots are the task-context slots of the kernel operand A's fields;
+// 0 (y's slot) means the format has no such field. The pack follows y in
+// PackFields order and x comes last.
+type bindSlots struct{ pos, crd, crd2, vals, x int }
+
+// newSpec fixes the spec's binder slots from its pack layout: the range
+// region is A's pos, the first coordinate region its crd and a second
+// one its crd2 (COO's columns), the float region its vals.
+func newSpec(s *FormatSpec) *FormatSpec {
+	s.slots.x = len(s.PackFields) + 1
+	for i, f := range s.PackFields {
+		switch {
+		case f.Type == legion.RectType:
+			s.slots.pos = i + 1
+		case f.Type == legion.Int64 && s.slots.crd == 0:
+			s.slots.crd = i + 1
+		case f.Type == legion.Int64:
+			s.slots.crd2 = i + 1
+		default:
+			s.slots.vals = i + 1
+		}
+	}
+	return s
+}
+
+// bind wires a point task's region slices into the pooled kernel
+// argument pack (tensors y, A, x). A scatter format's y is reached only
+// through the accumulator.
+func (s *FormatSpec) bind(sc *spmvScratch, tc *legion.TaskContext, cols int64, meta PackMeta) {
+	if !s.scatter {
+		sc.y.Vals = tc.Float64(0)
+	}
+	if s.slots.pos != 0 {
+		sc.A.Pos = tc.Rects(s.slots.pos)
+	}
+	if s.slots.crd != 0 {
+		sc.A.Crd = tc.Int64(s.slots.crd)
+	}
+	if s.slots.crd2 != 0 {
+		sc.A.Crd2 = tc.Int64(s.slots.crd2)
+	}
+	sc.A.Vals = tc.Float64(s.slots.vals)
+	sc.A.Stride, sc.A.Offsets, sc.A.BlockSize = cols, meta.Offsets, meta.BlockSize
+	sc.x.Vals = tc.Float64(s.slots.x)
+}
+
+// spmvOperands is one SpMV launch as a constrain body sees it.
+type spmvOperands struct {
+	m       SparseMatrix
+	regions []*legion.Region // m.Pack()
+	pack    []constraint.Var // one per pack region
+	y, x    *cunumeric.Array
+	vy, vx  constraint.Var
+}
+
+// constrainCompressed is Figure 4's constraint set for a dense level
+// over a compressed one (CSR, CSC): the operand the outer level indexes
+// aligns with pos, pos's image gives crd and vals, and crd's image gives
+// the other operand. A scatter format compresses columns, so x is the
+// aligned operand and y the scattered image.
+func constrainCompressed(t *constraint.Task, o spmvOperands) {
+	outer, inner := o.vy, o.vx
+	if o.m.Spec().scatter {
+		outer, inner = o.vx, o.vy
+	}
+	t.Align(outer, o.pack[0])
+	t.Image(o.pack[0], o.pack[1], o.pack[2])
+	t.Image(o.pack[1], inner)
+	t.SetWorkSource(o.pack[1], 1) // the outer block's nonzeros
+}
+
+// constrainEntries block-divides the flat entry space (COO): y and x are
+// the images of the row and column coordinate regions.
+func constrainEntries(t *constraint.Task, o spmvOperands) {
+	t.Align(o.pack[0], o.pack[1])
+	t.Align(o.pack[0], o.pack[2])
+	t.Image(o.pack[0], o.vy)
+	t.Image(o.pack[1], o.vx)
+	t.SetWorkSource(o.pack[0], 1) // the entry block
+}
+
+// constrainBanded builds explicit partitions from the stored diagonal
+// offsets (DIA): x's pieces are the row tiles shifted by every offset (a
+// fixed-width halo) and data's pieces the matching slice of each
+// diagonal.
+func constrainBanded(t *constraint.Task, o spmvOperands) {
+	rt := o.m.Runtime()
+	rows, cols := o.m.Shape()
+	offsets := o.m.Meta().Offsets
+	colors := rt.LaunchDomain()
+	rowTiles := geometry.Tile(geometry.NewRect(0, rows-1), colors)
+	xSets := make([]geometry.IntervalSet, colors)
+	dataSets := make([]geometry.IntervalSet, colors)
+	xDom := geometry.NewRect(0, cols-1)
+	for c, tile := range rowTiles {
+		var xs, ds geometry.IntervalSet
+		if !tile.Empty() {
+			for d, off := range offsets {
+				cs := tile.Shift(off).Intersect(xDom)
+				if cs.Empty() {
+					continue
+				}
+				xs = xs.UnionRect(cs)
+				ds = ds.UnionRect(cs.Shift(int64(d) * cols))
+			}
+		}
+		xSets[c] = xs
+		dataSets[c] = ds
+	}
+	t.UsePartition(o.vy, rt.BlockPartition(o.y.Region(), colors))
+	t.UsePartition(o.pack[0], rt.PartitionBySets(o.regions[0], dataSets))
+	t.UsePartition(o.vx, rt.PartitionBySets(o.x.Region(), xSets))
+	// rows × diagonals: data's pieces are clipped at the matrix edge.
+	t.SetWorkSource(o.vy, int64(len(offsets)))
+}
+
+// constrainBlockRows lifts Figure 4 to blocks (BSR): block rows are
+// distributed like CSR rows, vals is the block-scaled image of pos and
+// x the block-scaled image of crd. The generated kernel zeroes its own
+// element rows, so y takes plain write privilege on a disjoint
+// block-scaled row partition.
+func constrainBlockRows(t *constraint.Task, o spmvOperands) {
+	rt := o.m.Runtime()
+	rows, _ := o.m.Shape()
+	bs := o.m.Meta().BlockSize
+	pos, crd, vals := o.regions[0], o.regions[1], o.regions[2]
+	colors := rt.LaunchDomain()
+	bRows := rows / bs
+	posPart := rt.BlockPartition(pos, colors)
+	crdPart := rt.ImageRange(pos, posPart, crd)
+	yRects := make([]geometry.Rect, colors)
+	valSets := make([]geometry.IntervalSet, colors)
+	xSets := make([]geometry.IntervalSet, colors)
+	rt.Fence()
+	crdData := crd.Int64s()
+	for c := 0; c < colors; c++ {
+		// y rows: the element rows of this color's block rows.
+		br := geometry.Tile(geometry.NewRect(0, bRows-1), colors)[c]
+		if br.Empty() {
+			yRects[c] = geometry.EmptyRect
+			valSets[c] = geometry.IntervalSet{}
+			xSets[c] = geometry.IntervalSet{}
+			continue
+		}
+		yRects[c] = geometry.NewRect(br.Lo*bs, br.Hi*bs+bs-1)
+		// vals: blockSize² values per stored block of this color.
+		var vs geometry.IntervalSet
+		for _, rct := range crdPart.Subspace(c).Rects() {
+			vs = vs.UnionRect(geometry.NewRect(rct.Lo*bs*bs, rct.Hi*bs*bs+bs*bs-1))
+		}
+		valSets[c] = vs
+		// x: the element columns of the referenced block columns.
+		var xs geometry.IntervalSet
+		crdPart.Subspace(c).Each(func(k int64) {
+			bc := crdData[k]
+			xs = xs.UnionRect(geometry.NewRect(bc*bs, bc*bs+bs-1))
+		})
+		xSets[c] = xs
+	}
+	t.UsePartition(o.vy, rt.PartitionByRects(o.y.Region(), yRects))
+	t.UsePartition(o.pack[0], posPart)
+	t.UsePartition(o.pack[1], crdPart)
+	t.UsePartition(o.pack[2], rt.PartitionBySets(vals, valSets))
+	t.UsePartition(o.vx, rt.PartitionBySets(o.x.Region(), xSets))
+	t.SetWorkSource(o.pack[2], 1) // stored blocks × bs²
 }
 
 var csrPackFields = []PackField{
@@ -157,57 +298,43 @@ var csrPackFields = []PackField{
 	{Name: "vals", Type: legion.Float64},
 }
 
-// CSRSpec: owner-computes rows; align(y, pos), image(pos, {crd, vals}),
-// image(crd, x) — the constraint set of the paper's Figure 4.
-var CSRSpec = &FormatSpec{
+// CSRSpec: owner-computes rows.
+var CSRSpec = newSpec(&FormatSpec{
 	Name:       "csr",
 	TaskName:   "sparse.spmv",
 	Distal:     distal.CSR,
-	Dist:       DistAlignPos,
 	PackFields: csrPackFields,
 	boundsSlot: 0,
-	bind: func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext) {
-		s.y.Vals = tc.Float64(0)
-		s.A.Pos, s.A.Crd, s.A.Vals = tc.Rects(1), tc.Int64(2), tc.Float64(3)
-		s.x.Vals = tc.Float64(4)
+	constrain:  constrainCompressed,
+	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
+		return &CSR{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
+			p[0].Size() == rows && p[1].Size() == p[2].Size()
 	},
-	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
-		t.Align(vy, pack[0])
-		t.Image(pack[0], pack[1], pack[2])
-		t.Image(pack[1], vx)
-		t.SetWorkSource(pack[1], 1) // the row block's nonzeros
-	},
-}
+	convert: func(a *CSR, _ int64) SparseMatrix { return a },
+})
 
 // CSCSpec: the matrix is compressed over columns, so the kernel owns
-// column ranges and scatters into y through the aliased image of crd.
-var CSCSpec = &FormatSpec{
+// column ranges and scatters into y.
+var CSCSpec = newSpec(&FormatSpec{
 	Name:       "csc",
 	TaskName:   "sparse.spmv_csc",
 	Distal:     distal.CSC,
-	Dist:       DistImageCrd,
 	PackFields: csrPackFields,
 	boundsSlot: 1,
 	scatter:    true,
-	bind: func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext) {
-		s.A.Pos, s.A.Crd, s.A.Vals = tc.Rects(1), tc.Int64(2), tc.Float64(3)
-		s.x.Vals = tc.Float64(4)
+	constrain:  constrainCompressed,
+	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
+		return &CSC{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
+			p[0].Size() == cols && p[1].Size() == p[2].Size()
 	},
-	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
-		t.Align(vx, pack[0]) // x is indexed by columns, like pos
-		t.Image(pack[0], pack[1], pack[2])
-		t.Image(pack[1], vy)        // scattered rows
-		t.SetWorkSource(pack[1], 1) // the column block's nonzeros
-	},
-}
+	convert: func(a *CSR, _ int64) SparseMatrix { return a.ToCSC() },
+})
 
-// COOSpec: the flat entry space is block-divided; y and x are images of
-// the row and column coordinate regions respectively.
-var COOSpec = &FormatSpec{
+// COOSpec: the flat entry space is block-divided and scattered into y.
+var COOSpec = newSpec(&FormatSpec{
 	Name:     "coo",
 	TaskName: "sparse.spmv_coo",
 	Distal:   distal.COO,
-	Dist:     DistEntries,
 	PackFields: []PackField{
 		{Name: "row", Type: legion.Int64},
 		{Name: "col", Type: legion.Int64},
@@ -215,140 +342,96 @@ var COOSpec = &FormatSpec{
 	},
 	boundsSlot: 1,
 	scatter:    true,
-	bind: func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext) {
-		s.A.Crd, s.A.Crd2, s.A.Vals = tc.Int64(1), tc.Int64(2), tc.Float64(3)
-		s.x.Vals = tc.Float64(4)
+	constrain:  constrainEntries,
+	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
+		return &COO{rt: rt, rows: rows, cols: cols, row: p[0], col: p[1], vals: p[2]},
+			p[0].Size() == p[1].Size() && p[1].Size() == p[2].Size()
 	},
-	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
-		t.Align(pack[0], pack[1])
-		t.Align(pack[0], pack[2])
-		t.Image(pack[0], vy)
-		t.Image(pack[1], vx)
-		t.SetWorkSource(pack[0], 1) // the entry block
-	},
-}
+	convert: func(a *CSR, _ int64) SparseMatrix { return a.ToCOO() },
+})
 
-// DIASpec: explicit banded partitions — x's pieces are the row tiles
-// shifted by every stored offset (a fixed-width halo) and data's pieces
-// the matching slice of each diagonal.
-var DIASpec = &FormatSpec{
+// DIASpec: owner-computes rows over explicit banded partitions.
+var DIASpec = newSpec(&FormatSpec{
 	Name:     "dia",
 	TaskName: "sparse.spmv_dia",
 	Distal:   distal.DIA,
-	Dist:     DistBanded,
 	PackFields: []PackField{
 		{Name: "data", Type: legion.Float64},
 	},
 	boundsSlot: 0,
-	bind: func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext) {
-		a := m.(*DIA)
-		s.y.Vals = tc.Float64(0)
-		s.A.Vals, s.A.Stride, s.A.Offsets = tc.Float64(1), a.cols, a.offsets
-		s.x.Vals = tc.Float64(2)
+	constrain:  constrainBanded,
+	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
+		return &DIA{rt: rt, rows: rows, cols: cols, offsets: meta.Offsets, data: p[0]},
+			len(meta.Offsets) > 0 && p[0].Size() == int64(len(meta.Offsets))*cols
 	},
-	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
-		a := m.(*DIA)
-		rt := a.rt
-		colors := rt.LaunchDomain()
-		rowTiles := geometry.Tile(geometry.NewRect(0, a.rows-1), colors)
-		xSets := make([]geometry.IntervalSet, colors)
-		dataSets := make([]geometry.IntervalSet, colors)
-		xDom := geometry.NewRect(0, a.cols-1)
-		for c, tile := range rowTiles {
-			var xs, ds geometry.IntervalSet
-			if !tile.Empty() {
-				for d, off := range a.offsets {
-					cols := tile.Shift(off).Intersect(xDom)
-					if cols.Empty() {
-						continue
-					}
-					xs = xs.UnionRect(cols)
-					ds = ds.UnionRect(cols.Shift(int64(d) * a.cols))
-				}
-			}
-			xSets[c] = xs
-			dataSets[c] = ds
-		}
-		t.UsePartition(vy, rt.BlockPartition(y.Region(), colors))
-		t.UsePartition(pack[0], rt.PartitionBySets(a.data, dataSets))
-		t.UsePartition(vx, rt.PartitionBySets(x.Region(), xSets))
-		// rows × diagonals: data's pieces are clipped at the matrix edge.
-		t.SetWorkSource(vy, int64(len(a.offsets)))
-	},
-}
+	convert: func(a *CSR, _ int64) SparseMatrix { return a.ToDIA() },
+})
 
-// BSRSpec: block rows are distributed like CSR rows, the vals partition
-// is the block-scaled image of pos, and x's partition the block-scaled
-// image of crd — Figure 4's constraint structure lifted to blocks. The
-// generated kernel zeroes its own element rows, so y takes plain write
-// privilege on a disjoint block-scaled row partition.
-var BSRSpec = &FormatSpec{
+// BSRSpec: block rows distributed like CSR rows (the §5.4 extension).
+var BSRSpec = newSpec(&FormatSpec{
 	Name:       "bsr",
 	TaskName:   "sparse.spmv_bsr",
 	Distal:     distal.BSR,
-	Dist:       DistBlockRow,
 	PackFields: csrPackFields,
 	boundsSlot: 1,
-	bind: func(m SparseMatrix, s *spmvScratch, tc *legion.TaskContext) {
-		a := m.(*BSR)
-		s.y.Vals = tc.Float64(0)
-		s.A.Pos, s.A.Crd, s.A.Vals = tc.Rects(1), tc.Int64(2), tc.Float64(3)
-		s.A.BlockSize = a.blockSize
-		s.x.Vals = tc.Float64(4)
+	constrain:  constrainBlockRows,
+	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
+		bs := meta.BlockSize
+		return &BSR{rt: rt, rows: rows, cols: cols, blockSize: bs, pos: p[0], crd: p[1], vals: p[2]},
+			blockMultiple(rows, cols, bs) == nil && p[0].Size() == rows/bs && p[2].Size() == p[1].Size()*bs*bs
 	},
-	constrain: func(t *constraint.Task, m SparseMatrix, vy, vx constraint.Var, pack []constraint.Var, y, x *cunumeric.Array) {
-		a := m.(*BSR)
-		rt := a.rt
-		colors := rt.LaunchDomain()
-		bs := a.blockSize
-		bRows := a.rows / bs
-		posPart := rt.BlockPartition(a.pos, colors)
-		crdPart := rt.ImageRange(a.pos, posPart, a.crd)
-		yRects := make([]geometry.Rect, colors)
-		valSets := make([]geometry.IntervalSet, colors)
-		xSets := make([]geometry.IntervalSet, colors)
-		rt.Fence()
-		crdData := a.crd.Int64s()
-		for c := 0; c < colors; c++ {
-			// y rows: the element rows of this color's block rows.
-			br := geometry.Tile(geometry.NewRect(0, bRows-1), colors)[c]
-			if br.Empty() {
-				yRects[c] = geometry.EmptyRect
-				valSets[c] = geometry.IntervalSet{}
-				xSets[c] = geometry.IntervalSet{}
-				continue
-			}
-			yRects[c] = geometry.NewRect(br.Lo*bs, br.Hi*bs+bs-1)
-			// vals: blockSize² values per stored block of this color.
-			var vs geometry.IntervalSet
-			for _, rct := range crdPart.Subspace(c).Rects() {
-				vs = vs.UnionRect(geometry.NewRect(rct.Lo*bs*bs, rct.Hi*bs*bs+bs*bs-1))
-			}
-			valSets[c] = vs
-			// x: the element columns of the referenced block columns.
-			var xs geometry.IntervalSet
-			crdPart.Subspace(c).Each(func(k int64) {
-				bc := crdData[k]
-				xs = xs.UnionRect(geometry.NewRect(bc*bs, bc*bs+bs-1))
-			})
-			xSets[c] = xs
-		}
-		t.UsePartition(vy, rt.PartitionByRects(y.Region(), yRects))
-		t.UsePartition(pack[0], posPart)
-		t.UsePartition(pack[1], crdPart)
-		t.UsePartition(pack[2], rt.PartitionBySets(a.vals, valSets))
-		t.UsePartition(vx, rt.PartitionBySets(x.Region(), xSets))
-		t.SetWorkSource(pack[2], 1) // stored blocks × bs²
-	},
+	convert: func(a *CSR, bs int64) SparseMatrix { return a.ToBSR(bs) },
+})
+
+// formats is the format table: the one list of format names.
+var formats = []*FormatSpec{CSRSpec, CSCSpec, COOSpec, DIASpec, BSRSpec}
+
+// FormatNames lists the format names Convert accepts, "|"-separated.
+func FormatNames() string {
+	names := make([]string, len(formats))
+	for i, s := range formats {
+		names[i] = s.Name
+	}
+	return strings.Join(names, "|")
 }
 
-// Spec/Pack/ToCSR conformance for each concrete format.
+// Convert returns a in the named format: a itself for "csr", otherwise a
+// new matrix the caller owns. blockSize is the BSR tile edge; it must
+// divide both dimensions, since ToBSR would pad them otherwise.
+func Convert(a *CSR, format string, blockSize int64) (SparseMatrix, error) {
+	for _, s := range formats {
+		if s.Name != format {
+			continue
+		}
+		if slices.Contains(s.Levels(), distal.Blocked) {
+			if err := blockMultiple(a.rows, a.cols, blockSize); err != nil {
+				return nil, err
+			}
+		}
+		return s.convert(a, blockSize), nil
+	}
+	return nil, fmt.Errorf("unknown format %q (want %s)", format, FormatNames())
+}
+
+// blockMultiple checks that bs is a positive block size dividing both
+// dimensions: a BSR matrix stores whole blocks.
+func blockMultiple(rows, cols, bs int64) error {
+	if bs <= 0 || rows%bs != 0 || cols%bs != 0 {
+		return fmt.Errorf("%dx%d is not a multiple of the BSR block size %d", rows, cols, bs)
+	}
+	return nil
+}
+
+// Spec/Pack/Meta/ToCSR conformance for each concrete format.
 
 // Spec returns the CSR format descriptor.
 func (a *CSR) Spec() *FormatSpec { return CSRSpec }
 
 // Pack returns {pos, crd, vals}.
 func (a *CSR) Pack() []*legion.Region { return []*legion.Region{a.pos, a.crd, a.vals} }
+
+// Meta is empty: the pack says everything.
+func (a *CSR) Meta() PackMeta { return PackMeta{} }
 
 // ToCSR returns the receiver itself (no copy); use Copy for a deep one.
 func (a *CSR) ToCSR() *CSR { return a }
@@ -358,6 +441,9 @@ func (a *CSC) Spec() *FormatSpec { return CSCSpec }
 
 // Pack returns {pos, crd, vals} (pos ranges over columns).
 func (a *CSC) Pack() []*legion.Region { return []*legion.Region{a.pos, a.crd, a.vals} }
+
+// Meta is empty: the pack says everything.
+func (a *CSC) Meta() PackMeta { return PackMeta{} }
 
 // Rows returns the number of rows.
 func (a *CSC) Rows() int64 { return a.rows }
@@ -374,6 +460,9 @@ func (a *COO) Spec() *FormatSpec { return COOSpec }
 // Pack returns {row, col, vals}.
 func (a *COO) Pack() []*legion.Region { return []*legion.Region{a.row, a.col, a.vals} }
 
+// Meta is empty: the pack says everything.
+func (a *COO) Meta() PackMeta { return PackMeta{} }
+
 // Rows returns the number of rows.
 func (a *COO) Rows() int64 { return a.rows }
 
@@ -389,6 +478,9 @@ func (a *DIA) Spec() *FormatSpec { return DIASpec }
 // Pack returns {data}.
 func (a *DIA) Pack() []*legion.Region { return []*legion.Region{a.data} }
 
+// Meta returns the stored diagonal offsets.
+func (a *DIA) Meta() PackMeta { return PackMeta{Offsets: a.offsets} }
+
 // Rows returns the number of rows.
 func (a *DIA) Rows() int64 { return a.rows }
 
@@ -403,6 +495,9 @@ func (a *BSR) Spec() *FormatSpec { return BSRSpec }
 
 // Pack returns {pos, crd, vals} (pos ranges over block rows).
 func (a *BSR) Pack() []*legion.Region { return []*legion.Region{a.pos, a.crd, a.vals} }
+
+// Meta returns the block size.
+func (a *BSR) Meta() PackMeta { return PackMeta{BlockSize: a.blockSize} }
 
 // Rows returns the number of element rows.
 func (a *BSR) Rows() int64 { return a.rows }
@@ -472,20 +567,13 @@ func Diagonal(a SparseMatrix) *cunumeric.Array {
 	return c.Diagonal()
 }
 
-// PackMeta carries format metadata that region packs alone cannot
-// express: the dense tile edge for BSR and the stored diagonal offsets
-// for DIA.
-type PackMeta struct {
-	BlockSize int64
-	Offsets   []int64
-}
-
 // FromPack assembles a sparse matrix of the given format directly from
 // a pack of existing regions — the §3 interoperation path ("users can
 // directly construct sparse matrices out of cuNumeric arrays"),
 // generalized from CSR to every format and validated against the spec's
-// pack layout instead of a hand-written check per struct.
-func FromPack(rt *legion.Runtime, spec *FormatSpec, rows, cols int64, pack []*legion.Region, meta *PackMeta) SparseMatrix {
+// pack layout. FromPack(rt, m.Spec(), rows, cols, m.Pack(), m.Meta())
+// rebuilds m.
+func FromPack(rt *legion.Runtime, spec *FormatSpec, rows, cols int64, pack []*legion.Region, meta PackMeta) SparseMatrix {
 	if len(pack) != len(spec.PackFields) {
 		panic(fmt.Sprintf("core: FromPack(%s) needs %d regions, got %d", spec.Name, len(spec.PackFields), len(pack)))
 	}
@@ -494,45 +582,11 @@ func FromPack(rt *legion.Runtime, spec *FormatSpec, rows, cols int64, pack []*le
 			panic(fmt.Sprintf("core: FromPack(%s) region %q has type %v, want %v", spec.Name, f.Name, pack[i].Type(), f.Type))
 		}
 	}
-	switch spec.Name {
-	case "csr":
-		if pack[0].Size() != rows || pack[1].Size() != pack[2].Size() {
-			panic("core: FromPack(csr) region sizes inconsistent")
-		}
-		return &CSR{rt: rt, rows: rows, cols: cols, pos: pack[0], crd: pack[1], vals: pack[2]}
-	case "csc":
-		if pack[0].Size() != cols || pack[1].Size() != pack[2].Size() {
-			panic("core: FromPack(csc) region sizes inconsistent")
-		}
-		return &CSC{rt: rt, rows: rows, cols: cols, pos: pack[0], crd: pack[1], vals: pack[2]}
-	case "coo":
-		if pack[0].Size() != pack[1].Size() || pack[1].Size() != pack[2].Size() {
-			panic("core: FromPack(coo) region sizes inconsistent")
-		}
-		return &COO{rt: rt, rows: rows, cols: cols, row: pack[0], col: pack[1], vals: pack[2]}
-	case "dia":
-		if meta == nil || len(meta.Offsets) == 0 {
-			panic("core: FromPack(dia) needs PackMeta.Offsets")
-		}
-		if pack[0].Size() != int64(len(meta.Offsets))*cols {
-			panic("core: FromPack(dia) data region size inconsistent")
-		}
-		return &DIA{rt: rt, rows: rows, cols: cols, offsets: meta.Offsets, data: pack[0]}
-	case "bsr":
-		if meta == nil || meta.BlockSize <= 0 {
-			panic("core: FromPack(bsr) needs a positive PackMeta.BlockSize")
-		}
-		bs := meta.BlockSize
-		if rows%bs != 0 || cols%bs != 0 {
-			panic("core: FromPack(bsr) dimensions must be block multiples")
-		}
-		if pack[0].Size() != rows/bs || pack[2].Size() != pack[1].Size()*bs*bs {
-			panic("core: FromPack(bsr) region sizes inconsistent")
-		}
-		return &BSR{rt: rt, rows: rows, cols: cols, blockSize: bs, pos: pack[0], crd: pack[1], vals: pack[2]}
-	default:
-		panic(fmt.Sprintf("core: FromPack: unknown format %q", spec.Name))
+	m, ok := spec.assemble(rt, rows, cols, pack, meta)
+	if !ok {
+		panic(fmt.Sprintf("core: FromPack(%s) region sizes or meta inconsistent with %dx%d", spec.Name, rows, cols))
 	}
+	return m
 }
 
 // ExportHost copies the matrix into a host-resident seq.CSR (SciPy's

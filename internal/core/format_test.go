@@ -142,10 +142,6 @@ func TestFormatSpecs(t *testing.T) {
 	rt := newRT(t, 2)
 	a := Random(rt, 16, 16, 0.3, 1)
 	ms := []SparseMatrix{a, a.ToCSC(), a.ToCOO(), a.ToDIA(), a.ToBSR(2)}
-	wantDist := map[string]DistKind{
-		"csr": DistAlignPos, "csc": DistImageCrd, "coo": DistEntries,
-		"dia": DistBanded, "bsr": DistBlockRow,
-	}
 	for _, m := range ms {
 		spec := m.Spec()
 		pack := m.Pack()
@@ -157,9 +153,6 @@ func TestFormatSpecs(t *testing.T) {
 				t.Fatalf("%s: pack[%d] (%s) has type %v, spec wants %v",
 					spec.Name, i, f.Name, pack[i].Type(), f.Type)
 			}
-		}
-		if spec.Dist != wantDist[spec.Name] {
-			t.Fatalf("%s: dist = %v, want %v", spec.Name, spec.Dist, wantDist[spec.Name])
 		}
 		if len(spec.Levels()) != 2 {
 			t.Fatalf("%s: %d level modes, want 2", spec.Name, len(spec.Levels()))
@@ -173,8 +166,10 @@ func TestFormatSpecs(t *testing.T) {
 	}
 }
 
-// TestFromPack: assembling a matrix from an existing region pack (the
-// interop path) yields the same SpMV as the original for every format.
+// TestFromPack: converting by name and then assembling the result from
+// its own region pack and meta (the interop path) yields the same SpMV
+// as the original for every format; an unknown name and a BSR block
+// size that does not divide the shape are errors.
 func TestFromPack(t *testing.T) {
 	rt := newRT(t, 3)
 	rng := rand.New(rand.NewSource(9))
@@ -185,31 +180,48 @@ func TestFromPack(t *testing.T) {
 	rt.Fence()
 	want := ref.ToSlice()
 
-	check := func(m SparseMatrix, meta *PackMeta) {
-		t.Helper()
+	for _, tc := range []struct {
+		format string
+		block  int64
+		err    bool
+	}{
+		{"csr", 0, false},
+		{"csc", 0, false},
+		{"coo", 0, false},
+		{"dia", 0, false},
+		{"bsr", 2, false},
+		{"ellpack", 0, true},
+		{"bsr", 3, true},
+	} {
+		m, err := Convert(a, tc.format, tc.block)
+		if tc.err {
+			if err == nil {
+				t.Fatalf("Convert(%s, block %d) succeeded, want an error", tc.format, tc.block)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Convert(%s): %v", tc.format, err)
+		}
+		if m.Spec().Name != tc.format {
+			t.Fatalf("Convert(%s) built %s", tc.format, m.Spec().Name)
+		}
 		rows, cols := m.Shape()
-		re := FromPack(rt, m.Spec(), rows, cols, m.Pack(), meta)
+		re := FromPack(rt, m.Spec(), rows, cols, m.Pack(), m.Meta())
 		got := re.SpMV(x)
 		rt.Fence()
 		if !approx(got.ToSlice(), want, 1e-12) {
-			t.Fatalf("FromPack(%s) SpMV disagrees", m.Spec().Name)
+			t.Fatalf("FromPack(%s) SpMV disagrees", tc.format)
 		}
 		got.Destroy()
 	}
-	check(a, nil)
-	check(a.ToCSC(), nil)
-	check(a.ToCOO(), nil)
-	dia := a.ToDIA()
-	check(dia, &PackMeta{Offsets: dia.Offsets()})
-	bsr := a.ToBSR(2)
-	check(bsr, &PackMeta{BlockSize: 2})
 
 	defer func() {
 		if recover() == nil {
 			t.Fatal("FromPack with a wrong-size pack did not panic")
 		}
 	}()
-	FromPack(rt, CSRSpec, 20, 20, a.Pack()[:2], nil)
+	FromPack(rt, CSRSpec, 20, 20, a.Pack()[:2], PackMeta{})
 }
 
 // TestExportHost: the host export matches the device matrix entry for

@@ -37,12 +37,10 @@ func mustPlanKernel(rt *legion.Runtime, op string, format distal.Format) *distal
 	return k
 }
 
-// spmvLaunch is the single format-generic launch planner every SpMV
-// goes through: it packs the operands in the spec's layout, derives the
-// partitions from the spec's distribution constraint, and dispatches
-// into the DISTAL registry keyed on (op, format, target). What used to
-// be one hand-written copy of this recipe per format is now data in
-// FormatSpec.
+// spmvLaunch is the one SpMV launch of every format: it packs the
+// operands in the spec's layout, derives the partitions from the spec's
+// constraint, and dispatches into the DISTAL registry keyed on (op,
+// format, target).
 func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 	rows, cols := a.Shape()
 	if x.Len() != cols || y.Len() != rows {
@@ -50,26 +48,18 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 	}
 	spec := a.Spec()
 	rt := a.Runtime()
-	k, ok := planKernel(rt, "spmv", spec.Distal)
-	if !ok {
-		// No compiled variant for this (format, target): fall back
-		// through a CSR conversion, paying the format-conversion cost
-		// the paper's third composition layer warns about (§1).
-		c, done := AsCSR(a)
-		defer done()
-		spmvLaunch(c, y, x)
-		return
-	}
+	k := mustPlanKernel(rt, "spmv", spec.Distal)
 	if spec.scatter {
 		y.Fill(0)
 	}
+	meta := a.Meta()
 	task := constraint.NewTask(rt, spec.TaskName, func(tc *legion.TaskContext) {
 		bounds := tc.Bounds(spec.boundsSlot)
 		if bounds.Empty() {
 			return
 		}
 		s := getSpMVScratch()
-		spec.bind(a, s, tc)
+		spec.bind(s, tc, cols, meta)
 		s.args.Lo, s.args.Hi = bounds.Lo, bounds.Hi
 		if spec.scatter {
 			s.args.Accum = func(idx int64, v float64) { tc.ReduceAdd(0, idx, v) }
@@ -77,26 +67,23 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 		k.Exec(&s.args)
 		s.release()
 	})
-	var vy constraint.Var
+	o := spmvOperands{m: a, regions: a.Pack(), y: y, x: x}
 	if spec.scatter {
-		vy = task.AddReduction(y.Region())
+		o.vy = task.AddReduction(y.Region())
 	} else {
-		vy = task.AddOutput(y.Region())
+		o.vy = task.AddOutput(y.Region())
 	}
-	regions := a.Pack()
-	pack := make([]constraint.Var, len(regions))
-	for i, r := range regions {
-		pack[i] = task.AddInput(r)
+	o.pack = make([]constraint.Var, len(o.regions))
+	for i, r := range o.regions {
+		o.pack[i] = task.AddInput(r)
 	}
-	vx := task.AddInput(x.Region())
-	spec.constrain(task, a, vy, vx, pack, y, x)
+	o.vx = task.AddInput(x.Region())
+	spec.constrain(task, o)
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 }
 
-// SpMVInto computes y = A @ x through the generic planner with CSR's
-// Figure 4 constraints: align(y, pos), image(pos, {crd, vals}),
-// image(crd, x).
+// SpMVInto computes y = A @ x.
 func (a *CSR) SpMVInto(y, x *cunumeric.Array) { spmvLaunch(a, y, x) }
 
 // SpMV allocates and returns y = A @ x (the `A @ x` of Figure 1).
@@ -106,9 +93,7 @@ func (a *CSR) SpMV(x *cunumeric.Array) *cunumeric.Array {
 	return y
 }
 
-// SpMVInto computes y = A @ x for a CSC matrix: the generated kernel
-// iterates columns and scatters into y, so y is a reduction operand
-// whose partition is the (aliased) image of crd.
+// SpMVInto computes y = A @ x.
 func (a *CSC) SpMVInto(y, x *cunumeric.Array) { spmvLaunch(a, y, x) }
 
 // SpMV allocates and returns y = A @ x.
@@ -118,10 +103,7 @@ func (a *CSC) SpMV(x *cunumeric.Array) *cunumeric.Array {
 	return y
 }
 
-// SpMVInto computes y = A @ x for a COO matrix by scattering each
-// stored entry: the nnz space is block-partitioned, x's partition is the
-// image of the col region, and y's the (aliased) image of the row
-// region.
+// SpMVInto computes y = A @ x.
 func (a *COO) SpMVInto(y, x *cunumeric.Array) { spmvLaunch(a, y, x) }
 
 // SpMV allocates and returns y = A @ x.
@@ -131,50 +113,7 @@ func (a *COO) SpMV(x *cunumeric.Array) *cunumeric.Array {
 	return y
 }
 
-// SpMVOwnerInto computes y = A @ x with the owner-computes strategy:
-// instead of block-partitioning the entries and scattering with
-// reductions, the entries are partitioned by the *preimage* of y's
-// tiling through the row region [33], so every point task writes only
-// its own rows — no reduction privilege, no atomics, at the price of a
-// potentially imbalanced entry distribution. This is the strategy an
-// explicitly-parallel library (PETSc assembly) uses, expressed with
-// dependent partitioning.
-func (a *COO) SpMVOwnerInto(y, x *cunumeric.Array) {
-	if x.Len() != a.cols || y.Len() != a.rows {
-		panic(fmt.Sprintf("core: COO SpMV shape mismatch: %v with x[%d] -> y[%d]", a, x.Len(), y.Len()))
-	}
-	rt := a.rt
-	colors := rt.LaunchDomain()
-	yPart := rt.BlockPartition(y.Region(), colors)
-	entryPart := rt.PreimageCoord(a.row, yPart)
-	colPart := rt.AlignedPartition(entryPart, a.col)
-	valsPart := rt.AlignedPartition(entryPart, a.vals)
-	xPart := rt.ImageCoord(a.col, colPart, x.Region())
-
-	task := constraint.NewTask(rt, "sparse.spmv_coo_owner", func(tc *legion.TaskContext) {
-		yv, rows, cols, vals, xv := tc.Float64(0), tc.Int64(1), tc.Int64(2), tc.Float64(3), tc.Float64(4)
-		tc.Subspace(0).Each(func(i int64) { yv[i] = 0 })
-		tc.Subspace(1).Each(func(k int64) { yv[rows[k]] += vals[k] * xv[cols[k]] })
-	})
-	vy := task.AddOutput(y.Region())
-	vrow := task.AddInput(a.row)
-	vcol := task.AddInput(a.col)
-	vvals := task.AddInput(a.vals)
-	vx := task.AddInput(x.Region())
-	task.UsePartition(vy, yPart)
-	task.UsePartition(vrow, entryPart)
-	task.UsePartition(vcol, colPart)
-	task.UsePartition(vvals, valsPart)
-	task.UsePartition(vx, xPart)
-	task.SetWorkSource(vrow, 1) // the entries this point owns
-	task.SetOpClass(machine.SparseIter)
-	task.Execute()
-}
-
-// SpMVInto computes y = A @ x for a DIA matrix. The x partition is
-// computed explicitly as the union of the row block shifted by every
-// stored offset (a fixed-width halo), and the data partition selects the
-// matching slice of each diagonal.
+// SpMVInto computes y = A @ x.
 func (a *DIA) SpMVInto(y, x *cunumeric.Array) { spmvLaunch(a, y, x) }
 
 // SpMV allocates and returns y = A @ x.

@@ -108,8 +108,6 @@ func TestDeclaredWork(t *testing.T) {
 	coo.SpMVInto(y, x)
 	entries := geometry.Tile(geometry.NewRect(0, int64(len(r))-1), 3)
 	check("sparse.spmv_coo", func(p int) int64 { return entries[p].Size() })
-	coo.SpMVOwnerInto(y, x)
-	check("sparse.spmv_coo_owner", func(p int) int64 { return orRows(rowNNZ(p), p) })
 
 	a.ToBSR(bs).SpMVInto(y, x)
 	blockTiles := geometry.Tile(geometry.NewRect(0, n/bs-1), 3)

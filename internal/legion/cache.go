@@ -34,7 +34,7 @@ type CacheStats struct {
 	PartMisses   int64 `json:"part_misses"`
 	AlignHits    int64 `json:"align_hits"` // alignment transfers
 	AlignMisses  int64 `json:"align_misses"`
-	ImageHits    int64 `json:"image_hits"` // image/preimage partition objects
+	ImageHits    int64 `json:"image_hits"` // image partition objects
 	ImageMisses  int64 `json:"image_misses"`
 	ImageSetHits int64 `json:"image_set_hits"` // subspaces reused across destinations
 	ImageBuilds  int64 `json:"image_builds"`   // full image subspace computations
@@ -57,7 +57,7 @@ func (rt *Runtime) CacheStats() CacheStats {
 	return s
 }
 
-// imageSetsKey identifies one cached image (or preimage) subspace
+// imageSetsKey identifies one cached image subspace
 // computation: which operator, over which contents of which region,
 // driven by which coloring. The destination enters only through its
 // size: the computed interval sets index into [0, dstSize) regardless of

@@ -364,3 +364,33 @@ func min64t(a, b int64) int64 {
 	}
 	return b
 }
+
+func TestProfileAccumulates(t *testing.T) {
+	m := machine.Summit(1)
+	rt := NewRuntime(m, m.Select(machine.GPU, 2))
+	defer rt.Shutdown()
+	x := rt.CreateRegion("x", 1024, Float64)
+	part := rt.BlockPartition(x, 2)
+	for i := 0; i < 3; i++ {
+		l := rt.NewLaunch("fill", 2, func(tc *TaskContext) {
+			d := tc.Float64(0)
+			tc.Subspace(0).Each(func(j int64) { d[j] = 1 })
+		})
+		l.Add(x, part, WriteDiscard)
+		l.Execute()
+	}
+	rt.Fence()
+	entries := rt.Profile().Entries()
+	if len(entries) != 1 || entries[0].Name != "fill" {
+		t.Fatalf("profile entries = %+v", entries)
+	}
+	if entries[0].Launches != 3 || entries[0].Points != 6 {
+		t.Fatalf("launches/points = %d/%d, want 3/6", entries[0].Launches, entries[0].Points)
+	}
+	if entries[0].SimTime <= 0 {
+		t.Fatal("profile must accumulate simulated time")
+	}
+	if rt.Profile().String() == "" {
+		t.Fatal("profile renders empty")
+	}
+}

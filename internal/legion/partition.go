@@ -177,15 +177,15 @@ type alignKey struct {
 	region RegionID
 }
 
-// imageKey identifies a cached image or preimage partition object: the
+// imageKey identifies a cached image partition object: the
 // subspace computation it wraps, and the region they are applied to.
 type imageKey struct {
 	sets imageSetsKey
 	dst  RegionID
 }
 
-// derivedPartition is the one lookup/build/insert path behind the four
-// dependent-partitioning operators: the partition of dst whose subspaces
+// derivedPartition is the one lookup/build/insert path behind the two
+// image operators: the partition of dst whose subspaces
 // build computes from src's contents and from's subspaces. Both cache
 // levels are keyed on from's coloring (DESIGN.md, "Cross-region
 // image-set cache"): an exact hit returns the cached partition object of
@@ -295,61 +295,6 @@ func (rt *Runtime) ImageCoord(src *Region, srcPart *Partition, dst *Region) *Par
 		}
 		return subs, disjointSubspaces(subs)
 	})
-}
-
-// PreimageCoord computes the dependent-partitioning preimage of
-// dstPart through the coordinate-valued region src: color c of the
-// result contains every index i of src whose value points into
-// dstPart's color c ({i : src[i] ∈ P[c]}). Preimage is the second
-// operator of Treichler et al.'s dependent partitioning [33] (§2.2):
-// where image pushes a partition forward through pointers, preimage
-// pulls one back — e.g. partitioning COO entries by the ownership of
-// the rows they update.
-func (rt *Runtime) PreimageCoord(src *Region, dstPart *Partition) *Partition {
-	src.checkType(Int64)
-	return rt.derivedPartition("preimage-coord", src, dstPart, src, func() ([]geometry.IntervalSet, bool) {
-		pts := make([][]int64, dstPart.Colors())
-		for i, v := range src.i64 {
-			for c := range pts {
-				if dstPart.Subspace(c).Contains(v) {
-					pts[c] = append(pts[c], int64(i))
-				}
-			}
-		}
-		return setsFromPoints(pts), dstPart.Disjoint()
-	})
-}
-
-// PreimageRange computes the preimage of dstPart through the
-// range-valued region src: color c contains every index i whose stored
-// range overlaps dstPart's color c. The result may alias when a range
-// spans a color boundary.
-func (rt *Runtime) PreimageRange(src *Region, dstPart *Partition) *Partition {
-	src.checkType(RectType)
-	return rt.derivedPartition("preimage-range", src, dstPart, src, func() ([]geometry.IntervalSet, bool) {
-		pts := make([][]int64, dstPart.Colors())
-		for i, r := range src.rect {
-			if r.Empty() {
-				continue
-			}
-			set := geometry.NewIntervalSet(r)
-			for c := range pts {
-				if dstPart.Subspace(c).Overlaps(set) {
-					pts[c] = append(pts[c], int64(i))
-				}
-			}
-		}
-		subs := setsFromPoints(pts)
-		return subs, disjointSubspaces(subs)
-	})
-}
-
-func setsFromPoints(pts [][]int64) []geometry.IntervalSet {
-	subs := make([]geometry.IntervalSet, len(pts))
-	for c := range subs {
-		subs[c] = geometry.FromPoints(pts[c])
-	}
-	return subs
 }
 
 // BroadcastPartition replicates the whole region to every color — used

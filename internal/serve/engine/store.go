@@ -115,31 +115,21 @@ func (s *Store) List() []MatrixInfo {
 	return out
 }
 
-// Bind materializes the definition on a runtime in the requested format.
+// Bind materializes the definition on a runtime in the requested format
+// ("" is csr); BSR uses 2x2 blocks.
 func (d *MatrixDef) Bind(rt *legion.Runtime, format string) (core.SparseMatrix, error) {
-	csr := core.FromTriples(rt, d.Rows, d.Cols, d.Row, d.Col, d.Val)
-	switch format {
-	case "", "csr":
-		return csr, nil
-	case "csc":
-		defer csr.Destroy()
-		return csr.ToCSC(), nil
-	case "coo":
-		defer csr.Destroy()
-		return csr.ToCOO(), nil
-	case "dia":
-		defer csr.Destroy()
-		return csr.ToDIA(), nil
-	case "bsr":
-		defer csr.Destroy()
-		bs := int64(2)
-		if d.Rows%bs != 0 || d.Cols%bs != 0 {
-			return nil, fmt.Errorf("matrix %q (%dx%d) is not a multiple of the BSR block size %d", d.Name, d.Rows, d.Cols, bs)
-		}
-		return csr.ToBSR(bs), nil
-	default:
-		return nil, fmt.Errorf("unknown format %q (want csr|csc|coo|dia|bsr)", format)
+	if format == "" {
+		format = "csr"
 	}
+	csr := core.FromTriples(rt, d.Rows, d.Cols, d.Row, d.Col, d.Val)
+	m, err := core.Convert(csr, format, 2)
+	if m != core.SparseMatrix(csr) {
+		csr.Destroy()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("matrix %q: %w", d.Name, err)
+	}
+	return m, nil
 }
 
 // BuildPreset constructs the named preset's triples on a throwaway
