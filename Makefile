@@ -41,7 +41,9 @@ race:
 # under the race detector, beside two busy-loop CPU hogs it starts and
 # stops itself: the preset and simulated-time pins, executor
 # equivalence, the figure, recovery and launch-order goldens, the
-# fault/recovery (chaos) suite, and the worker wakeup protocol. Each runs
+# fault/recovery (chaos) suite, the worker wakeup protocol, and the
+# serve routing, batching and overload suites, whose routing depends on
+# timing and whose answers must stay bit-identical. Each runs
 # at GOMAXPROCS 1 and 2 — TestPresetsDeterministic and
 # TestExecutorsEquivalent set both themselves, so -cpu would only repeat
 # them. Each suite has its own -timeout, so a hang fails with goroutine
@@ -55,7 +57,8 @@ stress:
 	$(STRESS) -cpu 1,2 -timeout 480s -run 'TestCGPresetSimTimePinned|Golden' ./internal/bench/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestSimDeterminism|TestDelayInjectionIsValueAndClockNeutral|TestLaunchOrderPinned' ./internal/legion/ ./internal/solvers/; \
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
-	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/
+	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/; \
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'BoundedLoadRouting|Batching|Overload' ./internal/serve/...
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
 # seconds of mutation over each target's seed corpus. Between them the

@@ -18,13 +18,16 @@
 //     keyed (op, format, target); its hit/miss counters surface in
 //     Metrics.
 //
-// Requests against the same matrix route sticky to the same worker (so
-// its caches actually hit) and concurrent same-matrix requests coalesce
-// into one batch executed as a single fused launch-stream epoch. A
-// runtime that degrades under fault injection — sticky Err, or lost
-// processors — is drained and replaced in the pool. A batch is never
-// re-executed here: a degraded one is answered CodeDegraded, and the
-// shard router is the one layer that runs it elsewhere.
+// Each matrix fingerprint has an owner worker, and a request runs on its
+// owner (so the caches hit) unless the owner is busy and another worker
+// is idle: then it spills there and binds the matrix once more
+// (bounded-load routing, see route). When every worker is busy,
+// same-matrix requests queue at the owner and coalesce into one batch
+// executed as a single fused launch-stream epoch. A runtime that
+// degrades under fault injection — sticky Err, or lost processors — is
+// drained and replaced in the pool. A batch is never re-executed here:
+// a degraded one is answered CodeDegraded, and the shard router is the
+// one layer that runs it elsewhere.
 //
 // The engine knows nothing about wires: it never imports net/http or
 // encoding/json (scripts/check_boundary.sh enforces this). Transports
@@ -140,7 +143,7 @@ type Engine struct {
 	draining atomic.Bool
 
 	mu     sync.Mutex
-	sticky map[core.Fingerprint]int // fingerprint → worker index
+	owner  map[core.Fingerprint]int // fingerprint → owner worker index, live fingerprints only
 	nextW  int
 	closed bool
 }
@@ -169,7 +172,7 @@ func New(cfg Config) (*Engine, error) {
 		store:   NewStore(),
 		metrics: newMetrics(),
 		sinks:   map[string]*prof.Sink{},
-		sticky:  map[core.Fingerprint]int{},
+		owner:   map[core.Fingerprint]int{},
 		start:   time.Now(),
 	}
 	for _, class := range requestClasses {
@@ -236,19 +239,37 @@ func presetRuntime() *legion.Runtime {
 	return legion.NewRuntime(m, m.Select(machine.CPU, 2))
 }
 
-// route returns the worker that owns fp, assigning round-robin on first
-// sight. Sticky routing is what makes a worker's binding and partition
-// caches hit: the same matrix always lands on the same warm runtime.
+// route picks the worker a request for fp runs on and counts the
+// request in its load; the caller uncounts it once answered. A
+// fingerprint gets an owner round-robin on first sight, and the owner
+// never changes. The owner serves while its load is 0; otherwise the
+// first idle worker after it with a closed breaker does (a spill);
+// otherwise the owner does, so a saturated pool still coalesces
+// batches there. Only fingerprints the store still carries are
+// recorded, so a request racing a re-upload cannot leave a dead entry.
 func (e *Engine) route(fp core.Fingerprint) *worker {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i, ok := e.sticky[fp]; ok {
-		return e.workers[i]
+	i, ok := e.owner[fp]
+	if !ok {
+		i = e.nextW % len(e.workers)
+		e.nextW++
+		if e.store.carries(fp) {
+			e.owner[fp] = i
+		}
 	}
-	i := e.nextW % len(e.workers)
-	e.nextW++
-	e.sticky[fp] = i
-	return e.workers[i]
+	wk := e.workers[i]
+	if wk.load.Load() > 0 {
+		for k := 1; k < len(e.workers); k++ {
+			if c := e.workers[(i+k)%len(e.workers)]; c.load.Load() == 0 && c.brk.snapshot() == breakerClosed {
+				wk = c
+				e.metrics.spills.Add(1)
+				break
+			}
+		}
+	}
+	wk.load.Add(1)
+	return wk
 }
 
 // Close drains and shuts down every pool runtime.
@@ -329,8 +350,17 @@ func (e *Engine) Upload(_ context.Context, req *UploadRequest) (*UploadResponse,
 	if err := req.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
-	d := e.store.Put(req.Name, req.Rows, req.Cols, req.Row, req.Col, req.Val)
+	d, old := e.store.Put(req.Name, req.Rows, req.Cols, req.Row, req.Col, req.Val)
 	e.metrics.uploads.Add(1)
+	if old != nil {
+		// A re-upload mints a new fingerprint; once no stored matrix
+		// carries the old one, it is never routed again.
+		e.mu.Lock()
+		if !e.store.carries(old.FP) {
+			delete(e.owner, old.FP)
+		}
+		e.mu.Unlock()
+	}
 	// Workers observe the store revision bump lazily; nudge them so
 	// stale bindings are dropped promptly rather than on next request.
 	for _, wk := range e.workers {
@@ -350,9 +380,9 @@ func (e *Engine) Matrices() []MatrixInfo { return e.store.List() }
 // dispatch runs the full request lifecycle: resolve the matrix, derive
 // the deadline context, pass admission control (drain gate, tenant
 // quota, circuit breaker, queue-wait budget, bounded queue), hand the
-// job to its sticky worker, and wait for the outcome. Every refusal is
-// a typed *Error with a stable code and, where retrying can help, a
-// RetryAfter hint.
+// job to the worker route picks, and wait for the outcome. Every
+// refusal is a typed *Error with a stable code and, where retrying can
+// help, a RetryAfter hint.
 func (e *Engine) dispatch(ctx context.Context, meta RequestMeta, class reqClass, matrix, format string, req any) (any, error) {
 	start := time.Now()
 	if matrix == "" {
@@ -392,6 +422,7 @@ func (e *Engine) dispatch(ctx context.Context, meta RequestMeta, class reqClass,
 		}
 	}
 	wk := e.route(d.FP)
+	defer wk.load.Add(-1)
 	if wait, ok := wk.brk.allow(time.Now()); !ok {
 		e.shed(CodeBreakerOpen, wk.id)
 		return nil, &Error{Code: CodeBreakerOpen, Retryable: true, RetryAfter: wait, Err: fmt.Errorf("worker %d circuit breaker open", wk.id)}

@@ -27,6 +27,7 @@ type metrics struct {
 	maxBatch    atomic.Int64
 
 	replacements atomic.Int64
+	spills       atomic.Int64
 
 	// Request-lifecycle counters. sheds is the total; the per-reason
 	// map is guarded by shedMu (bumped on shed paths only, which are
@@ -127,10 +128,12 @@ type BatchMetrics struct {
 	MaxSize  int64   `json:"max_size"`
 }
 
-// PoolMetrics reports worker-pool health.
+// PoolMetrics reports worker-pool health and routing.
 type PoolMetrics struct {
 	Workers      int   `json:"workers"`
 	Replacements int64 `json:"replacements"`
+	Spills       int64 `json:"spills"` // requests routed away from a busy owner to an idle worker
+	Owners       int   `json:"owners"` // fingerprints with an owner; the store's live matrices at most
 
 	// Deprecated: always 0; the engine never re-executes a group. Read
 	// only by the frozen benchmark/layers.go; delete in the ruler PR
@@ -190,6 +193,7 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		Pool: PoolMetrics{
 			Workers:      len(e.workers),
 			Replacements: m.replacements.Load(),
+			Spills:       m.spills.Load(),
 		},
 		Lifecycle: LifecycleMetrics{
 			Sheds:         m.sheds.Load(),
@@ -199,6 +203,9 @@ func (e *Engine) Metrics() MetricsSnapshot {
 			BreakerTrips:  m.breakerTrips.Load(),
 		},
 	}
+	e.mu.Lock()
+	snap.Pool.Owners = len(e.owner)
+	e.mu.Unlock()
 	snap.PlanCache = distal.Standard.Stats()
 	if snap.Batching.Batches > 0 {
 		snap.Batching.MeanSize = float64(snap.Batching.Jobs) / float64(snap.Batching.Batches)

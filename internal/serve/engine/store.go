@@ -78,11 +78,12 @@ func (s *Store) Peek(name string) *MatrixDef {
 	return s.byName[name]
 }
 
-// Put registers or replaces an uploaded matrix. A replacement bumps the
-// store revision, which workers observe to invalidate bindings of the
-// old contents.
-func (s *Store) Put(name string, rows, cols int64, r, c []int64, v []float64) *MatrixDef {
-	d := &MatrixDef{
+// Put registers or replaces an uploaded matrix and returns the new
+// definition and the one it replaced (nil for a new name). A
+// replacement bumps the store revision, which workers observe to
+// invalidate bindings of the old contents.
+func (s *Store) Put(name string, rows, cols int64, r, c []int64, v []float64) (d, replaced *MatrixDef) {
+	d = &MatrixDef{
 		Name: name, Rows: rows, Cols: cols,
 		Row: append([]int64(nil), r...), Col: append([]int64(nil), c...),
 		Val: append([]float64(nil), v...),
@@ -91,9 +92,22 @@ func (s *Store) Put(name string, rows, cols int64, r, c []int64, v []float64) *M
 	s.mu.Lock()
 	s.revision++
 	d.Revision = s.revision
+	replaced = s.byName[name]
 	s.byName[name] = d
 	s.mu.Unlock()
-	return d
+	return d, replaced
+}
+
+// carries reports whether any stored definition has fingerprint fp.
+func (s *Store) carries(fp core.Fingerprint) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, d := range s.byName {
+		if d.FP == fp {
+			return true
+		}
+	}
+	return false
 }
 
 // Rev returns the store's current revision counter.

@@ -18,24 +18,24 @@ import (
 // purpose, while any value change separates them.
 func TestStoreFingerprintContentAddressed(t *testing.T) {
 	s := NewStore()
-	a := s.Put("a", 3, 3, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 3})
+	a, _ := s.Put("a", 3, 3, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 3})
 	// Same triples, permuted.
-	b := s.Put("b", 3, 3, []int64{2, 0, 1}, []int64{2, 0, 1}, []float64{3, 1, 2})
+	b, _ := s.Put("b", 3, 3, []int64{2, 0, 1}, []int64{2, 0, 1}, []float64{3, 1, 2})
 	if a.FP != b.FP {
 		t.Fatalf("permuted upload changed the fingerprint: %x vs %x", a.FP, b.FP)
 	}
 	// Duplicates that sum to the same entries.
-	c := s.Put("c", 3, 3, []int64{0, 0, 1, 2}, []int64{0, 0, 1, 2}, []float64{0.5, 0.5, 2, 3})
+	c, _ := s.Put("c", 3, 3, []int64{0, 0, 1, 2}, []int64{0, 0, 1, 2}, []float64{0.5, 0.5, 2, 3})
 	if a.FP != c.FP {
 		t.Fatalf("dup-summed upload changed the fingerprint: %x vs %x", a.FP, c.FP)
 	}
 	// A value change must separate.
-	d := s.Put("d", 3, 3, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 4})
+	d, _ := s.Put("d", 3, 3, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 4})
 	if a.FP == d.FP {
 		t.Fatal("different values collided on one fingerprint")
 	}
 	// Same triples on a different shape must separate too.
-	e := s.Put("e", 4, 4, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 3})
+	e, _ := s.Put("e", 4, 4, []int64{0, 1, 2}, []int64{0, 1, 2}, []float64{1, 2, 3})
 	if a.FP == e.FP {
 		t.Fatal("different shapes collided on one fingerprint")
 	}
@@ -46,12 +46,18 @@ func TestStoreFingerprintContentAddressed(t *testing.T) {
 // fingerprint tracks the new contents.
 func TestStoreReuploadBumpsRevision(t *testing.T) {
 	s := NewStore()
-	first := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{2, 2})
+	first, replaced := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{2, 2})
+	if replaced != nil {
+		t.Fatal("a new name replaced a definition")
+	}
 	rev0 := s.Rev()
 	if first.Revision != rev0 {
 		t.Fatalf("definition revision %d != store revision %d", first.Revision, rev0)
 	}
-	second := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
+	second, prev := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
+	if prev != first {
+		t.Fatal("re-upload did not return the definition it replaced")
+	}
 	if second.Revision <= first.Revision || s.Rev() <= rev0 {
 		t.Fatalf("re-upload did not advance revisions: %d -> %d (store %d -> %d)",
 			first.Revision, second.Revision, rev0, s.Rev())
@@ -68,7 +74,7 @@ func TestStoreReuploadBumpsRevision(t *testing.T) {
 	}
 	// An identical re-upload still bumps the revision (workers re-bind),
 	// but the fingerprint is stable.
-	third := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
+	third, _ := s.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
 	if third.Revision <= second.Revision {
 		t.Fatal("identical re-upload did not advance the revision")
 	}
@@ -84,7 +90,7 @@ func TestStoreUploadIsolation(t *testing.T) {
 	r := []int64{0, 1}
 	c := []int64{0, 1}
 	v := []float64{1, 1}
-	d := s.Put("m", 2, 2, r, c, v)
+	d, _ := s.Put("m", 2, 2, r, c, v)
 	v[0] = 99
 	r[0] = 1
 	if d.Val[0] != 1 || d.Row[0] != 0 {
@@ -191,5 +197,24 @@ func TestStorePresetErrors(t *testing.T) {
 	}
 	if d1.Info().Fingerprint != fmt.Sprintf("%016x", uint64(d1.FP)) {
 		t.Fatal("Info fingerprint string does not match FP")
+	}
+}
+
+// TestRouteRecordsLiveFingerprintsOnly: a request that resolved a
+// definition before a re-upload replaced it still routes, but its
+// fingerprint gets no owner entry, because no upload will ever delete
+// it again.
+func TestRouteRecordsLiveFingerprintsOnly(t *testing.T) {
+	e, err := New(Config{Pool: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	old, _ := e.store.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{2, 2})
+	e.store.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
+	wk := e.route(old.FP)
+	wk.load.Add(-1)
+	if n := e.Metrics().Pool.Owners; n != 0 {
+		t.Fatalf("owners = %d after routing a replaced fingerprint, want 0", n)
 	}
 }

@@ -143,10 +143,13 @@ type worker struct {
 	// Admission-control state. brk is this worker's circuit breaker;
 	// queued counts jobs admitted but not yet running — in the jobs
 	// channel or in the current batch awaiting their group's turn;
-	// svcEWMA is the smoothed per-job service time (ns) that prices the
-	// queue for the queue-wait shed decision. All safe from any goroutine.
+	// load counts requests routed here and not yet answered (route
+	// spills on it); svcEWMA is the smoothed per-job service time (ns)
+	// that prices the queue for the queue-wait shed decision. All safe
+	// from any goroutine.
 	brk     *breaker
 	queued  atomic.Int64
+	load    atomic.Int64
 	svcEWMA atomic.Int64
 
 	// Worker-goroutine state below; never touched from outside.
@@ -617,8 +620,8 @@ func (w *worker) dropStaleBindings() {
 
 // replaceRuntime drains and discards the current runtime (checkpointed
 // state included) and builds a fresh one. Bindings die with the runtime
-// they were bound on; sticky routing keeps the matrix on this worker,
-// so the next request rebinds on the replacement.
+// they were bound on; the matrix keeps this worker as its owner, so
+// the next request routed here rebinds on the replacement.
 func (w *worker) replaceRuntime() {
 	old := w.rt
 	// Destroy bindings only if the runtime can still execute; on a

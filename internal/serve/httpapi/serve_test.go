@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -431,6 +432,162 @@ func TestBatchingCoalescesSameMatrixRequests(t *testing.T) {
 	if mb := e.Metrics().Batching.MaxSize; mb < 2 {
 		t.Fatalf("metrics max batch = %d, want >= 2", mb)
 	}
+}
+
+// TestBoundedLoadRouting pins the routing rule on a pool of two: a
+// request runs on its matrix's owner unless the owner is busy and the
+// other worker is idle with a closed breaker, and a re-upload drops the
+// old fingerprint's owner.
+func TestBoundedLoadRouting(t *testing.T) {
+	want, _, _ := directCG(t, 2, "poisson2d:8", 200, 1e-8)
+
+	t.Run("busy owner spills to the idle worker", func(t *testing.T) {
+		e, ts := newTestServer(t, engine.Config{Pool: 2, Procs: 2, Faults: "stall@1:300ms", Seed: 1})
+		var got [2]engine.SolveResponse
+		var wg sync.WaitGroup
+		solve := func(i int) {
+			defer wg.Done()
+			if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "poisson2d:8"}, &got[i]); code != 200 {
+				t.Errorf("solve %d status %d", i, code)
+			}
+		}
+		wg.Add(1)
+		go solve(0) // each point of the owner's first launch stalls 300ms
+		waitFor(t, "the owner's batch to start", func() bool { return e.Metrics().Batching.Batches == 1 })
+		wg.Add(1)
+		go solve(1)
+		wg.Wait()
+		if got[0].Worker == got[1].Worker {
+			t.Errorf("both solves ran on worker %d; the second must spill off the busy owner", got[0].Worker)
+		}
+		for i := range got {
+			if !bitsEqual(got[i].X, want) {
+				t.Errorf("solve %d (worker %d) differs from direct call", i, got[i].Worker)
+			}
+		}
+		if s := e.Metrics().Pool.Spills; s != 1 {
+			t.Errorf("spills = %d, want 1", s)
+		}
+	})
+
+	t.Run("idle engine stays at the owner", func(t *testing.T) {
+		e, ts := newTestServer(t, engine.Config{Pool: 2, Procs: 2})
+		const n = 6
+		owner := -1
+		for i := 0; i < n; i++ {
+			var got engine.SolveResponse
+			if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "poisson2d:8"}, &got); code != 200 {
+				t.Fatalf("solve %d status %d", i, code)
+			}
+			if owner < 0 {
+				owner = got.Worker
+			}
+			if got.Worker != owner {
+				t.Errorf("solve %d ran on worker %d, want the owner %d", i, got.Worker, owner)
+			}
+			if !bitsEqual(got.X, want) {
+				t.Errorf("solve %d differs from direct call", i)
+			}
+		}
+		if m := e.Metrics(); m.BindingCache.Misses != 1 || m.Pool.Spills != 0 {
+			t.Errorf("after %d sequential solves: misses=%d spills=%d, want 1 and 0", n, m.BindingCache.Misses, m.Pool.Spills)
+		}
+	})
+
+	// Every runtime's first launch stalls and its 40th fails. With
+	// recovery off, a CG solve (past launch 40) degrades worker 0 and
+	// trips its breaker; eye:8 SpMVs stay far below launch 40. A short
+	// stall suffices: a request that misses it also lands on the owner.
+	for _, tc := range []struct {
+		state    string
+		cooldown time.Duration
+	}{{"open", time.Minute}, {"half-open", time.Millisecond}} {
+		t.Run("no spill to a "+tc.state+" breaker", func(t *testing.T) {
+			e, ts := newTestServer(t, engine.Config{
+				Pool: 2, Procs: 2, Faults: "stall@1:100ms,point@40:0",
+				CheckpointEvery: -1, BreakerThreshold: 1, BreakerCooldown: tc.cooldown,
+			})
+			if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "poisson2d:8"}, nil); code != http.StatusServiceUnavailable {
+				t.Fatalf("degrading solve status %d, want 503", code)
+			}
+			if tc.state == "half-open" {
+				// A probe whose deadline expires in the queue is admitted
+				// but never runs, so the breaker stays half-open.
+				probe := &engine.SpMVRequest{Matrix: "poisson2d:8", Meta: engine.RequestMeta{Deadline: time.Nanosecond}}
+				waitFor(t, "the breaker to admit a probe", func() bool {
+					_, err := e.SpMV(context.Background(), probe)
+					var ee *engine.Error
+					return errors.As(err, &ee) && ee.Code == engine.CodeDeadline
+				})
+			}
+			if h := e.Health(); h.Workers[0].Breaker != tc.state || h.Workers[1].Breaker != "closed" {
+				t.Fatalf("breakers = %q/%q, want %q/closed", h.Workers[0].Breaker, h.Workers[1].Breaker, tc.state)
+			}
+
+			wantY := directSpMV(t, 2, "eye:8", "csr", nil)
+			batches := e.Metrics().Batching.Batches
+			var got [2]engine.SpMVResponse
+			var wg sync.WaitGroup
+			spmv := func(i int) {
+				defer wg.Done()
+				if code := postJSON(t, ts.URL+"/spmv", engine.SpMVRequest{Matrix: "eye:8"}, &got[i]); code != 200 {
+					t.Errorf("spmv %d status %d", i, code)
+				}
+			}
+			wg.Add(1)
+			go spmv(0) // worker 1 owns eye:8; its first launch stalls
+			waitFor(t, "the owner's batch to start", func() bool { return e.Metrics().Batching.Batches == batches+1 })
+			wg.Add(1)
+			go spmv(1)
+			wg.Wait()
+			for i := range got {
+				if got[i].Worker != 1 {
+					t.Errorf("spmv %d ran on worker %d, want the owner 1 (worker 0's breaker is %s)", i, got[i].Worker, tc.state)
+				}
+				if !bitsEqual(got[i].Y, wantY) {
+					t.Errorf("spmv %d differs from direct call", i)
+				}
+			}
+			if s := e.Metrics().Pool.Spills; s != 0 {
+				t.Errorf("spills = %d, want 0", s)
+			}
+		})
+	}
+
+	t.Run("re-upload forgets the old fingerprint", func(t *testing.T) {
+		e, ts := newTestServer(t, engine.Config{Pool: 2, Procs: 2})
+		upload := func(name string, v float64) {
+			req := engine.UploadRequest{Name: name, Rows: 8, Cols: 8}
+			for i := int64(0); i < 8; i++ {
+				req.Row = append(req.Row, i)
+				req.Col = append(req.Col, i)
+				req.Val = append(req.Val, v)
+			}
+			if code := postJSON(t, ts.URL+"/matrix", req, nil); code != 200 {
+				t.Fatalf("upload %s status %d", name, code)
+			}
+		}
+		owners := func(want int, after string) {
+			t.Helper()
+			if got := e.Metrics().Pool.Owners; got != want {
+				t.Errorf("owners = %d after %s, want %d", got, after, want)
+			}
+		}
+		upload("m", 2)
+		upload("twin", 2) // same contents, same fingerprint
+		if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "m"}, nil); code != 200 {
+			t.Fatalf("solve status %d", code)
+		}
+		owners(1, "the first solve")
+		upload("m", 4)
+		owners(1, "re-uploading m while twin still carries its old fingerprint")
+		upload("twin", 3)
+		owners(0, "re-uploading twin too")
+		if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "m"}, nil); code != 200 {
+			t.Fatalf("solve after re-upload status %d", code)
+		}
+		owners(1, "solving the new m")
+	})
 }
 
 // TestIdleWorkerDoesNotWait: with an empty queue a request is served at
