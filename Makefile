@@ -139,7 +139,10 @@ prof:
 	$(GO) run ./cmd/legate-prof -preset cg -procs 4 -units 1024 \
 		-out $${TMPDIR:-/tmp}/legate-prof-smoke -check >/dev/null
 
-# info smoke-tests the inventory: the machine model, kernel registry,
-# API coverage and the fusion demo's profile and copy tables.
+# info smoke-tests the inventory (the machine model, kernel registry,
+# API coverage and the fusion demo's profile and copy tables) and the
+# Poisson example's -profile table: two of the three callers that print
+# a prof sink's per-task summary.
 info:
 	$(GO) run ./cmd/legate-bench -exp info >/dev/null
+	$(GO) run ./examples/poisson -nx 16 -gpus 2 -profile >/dev/null

@@ -221,17 +221,22 @@ func info() {
 	fmt.Println("Fusion demo: 8 back-to-back AXPY launches on 2 GPUs:")
 	rt := legion.NewRuntime(m, m.Select(machine.GPU, 2))
 	defer rt.Shutdown()
+	sink := rt.Profiler() // -prof-out's sink, which sees only this runtime
+	if sink == nil {
+		sink = prof.NewSink(1)
+		rt.EnableProfiling(sink)
+	}
 	x := cunumeric.Full(rt, 1<<12, 1)
 	y := cunumeric.Zeros(rt, 1<<12)
 	for k := 0; k < 8; k++ {
 		cunumeric.AXPY(0.125, x, y)
 	}
 	rt.Fence()
-	groups, members := rt.Profile().FusedLaunchCounts()
+	sum := sink.Summary()
 	fmt.Printf("  fused launches issued: %d (absorbing %d originals); simulated time %v\n",
-		groups, members, rt.SimTime())
+		sum.FusedGroups, sum.FusedMembers, rt.SimTime())
 	fmt.Println("\nDemo run profile:")
-	fmt.Print(rt.Profile().String())
+	fmt.Print(sum.String())
 	fmt.Println("\nDemo run copies by link class:")
 	fmt.Printf("  %-12s %10s %14s\n", "link", "copies", "bytes")
 	st := rt.Stats()

@@ -28,6 +28,7 @@ import (
 	"repro/internal/cunumeric"
 	"repro/internal/legion"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/solvers"
 )
 
@@ -62,6 +63,10 @@ func main() {
 	m := machine.Summit((*gpus + 5) / 6)
 	rt := legion.NewRuntime(m, m.Select(machine.GPU, *gpus))
 	defer rt.Shutdown()
+	sink := prof.NewSink(1) // read only for its Summary
+	if *profile {
+		rt.EnableProfiling(sink)
+	}
 
 	csr, err := core.ReadMatrixMarket(rt, f)
 	if err != nil {
@@ -100,7 +105,7 @@ func main() {
 		*solver, res.Converged, res.Iterations, last, rt.SimTime())
 	fmt.Printf("data movement: %v\n", rt.Stats())
 	if *profile {
-		fmt.Printf("\n%s", rt.Profile())
+		fmt.Printf("\n%s", sink.Summary())
 	}
 	if res.Err != nil {
 		fmt.Fprintf(os.Stderr, "solve: %v\n", res.Err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cunumeric"
 	"repro/internal/legion"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/solvers"
 )
 
@@ -25,6 +26,10 @@ func main() {
 	m := machine.Summit((*gpus + 5) / 6)
 	rt := legion.NewRuntime(m, m.Select(machine.GPU, *gpus))
 	defer rt.Shutdown()
+	sink := prof.NewSink(1) // read only for its Summary
+	if *profile {
+		rt.EnableProfiling(sink)
+	}
 
 	a := core.Poisson2D(rt, *nx)
 	n := *nx * *nx
@@ -55,6 +60,6 @@ func main() {
 		res.X.Destroy()
 	}
 	if *profile {
-		fmt.Printf("\nper-task profile (all solvers):\n%s", rt.Profile())
+		fmt.Printf("\nper-task profile (all solvers):\n%s", sink.Summary())
 	}
 }

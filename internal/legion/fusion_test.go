@@ -3,6 +3,8 @@ package legion
 import (
 	"testing"
 	"time"
+
+	"repro/internal/prof"
 )
 
 // chainStep issues one fusable elementwise launch: dst[i] = f(dst[i], src[i]).
@@ -89,10 +91,12 @@ func TestFusionReducesSimTime(t *testing.T) {
 	}
 }
 
-// TestFusionProfileCounts: the profile must report how many launches the
-// fuser absorbed.
+// TestFusionProfileCounts: the sink's summary must report how many
+// launches the fuser absorbed.
 func TestFusionProfileCounts(t *testing.T) {
 	rt := newTestRuntime(t, 2)
+	sink := prof.NewSink(0)
+	rt.EnableProfiling(sink)
 	rt.SetFusionWindow(8)
 	r := rt.CreateRegion("r", 32, Float64)
 	part := rt.BlockPartition(r, 2)
@@ -106,9 +110,8 @@ func TestFusionProfileCounts(t *testing.T) {
 		l.Execute()
 	}
 	rt.Fence()
-	groups, members := rt.Profile().FusedLaunchCounts()
-	if groups != 1 || members != 4 {
-		t.Fatalf("FusedLaunchCounts = (%d, %d), want (1, 4)", groups, members)
+	if sum := sink.Summary(); sum.FusedGroups != 1 || sum.FusedMembers != 4 {
+		t.Fatalf("fused counts = (%d, %d), want (1, 4)", sum.FusedGroups, sum.FusedMembers)
 	}
 	if got := r.Float64s()[5]; got != 4 {
 		t.Fatalf("fused increments lost: r[5] = %v, want 4", got)
@@ -120,6 +123,8 @@ func TestFusionProfileCounts(t *testing.T) {
 // window — program order requires a flush first.
 func TestFusionWindowFlushesOnConflict(t *testing.T) {
 	rt := newTestRuntime(t, 2)
+	sink := prof.NewSink(0)
+	rt.EnableProfiling(sink)
 	rt.SetFusionWindow(8)
 	r := rt.CreateRegion("r", 32, Float64)
 	p2 := rt.BlockPartition(r, 2)
@@ -142,9 +147,8 @@ func TestFusionWindowFlushesOnConflict(t *testing.T) {
 	single.SetFusable(true)
 	single.Execute()
 	rt.Fence()
-	groups, members := rt.Profile().FusedLaunchCounts()
-	if groups != 1 || members != 2 {
-		t.Fatalf("conflicting launch joined the window: counts (%d, %d), want (1, 2)", groups, members)
+	if sum := sink.Summary(); sum.FusedGroups != 1 || sum.FusedMembers != 2 {
+		t.Fatalf("conflicting launch joined the window: counts (%d, %d), want (1, 2)", sum.FusedGroups, sum.FusedMembers)
 	}
 	if got := r.Float64s()[0]; got != 20 {
 		t.Fatalf("r[0] = %v, want 20 (two +1 then x10)", got)

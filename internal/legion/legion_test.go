@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/machine"
+	"repro/internal/prof"
 )
 
 func newTestRuntime(t testing.TB, procs int) *Runtime {
@@ -369,6 +370,8 @@ func TestProfileAccumulates(t *testing.T) {
 	m := machine.Summit(1)
 	rt := NewRuntime(m, m.Select(machine.GPU, 2))
 	defer rt.Shutdown()
+	sink := prof.NewSink(0)
+	rt.EnableProfiling(sink)
 	x := rt.CreateRegion("x", 1024, Float64)
 	part := rt.BlockPartition(x, 2)
 	for i := 0; i < 3; i++ {
@@ -380,7 +383,8 @@ func TestProfileAccumulates(t *testing.T) {
 		l.Execute()
 	}
 	rt.Fence()
-	entries := rt.Profile().Entries()
+	sum := sink.Summary()
+	entries := sum.Tasks
 	if len(entries) != 1 || entries[0].Name != "fill" {
 		t.Fatalf("profile entries = %+v", entries)
 	}
@@ -390,7 +394,7 @@ func TestProfileAccumulates(t *testing.T) {
 	if entries[0].SimTime <= 0 {
 		t.Fatal("profile must accumulate simulated time")
 	}
-	if rt.Profile().String() == "" {
+	if sum.String() == "" {
 		t.Fatal("profile renders empty")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/prof"
@@ -194,13 +193,15 @@ func profilingReplayTags(t *testing.T, grain int64) []prof.Mark {
 }
 
 // TestProfileCountersStableAcrossRecovery is the double-counting audit:
-// the Profile's launch/point counters and fusion totals after a faulted
-// run that recovered by restore+replay must equal a clean run's —
+// the sink summary's launch/point counters and fusion totals after a
+// faulted run that recovered by restore+replay must equal a clean run's —
 // replayEntry re-runs logged launches without Execute or the fuser, and
 // runPoint counts replayed points apart, so nothing is recorded twice.
 func TestProfileCountersStableAcrossRecovery(t *testing.T) {
-	run := func(inject bool) *Profile {
+	run := func(inject bool) prof.Summary {
 		rt := newTestRuntime(t, 2)
+		sink := prof.NewSink(0)
+		rt.EnableProfiling(sink)
 		rt.SetFusionWindow(4)
 		rt.EnableCheckpointing(8)
 		if inject {
@@ -224,14 +225,14 @@ func TestProfileCountersStableAcrossRecovery(t *testing.T) {
 		if got := r.Float64s()[7]; got != 6 {
 			t.Fatalf("inject=%v: r[7] = %v, want 6", inject, got)
 		}
-		return rt.Profile()
+		return sink.Summary()
 	}
 	clean := run(false)
 	faulted := run(true)
-	if faulted.Entries()[0].Name != clean.Entries()[0].Name {
-		t.Fatalf("profiles diverged: %v vs %v", faulted.Entries(), clean.Entries())
+	if faulted.Tasks[0].Name != clean.Tasks[0].Name {
+		t.Fatalf("profiles diverged: %v vs %v", faulted.Tasks, clean.Tasks)
 	}
-	ce, fe := clean.Entries(), faulted.Entries()
+	ce, fe := clean.Tasks, faulted.Tasks
 	if len(ce) != len(fe) {
 		t.Fatalf("entry counts differ: %d vs %d", len(ce), len(fe))
 	}
@@ -241,19 +242,21 @@ func TestProfileCountersStableAcrossRecovery(t *testing.T) {
 				fe[i].Name, ce[i].Launches, ce[i].Points, fe[i].Launches, fe[i].Points)
 		}
 	}
-	cg, cm := clean.FusedLaunchCounts()
-	fg, fm := faulted.FusedLaunchCounts()
+	cg, cm := clean.FusedGroups, clean.FusedMembers
+	fg, fm := faulted.FusedGroups, faulted.FusedMembers
 	if cg != fg || cm != fm {
 		t.Fatalf("recovery double-counted fusion: clean (%d,%d), faulted (%d,%d)", cg, cm, fg, fm)
 	}
 }
 
-// TestProfileAgreesWithSink: the always-on Profile and an attached sink
-// large enough to drop nothing see the same launch stream. Under fusion,
-// a rate fault schedule and checkpoint replay, each task name's
-// Profile launches, points and simulated time equal the sink's launch
-// count, summed launch points and summed non-replay span durations.
-func TestProfileAgreesWithSink(t *testing.T) {
+// TestSummaryAgreesWithSnapshot: the sink's summary, folded in as
+// records arrive, equals its recomputation from a snapshot that dropped
+// nothing. Under fusion, a rate fault schedule and checkpoint replay,
+// each task name's summary launches, points and simulated time equal
+// the snapshot's launch count, summed launch points and summed
+// non-replay span durations, and the fused counts equal the launches'
+// Members.
+func TestSummaryAgreesWithSnapshot(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	sink := prof.NewSink(1 << 16)
 	rt.EnableProfiling(sink)
@@ -286,7 +289,8 @@ func TestProfileAgreesWithSink(t *testing.T) {
 	if inj.PointFaults() == 0 || rt.Stats().ReplayedLaunches.Load() == 0 {
 		t.Fatal("test setup: the schedule must fail a point and recovery replay it")
 	}
-	if g, _ := rt.Profile().FusedLaunchCounts(); g == 0 {
+	sum := sink.Summary()
+	if sum.FusedGroups == 0 {
 		t.Fatal("test setup: the stream must fuse")
 	}
 
@@ -294,13 +298,18 @@ func TestProfileAgreesWithSink(t *testing.T) {
 	if tr.DroppedSpans+tr.DroppedLaunches > 0 {
 		t.Fatalf("sink dropped %d spans and %d launches", tr.DroppedSpans, tr.DroppedLaunches)
 	}
-	want := map[string]ProfileEntry{}
+	want := map[string]prof.TaskStat{}
+	var groups, members int64
 	for _, li := range tr.Launches {
 		e := want[li.Name]
 		e.Name = li.Name
 		e.Launches++
 		e.Points += int64(li.Points)
 		want[li.Name] = e
+		if len(li.Members) > 0 {
+			groups++
+			members += int64(len(li.Members))
+		}
 	}
 	for _, sp := range tr.Spans {
 		if !sp.Replay {
@@ -309,14 +318,16 @@ func TestProfileAgreesWithSink(t *testing.T) {
 			want[sp.Task] = e
 		}
 	}
-	got := rt.Profile().Entries()
-	if len(got) != len(want) {
-		t.Fatalf("Profile has %d task names, the sink %d", len(got), len(want))
+	if len(sum.Tasks) != len(want) {
+		t.Fatalf("summary has %d task names, the snapshot %d", len(sum.Tasks), len(want))
 	}
-	for _, e := range got {
+	for _, e := range sum.Tasks {
 		if e != want[e.Name] {
-			t.Fatalf("task %q: Profile %+v, sink %+v", e.Name, e, want[e.Name])
+			t.Fatalf("task %q: summary %+v, snapshot %+v", e.Name, e, want[e.Name])
 		}
+	}
+	if sum.FusedGroups != groups || sum.FusedMembers != members {
+		t.Fatalf("summary fused (%d, %d), snapshot Members (%d, %d)", sum.FusedGroups, sum.FusedMembers, groups, members)
 	}
 }
 
@@ -383,5 +394,4 @@ func BenchmarkProfilingSink(b *testing.B) {
 			b.StopTimer()
 		})
 	}
-	_ = time.Now
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/prof"
 )
 
 // fusedReduceResult is the observable outcome of runFusedReduce.
@@ -72,6 +73,8 @@ func TestFusedReductionRecovery(t *testing.T) {
 	}
 
 	faulty := newTestRuntime(t, 4)
+	sink := prof.NewSink(0)
+	faulty.EnableProfiling(sink)
 	faulty.EnableCheckpointing(8)
 	// Stream 8 is round 4's scale (the non-reducing member), stream 13
 	// round 7's norm (the reducing one).
@@ -84,7 +87,7 @@ func TestFusedReductionRecovery(t *testing.T) {
 	if inj.PointFaults() != 2 {
 		t.Fatalf("point faults fired = %d, want 2", inj.PointFaults())
 	}
-	if groups, _ := faulty.Profile().FusedLaunchCounts(); groups != fusedReduceRounds {
+	if groups := sink.Summary().FusedGroups; groups != fusedReduceRounds {
 		t.Fatalf("fused launches = %d, want one per round (%d)", groups, fusedReduceRounds)
 	}
 

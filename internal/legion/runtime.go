@@ -28,13 +28,12 @@ import (
 // timeline is computed when a launch is issued, in issue order (see
 // mapLaunch), so it does not depend on who runs the kernels or when.
 type Runtime struct {
-	mach    *machine.Machine
-	cost    *machine.CostModel
-	procs   []machine.ProcID
-	stats   *machine.Stats
-	map_    *Mapper
-	profile *Profile
-	fuser   *fuser // nil when task fusion is disabled
+	mach  *machine.Machine
+	cost  *machine.CostModel
+	procs []machine.ProcID
+	stats *machine.Stats
+	map_  *Mapper
+	fuser *fuser // nil when task fusion is disabled
 
 	// Fault tolerance (see fault.go). faultInj and ft are written on the
 	// application goroutine behind a Fence, then read by workers (delays,
@@ -181,7 +180,6 @@ func NewRuntime(m *machine.Machine, procs []machine.ProcID) *Runtime {
 		inlineGrain:    inlineGrainElems,
 	}
 	rt.map_ = newMapper(rt)
-	rt.profile = newProfile()
 	if s := DefaultProfiler(); s != nil {
 		rt.prof = s
 		rt.profRun = s.AttachRun()
@@ -490,7 +488,6 @@ func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 	l := ls.l
 	skip := rt.errSet() || rt.cancelFired.Load()
 	ready = max(ready, ls.issueAt)
-	var simTime time.Duration
 	for p := 0; p < l.points; p++ {
 		proc := rt.workerForPoint(ls, p).proc
 		var copyTime time.Duration
@@ -517,7 +514,6 @@ func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 		rt.simMax = max(rt.simMax, finish)
 		ls.finishes[p] = finish
 		ls.finishAt = max(ls.finishAt, finish)
-		simTime += dur
 		if ps := rt.prof; ps != nil {
 			ps.RecordSpan(prof.Span{
 				Run: rt.profRun, Task: l.name, Launch: ls.seq, Point: p,
@@ -528,9 +524,6 @@ func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 				CkptEpoch: ls.ckptEpoch, Replay: ls.replay,
 			})
 		}
-	}
-	if !ls.replay {
-		rt.profile.record(l.name, l.points, simTime, len(l.fused))
 	}
 }
 

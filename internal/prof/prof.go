@@ -17,6 +17,12 @@
 // and an aggregate Report with a critical-path analysis (the
 // achievable-speedup bound for the workload) and a per-link-class
 // communication matrix. See cmd/legate-prof.
+//
+// Beside the rings, the sink keeps one per-task-name Summary (launches,
+// points, simulated time, fused launches and their members), folded in
+// as records arrive so it survives ring overflow. It is the runtime's
+// only task profile: `legate-bench -exp info`, `solve -profile` and
+// `examples/poisson -profile` print it.
 package prof
 
 import (
@@ -226,7 +232,8 @@ func (r *ring[T]) snapshot() []T {
 // Sink collects events from one or more runtimes. All Record methods
 // are safe for concurrent use (worker goroutines publish spans and
 // copies in parallel); each is a mutex acquire plus a ring store, cheap
-// enough to leave on for whole benchmark runs.
+// enough to leave on for whole benchmark runs. Launches and spans also
+// fold into the per-task-name Summary under the same lock.
 type Sink struct {
 	mu       sync.Mutex
 	spans    ring[Span]
@@ -238,6 +245,10 @@ type Sink struct {
 	order    []launchKey // insertion order of launches
 	dropL    int64
 	runs     int
+
+	tasks        map[string]*TaskStat // the Summary's running totals
+	fusedGroups  int64
+	fusedMembers int64
 }
 
 type launchKey struct {
@@ -258,6 +269,7 @@ func NewSink(capacity int) *Sink {
 		mem:      newRing[MemEvent](capacity),
 		marks:    newRing[Mark](capacity),
 		launches: map[launchKey]LaunchInfo{},
+		tasks:    map[string]*TaskStat{},
 	}
 }
 
@@ -291,12 +303,22 @@ func (s *Sink) RecordLaunch(li LaunchInfo, deps []int64) {
 	for _, from := range deps {
 		s.deps.add(Dep{Run: li.Run, From: from, To: li.Seq})
 	}
+	st := s.task(li.Name)
+	st.Launches++
+	st.Points += int64(li.Points)
+	if len(li.Members) > 0 {
+		s.fusedGroups++
+		s.fusedMembers += int64(len(li.Members))
+	}
 }
 
 // RecordSpan records one point task span.
 func (s *Sink) RecordSpan(sp Span) {
 	s.mu.Lock()
 	s.spans.add(sp)
+	if !sp.Replay {
+		s.task(sp.Task).SimTime += sp.Dur
+	}
 	s.mu.Unlock()
 }
 

@@ -50,6 +50,57 @@ func TestLaunchDropCounted(t *testing.T) {
 	}
 }
 
+// TestSummarySurvivesOverflow: a sink whose rings overflow many times
+// over still counts every launch, point, non-replay span and fused
+// member in its summary, and folding in an already-seen task name
+// allocates nothing.
+func TestSummarySurvivesOverflow(t *testing.T) {
+	s := NewSink(4)
+	run := s.AttachRun()
+	const n = 100
+	members := []string{"a", "b", "c"}
+	for i := int64(1); i <= n; i++ {
+		s.RecordLaunch(LaunchInfo{Run: run, Seq: 2 * i, Name: "spmv", Points: 3}, []int64{2*i - 1})
+		s.RecordLaunch(LaunchInfo{Run: run, Seq: 2*i + 1, Name: "fused[a+b+c]", Points: 2, Members: members}, nil)
+		for p := 0; p < 3; p++ {
+			s.RecordSpan(Span{Run: run, Task: "spmv", Launch: 2 * i, Point: p, Dur: us(2)})
+		}
+		for p := 0; p < 2; p++ {
+			s.RecordSpan(Span{Run: run, Task: "fused[a+b+c]", Launch: 2*i + 1, Point: p, Dur: us(1)})
+		}
+		s.RecordSpan(Span{Run: run, Task: "spmv", Launch: 2 * i, Dur: us(50), Replay: true})
+	}
+	tr := s.Snapshot()
+	if tr.DroppedSpans == 0 || tr.DroppedLaunches == 0 || tr.DroppedDeps == 0 {
+		t.Fatalf("test setup: dropped spans=%d launches=%d deps=%d, want all > 0",
+			tr.DroppedSpans, tr.DroppedLaunches, tr.DroppedDeps)
+	}
+	want := Summary{
+		Tasks: []TaskStat{
+			{Name: "spmv", Launches: n, Points: 3 * n, SimTime: us(6 * n)},
+			{Name: "fused[a+b+c]", Launches: n, Points: 2 * n, SimTime: us(2 * n)},
+		},
+		FusedGroups: n, FusedMembers: 3 * n,
+	}
+	got := s.Summary()
+	if len(got.Tasks) != 2 || got.Tasks[0] != want.Tasks[0] || got.Tasks[1] != want.Tasks[1] ||
+		got.FusedGroups != want.FusedGroups || got.FusedMembers != want.FusedMembers {
+		t.Fatalf("summary after overflow\n%+v\nwant\n%+v", got, want)
+	}
+	if !strings.HasSuffix(got.String(), "fusion: 100 fused launches replaced 300 originals\n") {
+		t.Fatalf("summary table lacks the fusion line:\n%s", got)
+	}
+
+	li := LaunchInfo{Run: run, Seq: 1, Name: "spmv", Points: 3, Members: members}
+	sp := Span{Run: run, Task: "spmv", Dur: us(1)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.RecordLaunch(li, nil)
+		s.RecordSpan(sp)
+	}); allocs != 0 {
+		t.Fatalf("recording a seen task name: %v allocs per event pair, want 0", allocs)
+	}
+}
+
 // sampleTrace builds a two-processor trace with a fused span, a trace-
 // replay span, and a mark.
 func sampleTrace() *Trace {

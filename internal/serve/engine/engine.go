@@ -242,12 +242,16 @@ func presetRuntime() *legion.Runtime {
 // route picks the worker a request for fp runs on and counts the
 // request in its load; the caller uncounts it once answered. A
 // fingerprint gets an owner round-robin on first sight, and the owner
-// never changes. The owner serves while its load is 0; otherwise the
-// first idle worker after it with a closed breaker does (a spill);
-// otherwise the owner does, so a saturated pool still coalesces
-// batches there. Only fingerprints the store still carries are
+// never changes. The owner serves while its load is 0 and its breaker
+// admits; otherwise the first idle worker after it with a closed
+// breaker does (a spill); otherwise the owner does, so a saturated pool
+// still coalesces batches there and a tripped owner takes the request
+// as its probe once the cooldown has passed. A request past its
+// deadline stays at the owner: it can run nowhere, and moving it would
+// only count a spill. Only fingerprints the store still carries are
 // recorded, so a request racing a re-upload cannot leave a dead entry.
-func (e *Engine) route(fp core.Fingerprint) *worker {
+func (e *Engine) route(fp core.Fingerprint, deadline time.Time) *worker {
+	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	i, ok := e.owner[fp]
@@ -259,7 +263,8 @@ func (e *Engine) route(fp core.Fingerprint) *worker {
 		}
 	}
 	wk := e.workers[i]
-	if wk.load.Load() > 0 {
+	live := deadline.IsZero() || now.Before(deadline)
+	if live && (wk.load.Load() > 0 || !wk.brk.admits(now)) {
 		for k := 1; k < len(e.workers); k++ {
 			if c := e.workers[(i+k)%len(e.workers)]; c.load.Load() == 0 && c.brk.snapshot() == breakerClosed {
 				wk = c
@@ -421,7 +426,8 @@ func (e *Engine) dispatch(ctx context.Context, meta RequestMeta, class reqClass,
 			return nil, &Error{Code: CodeOverQuota, Retryable: true, RetryAfter: wait, Err: fmt.Errorf("tenant %q over quota", tenant)}
 		}
 	}
-	wk := e.route(d.FP)
+	deadline, _ := ctx.Deadline()
+	wk := e.route(d.FP, deadline)
 	defer wk.load.Add(-1)
 	if wait, ok := wk.brk.allow(time.Now()); !ok {
 		e.shed(CodeBreakerOpen, wk.id)

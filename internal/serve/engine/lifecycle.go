@@ -105,7 +105,9 @@ func (s breakerState) String() string {
 // threshold consecutive degraded groups, sheds admissions while open,
 // and after the cooldown half-opens to admit a single probe: the
 // probe's outcome closes the breaker or re-opens it for another
-// cooldown.
+// cooldown. A probe that reports no outcome within a cooldown (shed
+// after admission, expired in the queue, or a client error) no longer
+// holds the slot: the next admission becomes the probe.
 type breaker struct {
 	threshold int           // consecutive degradations to trip; <= 0 disables
 	cooldown  time.Duration // open -> half-open probe delay
@@ -115,7 +117,7 @@ type breaker struct {
 	state    breakerState
 	fails    int
 	openedAt time.Time
-	probing  bool
+	probeAt  time.Time // admission of the outstanding probe; zero when none
 }
 
 func newBreaker(threshold int, cooldown time.Duration, notify func(breakerState)) *breaker {
@@ -133,23 +135,40 @@ func (b *breaker) allow(now time.Time) (time.Duration, bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return 0, true
-	case breakerOpen:
-		if wait := b.cooldown - now.Sub(b.openedAt); wait > 0 {
-			return wait, false
-		}
-		b.transition(breakerHalfOpen)
-		b.probing = true
-		return 0, true // the probe
-	default: // half-open
-		if b.probing {
-			return b.cooldown, false // one probe at a time
-		}
-		b.probing = true
-		return 0, true
+	if wait := b.wait(now); wait > 0 {
+		return wait, false
 	}
+	if b.state == breakerOpen {
+		b.transition(breakerHalfOpen)
+	}
+	if b.state == breakerHalfOpen {
+		b.probeAt = now // the probe
+	}
+	return 0, true
+}
+
+// admits reports whether allow(now) would admit, without taking the
+// probe slot.
+func (b *breaker) admits(now time.Time) bool {
+	if b.threshold <= 0 {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.wait(now) <= 0
+}
+
+// wait is how much longer the breaker refuses admissions: the rest of
+// the cooldown while open, and while half-open the rest of the
+// outstanding probe's cooldown (one probe at a time). Callers hold b.mu.
+func (b *breaker) wait(now time.Time) time.Duration {
+	switch {
+	case b.state == breakerOpen:
+		return b.cooldown - now.Sub(b.openedAt)
+	case b.state == breakerHalfOpen && !b.probeAt.IsZero():
+		return b.cooldown - now.Sub(b.probeAt)
+	}
+	return 0
 }
 
 // onSuccess records a cleanly served batch group: it resets the failure
@@ -161,7 +180,7 @@ func (b *breaker) onSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
-	b.probing = false
+	b.probeAt = time.Time{}
 	if b.state != breakerClosed {
 		b.transition(breakerClosed)
 	}
@@ -176,7 +195,7 @@ func (b *breaker) onFailure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	b.probing = false
+	b.probeAt = time.Time{}
 	switch b.state {
 	case breakerHalfOpen:
 		b.openedAt = now

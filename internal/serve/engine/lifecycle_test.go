@@ -6,6 +6,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -58,6 +59,63 @@ func TestOverloadBreakerCloses(t *testing.T) {
 		if transitions[i] != want[i] {
 			t.Fatalf("transitions %v, want %v", transitions, want)
 		}
+	}
+}
+
+// TestBreakerProbeWithoutOutcomeLapses: a half-open probe that never
+// reports an outcome — here its 1 ns deadline expires in the queue —
+// holds the probe slot for one cooldown only. After that the next
+// request is admitted as the probe, succeeds and closes the breaker.
+func TestBreakerProbeWithoutOutcomeLapses(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	// With recovery off, the 40th launch of the worker's runtime fails
+	// and, at threshold 1, trips the breaker; its replacement runtime
+	// serves an eye:8 SpMV in far fewer launches.
+	e, err := New(Config{Pool: 1, Faults: "point@40:0", CheckpointEvery: -1,
+		BreakerThreshold: 1, BreakerCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	code := func(err error) ErrorCode {
+		var ee *Error
+		if errors.As(err, &ee) {
+			return ee.Code
+		}
+		return ""
+	}
+	for i := 0; ; i++ {
+		_, err := e.Solve(ctx, &SolveRequest{Matrix: "eye:8"})
+		if err == nil && i < 50 {
+			continue
+		}
+		if code(err) != CodeDegraded {
+			t.Fatalf("solve %d: %v, want the 40th launch to degrade a solve", i, err)
+		}
+		break
+	}
+
+	probe := &SpMVRequest{Matrix: "eye:8", Meta: RequestMeta{Deadline: time.Nanosecond}}
+	for until := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, err := e.SpMV(ctx, probe)
+		if code(err) == CodeDeadline {
+			break
+		}
+		if code(err) != CodeBreakerOpen || time.Now().After(until) {
+			t.Fatalf("probe: %v, want breaker_open until the cooldown passes, then deadline", err)
+		}
+	}
+	if b := e.Health().Workers[0].Breaker; b != "half-open" {
+		t.Fatalf("breaker after the expired probe = %q, want half-open", b)
+	}
+
+	time.Sleep(cooldown)
+	if _, err := e.SpMV(ctx, &SpMVRequest{Matrix: "eye:8"}); err != nil {
+		t.Fatalf("request a cooldown after the expired probe: %v, want it admitted as the next probe", err)
+	}
+	if b := e.Health().Workers[0].Breaker; b != "closed" {
+		t.Fatalf("breaker after a successful probe = %q, want closed", b)
 	}
 }
 

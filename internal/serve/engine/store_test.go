@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -212,7 +213,7 @@ func TestRouteRecordsLiveFingerprintsOnly(t *testing.T) {
 	defer e.Close()
 	old, _ := e.store.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{2, 2})
 	e.store.Put("m", 2, 2, []int64{0, 1}, []int64{0, 1}, []float64{4, 4})
-	wk := e.route(old.FP)
+	wk := e.route(old.FP, time.Time{})
 	wk.load.Add(-1)
 	if n := e.Metrics().Pool.Owners; n != 0 {
 		t.Fatalf("owners = %d after routing a replaced fingerprint, want 0", n)

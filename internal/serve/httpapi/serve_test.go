@@ -590,6 +590,46 @@ func TestBoundedLoadRouting(t *testing.T) {
 	})
 }
 
+// TestRouteAroundTrippedOwner: a request whose owner's breaker is open
+// runs on an idle worker with a closed breaker, as a spill, instead of
+// being shed breaker_open.
+func TestRouteAroundTrippedOwner(t *testing.T) {
+	want, _, _ := directCG(t, 2, "eye:8", 200, 1e-8)
+	// Every runtime's 40th launch fails. With recovery off, repeated
+	// eye:8 solves on its owner, worker 0, reach that launch and trip
+	// worker 0's breaker; worker 1's fresh runtime solves eye:8 in far
+	// fewer launches.
+	e, ts := newTestServer(t, engine.Config{
+		Pool: 2, Procs: 2, Faults: "point@40:0",
+		CheckpointEvery: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute,
+	})
+	for i := 0; ; i++ {
+		var got engine.SolveResponse
+		code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "eye:8"}, &got)
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if code != 200 || got.Worker != 0 || i == 50 {
+			t.Fatalf("solve %d: status %d on worker %d, want 200 on the owner 0 until launch 40 degrades one", i, code, got.Worker)
+		}
+	}
+	if h := e.Health(); h.Workers[0].Breaker != "open" || h.Workers[1].Breaker != "closed" {
+		t.Fatalf("breakers = %q/%q, want open/closed", h.Workers[0].Breaker, h.Workers[1].Breaker)
+	}
+
+	spills := e.Metrics().Pool.Spills
+	var got engine.SolveResponse
+	if code := postJSON(t, ts.URL+"/solve", engine.SolveRequest{Matrix: "eye:8"}, &got); code != 200 {
+		t.Fatalf("solve for the tripped owner's matrix: status %d, want 200", code)
+	}
+	if got.Worker != 1 || !bitsEqual(got.X, want) {
+		t.Errorf("solve ran on worker %d (want 1); bit-identical to direct call: %v", got.Worker, bitsEqual(got.X, want))
+	}
+	if s := e.Metrics().Pool.Spills; s != spills+1 {
+		t.Errorf("spills = %d, want %d", s, spills+1)
+	}
+}
+
 // TestIdleWorkerDoesNotWait: with an empty queue a request is served at
 // once, as a batch of one. The minimum latency is asserted because it is
 // robust under -race and CPU starvation; a fixed batch window puts a
