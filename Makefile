@@ -41,8 +41,9 @@ race:
 # under the race detector, beside two busy-loop CPU hogs it starts and
 # stops itself: the preset and simulated-time pins, executor
 # equivalence, the figure, recovery and launch-order goldens, the
-# fault/recovery (chaos) suite, the worker wakeup protocol, and the
-# serve routing, batching and overload suites, whose routing depends on
+# fault/recovery (chaos) suite, the worker wakeup protocol, the
+# allocation budgets (whose counts must not depend on scheduling), and
+# the serve routing, batching and overload suites, whose routing depends on
 # timing and whose answers must stay bit-identical. Each runs
 # at GOMAXPROCS 1 and 2 — TestPresetsDeterministic and
 # TestExecutorsEquivalent set both themselves, so -cpu would only repeat
@@ -58,6 +59,7 @@ stress:
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestSimDeterminism|TestDelayInjectionIsValueAndClockNeutral|TestLaunchOrderPinned' ./internal/legion/ ./internal/solvers/; \
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/; \
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'AllocBudget' ./internal/constraint/ ./internal/cunumeric/ ./internal/geometry/ ./internal/solvers/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'BoundedLoadRouting|Batching|Overload' ./internal/serve/...
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten

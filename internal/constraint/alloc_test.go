@@ -7,30 +7,31 @@ import (
 	"repro/internal/legion"
 )
 
-// addTask builds c = a + b over three aligned vars.
-func addTask(rt *legion.Runtime, a, b, c *legion.Region) *Task {
+// addAligned executes c = a + b over three aligned vars.
+func addAligned(rt *legion.Runtime, a, b, c *legion.Region) {
 	task := NewTask(rt, "add", func(tc *legion.TaskContext) {
 		av, bv, cv := tc.Float64(0), tc.Float64(1), tc.Float64(2)
 		tc.Subspace(2).Each(func(i int64) { cv[i] = av[i] + bv[i] })
 	})
 	va, vb, vc := task.AddInput(a), task.AddInput(b), task.AddOutput(c)
-	return task.Align(va, vc).Align(vb, vc)
+	task.Align(va, vc).Align(vb, vc).Execute()
 }
 
 // TestTaskExecuteAllocBudget pins the garbage of one warm launch through
 // the constraint layer: building the task, solving three aligned vars,
 // building and executing the launch (small enough to run on this
-// goroutine). At c3cb4f9 this was 25 allocations; three remain — the
-// task, the launch and the launch state.
+// goroutine). At c3cb4f9 this was 25 allocations, and three were left
+// (task, launch, launch state) until the task stayed on its builder's
+// stack and the launch state moved into the launch: one remains.
 func TestTaskExecuteAllocBudget(t *testing.T) {
 	rt := newRT(t, 2)
 	a, b := rt.CreateFloat64("a", seq(256)), rt.CreateFloat64("b", seq(256))
 	c := rt.CreateRegion("c", 256, legion.Float64)
-	run := func() { addTask(rt, a, b, c).Execute() }
+	run := func() { addAligned(rt, a, b, c) }
 	run()
 	run()
-	if got := testing.AllocsPerRun(50, run); got > 5 {
-		t.Errorf("warm Task.Execute with three aligned vars: %v allocs, budget 5", got)
+	if got := testing.AllocsPerRun(50, run); got > 1 {
+		t.Errorf("warm Task.Execute with three aligned vars: %v allocs, budget 1", got)
 	}
 	rt.Fence()
 	if rt.Err() != nil || c.Float64s()[255] != 2*255 {
@@ -60,7 +61,7 @@ func TestSolveAllocFree(t *testing.T) {
 	if got := testing.AllocsPerRun(50, task.solve); got != 0 {
 		t.Errorf("warm solve over 8 vars: %v allocs, want 0", got)
 	}
-	for i, v := range task.vars {
+	for i, v := range task.vars() {
 		if v.part == nil || v.part.Region() != v.region {
 			t.Fatalf("var %d unresolved after solve: %v", i, v.part)
 		}

@@ -48,31 +48,62 @@ type vspec struct {
 // Task is a constraint-based task launcher, mirroring the Python API of
 // the paper's Figure 4 (create_task / add_input / add_output /
 // add_alignment_constraint / add_image_constraint / execute).
+//
+// The usual requirement and alignment counts fit in the task's own
+// arrays, and nothing in the task points into the task itself, so a task
+// built and executed in one function stays on that function's stack.
 type Task struct {
 	rt      *legion.Runtime
 	name    string
 	kernel  legion.KernelFunc
 	points  int
-	vars    []vspec
-	aligns  [][2]Var
 	args    any
 	opClass machine.OpClass
 	workVar Var
 	workMul int64 // 0: the runtime's default work rule
 	fusable bool
 
-	// Backing arrays for the usual requirement and alignment counts:
-	// building a task is one allocation.
-	varBuf   [6]vspec
-	alignBuf [4][2]Var
+	nvars, naligns int
+	varBuf         [6]vspec
+	alignBuf       [4][2]Var
+	moreVars       []vspec  // every var, once there are more than varBuf holds
+	moreAligns     [][2]Var // every alignment, once past alignBuf
 }
 
 // NewTask begins building a task launch with the default launch domain
 // (one point per runtime processor).
 func NewTask(rt *legion.Runtime, name string, kernel legion.KernelFunc) *Task {
-	t := &Task{rt: rt, name: name, kernel: kernel, points: rt.LaunchDomain(), opClass: machine.Stream}
-	t.vars, t.aligns = t.varBuf[:0], t.alignBuf[:0]
-	return t
+	return &Task{rt: rt, name: name, kernel: kernel, points: rt.LaunchDomain(), opClass: machine.Stream}
+}
+
+// vars returns the task's requirements in declaration order.
+func (t *Task) vars() []vspec { return list(t.varBuf[:], t.nvars, t.moreVars) }
+
+// aligns returns the task's alignment constraints in declaration order.
+func (t *Task) aligns() [][2]Var { return list(t.alignBuf[:], t.naligns, t.moreAligns) }
+
+// push stores v in buf, one of the task's own arrays, where *n counts
+// the stored elements; once buf is full every element moves to *more.
+// It returns v's index.
+func push[T any](buf []T, n *int, more *[]T, v T) int {
+	if *more == nil && *n < len(buf) {
+		buf[*n] = v
+		*n++
+		return *n - 1
+	}
+	if *more == nil {
+		*more = append(make([]T, 0, 2*len(buf)), buf...)
+	}
+	*more = append(*more, v)
+	return len(*more) - 1
+}
+
+// list returns the elements push stored.
+func list[T any](buf []T, n int, more []T) []T {
+	if more != nil {
+		return more
+	}
+	return buf[:n]
 }
 
 // SetArgs attaches by-value arguments for the kernel.
@@ -95,8 +126,7 @@ func (t *Task) SetWorkSource(v Var, factor int64) *Task {
 func (t *Task) SetFusable() *Task { t.fusable = true; return t }
 
 func (t *Task) addVar(r *legion.Region, priv legion.Privilege) Var {
-	t.vars = append(t.vars, vspec{region: r, priv: priv, imageSrc: -1})
-	return Var(len(t.vars) - 1)
+	return Var(push(t.varBuf[:], &t.nvars, &t.moreVars, vspec{region: r, priv: priv, imageSrc: -1}))
 }
 
 // AddOutput declares a region the task overwrites (write-discard).
@@ -114,7 +144,7 @@ func (t *Task) AddReduction(r *legion.Region) Var { return t.addVar(r, legion.Re
 // Align constrains a and b to be partitioned identically
 // (add_alignment_constraint in Figure 4).
 func (t *Task) Align(a, b Var) *Task {
-	t.aligns = append(t.aligns, [2]Var{a, b})
+	push(t.alignBuf[:], &t.naligns, &t.moreAligns, [2]Var{a, b})
 	return t
 }
 
@@ -124,18 +154,19 @@ func (t *Task) Align(a, b Var) *Task {
 // uses the by-range image (pos → crd/vals), an Int64 source uses the
 // by-coordinate image (crd → x).
 func (t *Task) Image(src Var, dsts ...Var) *Task {
+	vars := t.vars()
 	for _, d := range dsts {
-		if t.vars[d].imageSrc >= 0 {
+		if vars[d].imageSrc >= 0 {
 			panic(fmt.Sprintf("constraint: task %q: var %d already image-constrained", t.name, d))
 		}
-		t.vars[d].imageSrc = src
+		vars[d].imageSrc = src
 	}
 	return t
 }
 
 // Broadcast constrains v to be replicated whole to every point task.
 func (t *Task) Broadcast(v Var) *Task {
-	t.vars[v].broadcast = true
+	t.vars()[v].broadcast = true
 	return t
 }
 
@@ -144,11 +175,12 @@ func (t *Task) Broadcast(v Var) *Task {
 // higher-level operations (e.g. multigrid restriction) use when they have
 // computed a bespoke distribution.
 func (t *Task) UsePartition(v Var, p *legion.Partition) *Task {
-	if p.Region() != t.vars[v].region {
+	vs := &t.vars()[v]
+	if p.Region() != vs.region {
 		panic(fmt.Sprintf("constraint: task %q: partition of %q pinned to var of %q",
-			t.name, p.Region().Name(), t.vars[v].region.Name()))
+			t.name, p.Region().Name(), vs.region.Name()))
 	}
-	t.vars[v].explicit = p
+	vs.explicit = p
 	return t
 }
 
@@ -157,8 +189,9 @@ func (t *Task) UsePartition(v Var, p *legion.Partition) *Task {
 func (t *Task) Execute() *legion.Future {
 	t.solve()
 	l := t.rt.NewLaunch(t.name, t.points, t.kernel)
-	for i := range t.vars {
-		v := &t.vars[i]
+	vars := t.vars()
+	for i := range vars {
+		v := &vars[i]
 		l.Add(v.region, v.part, v.priv)
 	}
 	if t.args != nil {
@@ -191,20 +224,20 @@ func (t *Task) Execute() *legion.Future {
 // The working state lives in the vars themselves: solve allocates
 // nothing.
 func (t *Task) solve() {
-	vars := t.vars
+	vars := t.vars()
 	for i := range vars {
 		vars[i].class, vars[i].part = i, nil
 	}
 	// Union-find over alignment constraints, the smaller index as root.
-	for _, ab := range t.aligns {
-		ra, rb := t.find(int(ab[0])), t.find(int(ab[1]))
+	for _, ab := range t.aligns() {
+		ra, rb := find(vars, int(ab[0])), find(vars, int(ab[1]))
 		if ra > rb {
 			ra, rb = rb, ra
 		}
 		vars[rb].class = ra
 	}
 	for i := range vars {
-		vars[i].class = t.find(i)
+		vars[i].class = find(vars, i)
 	}
 
 	// Pass 1: explicit partitions and broadcasts pin their classes.
@@ -261,9 +294,9 @@ func (t *Task) solve() {
 }
 
 // find returns the root of x's alignment class.
-func (t *Task) find(x int) int {
-	for t.vars[x].class != x {
-		x = t.vars[x].class
+func find(vars []vspec, x int) int {
+	for vars[x].class != x {
+		x = vars[x].class
 	}
 	return x
 }
@@ -272,8 +305,9 @@ func (t *Task) find(x int) int {
 // subspace-defining partition of its anchor region, propagating it onto
 // every aligned region.
 func (t *Task) resolveClass(root int, anchor *legion.Partition) {
-	for i := root; i < len(t.vars); i++ {
-		if v := &t.vars[i]; v.class == root {
+	vars := t.vars()
+	for i := root; i < len(vars); i++ {
+		if v := &vars[i]; v.class == root {
 			v.part = t.rt.AlignedPartition(anchor, v.region)
 		}
 	}
@@ -282,8 +316,9 @@ func (t *Task) resolveClass(root int, anchor *legion.Partition) {
 // classHasImage reports whether any member of the class is the
 // destination of an image constraint.
 func (t *Task) classHasImage(root int) bool {
-	for i := root; i < len(t.vars); i++ {
-		if t.vars[i].class == root && t.vars[i].imageSrc >= 0 {
+	vars := t.vars()
+	for i := root; i < len(vars); i++ {
+		if vars[i].class == root && vars[i].imageSrc >= 0 {
 			return true
 		}
 	}
@@ -301,12 +336,13 @@ func (t *Task) classHasImage(root int) bool {
 func (t *Task) pickRootPartition(root int) *legion.Partition {
 	var best *legion.Partition
 	var bestSize int64 = -1
-	anchor := t.vars[root].region
-	for i := root; i < len(t.vars); i++ {
-		if t.vars[i].class != root {
+	vars := t.vars()
+	anchor := vars[root].region
+	for i := root; i < len(vars); i++ {
+		if vars[i].class != root {
 			continue
 		}
-		r := t.vars[i].region
+		r := vars[i].region
 		if kp := r.KeyPartition(); kp != nil && kp.Colors() == t.points && kp.Disjoint() {
 			if r.Size() > bestSize {
 				best, bestSize = kp, r.Size()

@@ -101,10 +101,10 @@ type FormatSpec struct {
 	// slots is where bind finds each kernel operand, fixed from
 	// PackFields when the spec is built.
 	slots bindSlots
-	// constrain states the launch's partitioning — align/image edges
-	// for image-derivable formats, explicit partitions for the rest —
-	// and its declared per-point work.
-	constrain func(t *constraint.Task, o spmvOperands)
+	// layout selects the constrain body that states the launch's
+	// partitioning — align/image edges for image-derivable formats,
+	// explicit partitions for the rest — and its declared per-point work.
+	layout spmvLayout
 	// assemble wraps a validated pack as a matrix and reports whether
 	// the region sizes and meta agree with the shape.
 	assemble func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool)
@@ -174,10 +174,36 @@ func (s *FormatSpec) bind(sc *spmvScratch, tc *legion.TaskContext, cols int64, m
 // spmvOperands is one SpMV launch as a constrain body sees it.
 type spmvOperands struct {
 	m       SparseMatrix
-	regions []*legion.Region // m.Pack()
-	pack    []constraint.Var // one per pack region
+	regions []*legion.Region  // m.Pack()
+	pack    [3]constraint.Var // one per pack region (the longest is 3)
 	y, x    *cunumeric.Array
 	vy, vx  constraint.Var
+}
+
+// spmvLayout names a format's constrain body.
+type spmvLayout int
+
+const (
+	compressedLayout spmvLayout = iota // constrainCompressed
+	entriesLayout                      // constrainEntries
+	bandedLayout                       // constrainBanded
+	blockRowsLayout                    // constrainBlockRows
+)
+
+// constrain states an SpMV launch's partitioning with the format's body.
+// The bodies are called directly, not through a func value, so that the
+// task and operands spmvLaunch builds stay on its stack.
+func (s *FormatSpec) constrain(t *constraint.Task, o spmvOperands) {
+	switch s.layout {
+	case compressedLayout:
+		constrainCompressed(t, o)
+	case entriesLayout:
+		constrainEntries(t, o)
+	case bandedLayout:
+		constrainBanded(t, o)
+	case blockRowsLayout:
+		constrainBlockRows(t, o)
+	}
 }
 
 // constrainCompressed is Figure 4's constraint set for a dense level
@@ -305,7 +331,7 @@ var CSRSpec = newSpec(&FormatSpec{
 	Distal:     distal.CSR,
 	PackFields: csrPackFields,
 	boundsSlot: 0,
-	constrain:  constrainCompressed,
+	layout:     compressedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &CSR{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
 			p[0].Size() == rows && p[1].Size() == p[2].Size()
@@ -322,7 +348,7 @@ var CSCSpec = newSpec(&FormatSpec{
 	PackFields: csrPackFields,
 	boundsSlot: 1,
 	scatter:    true,
-	constrain:  constrainCompressed,
+	layout:     compressedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &CSC{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
 			p[0].Size() == cols && p[1].Size() == p[2].Size()
@@ -342,7 +368,7 @@ var COOSpec = newSpec(&FormatSpec{
 	},
 	boundsSlot: 1,
 	scatter:    true,
-	constrain:  constrainEntries,
+	layout:     entriesLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &COO{rt: rt, rows: rows, cols: cols, row: p[0], col: p[1], vals: p[2]},
 			p[0].Size() == p[1].Size() && p[1].Size() == p[2].Size()
@@ -359,7 +385,7 @@ var DIASpec = newSpec(&FormatSpec{
 		{Name: "data", Type: legion.Float64},
 	},
 	boundsSlot: 0,
-	constrain:  constrainBanded,
+	layout:     bandedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
 		return &DIA{rt: rt, rows: rows, cols: cols, offsets: meta.Offsets, data: p[0]},
 			len(meta.Offsets) > 0 && p[0].Size() == int64(len(meta.Offsets))*cols
@@ -374,7 +400,7 @@ var BSRSpec = newSpec(&FormatSpec{
 	Distal:     distal.BSR,
 	PackFields: csrPackFields,
 	boundsSlot: 1,
-	constrain:  constrainBlockRows,
+	layout:     blockRowsLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
 		bs := meta.BlockSize
 		return &BSR{rt: rt, rows: rows, cols: cols, blockSize: bs, pos: p[0], crd: p[1], vals: p[2]},

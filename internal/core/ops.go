@@ -73,7 +73,6 @@ func spmvLaunch(a SparseMatrix, y, x *cunumeric.Array) {
 	} else {
 		o.vy = task.AddOutput(y.Region())
 	}
-	o.pack = make([]constraint.Var, len(o.regions))
 	for i, r := range o.regions {
 		o.pack[i] = task.AddInput(r)
 	}

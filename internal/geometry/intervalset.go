@@ -246,21 +246,52 @@ func (s IntervalSet) IntersectRect(r Rect) IntervalSet {
 	return s.Intersect(IntervalSet{rects: []Rect{r}})
 }
 
+// IntersectSize returns the number of indices in both s and t, without
+// materializing the intersection.
+func (s IntervalSet) IntersectSize(t IntervalSet) int64 {
+	var n int64
+	i, j := 0, 0
+	for i < len(s.rects) && j < len(t.rects) {
+		a, b := s.rects[i], t.rects[j]
+		n += a.Intersect(b).Size()
+		if a.Hi < b.Hi {
+			i++
+		} else {
+			j++
+		}
+	}
+	return n
+}
+
 // Subtract returns the set of indices in s but not in t.
 func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 	if s.Empty() || t.Empty() {
 		return s
 	}
-	var out []Rect
+	return IntervalSet{rects: appendSubtract(nil, s.rects, t.rects)}
+}
+
+// SubtractInto is Subtract for a set the caller drops soon: the result
+// is written over *buf, which grows as needed and keeps its array for
+// the next call, so a caller that reuses buf makes no garbage. The
+// result always lives in *buf (never in s or t) and is valid until buf
+// is next written.
+func (s IntervalSet) SubtractInto(t IntervalSet, buf *[]Rect) IntervalSet {
+	*buf = appendSubtract((*buf)[:0], s.rects, t.rects)
+	return IntervalSet{rects: *buf}
+}
+
+// appendSubtract appends the canonical intervals of s \ t to out.
+func appendSubtract(out, s, t []Rect) []Rect {
 	j := 0
-	for _, a := range s.rects {
+	for _, a := range s {
 		lo := a.Lo
-		for j < len(t.rects) && t.rects[j].Hi < lo {
+		for j < len(t) && t[j].Hi < lo {
 			j++
 		}
 		covered := false // some b reaches a.Hi: nothing of a is left
-		for k := j; k < len(t.rects) && t.rects[k].Lo <= a.Hi; k++ {
-			b := t.rects[k] // b.Hi >= lo: earlier intervals were skipped
+		for k := j; k < len(t) && t[k].Lo <= a.Hi; k++ {
+			b := t[k] // b.Hi >= lo: earlier intervals were skipped
 			if b.Lo > lo {
 				out = append(out, Rect{Lo: lo, Hi: b.Lo - 1})
 			}
@@ -274,7 +305,7 @@ func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 			out = append(out, Rect{Lo: lo, Hi: a.Hi})
 		}
 	}
-	return IntervalSet{rects: out}
+	return out
 }
 
 // Overlaps reports whether s and t share at least one index, without

@@ -281,18 +281,27 @@ func FuzzIntervalSetAlgebra(f *testing.F) {
 		if a.ContainsSet(b) != b.Subtract(a).Empty() || a.Overlaps(b) != !x.Empty() {
 			t.Fatalf("ContainsSet/Overlaps of %v and %v disagree with Subtract/Intersect", a, b)
 		}
+		if n := a.IntersectSize(b); n != x.Size() {
+			t.Fatalf("IntersectSize(%v, %v) = %d, want %d", a, b, n, x.Size())
+		}
+		buf := []Rect{NewRect(-5, -1)} // stale contents are overwritten
+		if di := a.SubtractInto(b, &buf); !di.Equal(d) || len(buf) != len(d.Rects()) {
+			t.Fatalf("SubtractInto(%v, %v) = %v, want %v", a, b, di, d)
+		}
 	})
 }
 
 // TestIntervalSetAllocBudgets: the predicates allocate nothing, a Union
-// allocates its result and nothing else, and a Union that adds nothing
-// returns its receiver.
+// allocates its result and nothing else, a Union that adds nothing
+// returns its receiver, and a SubtractInto a buffer large enough
+// allocates nothing.
 func TestIntervalSetAllocBudgets(t *testing.T) {
 	a := NewIntervalSet(NewRect(0, 9), NewRect(20, 29), NewRect(40, 49))
 	sub := NewIntervalSet(NewRect(2, 5), NewRect(40, 49))
 	other := NewIntervalSet(NewRect(5, 24), NewRect(60, 70))
 	var sink IntervalSet
 	var flag bool
+	buf := make([]Rect, 0, 8)
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -302,6 +311,8 @@ func TestIntervalSetAllocBudgets(t *testing.T) {
 		{"Union of a subset", 0, func() { sink = a.Union(sub) }},
 		{"ContainsSet", 0, func() { flag = a.ContainsSet(sub) != a.ContainsSet(other) }},
 		{"Overlaps", 0, func() { flag = a.Overlaps(sub) && a.Overlaps(other) }},
+		{"IntersectSize", 0, func() { flag = a.IntersectSize(other) == 0 }},
+		{"SubtractInto a warm buffer", 0, func() { sink = a.SubtractInto(other, &buf) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got > c.budget {
 			t.Errorf("%s: %v allocs/op, budget %v", c.name, got, c.budget)

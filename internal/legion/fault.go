@@ -370,8 +370,7 @@ func (rt *Runtime) replayEntry(l *Launch) error {
 	rt.analysisClock += rt.analysisCost(l.points)
 	rt.mu.Unlock()
 
-	ls := rt.newLaunchState(l)
-	ls.replay = true
+	ls := rt.newLaunchState(l, true)
 	ls.seq, ls.ckptEpoch = orig.seq, rt.ckptEpoch()
 	rt.mapLaunch(ls, 0)
 	for p := 0; p < l.points; p++ {

@@ -26,8 +26,6 @@ package legion
 // TraceReplayFactor-discounted analysis cost like any other launch.
 
 import (
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -116,6 +114,9 @@ type fuser struct {
 	entries []winEntry // at most max launches × a few requirements: scanned, not indexed
 	points  int
 	opClass machine.OpClass
+
+	names   map[string]string // interned fused-launch names
+	nameBuf []byte            // the name being looked up
 }
 
 // offer buffers l if it is fusable and compatible with the current
@@ -221,32 +222,54 @@ func (f *fuser) submitLocked() {
 		rt.executeNow(buf[0])
 		return
 	}
-	fl := rt.NewLaunch(fusedName(buf), buf[0].points, nil)
+	fl := rt.NewLaunch(f.fusedName(buf), buf[0].points, nil)
 	fl.opClass = buf[0].opClass
 	for i := range f.entries {
 		e := &f.entries[i]
 		fl.reqs = append(fl.reqs, req{region: e.region, part: e.part, priv: e.merged()})
 	}
-	fl.fused = slices.Clone(buf)
+	fl.fused = append(fl.fusedBuf[:0], buf...)
 	inner := rt.executeNow(fl)
 	for _, l := range buf {
 		l.fut.launch = inner
 	}
 }
 
+// A fused launch's name shows at most maxNamesShown member names, so a
+// program issues few distinct ones; the fuser interns up to
+// maxFusedNames of them and builds any further ones afresh.
+const (
+	maxNamesShown = 4
+	maxFusedNames = 256
+)
+
 // fusedName labels a fused launch after its members, truncated so
-// profiles stay readable for long windows.
-func fusedName(buf []*Launch) string {
-	const maxNames = 4
-	names := make([]string, 0, maxNames+1)
+// profiles stay readable for long windows. The name is built in a reused
+// buffer and interned, so a window that repeats makes no garbage.
+func (f *fuser) fusedName(buf []*Launch) string {
+	b := append(f.nameBuf[:0], "fused["...)
 	for i, l := range buf {
-		if i == maxNames {
-			names = append(names, "…")
+		if i > 0 {
+			b = append(b, '+')
+		}
+		if i == maxNamesShown {
+			b = append(b, "…"...)
 			break
 		}
-		names = append(names, l.name)
+		b = append(b, l.name...)
 	}
-	s := "fused[" + strings.Join(names, "+") + "]"
+	b = append(b, ']')
+	f.nameBuf = b
+	if s, ok := f.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if f.names == nil {
+		f.names = map[string]string{}
+	}
+	if len(f.names) < maxFusedNames {
+		f.names[s] = s
+	}
 	return s
 }
 

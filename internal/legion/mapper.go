@@ -36,38 +36,62 @@ func (e *OOMError) Error() string {
 // extent of some region's index space. Tasks using a sub-region of the
 // extent operate on a slice of the allocation (paper §4.2).
 type allocation struct {
-	region   RegionID
-	elemSize int64
-	extent   geometry.Rect
-}
-
-func (a *allocation) bytes() int64 { return a.extent.Size() * a.elemSize }
-
-// pooledAlloc is a freed allocation kept for reuse. When a region goes
-// out of scope its allocations are pooled rather than released, and new
-// allocations whose extent fits inside a pooled extent reuse it — this is
-// how x2 reuses RA2/RA4 in Figure 5 and how the program reaches a steady
-// state with no allocation resizing.
-type pooledAlloc struct {
 	elemSize int64
 	extent   geometry.Rect
 }
 
 // procMemory is the mapper's per-processor state: live allocations by
-// region, the free pool, validity intervals per region, and modeled
-// memory usage.
+// region, the free pool, and modeled memory usage.
+//
+// When a region goes out of scope its allocations are pooled rather than
+// released, and new allocations whose extent fits inside a pooled extent
+// reuse it — this is how x2 reuses RA2/RA4 in Figure 5 and how the
+// program reaches a steady state with no allocation resizing. spare
+// keeps the emptied allocation lists of destroyed regions for the next
+// region mapped here, so that steady state makes no garbage either.
 type procMemory struct {
-	allocs map[RegionID][]*allocation
-	pool   []pooledAlloc
-	valid  map[RegionID]geometry.IntervalSet
+	allocs map[RegionID][]allocation
+	pool   []allocation
+	spare  [][]allocation
 	used   int64
 }
 
-func newProcMemory() *procMemory {
-	return &procMemory{
-		allocs: map[RegionID][]*allocation{},
-		valid:  map[RegionID]geometry.IntervalSet{},
+func newProcMemory() procMemory {
+	return procMemory{allocs: map[RegionID][]allocation{}}
+}
+
+// maxSpares bounds each list of recycled per-region state (a processor's
+// allocation lists, the mapper's directory entries): enough for the
+// temporaries of a solver iteration, not a hoard after a mass Destroy.
+const maxSpares = 16
+
+// addAlloc records a on pm as an allocation of region id.
+func (pm *procMemory) addAlloc(id RegionID, a allocation) {
+	list, ok := pm.allocs[id]
+	if n := len(pm.spare); !ok && n > 0 {
+		list, pm.spare = pm.spare[n-1], pm.spare[:n-1]
 	}
+	pm.allocs[id] = append(list, a)
+}
+
+// coherence is the mapper's directory entry for one region: the indices
+// valid in host memory and on each processor. valid is indexed by
+// ProcID, and holders lists the processors whose valid set is not empty,
+// so a write invalidates only the copies that exist. A processor retired
+// after a fault may stay listed; nothing reads its set again (it is no
+// copy source and maps no point), and the next write drops it.
+type coherence struct {
+	host    geometry.IntervalSet
+	valid   []geometry.IntervalSet
+	holders []machine.ProcID
+}
+
+// on returns the indices valid on p.
+func (c *coherence) on(p machine.ProcID) geometry.IntervalSet {
+	if c.valid == nil {
+		return geometry.IntervalSet{}
+	}
+	return c.valid[p]
 }
 
 // Mapper implements the composable mapping strategy of §4.2: a shared
@@ -83,10 +107,12 @@ func newProcMemory() *procMemory {
 type Mapper struct {
 	rt *Runtime
 
-	mems     map[machine.ProcID]*procMemory
-	host     *procMemory
-	srcOrder map[machine.ProcID][]machine.ProcID
-	dead     map[machine.ProcID]bool // retired processors; never used as copy sources
+	mems     []procMemory       // by ProcID
+	srcOrder [][]machine.ProcID // by destination ProcID, built on first use
+	dead     []bool             // by ProcID: retired processors, never copy sources
+
+	spareDirs []*coherence       // reset entries of destroyed regions
+	scratch   [2][]geometry.Rect // intermediate sets of one mapping
 
 	// CoalesceThreshold is the minimum ratio of overlapping to
 	// non-overlapping indices for two views to be merged rather than
@@ -95,39 +121,86 @@ type Mapper struct {
 }
 
 func newMapper(rt *Runtime) *Mapper {
-	m := &Mapper{rt: rt, mems: map[machine.ProcID]*procMemory{}, host: newProcMemory()}
-	for _, p := range rt.mach.Procs {
-		m.mems[p.ID] = newProcMemory()
+	m := &Mapper{rt: rt, mems: make([]procMemory, len(rt.mach.Procs))}
+	for i := range m.mems {
+		m.mems[i] = newProcMemory()
 	}
 	return m
 }
 
-func (m *Mapper) mem(p machine.ProcID) *procMemory {
-	if p == HostProc {
-		return m.host
+// dir returns r's directory entry, taking a reset one from the spares
+// if r has none. A destroyed region has none; recovery replay can still
+// map it, and the entry it gets then is never returned.
+func (m *Mapper) dir(r *Region) *coherence {
+	if r.coh == nil {
+		if n := len(m.spareDirs); n > 0 {
+			r.coh, m.spareDirs = m.spareDirs[n-1], m.spareDirs[:n-1]
+		} else {
+			r.coh = &coherence{}
+		}
 	}
-	return m.mems[p]
+	return r.coh
+}
+
+// setValid stores v, which is not empty, as the indices valid on p.
+func (m *Mapper) setValid(c *coherence, p machine.ProcID, v geometry.IntervalSet) {
+	if c.valid == nil {
+		c.valid = make([]geometry.IntervalSet, len(m.mems))
+	}
+	if c.valid[p].Empty() {
+		c.holders = append(c.holders, p)
+	}
+	c.valid[p] = v
+}
+
+// invalidate drops sub from the indices valid on every holder but keep
+// (HostProc: drop it from all of them), and forgets holders left empty
+// and retired ones.
+func (m *Mapper) invalidate(c *coherence, keep machine.ProcID, sub geometry.IntervalSet) {
+	live := c.holders[:0]
+	for _, q := range c.holders {
+		v := c.valid[q]
+		if q != keep && v.Overlaps(sub) {
+			v = v.Subtract(sub)
+		}
+		if v.Empty() || (m.dead != nil && m.dead[q]) {
+			v = geometry.IntervalSet{}
+		} else {
+			live = append(live, q)
+		}
+		c.valid[q] = v
+	}
+	c.holders = live
 }
 
 // regionCreated marks a fresh region valid in host memory.
 func (m *Mapper) regionCreated(r *Region) {
-	if r.size > 0 {
-		m.host.valid[r.id] = geometry.NewIntervalSet(r.Domain())
+	if c := m.dir(r); r.size > 0 {
+		c.host = geometry.NewIntervalSet(r.Domain())
 	}
 }
 
 // regionDestroyed frees the region's allocations into each processor's
-// pool and drops validity state.
+// pool and drops its directory entry, keeping it, reset, as a spare.
 func (m *Mapper) regionDestroyed(r *Region) {
-	for _, pm := range m.mems {
-		for _, a := range pm.allocs[r.id] {
-			pm.pool = append(pm.pool, pooledAlloc{elemSize: a.elemSize, extent: a.extent})
+	for i := range m.mems {
+		pm := &m.mems[i]
+		list, ok := pm.allocs[r.id]
+		if !ok {
+			continue
 		}
+		pm.pool = append(pm.pool, list...)
 		delete(pm.allocs, r.id)
-		delete(pm.valid, r.id)
+		if len(pm.spare) < maxSpares {
+			pm.spare = append(pm.spare, list[:0])
+		}
 	}
-	delete(m.host.valid, r.id)
-	delete(m.host.allocs, r.id)
+	if c := r.coh; c != nil && len(m.spareDirs) < maxSpares {
+		clear(c.valid)
+		c.host, c.holders = geometry.IntervalSet{}, c.holders[:0]
+		m.spareDirs = append(m.spareDirs, c)
+	}
+	r.coh = nil
 }
 
 // evictProcessor retires a dead processor: its allocations, pool, and
@@ -137,7 +210,7 @@ func (m *Mapper) regionDestroyed(r *Region) {
 // or rewritten outright by recovery replay.
 func (m *Mapper) evictProcessor(p machine.ProcID) {
 	if m.dead == nil {
-		m.dead = map[machine.ProcID]bool{}
+		m.dead = make([]bool, len(m.mems))
 	}
 	m.dead[p] = true
 	if ps := m.rt.prof; ps != nil {
@@ -164,7 +237,9 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 	if sub.Empty() {
 		return res, nil
 	}
-	pm := m.mem(proc)
+	pm := &m.mems[proc]
+	c := m.dir(r)
+	valid := c.on(proc)
 	cost := m.rt.cost
 	kind := m.rt.mach.Proc(proc).Kind
 
@@ -192,7 +267,7 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 			// coalescing/reuse machinery this local copy recurs every
 			// iteration — §4.3's "full vector copy executed in each
 			// iteration" failure mode.
-			if local := pm.valid[r.id].IntersectRect(need).Size() * es; local > 0 {
+			if local := valid.IntersectRect(need).Size() * es; local > 0 {
 				m.rt.stats.ReallocCopy.Add(local)
 				res.copyTime += cost.CopyTime(machine.IntraNode, local)
 			}
@@ -211,45 +286,34 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 	// Every update below is skipped when it would store the set it read:
 	// in the steady state of an iterative loop (§4.3) the data is already
 	// valid where it is used and the written indices are cached nowhere
-	// else, so this section is lookups only.
-	valid := pm.valid[r.id]
+	// else, so this section is lookups only. Sets that are read and
+	// dropped live in the mapper's scratch; only a stored set allocates.
 	covered := valid.ContainsSet(sub)
 	if !covered && (priv.reads() || priv == ReduceSum) {
-		res.copyTime += m.copyIn(proc, r, sub.Subtract(valid))
+		res.copyTime += m.copyIn(proc, r, c, sub.SubtractInto(valid, &m.scratch[0]))
 	}
 	switch priv {
 	case ReadOnly:
 		if !covered {
-			pm.valid[r.id] = valid.Union(sub)
+			m.setValid(c, proc, valid.Union(sub))
 		}
 	case WriteDiscard, ReadWrite:
 		// Invalidate every other copy of the written indices.
-		for q, other := range m.mems {
-			if q != proc {
-				other.invalidate(r.id, sub)
-			}
+		m.invalidate(c, proc, sub)
+		if c.host.Overlaps(sub) {
+			c.host = c.host.Subtract(sub)
 		}
-		m.host.invalidate(r.id, sub)
 		if !covered {
-			pm.valid[r.id] = valid.Union(sub)
+			m.setValid(c, proc, valid.Union(sub))
 		}
 	case ReduceSum:
 		// Reduction instances are folded after the launch; model the
 		// folded result as landing in host memory, with every processor
 		// copy invalidated (the fold itself is charged by the caller).
-		for _, other := range m.mems {
-			other.invalidate(r.id, sub)
-		}
-		m.host.valid[r.id] = m.host.valid[r.id].Union(sub)
+		m.invalidate(c, HostProc, sub)
+		c.host = c.host.Union(sub)
 	}
 	return res, nil
-}
-
-// invalidate drops sub from the indices of region id valid in pm.
-func (pm *procMemory) invalidate(id RegionID, sub geometry.IntervalSet) {
-	if v, ok := pm.valid[id]; ok && v.Overlaps(sub) {
-		pm.valid[id] = v.Subtract(sub)
-	}
 }
 
 // allocate finds or creates an allocation on pm covering need, returning
@@ -287,7 +351,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 		}
 		moved := a.extent.Size() * es // old contents copied into the resized allocation
 		pm.used += grow
-		list[i] = &allocation{region: r.id, elemSize: es, extent: merged}
+		list[i] = allocation{elemSize: es, extent: merged}
 		if ps := m.rt.prof; ps != nil {
 			ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemGrow,
 				Proc: int(proc), Region: r.name, Bytes: grow})
@@ -298,7 +362,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 	for i, pa := range pm.pool {
 		if pa.elemSize == es && pa.extent.ContainsRect(need) {
 			pm.pool = append(pm.pool[:i], pm.pool[i+1:]...)
-			pm.allocs[r.id] = append(pm.allocs[r.id], &allocation{region: r.id, elemSize: es, extent: pa.extent})
+			pm.addAlloc(r.id, pa)
 			if ps := m.rt.prof; ps != nil {
 				ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemReuse,
 					Proc: int(proc), Region: r.name, Bytes: pa.extent.Size() * es})
@@ -312,7 +376,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 		return 0, false, err
 	}
 	pm.used += grow
-	pm.allocs[r.id] = append(pm.allocs[r.id], &allocation{region: r.id, elemSize: es, extent: need})
+	pm.addAlloc(r.id, allocation{elemSize: es, extent: need})
 	if ps := m.rt.prof; ps != nil {
 		ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemAlloc,
 			Proc: int(proc), Region: r.name, Bytes: grow})
@@ -334,37 +398,35 @@ func (m *Mapper) checkCapacity(pm *procMemory, grow int64, kind machine.ProcKind
 // copyIn models fetching the missing indices of region r into proc's
 // memory, sourcing each piece from whichever processor (or host) holds a
 // valid copy, and charging the appropriate link. It returns the total
-// modeled copy time and updates statistics.
-func (m *Mapper) copyIn(proc machine.ProcID, r *Region, missing geometry.IntervalSet) time.Duration {
+// modeled copy time and updates statistics. missing lives in
+// m.scratch[0]; what remains after each source alternates between the
+// two scratch buffers.
+func (m *Mapper) copyIn(proc machine.ProcID, r *Region, c *coherence, missing geometry.IntervalSet) time.Duration {
 	cost := m.rt.cost
 	var total time.Duration
 	es := r.typ.ElemSize()
-	remaining := missing
+	remaining, cur := missing, 0
 	// Prefer real processors as sources, nearest link first, in
-	// deterministic processor order (map iteration order would make the
-	// modeled copy costs vary run to run).
+	// deterministic processor order; only holders have anything to give.
 	for _, q := range m.sourceOrder(proc) {
-		if remaining.Empty() {
+		if remaining.Empty() || len(c.holders) == 0 {
 			break
 		}
-		other := m.mems[q]
-		v, ok := other.valid[r.id]
-		if !ok {
-			continue
-		}
-		part := remaining.Intersect(v)
-		if part.Empty() {
+		v := c.valid[q]
+		n := remaining.IntersectSize(v)
+		if n == 0 {
 			continue
 		}
 		link := m.rt.mach.Link(proc, q)
-		bytes := part.Size() * es
+		bytes := n * es
 		m.rt.stats.AddCopy(link, bytes)
 		if ps := m.rt.prof; ps != nil {
 			ps.RecordCopy(prof.Copy{Run: m.rt.profRun, Src: int(q), Dst: int(proc),
 				Link: link, Bytes: bytes})
 		}
 		total += cost.CopyTime(link, bytes)
-		remaining = remaining.Subtract(part)
+		cur ^= 1
+		remaining = remaining.SubtractInto(v, &m.scratch[cur])
 	}
 	if !remaining.Empty() {
 		// Source from host memory on node 0.
@@ -388,14 +450,14 @@ func (m *Mapper) copyIn(proc machine.ProcID, r *Region, missing geometry.Interva
 // per destination processor.
 func (m *Mapper) sourceOrder(proc machine.ProcID) []machine.ProcID {
 	if m.srcOrder == nil {
-		m.srcOrder = map[machine.ProcID][]machine.ProcID{}
+		m.srcOrder = make([][]machine.ProcID, len(m.mems))
 	}
-	if cached, ok := m.srcOrder[proc]; ok {
+	if cached := m.srcOrder[proc]; cached != nil {
 		return cached
 	}
-	var out []machine.ProcID
+	out := []machine.ProcID{}
 	for _, p := range m.rt.mach.Procs {
-		if p.ID != proc && !m.dead[p.ID] {
+		if p.ID != proc && (m.dead == nil || !m.dead[p.ID]) {
 			out = append(out, p.ID)
 		}
 	}
@@ -410,12 +472,24 @@ func (m *Mapper) sourceOrder(proc machine.ProcID) []machine.ProcID {
 	return out
 }
 
-// MemUsed returns the modeled bytes resident on a processor.
+// MemUsed returns the modeled bytes resident on a processor (none in
+// host memory, which the model does not bound).
 func (m *Mapper) MemUsed(p machine.ProcID) int64 {
-	return m.mem(p).used
+	if p == HostProc {
+		return 0
+	}
+	return m.mems[p].used
 }
 
 // ValidOn returns the indices of r currently valid on p (for tests).
 func (m *Mapper) ValidOn(p machine.ProcID, r *Region) geometry.IntervalSet {
-	return m.mem(p).valid[r.id]
+	switch {
+	case r.coh == nil:
+		return geometry.IntervalSet{}
+	case p == HostProc:
+		return r.coh.host
+	case m.dead != nil && m.dead[p]:
+		return geometry.IntervalSet{}
+	}
+	return r.coh.on(p)
 }

@@ -1,6 +1,7 @@
 package legion
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -323,5 +324,83 @@ func TestSteadyStateMappingAllocFree(t *testing.T) {
 		if !setsAfter[i].Equal(setsBefore[i]) {
 			t.Errorf("validity set %d changed: %v -> %v", i, setsBefore[i], setsAfter[i])
 		}
+	}
+}
+
+// TestHoldersTrackValidCopies: a region's holders are exactly the live
+// processors holding valid indices of it, through reads, a partial and
+// a whole write, a reduction, and a processor's retirement, so a write
+// that invalidates only the holders reaches every copy there is.
+func TestHoldersTrackValidCopies(t *testing.T) {
+	rt := newTestRuntime(t, 4)
+	m := rt.Mapper()
+	x := rt.CreateRegion("x", 16, Float64)
+	whole := geometry.NewIntervalSet(x.Domain())
+	procs := rt.Procs()
+	mapReq := func(p machine.ProcID, sub geometry.IntervalSet, priv Privilege) {
+		t.Helper()
+		if _, err := m.mapRequirement(p, x, sub, priv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead := func(p machine.ProcID) bool { return m.dead != nil && m.dead[p] }
+	// check compares the live holders with want; a retired processor may
+	// stay listed until the next write.
+	check := func(step string, want ...machine.ProcID) {
+		t.Helper()
+		seen := map[machine.ProcID]bool{}
+		live := 0
+		for _, q := range x.coh.holders {
+			if seen[q] {
+				t.Fatalf("%s: holders %v list %d twice", step, x.coh.holders, q)
+			}
+			seen[q] = true
+			if !dead(q) {
+				live++
+			}
+		}
+		for _, p := range rt.Machine().Procs {
+			if !dead(p.ID) && seen[p.ID] == m.ValidOn(p.ID, x).Empty() {
+				t.Fatalf("%s: proc %d holds %v, holders %v", step, p.ID, m.ValidOn(p.ID, x), x.coh.holders)
+			}
+		}
+		if len(want) != live {
+			t.Fatalf("%s: holders %v, want %v", step, x.coh.holders, want)
+		}
+		for _, p := range want {
+			if !seen[p] {
+				t.Fatalf("%s: holders %v, want %v", step, x.coh.holders, want)
+			}
+		}
+	}
+
+	check("fresh")
+	for _, p := range procs {
+		mapReq(p, whole, ReadOnly)
+	}
+	check("every processor read x", procs...)
+	mapReq(procs[0], geometry.NewIntervalSet(geometry.NewRect(0, 3)), WriteDiscard)
+	check("procs[0] wrote a block", procs...)
+	if v := m.ValidOn(procs[1], x); !v.Equal(geometry.NewIntervalSet(geometry.NewRect(4, 15))) {
+		t.Fatalf("procs[1] holds %v after procs[0] wrote 0-3", v)
+	}
+	mapReq(procs[1], whole, ReadWrite)
+	check("procs[1] wrote x", procs[1])
+	mapReq(procs[2], whole, ReduceSum)
+	check("procs[2] reduced into x")
+	if !m.ValidOn(HostProc, x).Equal(whole) {
+		t.Fatalf("host holds %v after the reduction", m.ValidOn(HostProc, x))
+	}
+
+	mapReq(procs[3], whole, ReadOnly)
+	mapReq(procs[0], whole, ReadOnly)
+	m.evictProcessor(procs[3])
+	check("procs[3] retired", procs[0])
+	if !m.ValidOn(procs[3], x).Empty() {
+		t.Fatalf("retired procs[3] still holds %v", m.ValidOn(procs[3], x))
+	}
+	mapReq(procs[0], geometry.NewIntervalSet(geometry.NewRect(0, 0)), ReadWrite)
+	if !slices.Equal(x.coh.holders, []machine.ProcID{procs[0]}) {
+		t.Fatalf("a write left holders %v, want only %d", x.coh.holders, procs[0])
 	}
 }

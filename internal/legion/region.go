@@ -96,6 +96,10 @@ type Region struct {
 	// constraint solver prefers it when choosing partitions.
 	keyPartition *Partition
 
+	// coh is the mapper's validity directory entry for the region (see
+	// coherence); nil once the region is destroyed.
+	coh *coherence
+
 	destroyed bool
 }
 
@@ -117,7 +121,7 @@ func (rt *Runtime) CreateRegion(name string, size int64, typ FieldType) *Region 
 	rt.mu.Lock()
 	rt.nextRegion++
 	r.id = rt.nextRegion
-	rt.regions[r.id] = &regionState{}
+	rt.regions[r.id] = newRegionState()
 	rt.mu.Unlock()
 	rt.map_.regionCreated(r)
 	return r

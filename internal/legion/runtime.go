@@ -113,6 +113,14 @@ type regionState struct {
 	readers    []*launchState
 	readDone   time.Duration // largest finish time among compacted readers
 	compactAt  int           // reader count that triggers the next compaction
+
+	readerBuf [4]*launchState // backs readers for the usual reader counts
+}
+
+func newRegionState() *regionState {
+	st := &regionState{}
+	st.readers = st.readerBuf[:0]
+	return st
 }
 
 // readerCompactMin is the reader count below which a region's reader
@@ -460,9 +468,14 @@ func (rt *Runtime) noteWrites(reqs []req) {
 
 // newLaunchState builds the record of one execution of l and registers
 // it with the fence; it completes when all its points have run. The
-// caller issues it with mapLaunch.
-func (rt *Runtime) newLaunchState(l *Launch) *launchState {
-	ls := &launchState{l: l}
+// caller issues it with mapLaunch. The first execution's record is l's
+// own; a replay's is new.
+func (rt *Runtime) newLaunchState(l *Launch, replay bool) *launchState {
+	ls := &l.first
+	if replay {
+		ls = &launchState{replay: true}
+	}
+	ls.l = l
 	if l.points <= len(ls.partialBuf) {
 		ls.pointPartials, ls.finishes = ls.partialBuf[:l.points], ls.finishBuf[:l.points]
 	} else {
@@ -543,7 +556,7 @@ func (l *Launch) pointWork(p int) int64 {
 // executeNow issues the launch immediately, bypassing the fusion window,
 // and points its Future at the new launch state.
 func (rt *Runtime) executeNow(l *Launch) *launchState {
-	ls := rt.newLaunchState(l)
+	ls := rt.newLaunchState(l, false)
 	l.fut.launch = ls
 	rt.mu.Lock()
 	rt.nextSeq++
@@ -564,7 +577,7 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 		footprint += rq.region.size
 		st := rt.regions[rq.region.id]
 		if st == nil {
-			st = &regionState{}
+			st = newRegionState()
 			rt.regions[rq.region.id] = st
 		}
 		if w := st.lastWriter; w != nil && w.depMark != ls.seq {

@@ -65,20 +65,25 @@ type req struct {
 // domain (number of points), and a set of region requirements. A launch
 // with Points == 1 behaves like a single task.
 type Launch struct {
-	rt      *Runtime
-	name    string
-	points  int
-	kernel  KernelFunc
-	reqs    []req
-	args    any
-	opClass machine.OpClass
-	work    workSource          // the cost model's per-point work
-	fusable bool                // eligible for the runtime's fusion window
-	fused   []*Launch           // a fused launch's members, in program order
-	procMap func(point int) int // optional point→proc override (index into Procs)
-	stream  int64               // launch-stream position, set at Execute (fault/replay key)
-	fut     Future              // what Execute returns
-	reqBuf  [6]req              // backs reqs for the usual requirement counts
+	rt       *Runtime
+	name     string
+	points   int
+	kernel   KernelFunc
+	reqs     []req
+	args     any
+	opClass  machine.OpClass
+	work     workSource          // the cost model's per-point work
+	fusable  bool                // eligible for the runtime's fusion window
+	fused    []*Launch           // a fused launch's members, in program order
+	procMap  func(point int) int // optional point→proc override (index into Procs)
+	stream   int64               // launch-stream position, set at Execute (fault/replay key)
+	fut      Future              // what Execute returns
+	reqBuf   [6]req              // backs reqs for the usual requirement counts
+	fusedBuf [2]*Launch          // backs fused for the usual window of two
+
+	// first is the launchState of the launch's one execution; a recovery
+	// replay builds its own (see newLaunchState).
+	first launchState
 }
 
 // workSource declares how many elements a point task processes — the
@@ -319,8 +324,9 @@ func (tc *TaskContext) ReduceAdd(i int, idx int64, v float64) {
 
 // launchState is what the runtime decided when it issued one execution
 // of a Launch: its dependence edges, completion tracking, reduction
-// accumulator, and simulated-time bookkeeping. A recovery replay builds
-// a new launchState over the same Launch.
+// accumulator, and simulated-time bookkeeping. The first execution's
+// lives in the Launch itself; a recovery replay builds a new launchState
+// over the same Launch.
 type launchState struct {
 	l       *Launch
 	seq     int64

@@ -241,9 +241,7 @@ type Sink struct {
 	copies   ring[Copy]
 	mem      ring[MemEvent]
 	marks    ring[Mark]
-	launches map[launchKey]LaunchInfo
-	order    []launchKey // insertion order of launches
-	dropL    int64
+	launches ring[LaunchInfo]
 	runs     int
 
 	tasks        map[string]*TaskStat // the Summary's running totals
@@ -251,6 +249,7 @@ type Sink struct {
 	fusedMembers int64
 }
 
+// launchKey identifies a launch across the runs of one sink.
 type launchKey struct {
 	run int
 	seq int64
@@ -268,7 +267,7 @@ func NewSink(capacity int) *Sink {
 		copies:   newRing[Copy](capacity),
 		mem:      newRing[MemEvent](capacity),
 		marks:    newRing[Mark](capacity),
-		launches: map[launchKey]LaunchInfo{},
+		launches: newRing[LaunchInfo](capacity),
 		tasks:    map[string]*TaskStat{},
 	}
 }
@@ -291,15 +290,7 @@ func (s *Sink) AttachRun() int {
 func (s *Sink) RecordLaunch(li LaunchInfo, deps []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := launchKey{li.Run, li.Seq}
-	if len(s.launches) < s.spans.cap {
-		if _, ok := s.launches[k]; !ok {
-			s.order = append(s.order, k)
-		}
-		s.launches[k] = li
-	} else {
-		s.dropL++
-	}
+	s.launches.add(li)
 	for _, from := range deps {
 		s.deps.add(Dep{Run: li.Run, From: from, To: li.Seq})
 	}
@@ -378,11 +369,8 @@ func (s *Sink) Snapshot() *Trace {
 		DroppedSpans:    s.spans.dropped,
 		DroppedDeps:     s.deps.dropped,
 		DroppedCopies:   s.copies.dropped,
-		DroppedLaunches: s.dropL,
-	}
-	t.Launches = make([]LaunchInfo, 0, len(s.order))
-	for _, k := range s.order {
-		t.Launches = append(t.Launches, s.launches[k])
+		Launches:        s.launches.snapshot(),
+		DroppedLaunches: s.launches.dropped,
 	}
 	s.mu.Unlock()
 

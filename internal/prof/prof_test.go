@@ -3,6 +3,7 @@ package prof
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +38,8 @@ func TestRingWrapDrop(t *testing.T) {
 	}
 }
 
-// TestLaunchDropCounted: launches past capacity are counted, not stored.
+// TestLaunchDropCounted: launches past capacity evict the oldest, and
+// the evictions are counted.
 func TestLaunchDropCounted(t *testing.T) {
 	s := NewSink(2)
 	run := s.AttachRun()
@@ -47,6 +49,33 @@ func TestLaunchDropCounted(t *testing.T) {
 	tr := s.Snapshot()
 	if len(tr.Launches) != 2 || tr.DroppedLaunches != 3 {
 		t.Fatalf("launches=%d dropped=%d, want 2/3", len(tr.Launches), tr.DroppedLaunches)
+	}
+}
+
+// TestLaunchTableKeepsLastLaunches: once full, the launch table keeps the
+// newest launches, like the span ring, so every retained span still
+// finds its launch.
+func TestLaunchTableKeepsLastLaunches(t *testing.T) {
+	s := NewSink(4)
+	run := s.AttachRun()
+	for i := int64(1); i <= 10; i++ {
+		s.RecordLaunch(LaunchInfo{Run: run, Seq: i, Name: "t", Points: 1}, nil)
+		s.RecordSpan(Span{Run: run, Task: "t", Launch: i, Start: us(i), Dur: us(1)})
+	}
+	tr := s.Snapshot()
+	var launches, spans []int64
+	for _, li := range tr.Launches {
+		launches = append(launches, li.Seq)
+	}
+	for _, sp := range tr.Spans {
+		spans = append(spans, sp.Launch)
+	}
+	want := []int64{7, 8, 9, 10}
+	if !slices.Equal(launches, want) || !slices.Equal(spans, want) {
+		t.Fatalf("launch seqs %v, span launches %v, want both %v", launches, spans, want)
+	}
+	if tr.DroppedLaunches != 6 {
+		t.Fatalf("DroppedLaunches = %d, want 6", tr.DroppedLaunches)
 	}
 }
 

@@ -7,8 +7,11 @@ package httpapi
 // build envelopes by hand, so this table IS the wire contract.
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,5 +107,31 @@ func TestEnvelopeSubSecondRetryAfterRoundsUp(t *testing.T) {
 	writeError(rec, &engine.Error{Code: engine.CodeQueueFull, Retryable: true, RetryAfter: time.Millisecond, Err: errTest{}})
 	if got := rec.Header().Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After = %q for a 1ms wait, want \"1\"", got)
+	}
+}
+
+// TestUnencodableAnswerIsAnError: an SpMV whose answer overflows to +Inf
+// cannot be written as JSON; the client gets the internal envelope, not a
+// 200 with an empty body.
+func TestUnencodableAnswerIsAnError(t *testing.T) {
+	_, ts := newTestServer(t, engine.Config{Pool: 1, Procs: 2})
+	up := engine.UploadRequest{Name: "big", Rows: 2, Cols: 2,
+		Row: []int64{0, 0, 1}, Col: []int64{0, 1, 1}, Val: []float64{1e308, 1e308, 1}}
+	if code := postJSON(t, ts.URL+"/matrix", up, nil); code != 200 {
+		t.Fatalf("upload status %d", code)
+	}
+	body, _ := json.Marshal(engine.SpMVRequest{Matrix: "big", X: []float64{1, 1}})
+	resp, err := http.Post(ts.URL+"/spmv", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("status %d, body is not an envelope: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != 503 || env.Code != string(engine.CodeInternal) || env.Retryable ||
+		!strings.Contains(env.Error, "Inf") {
+		t.Fatalf("status %d, envelope %+v; want 503, internal, not retryable, naming the +Inf", resp.StatusCode, env)
 	}
 }

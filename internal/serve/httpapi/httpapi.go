@@ -86,9 +86,15 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
 }
 
+// writeJSON answers v with status 200. Encode marshals v whole before
+// it writes anything, so an answer JSON cannot hold (a ±Inf or NaN
+// value) is sent as the internal error envelope, not as a 200 with an
+// empty body. Computing it again gives the same value: not retryable.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		writeError(w, &engine.Error{Code: engine.CodeInternal, Err: fmt.Errorf("encoding the answer: %w", err)})
+	}
 }
 
 // server binds the handler set to one backend.
