@@ -8,6 +8,8 @@
 //     (element-wise operations).
 //   - Image(src, dst): dst's partition must be the image of src's chosen
 //     partition through src's contents (range- or coordinate-valued).
+//   - ImageBlocks and AlignBlocks: an image or an alignment of block
+//     width w, each src element covering w consecutive dst elements.
 //   - Broadcast(v): every point task sees the whole region.
 //
 // A solver picks concrete partitions at launch time. It prefers existing
@@ -36,7 +38,9 @@ type vspec struct {
 
 	broadcast bool
 	explicit  *legion.Partition // UsePartition override
-	imageSrc  Var               // >= 0 when constrained as an image destination
+	imageSrc  Var               // >= 0 when derived from another var's partition
+	width     int64             // block width of the imageSrc edge
+	aligned   bool              // the imageSrc edge is an alignment, not an image
 
 	// Set by solve. class is the union-find parent while alignment
 	// classes are being merged and the class's first member afterwards;
@@ -153,14 +157,32 @@ func (t *Task) Align(a, b Var) *Task {
 // The image flavor follows src's element type: a RectType source region
 // uses the by-range image (pos → crd/vals), an Int64 source uses the
 // by-coordinate image (crd → x).
-func (t *Task) Image(src Var, dsts ...Var) *Task {
+func (t *Task) Image(src Var, dsts ...Var) *Task { return t.ImageBlocks(src, 1, dsts...) }
+
+// ImageBlocks is Image at block width w: every element src's contents
+// name covers w consecutive elements of each dst (legion.Runtime.Image),
+// as a BSR block coordinate covers bs columns of x.
+func (t *Task) ImageBlocks(src Var, w int64, dsts ...Var) *Task {
 	vars := t.vars()
 	for _, d := range dsts {
 		if vars[d].imageSrc >= 0 {
 			panic(fmt.Sprintf("constraint: task %q: var %d already image-constrained", t.name, d))
 		}
-		vars[d].imageSrc = src
+		vars[d].imageSrc, vars[d].width = src, w
 	}
+	return t
+}
+
+// AlignBlocks aligns dst to src at block width w: element i of src's
+// partition covers dst's elements [i*w, i*w+w-1]. At w = 1 it is Align;
+// a wider edge is directed, so dst takes src's partition, scaled, rather
+// than joining its class.
+func (t *Task) AlignBlocks(src, dst Var, w int64) *Task {
+	if w == 1 {
+		return t.Align(src, dst)
+	}
+	t.ImageBlocks(src, w, dst)
+	t.vars()[dst].aligned = true
 	return t
 }
 
@@ -216,7 +238,8 @@ func (t *Task) Execute() *legion.Future {
 //     data — and otherwise falls back to a fresh block partition.
 //  3. Image-constrained vars are resolved in dependency order by
 //     invoking the runtime's dependent-partitioning image operator on
-//     the already-resolved source partition.
+//     the already-resolved source partition (a wide alignment edge, its
+//     block-scaled copy).
 //
 // Every pass walks the vars in declaration order, and a class is
 // identified by its first member, so the order in which classes obtain
@@ -271,17 +294,11 @@ func (t *Task) solve() {
 			if src.part == nil {
 				continue
 			}
-			var img *legion.Partition
-			switch src.region.Type() {
-			case legion.RectType:
-				img = t.rt.ImageRange(src.region, src.part, v.region)
-			case legion.Int64:
-				img = t.rt.ImageCoord(src.region, src.part, v.region)
-			default:
-				panic(fmt.Sprintf("constraint: task %q: image source %q has type %v",
-					t.name, src.region.Name(), src.region.Type()))
+			if v.aligned {
+				t.resolveClass(v.class, t.rt.AlignedBlocks(src.part, v.region, v.width))
+			} else {
+				t.resolveClass(v.class, t.rt.Image(src.region, src.part, v.region, v.width))
 			}
-			t.resolveClass(v.class, img)
 			changed = true
 		}
 	}
@@ -314,7 +331,7 @@ func (t *Task) resolveClass(root int, anchor *legion.Partition) {
 }
 
 // classHasImage reports whether any member of the class is the
-// destination of an image constraint.
+// destination of an image or wide alignment edge.
 func (t *Task) classHasImage(root int) bool {
 	vars := t.vars()
 	for i := root; i < len(vars); i++ {

@@ -112,3 +112,29 @@ func TestBSRPadding(t *testing.T) {
 		}
 	}
 }
+
+// TestBSRPartitionsBuiltOnce: BSR states its partitions as block-width
+// alignment and image edges, which the runtime caches like CSR's, so a
+// second SpMV into the same y finds y's partition object unchanged and
+// builds no image.
+func TestBSRPartitionsBuiltOnce(t *testing.T) {
+	rt := newRT(t, 3)
+	a := Random(rt, 24, 18, 0.2, 7)
+	bsr := a.ToBSR(3)
+	x := cunumeric.FromSlice(rt, randVec(rand.New(rand.NewSource(2)), 18))
+	y := cunumeric.Zeros(rt, 24)
+	bsr.SpMVInto(y, x)
+	first := y.Region().KeyPartition()
+	builds := rt.CacheStats().ImageBuilds
+	bsr.SpMVInto(y, x)
+	if got := y.Region().KeyPartition(); got != first {
+		t.Fatalf("y's key partition changed between launches: %v, then %v", first, got)
+	}
+	if n := rt.CacheStats().ImageBuilds - builds; n != 0 {
+		t.Fatalf("the second launch built %d images, want 0", n)
+	}
+	want := a.SpMV(x).ToSlice()
+	if got := y.ToSlice(); !approx(got, want, 1e-12) {
+		t.Fatalf("BSR SpMV = %v, want %v", got, want)
+	}
+}

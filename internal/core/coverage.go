@@ -53,6 +53,8 @@ func Coverage() []APIEntry {
 		{"sddmm (A ⊙ B·Cᵀ)", "CSR", Generated},
 		{"sum(axis=1)", "CSR", Generated},
 		{"dia_matrix.dot(vector) [SpMV]", "DIA", Generated},
+		{"coo_matrix.dot(vector) [scatter SpMV]", "COO", Generated},
+		{"bsr_matrix.dot(vector) [block SpMV]", "BSR", Generated},
 
 		// §5.2 — ported: built from cuNumeric ops + existing kernels.
 		{"multiply by scalar", "CSR/COO/CSC/DIA", Ported},
@@ -82,7 +84,6 @@ func Coverage() []APIEntry {
 		{"multi-level geometric multigrid", "CSR", Ported},
 
 		// §5.3 — hand-written distributed or structural kernels.
-		{"coo_matrix.dot(vector) [scatter SpMV]", "COO", HandWritten},
 		{"sum(axis=0) [column scatter]", "CSR", HandWritten},
 		{"diagonal()", "CSR", HandWritten},
 		{"tocoo / tocsr / tocsc / todia conversions", "all", HandWritten},
@@ -91,7 +92,6 @@ func Coverage() []APIEntry {
 		{"A.multiply(B) (Hadamard)", "CSR", HandWritten},
 		{"A @ B [SpGEMM, Gustavson]", "CSR", HandWritten},
 		{"copy()", "CSR", HandWritten},
-		{"bsr_matrix.dot(vector) [block SpMV]", "BSR", HandWritten},
 		{"tobsr / bsr.tocsr conversions", "CSR/BSR", HandWritten},
 		{"getrow / getcol / A[i,j]", "CSR", HandWritten},
 		{"A[lo:hi] row slicing", "CSR", HandWritten},

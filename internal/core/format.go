@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/constraint"
@@ -76,35 +75,34 @@ type PackMeta struct {
 }
 
 // FormatSpec is the single per-format description every operation
-// launches from: the level modes (via the DISTAL format tag), the
-// region-pack layout, the partitioning constraint, and how to build the
-// format from a pack or from CSR.
+// launches from: the DISTAL level stack, the region-pack layout, and how
+// to build the format from a pack or from CSR. The launch facts — the
+// constrain body, whether the kernel scatters, which subspace bounds a
+// point — are read off the level stack.
 type FormatSpec struct {
 	// Name is the lowercase format tag ("csr", "coo", ...).
 	Name string
 	// TaskName is the launch's profiled task name.
 	TaskName string
-	// Distal is the registry dispatch tag; kernel variants are keyed
-	// on (op, Distal, target).
+	// Distal is the level stack and mode ordering; kernel variants are
+	// keyed on (op, Distal's stack, target).
 	Distal distal.Format
 	// PackFields is the region-pack layout, in Pack() order.
 	PackFields []PackField
 
 	// boundsSlot is the region slot whose subspace bounds the point
-	// task's iteration (0 = the output for owner-computes formats,
-	// 1 = the first pack region for pos/entry-divided formats).
+	// task's iteration: 0, y's, when the outer level owns whole rows of
+	// y (CSR, DIA); 1, the first pack region's, when it runs over
+	// columns, entries or block rows (CSC, COO, BSR).
 	boundsSlot int
-	// scatter marks formats whose kernel scatters into y through a
-	// reduction privilege (CSC, COO); the planner zero-fills y and
+	// scatter marks formats whose outer level does not own y's rows
+	// (distal.Format.Scatters: CSC, COO); the kernel scatters into y
+	// through a reduction privilege, so the planner zero-fills y and
 	// installs a ReduceAdd accumulator.
 	scatter bool
 	// slots is where bind finds each kernel operand, fixed from
 	// PackFields when the spec is built.
 	slots bindSlots
-	// layout selects the constrain body that states the launch's
-	// partitioning — align/image edges for image-derivable formats,
-	// explicit partitions for the rest — and its declared per-point work.
-	layout spmvLayout
 	// assemble wraps a validated pack as a matrix and reports whether
 	// the region sizes and meta agree with the shape.
 	assemble func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool)
@@ -112,8 +110,8 @@ type FormatSpec struct {
 	convert func(a *CSR, blockSize int64) SparseMatrix
 }
 
-// Levels returns the per-dimension level modes (dense, compressed,
-// singleton, diagonal, blocked) of the format.
+// Levels returns the level kinds (dense, compressed, singleton,
+// diagonal, blocked) of the format, outermost first.
 func (s *FormatSpec) Levels() []distal.Mode { return s.Distal.Modes }
 
 // Scatter reports whether the format's SpMV scatters into the output
@@ -130,10 +128,15 @@ func (s *FormatSpec) String() string {
 // PackFields order and x comes last.
 type bindSlots struct{ pos, crd, crd2, vals, x int }
 
-// newSpec fixes the spec's binder slots from its pack layout: the range
-// region is A's pos, the first coordinate region its crd and a second
-// one its crd2 (COO's columns), the float region its vals.
+// newSpec derives the spec's launch facts from its level stack and its
+// binder slots from its pack layout: the range region is A's pos, the
+// first coordinate region its crd and a second one its crd2 (COO's
+// columns), the float region its vals.
 func newSpec(s *FormatSpec) *FormatSpec {
+	s.scatter = s.Distal.Scatters()
+	if s.scatter || s.blocked() {
+		s.boundsSlot = 1
+	}
 	s.slots.x = len(s.PackFields) + 1
 	for i, f := range s.PackFields {
 		switch {
@@ -180,46 +183,45 @@ type spmvOperands struct {
 	vy, vx  constraint.Var
 }
 
-// spmvLayout names a format's constrain body.
-type spmvLayout int
+// blocked reports whether the inner level stores dense tiles (BSR).
+func (s *FormatSpec) blocked() bool { return s.Distal.Modes[1] == distal.Blocked }
 
-const (
-	compressedLayout spmvLayout = iota // constrainCompressed
-	entriesLayout                      // constrainEntries
-	bandedLayout                       // constrainBanded
-	blockRowsLayout                    // constrainBlockRows
-)
-
-// constrain states an SpMV launch's partitioning with the format's body.
-// The bodies are called directly, not through a func value, so that the
-// task and operands spmvLaunch builds stay on its stack.
+// constrain states an SpMV launch's partitioning with the body the inner
+// level picks: a singleton level divides the entries, a diagonal level
+// takes explicit banded partitions, and a compressed or blocked level
+// images pos → crd. The bodies are called directly, not through a func
+// value, so that the task and operands spmvLaunch builds stay on its
+// stack.
 func (s *FormatSpec) constrain(t *constraint.Task, o spmvOperands) {
-	switch s.layout {
-	case compressedLayout:
-		constrainCompressed(t, o)
-	case entriesLayout:
+	switch s.Distal.Modes[1] {
+	case distal.Singleton:
 		constrainEntries(t, o)
-	case bandedLayout:
+	case distal.Diagonal:
 		constrainBanded(t, o)
-	case blockRowsLayout:
-		constrainBlockRows(t, o)
+	default:
+		constrainCompressed(t, o)
 	}
 }
 
 // constrainCompressed is Figure 4's constraint set for a dense level
-// over a compressed one (CSR, CSC): the operand the outer level indexes
-// aligns with pos, pos's image gives crd and vals, and crd's image gives
-// the other operand. A scatter format compresses columns, so x is the
-// aligned operand and y the scattered image.
+// over a compressed one (CSR, CSC, BSR): the operand the outer level
+// indexes aligns with pos, pos's image gives crd and vals, and crd's
+// image gives the other operand. A scatter format's outer level runs
+// over columns, so x is the aligned operand and y the scattered image.
+// A blocked level widens the edges by the tile edge bs: a block row
+// covers bs rows of y, a block coordinate bs columns of x and each
+// stored block bs² values.
 func constrainCompressed(t *constraint.Task, o spmvOperands) {
 	outer, inner := o.vy, o.vx
 	if o.m.Spec().scatter {
 		outer, inner = o.vx, o.vy
 	}
-	t.Align(outer, o.pack[0])
-	t.Image(o.pack[0], o.pack[1], o.pack[2])
-	t.Image(o.pack[1], inner)
-	t.SetWorkSource(o.pack[1], 1) // the outer block's nonzeros
+	w := max(o.m.Meta().BlockSize, 1)
+	t.AlignBlocks(o.pack[0], outer, w)
+	t.Image(o.pack[0], o.pack[1])
+	t.ImageBlocks(o.pack[0], w*w, o.pack[2])
+	t.ImageBlocks(o.pack[1], w, inner)
+	t.SetWorkSource(o.pack[1], w*w) // the outer block's stored values
 }
 
 // constrainEntries block-divides the flat entry space (COO): y and x are
@@ -267,57 +269,6 @@ func constrainBanded(t *constraint.Task, o spmvOperands) {
 	t.SetWorkSource(o.vy, int64(len(offsets)))
 }
 
-// constrainBlockRows lifts Figure 4 to blocks (BSR): block rows are
-// distributed like CSR rows, vals is the block-scaled image of pos and
-// x the block-scaled image of crd. The generated kernel zeroes its own
-// element rows, so y takes plain write privilege on a disjoint
-// block-scaled row partition.
-func constrainBlockRows(t *constraint.Task, o spmvOperands) {
-	rt := o.m.Runtime()
-	rows, _ := o.m.Shape()
-	bs := o.m.Meta().BlockSize
-	pos, crd, vals := o.regions[0], o.regions[1], o.regions[2]
-	colors := rt.LaunchDomain()
-	bRows := rows / bs
-	posPart := rt.BlockPartition(pos, colors)
-	crdPart := rt.ImageRange(pos, posPart, crd)
-	yRects := make([]geometry.Rect, colors)
-	valSets := make([]geometry.IntervalSet, colors)
-	xSets := make([]geometry.IntervalSet, colors)
-	rt.Fence()
-	crdData := crd.Int64s()
-	for c := 0; c < colors; c++ {
-		// y rows: the element rows of this color's block rows.
-		br := geometry.Tile(geometry.NewRect(0, bRows-1), colors)[c]
-		if br.Empty() {
-			yRects[c] = geometry.EmptyRect
-			valSets[c] = geometry.IntervalSet{}
-			xSets[c] = geometry.IntervalSet{}
-			continue
-		}
-		yRects[c] = geometry.NewRect(br.Lo*bs, br.Hi*bs+bs-1)
-		// vals: blockSize² values per stored block of this color.
-		var vs geometry.IntervalSet
-		for _, rct := range crdPart.Subspace(c).Rects() {
-			vs = vs.UnionRect(geometry.NewRect(rct.Lo*bs*bs, rct.Hi*bs*bs+bs*bs-1))
-		}
-		valSets[c] = vs
-		// x: the element columns of the referenced block columns.
-		var xs geometry.IntervalSet
-		crdPart.Subspace(c).Each(func(k int64) {
-			bc := crdData[k]
-			xs = xs.UnionRect(geometry.NewRect(bc*bs, bc*bs+bs-1))
-		})
-		xSets[c] = xs
-	}
-	t.UsePartition(o.vy, rt.PartitionByRects(o.y.Region(), yRects))
-	t.UsePartition(o.pack[0], posPart)
-	t.UsePartition(o.pack[1], crdPart)
-	t.UsePartition(o.pack[2], rt.PartitionBySets(vals, valSets))
-	t.UsePartition(o.vx, rt.PartitionBySets(o.x.Region(), xSets))
-	t.SetWorkSource(o.pack[2], 1) // stored blocks × bs²
-}
-
 var csrPackFields = []PackField{
 	{Name: "pos", Type: legion.RectType},
 	{Name: "crd", Type: legion.Int64},
@@ -330,8 +281,6 @@ var CSRSpec = newSpec(&FormatSpec{
 	TaskName:   "sparse.spmv",
 	Distal:     distal.CSR,
 	PackFields: csrPackFields,
-	boundsSlot: 0,
-	layout:     compressedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &CSR{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
 			p[0].Size() == rows && p[1].Size() == p[2].Size()
@@ -346,9 +295,6 @@ var CSCSpec = newSpec(&FormatSpec{
 	TaskName:   "sparse.spmv_csc",
 	Distal:     distal.CSC,
 	PackFields: csrPackFields,
-	boundsSlot: 1,
-	scatter:    true,
-	layout:     compressedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &CSC{rt: rt, rows: rows, cols: cols, pos: p[0], crd: p[1], vals: p[2]},
 			p[0].Size() == cols && p[1].Size() == p[2].Size()
@@ -366,9 +312,6 @@ var COOSpec = newSpec(&FormatSpec{
 		{Name: "col", Type: legion.Int64},
 		{Name: "vals", Type: legion.Float64},
 	},
-	boundsSlot: 1,
-	scatter:    true,
-	layout:     entriesLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, _ PackMeta) (SparseMatrix, bool) {
 		return &COO{rt: rt, rows: rows, cols: cols, row: p[0], col: p[1], vals: p[2]},
 			p[0].Size() == p[1].Size() && p[1].Size() == p[2].Size()
@@ -384,8 +327,6 @@ var DIASpec = newSpec(&FormatSpec{
 	PackFields: []PackField{
 		{Name: "data", Type: legion.Float64},
 	},
-	boundsSlot: 0,
-	layout:     bandedLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
 		return &DIA{rt: rt, rows: rows, cols: cols, offsets: meta.Offsets, data: p[0]},
 			len(meta.Offsets) > 0 && p[0].Size() == int64(len(meta.Offsets))*cols
@@ -399,8 +340,6 @@ var BSRSpec = newSpec(&FormatSpec{
 	TaskName:   "sparse.spmv_bsr",
 	Distal:     distal.BSR,
 	PackFields: csrPackFields,
-	boundsSlot: 1,
-	layout:     blockRowsLayout,
 	assemble: func(rt *legion.Runtime, rows, cols int64, p []*legion.Region, meta PackMeta) (SparseMatrix, bool) {
 		bs := meta.BlockSize
 		return &BSR{rt: rt, rows: rows, cols: cols, blockSize: bs, pos: p[0], crd: p[1], vals: p[2]},
@@ -429,7 +368,7 @@ func Convert(a *CSR, format string, blockSize int64) (SparseMatrix, error) {
 		if s.Name != format {
 			continue
 		}
-		if slices.Contains(s.Levels(), distal.Blocked) {
+		if s.blocked() {
 			if err := blockMultiple(a.rows, a.cols, blockSize); err != nil {
 				return nil, err
 			}

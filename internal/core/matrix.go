@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cunumeric"
 	"repro/internal/geometry"
@@ -40,11 +39,6 @@ type CSR struct {
 	pos        *legion.Region // RectType, length rows
 	crd        *legion.Region // Int64, length nnz
 	vals       *legion.Region // Float64, length nnz
-
-	// Cache for per-color dense-row images (SpMM/SDDMM operand
-	// partitions), keyed on the coordinate structure's version.
-	imgMu     sync.Mutex
-	rowImages map[rowImageKey]*legion.Partition
 }
 
 // COO is a coordinate-format matrix: parallel row/col/vals regions, one

@@ -6,7 +6,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/cunumeric"
 	"repro/internal/distal"
-	"repro/internal/geometry"
 	"repro/internal/legion"
 	"repro/internal/machine"
 )
@@ -122,53 +121,9 @@ func (a *DIA) SpMV(x *cunumeric.Array) *cunumeric.Array {
 	return y
 }
 
-// denseRowImage computes, per color, the element intervals of a
-// row-major (n x stride) dense region referenced by the columns stored
-// in this matrix's crd for that color's row block — the generalization
-// of image(crd, x) to matrix operands, used by SpMM and SDDMM.
-// Results are cached per (colors, stride) while crd is unchanged.
-func (a *CSR) denseRowImage(dst *legion.Region, stride int64, colors int) *legion.Partition {
-	a.imgMu.Lock()
-	defer a.imgMu.Unlock()
-	key := rowImageKey{dst: dst.ID(), colors: colors, stride: stride, version: a.crd.Version()}
-	if p, ok := a.rowImages[key]; ok {
-		return p
-	}
-	a.rt.Fence()
-	pos, crd := a.pos.Rects(), a.crd.Int64s()
-	tiles := geometry.Tile(geometry.NewRect(0, a.rows-1), colors)
-	sets := make([]geometry.IntervalSet, colors)
-	for c, tile := range tiles {
-		var cols []int64
-		for i := tile.Lo; i <= tile.Hi && !tile.Empty(); i++ {
-			for k := pos[i].Lo; k <= pos[i].Hi; k++ {
-				cols = append(cols, crd[k])
-			}
-		}
-		var set geometry.IntervalSet
-		for _, r := range geometry.FromPoints(cols).Rects() {
-			set = set.UnionRect(geometry.NewRect(r.Lo*stride, r.Hi*stride+stride-1))
-		}
-		sets[c] = set
-	}
-	p := a.rt.PartitionBySets(dst, sets)
-	if a.rowImages == nil {
-		a.rowImages = map[rowImageKey]*legion.Partition{}
-	}
-	a.rowImages[key] = p
-	return p
-}
-
-type rowImageKey struct {
-	dst     legion.RegionID
-	colors  int
-	stride  int64
-	version int64
-}
-
 // SpMMInto computes Y = A @ X for dense X, Y using the DISTAL SpMM
 // kernel. Y and A are row-partitioned together; X's partition is the
-// per-color row image of A's coordinates.
+// image of A's coordinates at the width of X's rows.
 func (a *CSR) SpMMInto(y, x *cunumeric.Matrix) {
 	if x.Rows() != a.cols || y.Rows() != a.rows || x.Cols() != y.Cols() {
 		panic(fmt.Sprintf("core: SpMM shape mismatch: %v @ %dx%d -> %dx%d",
@@ -201,8 +156,8 @@ func (a *CSR) SpMMInto(y, x *cunumeric.Matrix) {
 	task.UsePartition(vy, y.RowPartition(colors))
 	task.UsePartition(vpos, rt.BlockPartition(a.pos, colors))
 	task.Image(vpos, vcrd, vvals)
-	task.UsePartition(vx, a.denseRowImage(x.Region(), kk, colors))
-	task.SetWorkSource(vcrd, kk) // nnz × the dense width
+	task.ImageBlocks(vcrd, kk, vx) // the rows of X the row block's columns name
+	task.SetWorkSource(vcrd, kk)   // nnz × the dense width
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 }
@@ -255,7 +210,7 @@ func (a *CSR) SDDMM(b, c *cunumeric.Matrix) *CSR {
 	task.Image(vpos, vcrd, vvals)
 	task.Image(vpos, vr) // R.vals shares A's layout, so the same image applies
 	task.UsePartition(vb, b.RowPartition(colors))
-	task.UsePartition(vc, a.denseRowImage(c.Region(), kk, colors))
+	task.ImageBlocks(vcrd, kk, vc) // the rows of C the row block's columns name
 	task.SetWorkSource(vcrd, kk)
 	task.SetOpClass(machine.Compute)
 	task.Execute()

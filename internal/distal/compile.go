@@ -85,31 +85,25 @@ func Compile(p Program) (*Kernel, error) {
 	}
 
 	k := &Kernel{Name: p.Name, Prog: p, Target: target}
+	y := p.Compute.LHS.Tensor
 	switch {
 	case matchSpMV(p, lhsVars, sparseOps, denseOps):
-		k.Pattern = "spmv-row"
-		k.Exec = emitSpMVRow(p, sparseOps[0], denseOps[0])
-	case matchSpMVDia(p, lhsVars, sparseOps, denseOps):
-		k.Pattern = "spmv-dia"
-		k.Exec = emitSpMVDia(p, sparseOps[0], denseOps[0])
-	case matchSpMVColumn(p, lhsVars, sparseOps, denseOps):
-		k.Pattern = "spmv-col"
-		k.Exec = emitSpMVColumn(p, sparseOps[0], denseOps[0])
-	case matchSpMVCOO(p, lhsVars, sparseOps, denseOps):
-		k.Pattern = "spmv-coo"
-		k.Exec = emitSpMVCOO(p, sparseOps[0], denseOps[0])
-	case matchSpMVBSR(p, lhsVars, sparseOps, denseOps):
-		k.Pattern = "spmv-bsr"
-		k.Exec = emitSpMVBSR(p, sparseOps[0], denseOps[0])
+		var emit func(y, a, x string) func(*Args)
+		k.Pattern, emit = spmvNest(p.Formats[sparseOps[0].Tensor])
+		if emit == nil {
+			return nil, &CompileError{Program: p.Name, Reason: fmt.Sprintf(
+				"no spmv loop nest for the level stack of %v", p.Formats[sparseOps[0].Tensor])}
+		}
+		k.Exec = emit(y, sparseOps[0].Tensor, denseOps[0].Tensor)
 	case matchSpMM(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "spmm"
-		k.Exec = emitSpMM(p, sparseOps[0], denseOps[0])
+		k.Exec = emitSpMM(y, sparseOps[0].Tensor, denseOps[0].Tensor)
 	case matchSDDMM(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "sddmm"
-		k.Exec = emitSDDMM(p, sparseOps[0], denseOps[0], denseOps[1])
+		k.Exec = emitSDDMM(y, sparseOps[0].Tensor, denseOps[0].Tensor, denseOps[1].Tensor)
 	case matchRowReduce(p, lhsVars, sparseOps, denseOps):
 		k.Pattern = "row-reduce"
-		k.Exec = emitRowReduce(p, sparseOps[0])
+		k.Exec = emitRowReduce(y, sparseOps[0].Tensor)
 	default:
 		return nil, &CompileError{Program: p.Name, Reason: fmt.Sprintf(
 			"no loop template matches %s with formats %v", p.Compute, p.Formats)}
@@ -204,66 +198,44 @@ func scheduleTarget(s Schedule) Target {
 	return CPUThread
 }
 
-// --- Template matchers -------------------------------------------------
+// --- Template matchers: one rule per operation ----------------------
 
-// y(i) = A(i,j) * x(j), A CSR.
+// y(i) = A(i,j) * x(j), A in any sparse format: spmvNest picks the loop
+// nest from A's level stack.
 func matchSpMV(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
 	if len(sp) != 1 || len(dn) != 1 || len(p.Compute.RHS) != 2 {
 		return false
 	}
 	a, x := sp[0], dn[0]
-	return p.Formats[a.Tensor].Equal(CSR) &&
-		len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
+	return len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
 		a.Vars[0] == p.Compute.LHS.Vars[0] && a.Vars[1] == x.Vars[0] && !lhs[a.Vars[1]]
 }
 
-// y(i) = A(i,j) * x(j) with A stored by diagonals.
-func matchSpMVDia(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
-	if len(sp) != 1 || len(dn) != 1 || len(p.Compute.RHS) != 2 {
-		return false
+// spmvNest is the SpMV rule's choice of loop nest, read off A's level
+// stack: the outer level is the distributed loop and the inner level its
+// body. A dense outer level over dimension 0 owns its rows of y (a gather
+// per row, a band of diagonals, a row of tiles); over dimension 1 (CSC's
+// ordering) it scatters each column into y, as a compressed outer level
+// scatters COO's entries.
+func spmvNest(f Format) (string, func(y, a, x string) func(*Args)) {
+	if len(f.Modes) != 2 {
+		return "", nil
 	}
-	a, x := sp[0], dn[0]
-	return p.Formats[a.Tensor].Equal(DIA) &&
-		len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
-		a.Vars[0] == p.Compute.LHS.Vars[0] && a.Vars[1] == x.Vars[0] && !lhs[a.Vars[1]]
-}
-
-// y(j) = A(i,j) * x(i): A stored CSC — compressed over its outer
-// (column) dimension, with the output indexed by the compressed rows of
-// each column's entries — a scatter. The operand's Pos/Crd arrays are
-// the per-column ranges and row coordinates of Figure 3 transposed.
-func matchSpMVColumn(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
-	if len(sp) != 1 || len(dn) != 1 || len(p.Compute.RHS) != 2 {
-		return false
+	outer, inner := f.Modes[0], f.Modes[1]
+	rows := !f.Scatters()
+	switch {
+	case rows && inner == Compressed:
+		return "spmv-row", emitSpMVRow
+	case rows && inner == Diagonal:
+		return "spmv-dia", emitSpMVDia
+	case rows && inner == Blocked:
+		return "spmv-bsr", emitSpMVBSR
+	case outer == Dense && inner == Compressed:
+		return "spmv-col", emitSpMVColumn
+	case outer == Compressed && inner == Singleton:
+		return "spmv-coo", emitSpMVCOO
 	}
-	a, x := sp[0], dn[0]
-	return p.Formats[a.Tensor].Equal(CSC) &&
-		len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
-		a.Vars[1] == p.Compute.LHS.Vars[0] && a.Vars[0] == x.Vars[0] && !lhs[a.Vars[0]]
-}
-
-// y(i) = A(i,j) * x(j), A stored COO: parallel coordinate arrays, one
-// entry per nonzero, distributed over the entry space.
-func matchSpMVCOO(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
-	if len(sp) != 1 || len(dn) != 1 || len(p.Compute.RHS) != 2 {
-		return false
-	}
-	a, x := sp[0], dn[0]
-	return p.Formats[a.Tensor].Equal(COO) &&
-		len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
-		a.Vars[0] == p.Compute.LHS.Vars[0] && a.Vars[1] == x.Vars[0] && !lhs[a.Vars[1]]
-}
-
-// y(i) = A(i,j) * x(j), A stored BSR: block rows distributed like CSR
-// rows, with a dense BlockSize² tile per stored block coordinate.
-func matchSpMVBSR(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
-	if len(sp) != 1 || len(dn) != 1 || len(p.Compute.RHS) != 2 {
-		return false
-	}
-	a, x := sp[0], dn[0]
-	return p.Formats[a.Tensor].Equal(BSR) &&
-		len(a.Vars) == 2 && len(x.Vars) == 1 && len(p.Compute.LHS.Vars) == 1 &&
-		a.Vars[0] == p.Compute.LHS.Vars[0] && a.Vars[1] == x.Vars[0] && !lhs[a.Vars[1]]
+	return "", nil
 }
 
 // Y(i,k) = A(i,j) * X(j,k), A CSR, X/Y dense matrices.
@@ -311,8 +283,7 @@ func matchRowReduce(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
 // produces the loop nest a real compiler would emit as source. The outer
 // loop always covers [Lo, Hi], the distributed tile.
 
-func emitSpMVRow(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMVRow(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		y := ar.Ops[yName].Vals
 		A := ar.Ops[aName]
@@ -328,8 +299,7 @@ func emitSpMVRow(p Program, a, x Access) func(*Args) {
 	}
 }
 
-func emitSpMVDia(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMVDia(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		y := ar.Ops[yName].Vals
 		A := ar.Ops[aName]
@@ -348,8 +318,7 @@ func emitSpMVDia(p Program, a, x Access) func(*Args) {
 	}
 }
 
-func emitSpMVColumn(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMVColumn(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		A := ar.Ops[aName]
 		xv := ar.Ops[xName].Vals
@@ -371,8 +340,7 @@ func emitSpMVColumn(p Program, a, x Access) func(*Args) {
 // emitSpMVCOO scatters one stored entry per iteration of the entry
 // space [Lo, Hi]: Crd holds rows, Crd2 columns. Like the column kernel,
 // an aliased output partition supplies Accum for atomic accumulation.
-func emitSpMVCOO(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMVCOO(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		A := ar.Ops[aName]
 		xv := ar.Ops[xName].Vals
@@ -391,8 +359,7 @@ func emitSpMVCOO(p Program, a, x Access) func(*Args) {
 // zeroes its own element rows, then accumulates one dense
 // BlockSize x BlockSize tile per stored block — Figure 4's constraint
 // structure lifted to blocks, with no reduction privilege needed.
-func emitSpMVBSR(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMVBSR(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		y := ar.Ops[yName].Vals
 		A := ar.Ops[aName]
@@ -420,8 +387,7 @@ func emitSpMVBSR(p Program, a, x Access) func(*Args) {
 	}
 }
 
-func emitSpMM(p Program, a, x Access) func(*Args) {
-	yName, aName, xName := p.Compute.LHS.Tensor, a.Tensor, x.Tensor
+func emitSpMM(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
 		Y := ar.Ops[yName]
 		A := ar.Ops[aName]
@@ -444,8 +410,7 @@ func emitSpMM(p Program, a, x Access) func(*Args) {
 	}
 }
 
-func emitSDDMM(p Program, a, b, c Access) func(*Args) {
-	rName, aName, bName, cName := p.Compute.LHS.Tensor, a.Tensor, b.Tensor, c.Tensor
+func emitSDDMM(rName, aName, bName, cName string) func(*Args) {
 	return func(ar *Args) {
 		R := ar.Ops[rName]
 		A := ar.Ops[aName]
@@ -468,8 +433,7 @@ func emitSDDMM(p Program, a, b, c Access) func(*Args) {
 	}
 }
 
-func emitRowReduce(p Program, a Access) func(*Args) {
-	yName, aName := p.Compute.LHS.Tensor, a.Tensor
+func emitRowReduce(yName, aName string) func(*Args) {
 	return func(ar *Args) {
 		y := ar.Ops[yName].Vals
 		A := ar.Ops[aName]

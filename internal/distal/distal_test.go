@@ -3,6 +3,7 @@ package distal
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -82,7 +83,7 @@ func TestStandardRegistryComplete(t *testing.T) {
 	if _, ok := Standard.Lookup("spmv", DenseMatrix, CPUThread); ok {
 		t.Error("lookup with wrong format must miss")
 	}
-	// CSR and CSC share level modes; the name tag must keep their keys
+	// CSR and CSC share a level stack; the ordering must keep their keys
 	// distinct (the registry mislabeling this layout fixes).
 	csr, _ := Standard.Lookup("spmv", CSR, CPUThread)
 	csc, _ := Standard.Lookup("spmv", CSC, CPUThread)
@@ -91,6 +92,12 @@ func TestStandardRegistryComplete(t *testing.T) {
 	}
 	if csc.Pattern != "spmv-col" {
 		t.Errorf("CSC spmv pattern = %q, want spmv-col", csc.Pattern)
+	}
+	// Dispatch ignores the label: CSC's stack and ordering under another
+	// name finds the CSC kernel.
+	renamed := Format{Name: "colmajor", Modes: CSC.Modes, Ordering: CSC.Ordering}
+	if k, ok := Standard.Lookup("spmv", renamed, CPUThread); !ok || k != csc {
+		t.Errorf("lookup of %v found %v (ok=%v), want the CSC kernel", renamed, k, ok)
 	}
 }
 
@@ -106,6 +113,17 @@ func TestCompileRejectsUnsupported(t *testing.T) {
 	}
 	if _, ok := err.(*CompileError); !ok {
 		t.Fatalf("error type %T", err)
+	}
+	// The SpMV rule takes any sparse stack, but only stacks with a loop
+	// nest compile.
+	twoCompressed := Format{Name: "DCSR", Modes: []Mode{Compressed, Compressed}}
+	if _, err := Compile(Program{
+		Name:     "dcsr",
+		Compute:  Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
+		Formats:  map[string]Format{"y": DenseVector, "A": twoCompressed, "x": DenseVector},
+		Schedule: Schedule{}.Divide(i, "io", "ii").Distribute("io"),
+	}); err == nil || !strings.Contains(err.Error(), "loop nest") {
+		t.Fatalf("an spmv over a stack with no loop nest must be rejected, got %v", err)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 	"strings"
 )
 
-// Mode is the storage format of one tensor dimension, following the
-// level-format vocabulary of TACO/DISTAL.
+// Mode is the kind of one storage level, in the level-format vocabulary
+// of TACO/DISTAL (Chou et al.): how a level stores the coordinates of
+// the tensor dimension its format's ordering assigns it.
 type Mode int
 
 const (
@@ -35,8 +36,9 @@ const (
 	// Diagonal levels store a band of dense diagonals identified by
 	// offsets (SciPy's DIA format).
 	Diagonal
-	// Blocked levels store dense square tiles per compressed coordinate
-	// (SciPy's BSR format), the §5.4 extension class.
+	// Blocked levels are compressed over block coordinates, each stored
+	// coordinate holding a dense BlockSize² tile (SciPy's BSR format),
+	// the §5.4 extension class.
 	Blocked
 )
 
@@ -57,19 +59,34 @@ func (m Mode) String() string {
 	}
 }
 
-// Format is the storage description of a tensor: a name tag plus the
-// per-dimension level modes. The name disambiguates formats whose level
-// structure coincides — CSR and CSC are both {Dense, Compressed}, but
-// over rows versus columns — so the registry can hold distinct kernel
-// variants for them (the mislabeled-key bug this fixes: CSC kernels
-// were filed under the CSR tag).
+// Format is the storage description of a tensor after Chou et al.: a
+// stack of level kinds, outermost first, plus the mode ordering that
+// names the tensor dimension each level stores (nil: level l stores
+// dimension l). CSR and CSC are one stack under orderings (0, 1) and
+// (1, 0). Dispatch, compilation and Equal read only the stack and the
+// ordering; Name is the label String prints.
 type Format struct {
-	Name  string
-	Modes []Mode
+	Name     string
+	Modes    []Mode
+	Ordering []int
 }
 
 // Arity returns the number of tensor dimensions the format describes.
 func (f Format) Arity() int { return len(f.Modes) }
+
+// Dim returns the tensor dimension level l stores.
+func (f Format) Dim(l int) int {
+	if f.Ordering == nil {
+		return l
+	}
+	return f.Ordering[l]
+}
+
+// Scatters reports whether a loop distributed over the format's outer
+// level writes its output by scatter: the outer level is not dense over
+// dimension 0 (CSC's columns, COO's entries), so two tiles can reach one
+// output row.
+func (f Format) Scatters() bool { return f.Modes[0] != Dense || f.Dim(0) != 0 }
 
 func (f Format) String() string {
 	parts := make([]string, len(f.Modes))
@@ -79,14 +96,14 @@ func (f Format) String() string {
 	return f.Name + "{" + strings.Join(parts, ",") + "}"
 }
 
-// Equal reports whether two formats are identical: same name tag and
-// same level modes.
+// Equal reports whether two formats store a tensor the same way: the
+// same level stack under the same ordering, whatever their names.
 func (f Format) Equal(g Format) bool {
-	if f.Name != g.Name || len(f.Modes) != len(g.Modes) {
+	if len(f.Modes) != len(g.Modes) {
 		return false
 	}
-	for i := range f.Modes {
-		if f.Modes[i] != g.Modes[i] {
+	for l := range f.Modes {
+		if f.Modes[l] != g.Modes[l] || f.Dim(l) != g.Dim(l) {
 			return false
 		}
 	}
@@ -96,9 +113,9 @@ func (f Format) Equal(g Format) bool {
 // Common formats.
 var (
 	CSR = Format{Name: "CSR", Modes: []Mode{Dense, Compressed}}
-	// CSC shares CSR's level structure but compresses over columns; the
-	// name tag keeps its kernel variants distinct in the registry.
-	CSC = Format{Name: "CSC", Modes: []Mode{Dense, Compressed}}
+	// CSC is CSR's stack with the dimensions swapped: the dense outer
+	// level runs over columns.
+	CSC = Format{Name: "CSC", Modes: []Mode{Dense, Compressed}, Ordering: []int{1, 0}}
 	// COO stores parallel coordinate arrays: a compressed outer level
 	// paired with a singleton level, TACO's canonical COO description.
 	COO         = Format{Name: "COO", Modes: []Mode{Compressed, Singleton}}

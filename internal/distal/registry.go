@@ -3,6 +3,7 @@ package distal
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -13,30 +14,22 @@ import (
 // (§5.1): the same SpMV has distinct entries for (CSR, CPU), (CSR, GPU),
 // etc., and exactly one kernel per entry.
 //
-// The format is held in comparable form — its name tag and its level
-// modes packed four bits each behind a leading 1, which keeps the arity
-// — so building a key for a lookup formats nothing.
+// The format enters as its level stack and ordering, packed one byte per
+// level (kind<<4 | dimension) behind a leading 1 that keeps the level
+// count, so building a key formats and allocates nothing. The format's
+// name is not part of it.
 type OpKey struct {
 	Op     string
-	Format string // the format's name tag
-	modes  uint64
+	levels uint64
 	Target Target
 }
 
 func opKey(op string, format Format, target Target) OpKey {
-	modes := uint64(1)
-	for _, m := range format.Modes {
-		modes = modes<<4 | uint64(m)
+	levels := uint64(1)
+	for l, m := range format.Modes {
+		levels = levels<<8 | uint64(m)<<4 | uint64(format.Dim(l))
 	}
-	return OpKey{Op: op, Format: format.Name, modes: modes, Target: target}
-}
-
-func (k OpKey) String() string {
-	var modes []Mode
-	for m := k.modes; m > 1; m >>= 4 {
-		modes = append([]Mode{Mode(m & 15)}, modes...)
-	}
-	return fmt.Sprintf("%s/%s/%v", k.Op, Format{Name: k.Format, Modes: modes}, k.Target)
+	return OpKey{Op: op, levels: levels, Target: target}
 }
 
 // Registry holds generated kernels for dynamic dispatch: one way in
@@ -45,7 +38,7 @@ func (k OpKey) String() string {
 // are counted (lock-free) and reported by Stats.
 type Registry struct {
 	mu      sync.RWMutex
-	kernels map[OpKey]*Kernel
+	kernels map[OpKey]slot
 
 	hits, misses atomic.Int64
 }
@@ -71,9 +64,15 @@ func (r *Registry) Stats() RegistryStats {
 	}
 }
 
+// slot is one dispatch entry; format is kept for Keys' listing only.
+type slot struct {
+	k      *Kernel
+	format Format
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{kernels: map[OpKey]*Kernel{}}
+	return &Registry{kernels: map[OpKey]slot{}}
 }
 
 // Register installs k under (op, format, k.Target), replacing any kernel
@@ -81,7 +80,18 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(op string, format Format, k *Kernel) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.kernels[opKey(op, format, k.Target)] = k
+	r.kernels[opKey(op, format, k.Target)] = slot{k: k, format: format}
+}
+
+// registerAll files one compiled kernel under every target: no loop
+// nest reads the target, so each slot holds a copy differing only in
+// Target.
+func (r *Registry) registerAll(op string, format Format, k *Kernel) {
+	for _, t := range []Target{CPUThread, GPUThread} {
+		kt := *k
+		kt.Target = t
+		r.Register(op, format, &kt)
+	}
 }
 
 // Lookup finds the kernel for (op, format, target). The second result
@@ -90,14 +100,14 @@ func (r *Registry) Register(op string, format Format, k *Kernel) {
 // the cost the paper's third composition layer is about.
 func (r *Registry) Lookup(op string, format Format, target Target) (*Kernel, bool) {
 	r.mu.RLock()
-	k, ok := r.kernels[opKey(op, format, target)]
+	s, ok := r.kernels[opKey(op, format, target)]
 	r.mu.RUnlock()
 	if ok {
 		r.hits.Add(1)
 	} else {
 		r.misses.Add(1)
 	}
-	return k, ok
+	return s.k, ok
 }
 
 // MustLookup is Lookup that panics on a missing kernel.
@@ -115,8 +125,8 @@ func (r *Registry) Keys() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.kernels))
-	for k := range r.kernels {
-		out = append(out, k.String())
+	for k, s := range r.kernels {
+		out = append(out, fmt.Sprintf("%s/%v/%v", k.Op, s.format, k.Target))
 	}
 	sort.Strings(out)
 	return out
@@ -132,99 +142,49 @@ func init() {
 }
 
 // GenerateStandardKernels ahead-of-time compiles the kernel variants used
-// by the sparse library: for each operation, one variant per processor
-// variety, with the schedule of Figure 6 (divide the rows across
-// processors, distribute, parallelize the local tile on the target).
+// by the sparse library with the schedule of Figure 6 (divide the rows
+// across processors, distribute): one compile per (operation, format),
+// filed under every processor variety.
 func GenerateStandardKernels(reg *Registry) {
 	i, j, k := IndexVar("i"), IndexVar("j"), IndexVar("k")
 	io, ii := IndexVar("io"), IndexVar("ii")
-	for _, target := range []Target{CPUThread, GPUThread} {
-		sched := Schedule{}.
-			Divide(i, io, ii).
-			Distribute(io).
-			Communicate(io).
-			Parallelize(ii, target)
+	sched := Schedule{}.Divide(i, io, ii).Distribute(io).Communicate(io)
 
-		reg.Register("spmv", CSR, MustCompile(Program{
-			Name:    "spmv_csr",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": CSR, "x": DenseVector,
-			},
-			Schedule: sched,
-		}))
-
-		// CSC SpMV: the matrix is stored compressed over columns, so the
-		// generated kernel iterates columns and scatters into y. The
-		// variant is filed under the CSC format tag — same logical op
-		// ("spmv"), distinct format key, exactly the registry's dispatch
-		// axis (§5.1).
-		reg.Register("spmv", CSC, MustCompile(Program{
-			Name:    "spmv_csc",
-			Compute: Assign{LHS: A("y", j), RHS: []Access{A("A", i, j), A("x", i)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": CSC, "x": DenseVector,
-			},
-			Schedule: sched,
-		}))
-
-		// COO SpMV: the entry space is divided across processors and each
-		// stored entry scattered into y.
-		reg.Register("spmv", COO, MustCompile(Program{
-			Name:    "spmv_coo",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": COO, "x": DenseVector,
-			},
-			Schedule: sched,
-		}))
-
-		// BSR SpMV: block rows divided like CSR rows, one dense tile per
-		// stored block (the §5.4 extension formats DISTAL generates
-		// kernels for).
-		reg.Register("spmv", BSR, MustCompile(Program{
-			Name:    "spmv_bsr",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": BSR, "x": DenseVector,
-			},
-			Schedule: sched,
-		}))
-
-		reg.Register("spmv", DIA, MustCompile(Program{
-			Name:    "spmv_dia",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": DIA, "x": DenseVector,
-			},
-			Schedule: sched,
-		}))
-
-		reg.Register("spmm", CSR, MustCompile(Program{
-			Name:    "spmm_csr",
-			Compute: Assign{LHS: A("Y", i, k), RHS: []Access{A("A", i, j), A("X", j, k)}},
-			Formats: map[string]Format{
-				"Y": DenseMatrix, "A": CSR, "X": DenseMatrix,
-			},
-			Schedule: sched,
-		}))
-
-		reg.Register("sddmm", CSR, MustCompile(Program{
-			Name:    "sddmm_csr",
-			Compute: Assign{LHS: A("R", i, j), RHS: []Access{A("A", i, j), A("B", i, k), A("C", j, k)}},
-			Formats: map[string]Format{
-				"R": CSR, "A": CSR, "B": DenseMatrix, "C": DenseMatrix,
-			},
-			Schedule: sched,
-		}))
-
-		reg.Register("row_sum", CSR, MustCompile(Program{
-			Name:    "row_sum_csr",
-			Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j)}},
-			Formats: map[string]Format{
-				"y": DenseVector, "A": CSR,
-			},
+	// One SpMV statement for every sparse format; A's level stack and
+	// ordering pick the loop nest (see spmvNest).
+	for _, f := range []Format{CSR, CSC, COO, BSR, DIA} {
+		reg.registerAll("spmv", f, MustCompile(Program{
+			Name:     "spmv_" + strings.ToLower(f.Name),
+			Compute:  Assign{LHS: A("y", i), RHS: []Access{A("A", i, j), A("x", j)}},
+			Formats:  map[string]Format{"y": DenseVector, "A": f, "x": DenseVector},
 			Schedule: sched,
 		}))
 	}
+
+	reg.registerAll("spmm", CSR, MustCompile(Program{
+		Name:    "spmm_csr",
+		Compute: Assign{LHS: A("Y", i, k), RHS: []Access{A("A", i, j), A("X", j, k)}},
+		Formats: map[string]Format{
+			"Y": DenseMatrix, "A": CSR, "X": DenseMatrix,
+		},
+		Schedule: sched,
+	}))
+
+	reg.registerAll("sddmm", CSR, MustCompile(Program{
+		Name:    "sddmm_csr",
+		Compute: Assign{LHS: A("R", i, j), RHS: []Access{A("A", i, j), A("B", i, k), A("C", j, k)}},
+		Formats: map[string]Format{
+			"R": CSR, "A": CSR, "B": DenseMatrix, "C": DenseMatrix,
+		},
+		Schedule: sched,
+	}))
+
+	reg.registerAll("row_sum", CSR, MustCompile(Program{
+		Name:    "row_sum_csr",
+		Compute: Assign{LHS: A("y", i), RHS: []Access{A("A", i, j)}},
+		Formats: map[string]Format{
+			"y": DenseVector, "A": CSR,
+		},
+		Schedule: sched,
+	}))
 }

@@ -347,6 +347,20 @@ func (s IntervalSet) Shift(delta int64) IntervalSet {
 	return IntervalSet{rects: out}
 }
 
+// Scale widens every index p of s to the w indices [p*w, p*w+w-1]: the
+// elements a set of block coordinates covers. Gaps stay gaps, so the
+// result is canonical as built.
+func (s IntervalSet) Scale(w int64) IntervalSet {
+	if w == 1 || s.Empty() {
+		return s
+	}
+	out := make([]Rect, len(s.rects))
+	for i, r := range s.rects {
+		out[i] = Rect{Lo: r.Lo * w, Hi: r.Hi*w + w - 1}
+	}
+	return IntervalSet{rects: out}
+}
+
 // Each calls f for every index in s in increasing order.
 func (s IntervalSet) Each(f func(int64)) {
 	for _, r := range s.rects {

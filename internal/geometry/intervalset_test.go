@@ -121,6 +121,19 @@ func TestIntervalSetShift(t *testing.T) {
 	}
 }
 
+// TestIntervalSetScale: each index becomes a run of w, and runs that
+// touch after scaling stay separate rects only if they were separate.
+func TestIntervalSetScale(t *testing.T) {
+	s := NewIntervalSet(NewRect(0, 1), NewRect(3, 3)).Scale(3)
+	want := NewIntervalSet(NewRect(0, 5), NewRect(9, 11))
+	if !s.Equal(want) || len(s.Rects()) != 2 {
+		t.Fatalf("got %v want %v", s, want)
+	}
+	if !(IntervalSet{}).Scale(4).Empty() {
+		t.Fatal("scaling the empty set must stay empty")
+	}
+}
+
 // Property: all binary set operations agree with the brute-force model.
 func TestIntervalSetAlgebraProperty(t *testing.T) {
 	f := func(seed int64) bool {

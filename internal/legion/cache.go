@@ -59,16 +59,17 @@ func (rt *Runtime) CacheStats() CacheStats {
 
 // imageSetsKey identifies one cached image subspace
 // computation: which operator, over which contents of which region,
-// driven by which coloring. The destination enters only through its
-// size: the computed interval sets index into [0, dstSize) regardless of
-// which region they are applied to, which is what lets fresh same-size
-// regions reuse them.
+// driven by which coloring, at which block width. The destination
+// enters only through its size: the computed interval sets index into
+// [0, dstSize) regardless of which region they are applied to, which is
+// what lets fresh same-size regions reuse them.
 type imageSetsKey struct {
 	kind        string
 	src         RegionID
 	srcColoring int64
 	srcVersion  int64
 	dstSize     int64
+	width       int64
 }
 
 // imageSetsEntry carries the computed subspaces and the coloring every

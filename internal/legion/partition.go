@@ -149,14 +149,23 @@ func disjointSubspaces(subs []geometry.IntervalSet) bool {
 // same first-class partition object. The result shares p's subspaces and
 // therefore its coloring.
 func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
+	return rt.AlignedBlocks(p, r, 1)
+}
+
+// AlignedBlocks is an alignment edge of block width w: element i of p's
+// region covers r's elements [i*w, i*w+w-1], as a BSR matrix's block row
+// covers bs rows of y. At w = 1 it is AlignedPartition; a wider result
+// has subspaces, and so a coloring, of its own. It is cached per
+// (p, r, w).
+func (rt *Runtime) AlignedBlocks(p *Partition, r *Region, w int64) *Partition {
 	if p.Region() == r {
 		return p
 	}
-	if p.Region().Size() != r.Size() {
-		panic(fmt.Sprintf("legion: aligning %q (size %d) with partition of %q (size %d)",
-			r.name, r.size, p.Region().name, p.Region().size))
+	if p.Region().Size()*w != r.Size() {
+		panic(fmt.Sprintf("legion: aligning %q (size %d) with partition of %q (size %d, width %d)",
+			r.name, r.size, p.Region().name, p.Region().size, w))
 	}
-	key := alignKey{part: p, region: r.id}
+	key := alignKey{part: p, region: r.id, width: w}
 	rt.mu.Lock()
 	if q, ok := rt.alignCache[key]; ok {
 		rt.cacheStats.AlignHits++
@@ -166,7 +175,16 @@ func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 	rt.cacheStats.AlignMisses++
 	rt.mu.Unlock()
 	q := &Partition{coloring: p.coloring, region: r, subspaces: p.subspaces, disjoint: p.disjoint, kind: p.kind}
+	if w != 1 {
+		q.subspaces = make([]geometry.IntervalSet, len(p.subspaces))
+		for c, s := range p.subspaces {
+			q.subspaces[c] = s.Scale(w)
+		}
+	}
 	rt.mu.Lock()
+	if w != 1 {
+		q.coloring = rt.newColoringLocked()
+	}
 	rt.alignCache[key] = q
 	rt.mu.Unlock()
 	return q
@@ -175,6 +193,7 @@ func (rt *Runtime) AlignedPartition(p *Partition, r *Region) *Partition {
 type alignKey struct {
 	part   *Partition
 	region RegionID
+	width  int64
 }
 
 // imageKey identifies a cached image partition object: the
@@ -184,17 +203,18 @@ type imageKey struct {
 	dst  RegionID
 }
 
-// derivedPartition is the one lookup/build/insert path behind the two
-// image operators: the partition of dst whose subspaces
-// build computes from src's contents and from's subspaces. Both cache
-// levels are keyed on from's coloring (DESIGN.md, "Cross-region
-// image-set cache"): an exact hit returns the cached partition object of
-// dst; a set hit reuses the subspaces computed for another same-size
-// destination and pays only a Partition wrapper; a miss runs build.
-func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, dst *Region,
-	build func() (subs []geometry.IntervalSet, disjoint bool)) *Partition {
+// derivedPartition is the one lookup/build/insert path behind the image
+// operators: the partition of dst whose subspaces build computes from
+// src's contents and from's subspaces, each index widened to w (see
+// Image). Both cache levels are keyed on from's coloring (DESIGN.md,
+// "Cross-region image-set cache"): an exact hit returns the cached
+// partition object of dst; a set hit reuses the subspaces computed for
+// another same-size destination and pays only a Partition wrapper; a
+// miss runs build.
+func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, dst *Region, w int64,
+	build func() []geometry.IntervalSet) *Partition {
 	rt.fenceRegion(src) // build reads src's contents on the app thread
-	setsKey := imageSetsKey{kind: kind, src: src.id, srcColoring: from.coloring, srcVersion: src.version, dstSize: dst.size}
+	setsKey := imageSetsKey{kind: kind, src: src.id, srcColoring: from.coloring, srcVersion: src.version, dstSize: dst.size, width: w}
 	key := imageKey{sets: setsKey, dst: dst.id}
 	rt.mu.Lock()
 	if p, ok := rt.imageCache[key]; ok {
@@ -208,8 +228,11 @@ func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, d
 
 	built := e == nil
 	if built {
-		e = &imageSetsEntry{}
-		e.subs, e.disjoint = build()
+		e = &imageSetsEntry{subs: build()}
+		for c, s := range e.subs {
+			e.subs[c] = s.Scale(w)
+		}
+		e.disjoint = disjointSubspaces(e.subs)
 	}
 	rt.mu.Lock()
 	if built {
@@ -244,57 +267,68 @@ func (rt *Runtime) dropStaleImagesLocked(src RegionID, version int64) {
 	}
 }
 
-// ImageRange computes the dependent-partitioning image of srcPart through
-// the range-valued region src onto dst (paper Figure 2a): color c of the
-// result covers the union of the ranges stored at src's indices colored c.
-// This is how partitions of a CSR pos region induce partitions of the crd
-// and vals regions (§3).
+// Image computes the dependent-partitioning image of srcPart through
+// src's contents onto dst: by range for a RectType source (paper Figure
+// 2a; color c covers the union of the ranges stored at src's indices
+// colored c — how a partition of CSR's pos induces those of crd and
+// vals, §3), by coordinate for an Int64 source (Figure 2b; color c
+// contains every index named by a coordinate of src colored c, typically
+// aliased, as the overlapping halves of Figure 5's x). Every index the
+// contents name covers w consecutive elements of dst, [e*w, e*w+w-1]:
+// BSR's bs columns per block coordinate, a dense matrix's row of stride
+// w. w = 1 is the plain image.
 //
-// Images are cached, so re-launching an operation with unchanged inputs
-// reuses the partition — what makes the steady state of Figure 5 cheap.
-func (rt *Runtime) ImageRange(src *Region, srcPart *Partition, dst *Region) *Partition {
-	src.checkType(RectType)
+// Images are cached, with w in the key, so re-launching an operation
+// with unchanged inputs reuses the partition — what makes the steady
+// state of Figure 5 cheap.
+func (rt *Runtime) Image(src *Region, srcPart *Partition, dst *Region, w int64) *Partition {
 	if srcPart.Region() != src {
-		panic("legion: ImageRange source partition does not partition source region")
+		panic(fmt.Sprintf("legion: image source partition does not partition %q", src.name))
 	}
-	return rt.derivedPartition("image-range", src, srcPart, dst, func() ([]geometry.IntervalSet, bool) {
-		subs := make([]geometry.IntervalSet, srcPart.Colors())
-		data := src.rect
-		for c := range subs {
-			var rects []geometry.Rect
-			srcPart.Subspace(c).Each(func(i int64) {
-				if r := data[i]; !r.Empty() {
-					rects = append(rects, r)
-				}
-			})
-			subs[c] = geometry.NewIntervalSet(rects...)
-		}
-		return subs, disjointSubspaces(subs)
-	})
+	switch src.typ {
+	case RectType:
+		return rt.derivedPartition("image-range", src, srcPart, dst, w, func() []geometry.IntervalSet {
+			subs := make([]geometry.IntervalSet, srcPart.Colors())
+			data := src.rect
+			for c := range subs {
+				var rects []geometry.Rect
+				srcPart.Subspace(c).Each(func(i int64) {
+					if r := data[i]; !r.Empty() {
+						rects = append(rects, r)
+					}
+				})
+				subs[c] = geometry.NewIntervalSet(rects...)
+			}
+			return subs
+		})
+	case Int64:
+		return rt.derivedPartition("image-coord", src, srcPart, dst, w, func() []geometry.IntervalSet {
+			subs := make([]geometry.IntervalSet, srcPart.Colors())
+			data := src.i64
+			for c := range subs {
+				pts := make([]int64, 0, srcPart.Subspace(c).Size())
+				srcPart.Subspace(c).Each(func(i int64) {
+					pts = append(pts, data[i])
+				})
+				subs[c] = geometry.FromPoints(pts)
+			}
+			return subs
+		})
+	}
+	panic(fmt.Sprintf("legion: image source %q holds %v, not ranges or coordinates", src.name, src.typ))
 }
 
-// ImageCoord computes the image of srcPart through the coordinate-valued
-// region src onto dst (paper Figure 2b): color c of the result contains
-// every index named by a coordinate of src colored c. The result is
-// typically aliased — multiple sub-regions of a SpMV's x vector reference
-// the same entries (Figure 5's blue/red overlap).
+// ImageRange is the by-range Image of width 1 (src must hold ranges).
+func (rt *Runtime) ImageRange(src *Region, srcPart *Partition, dst *Region) *Partition {
+	src.checkType(RectType)
+	return rt.Image(src, srcPart, dst, 1)
+}
+
+// ImageCoord is the by-coordinate Image of width 1 (src must hold
+// coordinates).
 func (rt *Runtime) ImageCoord(src *Region, srcPart *Partition, dst *Region) *Partition {
 	src.checkType(Int64)
-	if srcPart.Region() != src {
-		panic("legion: ImageCoord source partition does not partition source region")
-	}
-	return rt.derivedPartition("image-coord", src, srcPart, dst, func() ([]geometry.IntervalSet, bool) {
-		subs := make([]geometry.IntervalSet, srcPart.Colors())
-		data := src.i64
-		for c := range subs {
-			pts := make([]int64, 0, srcPart.Subspace(c).Size())
-			srcPart.Subspace(c).Each(func(i int64) {
-				pts = append(pts, data[i])
-			})
-			subs[c] = geometry.FromPoints(pts)
-		}
-		return subs, disjointSubspaces(subs)
-	})
+	return rt.Image(src, srcPart, dst, 1)
 }
 
 // BroadcastPartition replicates the whole region to every color — used

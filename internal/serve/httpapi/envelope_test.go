@@ -37,6 +37,7 @@ func TestEnvelopeTable(t *testing.T) {
 		{engine.CodeCancelled, false, 0, 503, ""},
 		{engine.CodeDegraded, true, time.Second, 503, "1"},
 		{engine.CodeInternal, true, 0, 503, ""},
+		{engine.CodeInternal, false, 0, 500, ""},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.code), func(t *testing.T) {
@@ -130,8 +131,8 @@ func TestUnencodableAnswerIsAnError(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatalf("status %d, body is not an envelope: %v", resp.StatusCode, err)
 	}
-	if resp.StatusCode != 503 || env.Code != string(engine.CodeInternal) || env.Retryable ||
+	if resp.StatusCode != 500 || env.Code != string(engine.CodeInternal) || env.Retryable ||
 		!strings.Contains(env.Error, "Inf") {
-		t.Fatalf("status %d, envelope %+v; want 503, internal, not retryable, naming the +Inf", resp.StatusCode, env)
+		t.Fatalf("status %d, envelope %+v; want 500, internal, not retryable, naming the +Inf", resp.StatusCode, env)
 	}
 }

@@ -34,8 +34,8 @@ type ErrorResponse struct {
 
 // statusOf maps the engine's typed error taxonomy onto HTTP statuses.
 // This is the only place the mapping exists.
-func statusOf(code engine.ErrorCode) int {
-	switch code {
+func statusOf(e *engine.Error) int {
+	switch e.Code {
 	case engine.CodeBadRequest:
 		return http.StatusBadRequest
 	case engine.CodeNotFound:
@@ -44,9 +44,14 @@ func statusOf(code engine.ErrorCode) int {
 		return http.StatusTooManyRequests
 	case engine.CodeDeadline:
 		return http.StatusGatewayTimeout
+	case engine.CodeInternal:
+		if !e.Retryable {
+			return http.StatusInternalServerError // the same request fails the same way
+		}
+		return http.StatusServiceUnavailable
 	default:
 		// queue_full, queue_wait, breaker_open, draining, cancelled,
-		// degraded, internal: all service-side, all 503.
+		// degraded: all service-side, all 503.
 		return http.StatusServiceUnavailable
 	}
 }
@@ -64,7 +69,7 @@ func writeError(w http.ResponseWriter, e *engine.Error) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusOf(e.Code))
+	w.WriteHeader(statusOf(e))
 	json.NewEncoder(w).Encode(ErrorResponse{Error: e.Error(), Code: string(e.Code), Retryable: e.Retryable})
 }
 
