@@ -9,7 +9,7 @@ GO ?= go
 # over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
 # a real -benchtime for numbers), a ten-second native fuzz of each of the
-# six fuzz targets (their seed corpora already ran as normal tests under
+# seven fuzz targets (their seed corpora already ran as normal tests under
 # `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
 # the legate-prof artifact and legate-bench inventory smoke tests, the
@@ -45,8 +45,10 @@ race:
 # allocation budgets (whose counts must not depend on scheduling), the
 # sparse-format suites whose bits and per-point work come through the
 # shared image cache (format SpMV agreement, declared work, BSR, SpMM
-# and SDDMM), and the serve routing, batching and overload suites, whose
-# routing depends on timing and whose answers must stay bit-identical. Each runs
+# and SDDMM), the serve routing, batching and overload suites, whose
+# routing depends on timing and whose answers must stay bit-identical, and
+# the answer-encoding fuzz seeds, whose answers take the serial encoder at
+# GOMAXPROCS 1 and the split one at 2. Each runs
 # at GOMAXPROCS 1 and 2 — TestPresetsDeterministic and
 # TestExecutorsEquivalent set both themselves, so -cpu would only repeat
 # them. Each suite has its own -timeout, so a hang fails with goroutine
@@ -63,18 +65,21 @@ stress:
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'AllocBudget' ./internal/constraint/ ./internal/cunumeric/ ./internal/geometry/ ./internal/solvers/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestFormatSpMVBitAgreement|TestDeclaredWork|TestBSR|TestSpMMAndSDDMM' ./internal/core/; \
-	$(STRESS) -cpu 1,2 -timeout 120s -run 'BoundedLoadRouting|Batching|Overload' ./internal/serve/...
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'BoundedLoadRouting|Batching|Overload' ./internal/serve/...; \
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'AnswerEncoding|UnencodableAnswer' ./internal/serve/httpapi/
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
 # seconds of mutation over each target's seed corpus. Between them the
-# six cover every parser of untrusted input: index sets, Matrix Market
-# files, fault specs, HTTP request bodies and uploaded triples.
+# seven cover every parser of untrusted input — index sets, Matrix Market
+# files, fault specs, HTTP request bodies and uploaded triples — and the
+# answer encoder, whose split bodies must equal json.Encoder's.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzIntervalSetAlgebra -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/core/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/fault/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=10s ./internal/serve/httpapi/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzAnswerEncoding -fuzztime=10s ./internal/serve/httpapi/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromTriples -fuzztime=10s ./internal/serve/engine/
 
 # chaos runs the fault-injection and recovery suite under the race

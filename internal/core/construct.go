@@ -84,32 +84,6 @@ func Random(rt *legion.Runtime, rows, cols int64, density float64, seed uint64) 
 	return buildCSR(rt, rows, cols, r, c, v)
 }
 
-// RandomSparse builds a large random CSR with approximately nnzPerRow
-// entries per row without scanning the dense index space, for workloads
-// where rows*cols is too large for Random.
-func RandomSparse(rt *legion.Runtime, rows, cols, nnzPerRow int64, seed uint64) *CSR {
-	var r, c []int64
-	var v []float64
-	for i := int64(0); i < rows; i++ {
-		seen := map[int64]bool{}
-		for k := int64(0); k < nnzPerRow; k++ {
-			j := int64(cunumeric.Uniform01(seed, uint64(i*nnzPerRow+k)) * float64(cols))
-			if j >= cols {
-				j = cols - 1
-			}
-			if seen[j] {
-				continue
-			}
-			seen[j] = true
-			r = append(r, i)
-			c = append(c, j)
-			v = append(v, cunumeric.Normal(seed+7, uint64(i*nnzPerRow+k)))
-		}
-	}
-	r, c, v = canonicalizeCOO(r, c, v)
-	return buildCSR(rt, rows, cols, r, c, v)
-}
-
 // Eye returns the n x n identity as CSR (scipy.sparse.eye).
 func Eye(rt *legion.Runtime, n int64) *CSR { return EyeScaled(rt, n, 1) }
 

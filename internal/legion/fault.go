@@ -359,12 +359,12 @@ func (rt *Runtime) replayLog() (ok bool, failure error) {
 // complete — which is exactly when runsInline lets the issuing goroutine
 // run a launch's points itself, so each point runs in point order on its
 // processor's worker context, through the same runPoint as any other
-// execution. A reduction is republished into the launch the
-// application's Future holds, summed in point order by completeLaunch,
-// so it matches a fault-free run exactly. Recovery flushes the fusion
-// window first, so that Future has resolved by now.
+// execution. The replayed partials are copied into the slots the
+// application's Future sums — its member's column of a fused launch — so
+// it reads a fault-free run's bits and no other member's. Recovery
+// flushes the fusion window first, so that Future has resolved by now.
 func (rt *Runtime) replayEntry(l *Launch) error {
-	orig := l.fut.launch
+	orig, member := l.fut.launch, l.fut.member
 	rt.stats.ReplayedLaunches.Add(1)
 	rt.mu.Lock()
 	rt.analysisClock += rt.analysisCost(l.points)
@@ -380,8 +380,8 @@ func (rt *Runtime) replayEntry(l *Launch) error {
 	if failures := rt.ft.takeFailures(); len(failures) > 0 {
 		return failures[0].err
 	}
-	if ls.reduces.Load() {
-		orig.reduced.Store(ls.reduced.Load())
+	for p := range l.points {
+		orig.pointPartials[orig.slot(p, member)] = ls.pointPartials[p]
 	}
 	return nil
 }

@@ -211,7 +211,8 @@ func (f *fuser) admitLocked(l *Launch) {
 // submitLocked issues the window: a single launch goes out as-is; a run
 // of two or more becomes one fused launch with the union requirements
 // whose members are the buffered launches, run in program order. Each
-// member's Future resolves to the fused launch.
+// member's Future resolves to the fused launch and reads its own member's
+// partials.
 func (f *fuser) submitLocked() {
 	buf := f.buf
 	if len(buf) == 0 {
@@ -230,8 +231,8 @@ func (f *fuser) submitLocked() {
 	}
 	fl.fused = append(fl.fusedBuf[:0], buf...)
 	inner := rt.executeNow(fl)
-	for _, l := range buf {
-		l.fut.launch = inner
+	for i, l := range buf {
+		l.fut.launch, l.fut.member = inner, i
 	}
 }
 
@@ -274,14 +275,14 @@ func (f *fuser) fusedName(buf []*Launch) string {
 }
 
 // runFusedPoint executes one point of a fused launch: each member kernel
-// runs in program order against its own requirements and subspaces.
-// Member fail's injected fault (decided at issue; -1 for none) panics
-// before its kernel, aborting the whole point (the caller records one
-// point failure), and recovery replays the members individually.
+// runs in program order against its own requirements and subspaces, and
+// stores its reduction partial in its own slot, so each member's Future
+// reads only its own reduction. Member fail's injected fault (decided at
+// issue; -1 for none) panics before its kernel, aborting the whole point
+// (the caller records one point failure), and recovery replays the
+// members individually.
 func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext, fail int) {
 	point := tc.point
-	var partial float64
-	var hasPartial bool
 	for mi, m := range ls.l.fused {
 		rt.injectDelay(m.stream, point)
 		if mi == fail {
@@ -290,12 +291,7 @@ func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext, fail int) {
 		tc.bind(ls, point, m.reqs, m.args)
 		m.kernel(tc)
 		if tc.hasPartial {
-			partial += tc.partial
-			hasPartial = true
+			ls.pointPartials[ls.slot(point, mi)] = tc.partial
 		}
-	}
-	if hasPartial {
-		ls.pointPartials[point] = partial
-		ls.reduces.Store(true)
 	}
 }

@@ -121,3 +121,70 @@ func TestFusedReductionRecovery(t *testing.T) {
 		t.Fatalf("replayed %d launches and %d points, want > 0 and 4 points each", launches, points)
 	}
 }
+
+// runTwoSums fills a 100-element region with ones, then issues two
+// fusable sums over it in one fusion window of a 2-point domain, one
+// scaled by 1 and one by 2. It returns what each sum's Future reads,
+// whether the two were fused, and their launch-stream positions.
+func runTwoSums(rt *Runtime) (got [2]float64, fused bool, streams [2]int64) {
+	rt.SetFusionWindow(8)
+	x := rt.CreateRegion("ones", 100, Float64)
+	part := rt.BlockPartition(x, 2)
+	fill := rt.NewLaunch("fill", 2, func(tc *TaskContext) {
+		d := tc.Float64(0)
+		tc.Subspace(0).Each(func(i int64) { d[i] = 1 })
+	})
+	fill.Add(x, part, WriteDiscard)
+	fill.Execute()
+	var futs [2]*Future
+	for i, scale := range []float64{1, 2} {
+		sum := rt.NewLaunch("sum", 2, func(tc *TaskContext) {
+			d := tc.Float64(0)
+			var s float64
+			tc.Subspace(0).Each(func(i int64) { s += scale * d[i] })
+			tc.Reduce(s)
+		})
+		sum.Add(x, part, ReadOnly)
+		sum.SetFusable(true)
+		futs[i] = sum.Execute()
+		streams[i] = sum.stream
+	}
+	for i, f := range futs {
+		got[i] = f.Get()
+	}
+	fused = futs[0].launch == futs[1].launch && len(futs[0].launch.l.fused) == 2
+	return got, fused, streams
+}
+
+// TestFusedReductionRecoveryPerMember: two reductions fused into one launch
+// each read their own sum — 100 and 200 over a region of ones, not
+// their total — both fault-free and when a point of either member is
+// killed and the window is replayed from a checkpoint.
+func TestFusedReductionRecoveryPerMember(t *testing.T) {
+	want := [2]float64{100, 200}
+	clean := newTestRuntime(t, 2)
+	got, fused, streams := runTwoSums(clean)
+	if !fused {
+		t.Fatal("the two sums were not fused into one launch")
+	}
+	if got != want {
+		t.Fatalf("fault-free: Futures read %v, want %v", got, want)
+	}
+	for member, stream := range streams {
+		rt := newTestRuntime(t, 2)
+		rt.EnableCheckpointing(8)
+		inj := fault.New(1).KillPoint(stream, member)
+		rt.SetFaultInjector(inj)
+		got, _, _ := runTwoSums(rt)
+		if err := rt.Err(); err != nil {
+			t.Fatalf("member %d killed: %v", member, err)
+		}
+		if inj.PointFaults() != 1 || rt.Stats().ReplayedLaunches.Load() == 0 {
+			t.Fatalf("member %d killed: %d faults fired, %d launches replayed; want 1 and some",
+				member, inj.PointFaults(), rt.Stats().ReplayedLaunches.Load())
+		}
+		if got != want {
+			t.Fatalf("member %d killed at point %d: Futures read %v, want %v", member, member, got, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package legion
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -476,10 +475,15 @@ func (rt *Runtime) newLaunchState(l *Launch, replay bool) *launchState {
 		ls = &launchState{replay: true}
 	}
 	ls.l = l
-	if l.points <= len(ls.partialBuf) {
-		ls.pointPartials, ls.finishes = ls.partialBuf[:l.points], ls.finishBuf[:l.points]
+	if slots := l.points * max(1, len(l.fused)); slots <= len(ls.partialBuf) {
+		ls.pointPartials = ls.partialBuf[:slots]
 	} else {
-		ls.pointPartials, ls.finishes = make([]float64, l.points), make([]time.Duration, l.points)
+		ls.pointPartials = make([]float64, slots)
+	}
+	if l.points <= len(ls.finishBuf) {
+		ls.finishes = ls.finishBuf[:l.points]
+	} else {
+		ls.finishes = make([]time.Duration, l.points)
 	}
 	ls.remaining.Store(int64(l.points))
 	rt.pending.Add(1)
@@ -804,25 +808,14 @@ func (rt *Runtime) execPoint(ls *launchState, tc *TaskContext) (err error) {
 	l.kernel(tc)
 	if tc.hasPartial {
 		ls.pointPartials[point] = tc.partial
-		ls.reduces.Store(true)
 	}
 	return nil
 }
 
-// completeLaunch publishes the reduction value, notifies children, and
-// releases the fence.
+// completeLaunch marks the launch complete, which publishes its
+// reduction partials to Future readers, notifies children, and releases
+// the fence.
 func (rt *Runtime) completeLaunch(ls *launchState) {
-	// Sum reduction partials in point order: each point wrote only its
-	// own slot, so the result is independent of worker completion order —
-	// deterministic across runs and exactly reproducible by recovery
-	// replay (float addition is not associative; a completion-order sum
-	// would make bit-identical recovery impossible).
-	var sum float64
-	for _, v := range ls.pointPartials {
-		sum += v
-	}
-	ls.reduced.Store(math.Float64bits(sum))
-
 	ls.childMu.Lock()
 	ls.completed.Store(true)
 	children, done := ls.children, ls.done

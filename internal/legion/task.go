@@ -185,8 +185,9 @@ func (l *Launch) SetWorkSource(req int, factor int64) *Launch {
 // SetFusable marks the launch as eligible for the runtime's task-fusion
 // window (see fusion.go). Only side-effect-free data-parallel kernels
 // whose point tasks touch nothing outside their declared subspaces may
-// be marked; launches with ReduceSum requirements or reduction futures
-// are never fused regardless.
+// be marked; launches with ReduceSum requirements are never fused
+// regardless. A fused launch's reduction future still reads only its
+// own kernel's partials (Future.member).
 func (l *Launch) SetFusable(on bool) *Launch { l.fusable = on; return l }
 
 // MapPoints overrides the runtime's round-robin point→processor mapping
@@ -200,6 +201,7 @@ func (l *Launch) MapPoints(f func(point int) int) *Launch { l.procMap = f; retur
 // overhead the paper observes dominating the CG solve at 32+ nodes (§6.1).
 type Future struct {
 	launch *launchState // set at issue; nil while the launch sits in the fusion window
+	member int          // which of launch's fused members produced it (0 unless fused)
 	rt     *Runtime
 }
 
@@ -222,7 +224,7 @@ func (f *Future) Get() float64 {
 	ls.wait()
 	f.rt.maybeRecover()
 	f.rt.chargeAllReduce()
-	return ls.reducedValue()
+	return ls.reduced(f.member)
 }
 
 // GetNoSync returns the reduced value without charging all-reduce cost;
@@ -231,7 +233,7 @@ func (f *Future) GetNoSync() float64 {
 	ls := f.resolve()
 	ls.wait()
 	f.rt.maybeRecover()
-	return ls.reducedValue()
+	return ls.reduced(f.member)
 }
 
 // TaskContext is the interface a kernel uses to reach its data. Accessor
@@ -328,10 +330,9 @@ func (tc *TaskContext) ReduceAdd(i int, idx int64, v float64) {
 // lives in the Launch itself; a recovery replay builds a new launchState
 // over the same Launch.
 type launchState struct {
-	l       *Launch
-	seq     int64
-	reduces atomic.Bool // some point stored a reduction partial
-	replay  bool        // re-executed by recovery replay (see replayEntry)
+	l      *Launch
+	seq    int64
+	replay bool // re-executed by recovery replay (see replayEntry)
 
 	// Profiling tags: the optimization regime this launch was issued
 	// under, set in executeNow under rt.mu and read as mapLaunch records
@@ -357,12 +358,12 @@ type launchState struct {
 	completed atomic.Bool
 	done      chan struct{}
 
-	// Reduction result. Each point writes its own partial slot; the
-	// completing point sums the slots in point order (deterministic, and
-	// reproducible by recovery replay — see completeLaunch).
+	// Reduction partials, one slot per point and fused member (slot):
+	// each point writes only its own, and a member's Future sums its
+	// column in point order (reduced) — deterministic, and reproducible
+	// by recovery replay, which rewrites the column (replayEntry).
 	pointPartials []float64
-	partialBuf    [4]float64    // backs pointPartials for narrow launches
-	reduced       atomic.Uint64 // math.Float64bits of the sum
+	partialBuf    [8]float64 // backs pointPartials for narrow launches and fused pairs
 
 	// Simulated time, all of it computed by mapLaunch at issue: the
 	// launch is issued at issueAt on the analysis timeline, point p
@@ -395,7 +396,21 @@ func (ls *launchState) wait() {
 	<-done
 }
 
-func (ls *launchState) reducedValue() float64 { return math.Float64frombits(ls.reduced.Load()) }
+// slot indexes point's partial of fused member m (0 unless fused) in
+// pointPartials.
+func (ls *launchState) slot(point, m int) int { return point*max(1, len(ls.l.fused)) + m }
+
+// reduced sums member m's partials in point order. Float addition is
+// not associative, so a completion-order sum would make bit-identical
+// recovery impossible; the same slots summed in the same order give the
+// same bits whoever ran the points, and in whatever order.
+func (ls *launchState) reduced(m int) float64 {
+	var sum float64
+	for p := range ls.l.points {
+		sum += ls.pointPartials[ls.slot(p, m)]
+	}
+	return sum
+}
 
 // resetTimeline zeroes the launch's simulated-time marks; only valid for
 // completed launches (callers hold the runtime fenced).

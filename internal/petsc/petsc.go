@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/seq"
 	"repro/internal/solvers"
@@ -268,17 +267,6 @@ type Mat struct {
 	data       [][]float64
 	plan       [][]ghostSpec // per rank receive plan
 	nnz        []int64       // per rank
-}
-
-// MatFromSparse assembles a distributed matrix from any Legate Sparse
-// matrix, whatever its storage format: the matrix is viewed as CSR
-// through the format-abstraction layer, exported to the host CSR layout
-// PETSc assembly consumes, and block-distributed — the hand-off from
-// the region-pack world (§3) to an explicitly-parallel library.
-func MatFromSparse(c *Comm, a core.SparseMatrix) *Mat {
-	cs, done := core.AsCSR(a)
-	defer done()
-	return MatFromCSR(c, cs.ExportHost())
 }
 
 // MatFromCSR assembles a distributed matrix from a sequential CSR: rows

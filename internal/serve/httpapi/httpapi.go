@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/serve/engine"
@@ -91,12 +92,21 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
 }
 
-// writeJSON answers v with status 200. Encode marshals v whole before
-// it writes anything, so an answer JSON cannot hold (a ±Inf or NaN
-// value) is sent as the internal error envelope, not as a 200 with an
-// empty body. Computing it again gives the same value: not retryable.
+// writeJSON answers v with status 200. An answer whose vector holds two
+// encoding grains or more is encoded on every processor at once
+// (encodeAnswer) and goes out in one write with its Content-Length;
+// anything else takes the serial encoder. Both write the same bytes,
+// and both marshal v whole before they write anything, so an answer
+// JSON cannot hold (a ±Inf or NaN value) is sent as the internal error
+// envelope, not as a 200 with an empty body. Computing it again gives
+// the same value: not retryable.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	if body, ok := encodeAnswer(v, answerParts(v)); ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		return
+	}
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		writeError(w, &engine.Error{Code: engine.CodeInternal, Err: fmt.Errorf("encoding the answer: %w", err)})
 	}
