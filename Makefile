@@ -9,7 +9,7 @@ GO ?= go
 # over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
 # a real -benchtime for numbers), a ten-second native fuzz of each of the
-# seven fuzz targets (their seed corpora already ran as normal tests under
+# eight fuzz targets (their seed corpora already ran as normal tests under
 # `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
 # the legate-prof artifact and legate-bench inventory smoke tests, the
@@ -70,9 +70,10 @@ stress:
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
 # seconds of mutation over each target's seed corpus. Between them the
-# seven cover every parser of untrusted input — index sets, Matrix Market
-# files, fault specs, HTTP request bodies and uploaded triples — and the
-# answer encoder, whose split bodies must equal json.Encoder's.
+# eight cover every parser of untrusted input — index sets, Matrix Market
+# files, fault specs, HTTP request bodies and uploaded triples — the
+# answer encoder, whose split bodies must equal json.Encoder's, and the
+# compiled loop nests, which must equal a per-index reference bit for bit.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzIntervalSetAlgebra -fuzztime=10s ./internal/geometry/
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=10s ./internal/serve/httpapi/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzAnswerEncoding -fuzztime=10s ./internal/serve/httpapi/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromTriples -fuzztime=10s ./internal/serve/engine/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzKernelAgreement -fuzztime=10s ./internal/distal/
 
 # chaos runs the fault-injection and recovery suite under the race
 # detector: injector determinism, kernel-panic routing, checkpoint/

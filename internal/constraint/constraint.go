@@ -61,7 +61,7 @@ type Task struct {
 	name    string
 	kernel  legion.KernelFunc
 	points  int
-	args    any
+	scalars [legion.MaxScalars]float64
 	opClass machine.OpClass
 	workVar Var
 	workMul int64 // 0: the runtime's default work rule
@@ -110,8 +110,15 @@ func list[T any](buf []T, n int, more []T) []T {
 	return buf[:n]
 }
 
-// SetArgs attaches by-value arguments for the kernel.
-func (t *Task) SetArgs(a any) *Task { t.args = a; return t }
+// SetScalars attaches up to legion.MaxScalars float64 arguments for the
+// kernel (see legion.Launch.SetScalars).
+func (t *Task) SetScalars(s ...float64) *Task {
+	if len(s) > legion.MaxScalars {
+		panic(fmt.Sprintf("constraint: task %q: %d scalars, at most %d", t.name, len(s), legion.MaxScalars))
+	}
+	copy(t.scalars[:], s)
+	return t
+}
 
 // SetOpClass sets the cost-model class of the kernel.
 func (t *Task) SetOpClass(c machine.OpClass) *Task { t.opClass = c; return t }
@@ -216,9 +223,7 @@ func (t *Task) Execute() *legion.Future {
 		v := &vars[i]
 		l.Add(v.region, v.part, v.priv)
 	}
-	if t.args != nil {
-		l.SetArgs(t.args)
-	}
+	l.SetScalars(t.scalars[:]...)
 	l.SetOpClass(t.opClass)
 	if t.workMul != 0 {
 		l.SetWorkSource(int(t.workVar), t.workMul)

@@ -306,11 +306,13 @@ func (a *CSR) SumAxis0() *cunumeric.Array {
 	task := constraint.NewTask(a.rt, "sparse.col_sum", func(tc *legion.TaskContext) {
 		pos, vals := tc.Rects(1), tc.Float64(3)
 		crd := tc.Int64(2)
-		tc.Subspace(1).Each(func(i int64) {
-			for k := pos[i].Lo; k <= pos[i].Hi; k++ {
-				tc.ReduceAdd(0, crd[k], vals[k])
+		for _, r := range tc.Subspace(1).Rects() {
+			for _, p := range pos[r.Lo : r.Hi+1] {
+				for k := p.Lo; k <= p.Hi; k++ {
+					tc.ReduceAdd(0, crd[k], vals[k])
+				}
 			}
-		})
+		}
 	})
 	vout := task.AddReduction(out.Region())
 	vpos := task.AddInput(a.pos)
@@ -333,15 +335,19 @@ func (a *CSR) Diagonal() *cunumeric.Array {
 	out := cunumeric.Zeros(a.rt, a.rows)
 	task := constraint.NewTask(a.rt, "sparse.diag", func(tc *legion.TaskContext) {
 		outv, pos, crd, vals := tc.Float64(0), tc.Rects(1), tc.Int64(2), tc.Float64(3)
-		tc.Subspace(0).Each(func(i int64) {
-			var d float64
-			for k := pos[i].Lo; k <= pos[i].Hi; k++ {
-				if crd[k] == i {
-					d += vals[k]
+		for _, r := range tc.Subspace(0).Rects() {
+			out := outv[r.Lo : r.Hi+1]
+			for k, p := range pos[r.Lo : r.Hi+1][:len(out)] {
+				i := r.Lo + int64(k)
+				var d float64
+				for e := p.Lo; e <= p.Hi; e++ {
+					if crd[e] == i {
+						d += vals[e]
+					}
 				}
+				out[k] = d
 			}
-			outv[i] = d
-		})
+		}
 	})
 	vout := task.AddOutput(out.Region())
 	vpos := task.AddInput(a.pos)

@@ -190,7 +190,12 @@ func (a *CSR) NNZPerRow() *cunumeric.Array {
 	out := cunumeric.Zeros(a.rt, a.rows)
 	task := constraint.NewTask(a.rt, "sparse.nnz_per_row", func(tc *legion.TaskContext) {
 		d, pos := tc.Float64(0), tc.Rects(1)
-		tc.Subspace(0).Each(func(i int64) { d[i] = float64(pos[i].Size()) })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k, p := range pos[r.Lo : r.Hi+1][:len(dd)] {
+				dd[k] = float64(p.Size())
+			}
+		}
 	})
 	vo := task.AddOutput(out.Region())
 	vp := task.AddInput(a.pos)
@@ -203,7 +208,12 @@ func (a *CSR) NNZPerRow() *cunumeric.Array {
 func applyUnary(a *CSR, f func(float64) float64) {
 	task := constraint.NewTask(a.rt, "sparse.unary", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		tc.Subspace(0).Each(func(i int64) { d[i] = f(d[i]) })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k, v := range dd {
+				dd[k] = f(v)
+			}
+		}
 	})
 	task.AddInOut(a.vals)
 	task.Execute()

@@ -58,7 +58,12 @@ func Arange(rt *legion.Runtime, n int64) *Array {
 	a := Zeros(rt, n)
 	t := constraint.NewTask(rt, "cn.arange", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		tc.Subspace(0).Each(func(i int64) { d[i] = float64(i) })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] = float64(r.Lo + int64(k))
+			}
+		}
 	})
 	t.AddOutput(a.region)
 	t.SetFusable()
@@ -74,11 +79,16 @@ func Random(rt *legion.Runtime, n int64, seed uint64) *Array {
 	a := Zeros(rt, n)
 	t := constraint.NewTask(rt, "cn.random", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		s := tc.Args().(uint64)
-		tc.Subspace(0).Each(func(i int64) { d[i] = Uniform01(s, uint64(i)) })
+		s := math.Float64bits(tc.Scalar(0))
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] = Uniform01(s, uint64(r.Lo+int64(k)))
+			}
+		}
 	})
 	t.AddOutput(a.region)
-	t.SetArgs(seed)
+	t.SetScalars(math.Float64frombits(seed)) // the seed's bits, carried unchanged
 	t.SetFusable()
 	t.Execute()
 	return a
@@ -127,11 +137,16 @@ func (a *Array) ToSlice() []float64 {
 func (a *Array) Fill(v float64) {
 	t := constraint.NewTask(a.rt, "cn.fill", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		x := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { d[i] = x })
+		x := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] = x
+			}
+		}
 	})
 	t.AddOutput(a.region)
-	t.SetArgs(v)
+	t.SetScalars(v)
 	t.SetFusable()
 	t.Execute()
 }
@@ -140,7 +155,9 @@ func (a *Array) Fill(v float64) {
 func Copy(dst, src *Array) {
 	t := constraint.NewTask(dst.rt, "cn.copy", func(tc *legion.TaskContext) {
 		d, s := tc.Float64(0), tc.Float64(1)
-		tc.Subspace(0).Each(func(i int64) { d[i] = s[i] })
+		for _, r := range tc.Subspace(0).Rects() {
+			copy(d[r.Lo:r.Hi+1], s[r.Lo:r.Hi+1])
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	vs := t.AddInput(src.region)
@@ -153,7 +170,13 @@ func Copy(dst, src *Array) {
 func binop(name string, dst, a, b *Array, f func(x, y float64) float64) {
 	t := constraint.NewTask(dst.rt, name, func(tc *legion.TaskContext) {
 		d, av, bv := tc.Float64(0), tc.Float64(1), tc.Float64(2)
-		tc.Subspace(0).Each(func(i int64) { d[i] = f(av[i], bv[i]) })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			as, bs := av[r.Lo : r.Hi+1][:len(dd)], bv[r.Lo : r.Hi+1][:len(dd)]
+			for k := range dd {
+				dd[k] = f(as[k], bs[k])
+			}
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	va := t.AddInput(a.region)
@@ -193,11 +216,16 @@ func Sub(a, b *Array) *Array { c := Zeros(a.rt, a.Len()); SubInto(c, a, b); retu
 func (a *Array) Scale(alpha float64) {
 	t := constraint.NewTask(a.rt, "cn.scale", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		s := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { d[i] *= s })
+		s := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] *= s
+			}
+		}
 	})
 	t.AddInOut(a.region)
-	t.SetArgs(alpha)
+	t.SetScalars(alpha)
 	t.SetFusable()
 	t.Execute()
 }
@@ -206,11 +234,16 @@ func (a *Array) Scale(alpha float64) {
 func (a *Array) AddScalar(alpha float64) {
 	t := constraint.NewTask(a.rt, "cn.adds", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		s := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { d[i] += s })
+		s := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] += s
+			}
+		}
 	})
 	t.AddInOut(a.region)
-	t.SetArgs(alpha)
+	t.SetScalars(alpha)
 	t.SetFusable()
 	t.Execute()
 }
@@ -226,13 +259,19 @@ func (a *Array) AddScalar(alpha float64) {
 func AXPY(alpha float64, x, y *Array) {
 	t := constraint.NewTask(y.rt, "cn.axpy", func(tc *legion.TaskContext) {
 		yv, xv := tc.Float64(0), tc.Float64(1)
-		a := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { yv[i] += a * xv[i] })
+		a := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			ys := yv[r.Lo : r.Hi+1]
+			xs := xv[r.Lo : r.Hi+1][:len(ys)]
+			for k := range ys {
+				ys[k] += a * xs[k]
+			}
+		}
 	})
 	vy := t.AddInOut(y.region)
 	vx := t.AddInput(x.region)
 	t.Align(vy, vx)
-	t.SetArgs(alpha)
+	t.SetScalars(alpha)
 	t.SetFusable()
 	t.Execute()
 }
@@ -241,13 +280,19 @@ func AXPY(alpha float64, x, y *Array) {
 func AXPBY(alpha float64, x *Array, beta float64, y *Array) {
 	t := constraint.NewTask(y.rt, "cn.axpby", func(tc *legion.TaskContext) {
 		yv, xv := tc.Float64(0), tc.Float64(1)
-		ab := tc.Args().([2]float64)
-		tc.Subspace(0).Each(func(i int64) { yv[i] = ab[0]*xv[i] + ab[1]*yv[i] })
+		a, b := tc.Scalar(0), tc.Scalar(1)
+		for _, r := range tc.Subspace(0).Rects() {
+			ys := yv[r.Lo : r.Hi+1]
+			xs := xv[r.Lo : r.Hi+1][:len(ys)]
+			for k := range ys {
+				ys[k] = a*xs[k] + b*ys[k]
+			}
+		}
 	})
 	vy := t.AddInOut(y.region)
 	vx := t.AddInput(x.region)
 	t.Align(vy, vx)
-	t.SetArgs([2]float64{alpha, beta})
+	t.SetScalars(alpha, beta)
 	t.SetFusable()
 	t.Execute()
 }
@@ -258,7 +303,13 @@ func AXPBY(alpha float64, x *Array, beta float64, y *Array) {
 func Apply(dst, src *Array, f func(float64) float64) {
 	t := constraint.NewTask(dst.rt, "cn.apply", func(tc *legion.TaskContext) {
 		d, s := tc.Float64(0), tc.Float64(1)
-		tc.Subspace(0).Each(func(i int64) { d[i] = f(s[i]) })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			ss := s[r.Lo : r.Hi+1][:len(dd)]
+			for k := range dd {
+				dd[k] = f(ss[k])
+			}
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	vs := t.AddInput(src.region)
@@ -280,17 +331,20 @@ func Abs(dst, src *Array) { Apply(dst, src, math.Abs) }
 func (a *Array) Clamp(lo, hi float64) {
 	t := constraint.NewTask(a.rt, "cn.clamp", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		b := tc.Args().([2]float64)
-		tc.Subspace(0).Each(func(i int64) {
-			if d[i] < b[0] {
-				d[i] = b[0]
-			} else if d[i] > b[1] {
-				d[i] = b[1]
+		lo, hi := tc.Scalar(0), tc.Scalar(1)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k, v := range dd {
+				if v < lo {
+					dd[k] = lo
+				} else if v > hi {
+					dd[k] = hi
+				}
 			}
-		})
+		}
 	})
 	t.AddInOut(a.region)
-	t.SetArgs([2]float64{lo, hi})
+	t.SetScalars(lo, hi)
 	t.SetFusable()
 	t.Execute()
 }
@@ -301,13 +355,15 @@ func (a *Array) Clamp(lo, hi float64) {
 func RecipClamp(dst, src *Array) {
 	t := constraint.NewTask(dst.rt, "cn.recipclamp", func(tc *legion.TaskContext) {
 		d, s := tc.Float64(0), tc.Float64(1)
-		tc.Subspace(0).Each(func(i int64) {
-			v := s[i]
-			if v < 1 {
-				v = 1
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k, v := range s[r.Lo : r.Hi+1][:len(dd)] {
+				if v < 1 {
+					v = 1
+				}
+				dd[k] = 1 / v
 			}
-			d[i] = 1 / v
-		})
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	vs := t.AddInput(src.region)
@@ -326,7 +382,12 @@ func Gather(dst *Array, idx *legion.Region, src *Array) {
 	}
 	t := constraint.NewTask(dst.rt, "cn.gather", func(tc *legion.TaskContext) {
 		d, ix, s := tc.Float64(0), tc.Int64(1), tc.Float64(2)
-		tc.Subspace(0).Each(func(i int64) { d[i] = s[ix[i]] })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k, j := range ix[r.Lo : r.Hi+1][:len(dd)] {
+				dd[k] = s[j]
+			}
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	vi := t.AddInput(idx)
@@ -341,7 +402,13 @@ func Dot(a, b *Array) *legion.Future {
 	t := constraint.NewTask(a.rt, "cn.dot", func(tc *legion.TaskContext) {
 		av, bv := tc.Float64(0), tc.Float64(1)
 		var s float64
-		tc.Subspace(0).Each(func(i int64) { s += av[i] * bv[i] })
+		for _, r := range tc.Subspace(0).Rects() {
+			as := av[r.Lo : r.Hi+1]
+			bs := bv[r.Lo : r.Hi+1][:len(as)]
+			for k := range as {
+				s += as[k] * bs[k]
+			}
+		}
 		tc.Reduce(s)
 	})
 	va := t.AddInput(a.region)
@@ -356,7 +423,11 @@ func Sum(a *Array) *legion.Future {
 	t := constraint.NewTask(a.rt, "cn.sum", func(tc *legion.TaskContext) {
 		av := tc.Float64(0)
 		var s float64
-		tc.Subspace(0).Each(func(i int64) { s += av[i] })
+		for _, r := range tc.Subspace(0).Rects() {
+			for _, v := range av[r.Lo : r.Hi+1] {
+				s += v
+			}
+		}
 		tc.Reduce(s)
 	})
 	t.AddInput(a.region)
@@ -368,13 +439,11 @@ func Sum(a *Array) *legion.Future {
 // numpy.linalg.norm).
 func Norm(a *Array) float64 { return math.Sqrt(Dot(a, a).Get()) }
 
-// MaxAbs returns the future of max |a_i| (reduced via summation of
-// per-point maxima would be wrong, so partials carry the max through a
-// dedicated reduction).
+// MaxAbs returns max |a_i|, computed on the host after a fence (max is
+// not a sum, so it cannot ride a reduction future), the way SciPy
+// computes amax on materialized data. It blocks like Norm.
 func MaxAbs(a *Array) float64 {
 	a.rt.Fence()
-	// Max is not a sum reduction; compute on the host after a fence,
-	// matching how SciPy computes amax on materialized data.
 	var m float64
 	for _, v := range a.region.Float64s() {
 		if av := math.Abs(v); av > m {

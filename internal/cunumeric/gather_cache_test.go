@@ -30,11 +30,11 @@ func TestGatherIndexRewriteBoundsImageCaches(t *testing.T) {
 
 	for step := int64(0); step < 1000; step++ {
 		w := rt.NewLaunch("rewrite", 2, func(tc *legion.TaskContext) {
-			ix, k := tc.Int64(0), tc.Args().(int64)
+			ix, k := tc.Int64(0), int64(tc.Scalar(0))
 			tc.Subspace(0).Each(func(i int64) { ix[i] = index(i, k) })
 		})
 		w.Add(idx, part, legion.WriteDiscard)
-		w.SetArgs(step)
+		w.SetScalars(float64(step))
 		w.Execute()
 		Gather(dst, idx, src)
 		if step%100 == 99 {

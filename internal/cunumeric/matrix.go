@@ -2,6 +2,7 @@ package cunumeric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/constraint"
 	"repro/internal/geometry"
@@ -44,12 +45,16 @@ func RandomMatrix(rt *legion.Runtime, rows, cols int64, seed uint64, scale float
 	m := ZerosMatrix(rt, rows, cols)
 	t := constraint.NewTask(rt, "cn.randmat", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		args := tc.Args().([2]float64)
-		s := uint64(args[0])
-		tc.Subspace(0).Each(func(i int64) { d[i] = args[1] * Uniform01(s, uint64(i)) })
+		s, scale := math.Float64bits(tc.Scalar(0)), tc.Scalar(1)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] = scale * Uniform01(s, uint64(r.Lo+int64(k)))
+			}
+		}
 	})
 	t.AddOutput(m.region)
-	t.SetArgs([2]float64{float64(seed), scale})
+	t.SetScalars(math.Float64frombits(seed), scale) // the seed's bits, as in Random
 	t.Execute()
 	return m
 }
@@ -95,12 +100,17 @@ func (m *Matrix) RowPartition(colors int) *legion.Partition {
 func (m *Matrix) FillMatrix(v float64) {
 	t := constraint.NewTask(m.rt, "cn.fillmat", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		x := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { d[i] = x })
+		x := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] = x
+			}
+		}
 	})
 	vOut := t.AddOutput(m.region)
 	t.UsePartition(vOut, m.RowPartition(m.rt.LaunchDomain()))
-	t.SetArgs(v)
+	t.SetScalars(v)
 	t.Execute()
 }
 
@@ -108,11 +118,16 @@ func (m *Matrix) FillMatrix(v float64) {
 func (m *Matrix) ScaleMatrix(alpha float64) {
 	t := constraint.NewTask(m.rt, "cn.scalemat", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
-		s := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { d[i] *= s })
+		s := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] *= s
+			}
+		}
 	})
 	t.AddInOut(m.region)
-	t.SetArgs(alpha)
+	t.SetScalars(alpha)
 	t.Execute()
 }
 
@@ -123,13 +138,19 @@ func AXPYMatrix(alpha float64, x, y *Matrix) {
 	}
 	t := constraint.NewTask(y.rt, "cn.axpymat", func(tc *legion.TaskContext) {
 		yv, xv := tc.Float64(0), tc.Float64(1)
-		a := tc.Args().(float64)
-		tc.Subspace(0).Each(func(i int64) { yv[i] += a * xv[i] })
+		a := tc.Scalar(0)
+		for _, r := range tc.Subspace(0).Rects() {
+			ys := yv[r.Lo : r.Hi+1]
+			xs := xv[r.Lo : r.Hi+1][:len(ys)]
+			for k := range ys {
+				ys[k] += a * xs[k]
+			}
+		}
 	})
 	vy := t.AddInOut(y.region)
 	vx := t.AddInput(x.region)
 	t.Align(vy, vx)
-	t.SetArgs(alpha)
+	t.SetScalars(alpha)
 	t.Execute()
 }
 
@@ -140,7 +161,9 @@ func CopyMatrix(dst, src *Matrix) {
 	}
 	t := constraint.NewTask(dst.rt, "cn.copymat", func(tc *legion.TaskContext) {
 		d, s := tc.Float64(0), tc.Float64(1)
-		tc.Subspace(0).Each(func(i int64) { d[i] = s[i] })
+		for _, r := range tc.Subspace(0).Rects() {
+			copy(d[r.Lo:r.Hi+1], s[r.Lo:r.Hi+1])
+		}
 	})
 	vd := t.AddOutput(dst.region)
 	vs := t.AddInput(src.region)
@@ -157,7 +180,12 @@ func MulRows(m *Matrix, s *Array) {
 	cols := m.cols
 	t := constraint.NewTask(m.rt, "cn.mulrows", func(tc *legion.TaskContext) {
 		d, sv := tc.Float64(0), tc.Float64(1)
-		tc.Subspace(0).Each(func(i int64) { d[i] *= sv[i/cols] })
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				dd[k] *= sv[(r.Lo+int64(k))/cols]
+			}
+		}
 	})
 	vm := t.AddInOut(m.region)
 	vs := t.AddInput(s.region)
@@ -188,7 +216,11 @@ func FrobeniusNorm2(m *Matrix) *legion.Future {
 	t := constraint.NewTask(m.rt, "cn.frob", func(tc *legion.TaskContext) {
 		d := tc.Float64(0)
 		var s float64
-		tc.Subspace(0).Each(func(i int64) { s += d[i] * d[i] })
+		for _, r := range tc.Subspace(0).Rects() {
+			for _, v := range d[r.Lo : r.Hi+1] {
+				s += v * v
+			}
+		}
 		tc.Reduce(s)
 	})
 	t.AddInput(m.region)
@@ -203,21 +235,23 @@ func FrobeniusNorm2(m *Matrix) *legion.Future {
 // the mapper prices accordingly.
 func (m *Matrix) Transpose() *Matrix {
 	out := ZerosMatrix(m.rt, m.cols, m.rows)
+	rows, cols := m.rows, m.cols // of the source
 	t := constraint.NewTask(m.rt, "cn.transpose", func(tc *legion.TaskContext) {
 		d, s := tc.Float64(0), tc.Float64(1)
-		shape := tc.Args().([2]int64)
-		rows, cols := shape[0], shape[1] // of the source
-		tc.Subspace(0).Each(func(i int64) {
-			tj := i / rows // row of output == column of source
-			ti := i % rows
-			d[i] = s[ti*cols+tj]
-		})
+		for _, r := range tc.Subspace(0).Rects() {
+			dd := d[r.Lo : r.Hi+1]
+			for k := range dd {
+				i := r.Lo + int64(k)
+				tj := i / rows // row of output == column of source
+				ti := i % rows
+				dd[k] = s[ti*cols+tj]
+			}
+		}
 	})
 	vOut := t.AddOutput(out.region)
 	vIn := t.AddInput(m.region)
 	t.UsePartition(vOut, out.RowPartition(m.rt.LaunchDomain()))
 	t.Broadcast(vIn)
-	t.SetArgs([2]int64{m.rows, m.cols})
 	t.Execute()
 	return out
 }

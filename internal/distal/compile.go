@@ -281,18 +281,60 @@ func matchRowReduce(p Program, lhs map[IndexVar]bool, sp, dn []Access) bool {
 // --- Loop emitters ------------------------------------------------------
 // Each emitter closes over the operand names resolved at compile time and
 // produces the loop nest a real compiler would emit as source. The outer
-// loop always covers [Lo, Hi], the distributed tile.
+// loop always covers [Lo, Hi], the distributed tile. Loops run over
+// sub-slices taken once per tile and once per row, so the inner loops
+// index plain slices with no bounds check per entry beyond the gather
+// from x. Every nest keeps the loop rule of DESIGN's determinism
+// contract: each output element, and each reduction, is one chain in
+// ascending storage order; rows may be interleaved, but no chain is
+// re-associated.
 
+// end is the exclusive slice end of r: r.Hi+1, or r.Lo when r is empty,
+// so s[r.Lo:end(r)] is empty for every empty r.
+func end(r geometry.Rect) int64 { return max(r.Lo, r.Hi+1) }
+
+// tile is the distributed tile [Lo, Hi] as a rect.
+func (ar *Args) tile() geometry.Rect { return geometry.Rect{Lo: ar.Lo, Hi: ar.Hi} }
+
+// emitSpMVRow runs two rows at a time, then the odd row. The two chains
+// are independent, so they overlap in the pipeline, and each sums its own
+// row in ascending storage order, as a lone chain would.
 func emitSpMVRow(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
-		y := ar.Ops[yName].Vals
+		t := ar.tile()
 		A := ar.Ops[aName]
+		pos, crd, vals := A.Pos[t.Lo:end(t)], A.Crd, A.Vals
+		y := ar.Ops[yName].Vals[t.Lo:end(t)][:len(pos)]
 		xv := ar.Ops[xName].Vals
-		for i := ar.Lo; i <= ar.Hi; i++ {
+		i := 0
+		for ; i+1 < len(pos); i += 2 {
+			r0, r1 := pos[i], pos[i+1]
+			c0, c1 := crd[r0.Lo:end(r0)], crd[r1.Lo:end(r1)]
+			v0, v1 := vals[r0.Lo:end(r0)][:len(c0)], vals[r1.Lo:end(r1)][:len(c1)]
+			var a0, a1 float64
+			if len(c0) == len(c1) {
+				c1, v1 := c1[:len(c0)], v1[:len(c0)]
+				for k, j := range c0 {
+					a0 += v0[k] * xv[j]
+					a1 += v1[k] * xv[c1[k]]
+				}
+			} else {
+				for k, j := range c0 {
+					a0 += v0[k] * xv[j]
+				}
+				for k, j := range c1 {
+					a1 += v1[k] * xv[j]
+				}
+			}
+			y[i], y[i+1] = a0, a1
+		}
+		if i < len(pos) {
+			r := pos[i]
+			c := crd[r.Lo:end(r)]
+			v := vals[r.Lo:end(r)][:len(c)]
 			var acc float64
-			r := A.Pos[i]
-			for jA := r.Lo; jA <= r.Hi; jA++ {
-				acc += A.Vals[jA] * xv[A.Crd[jA]]
+			for k, j := range c {
+				acc += v[k] * xv[j]
 			}
 			y[i] = acc
 		}
@@ -301,37 +343,42 @@ func emitSpMVRow(yName, aName, xName string) func(*Args) {
 
 func emitSpMVDia(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
-		y := ar.Ops[yName].Vals
+		t := ar.tile()
 		A := ar.Ops[aName]
+		offs, vals, nCols := A.Offsets, A.Vals, A.Stride
+		y := ar.Ops[yName].Vals[t.Lo:end(t)]
 		xv := ar.Ops[xName].Vals
-		nCols := A.Stride
-		for i := ar.Lo; i <= ar.Hi; i++ {
+		for r := range y {
+			i := t.Lo + int64(r)
 			var acc float64
-			for d, off := range A.Offsets {
+			for d, off := range offs {
 				j := i + off
 				if j >= 0 && j < nCols {
-					acc += A.Vals[int64(d)*nCols+j] * xv[j]
+					acc += vals[int64(d)*nCols+j] * xv[j]
 				}
 			}
-			y[i] = acc
+			y[r] = acc
 		}
 	}
 }
 
 func emitSpMVColumn(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
+		t := ar.tile()
 		A := ar.Ops[aName]
-		xv := ar.Ops[xName].Vals
+		pos, crd, vals := A.Pos[t.Lo:end(t)], A.Crd, A.Vals
+		xs := ar.Ops[xName].Vals[t.Lo:end(t)][:len(pos)]
 		add := ar.Accum
 		if add == nil {
 			y := ar.Ops[yName].Vals
 			add = func(idx int64, v float64) { y[idx] += v }
 		}
-		for i := ar.Lo; i <= ar.Hi; i++ {
-			xi := xv[i]
-			r := A.Pos[i]
-			for jA := r.Lo; jA <= r.Hi; jA++ {
-				add(A.Crd[jA], A.Vals[jA]*xi)
+		for i, r := range pos {
+			xi := xs[i]
+			c := crd[r.Lo:end(r)]
+			v := vals[r.Lo:end(r)][:len(c)]
+			for k, j := range c {
+				add(j, v[k]*xi)
 			}
 		}
 	}
@@ -342,6 +389,7 @@ func emitSpMVColumn(yName, aName, xName string) func(*Args) {
 // an aliased output partition supplies Accum for atomic accumulation.
 func emitSpMVCOO(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
+		t := ar.tile()
 		A := ar.Ops[aName]
 		xv := ar.Ops[xName].Vals
 		add := ar.Accum
@@ -349,8 +397,10 @@ func emitSpMVCOO(yName, aName, xName string) func(*Args) {
 			y := ar.Ops[yName].Vals
 			add = func(idx int64, v float64) { y[idx] += v }
 		}
-		for k := ar.Lo; k <= ar.Hi; k++ {
-			add(A.Crd[k], A.Vals[k]*xv[A.Crd2[k]])
+		rows := A.Crd[t.Lo:end(t)]
+		cols, vals := A.Crd2[t.Lo:end(t)][:len(rows)], A.Vals[t.Lo:end(t)][:len(rows)]
+		for k, r := range rows {
+			add(r, vals[k]*xv[cols[k]])
 		}
 	}
 }
@@ -361,26 +411,27 @@ func emitSpMVCOO(yName, aName, xName string) func(*Args) {
 // structure lifted to blocks, with no reduction privilege needed.
 func emitSpMVBSR(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
+		t := ar.tile()
 		y := ar.Ops[yName].Vals
 		A := ar.Ops[aName]
 		xv := ar.Ops[xName].Vals
 		bs := A.BlockSize
-		for br := ar.Lo; br <= ar.Hi; br++ {
-			rowBase := br * bs
-			for i := rowBase; i < rowBase+bs; i++ {
-				y[i] = 0
-			}
-			r := A.Pos[br]
-			for k := r.Lo; k <= r.Hi; k++ {
-				colBase := A.Crd[k] * bs
-				blk := A.Vals[k*bs*bs : (k+1)*bs*bs]
-				for bi := int64(0); bi < bs; bi++ {
+		for bi, r := range A.Pos[t.Lo:end(t)] {
+			br := t.Lo + int64(bi)
+			yRow := y[br*bs : (br+1)*bs]
+			clear(yRow)
+			blks := A.Vals[r.Lo*bs*bs : end(r)*bs*bs]
+			for k, bc := range A.Crd[r.Lo:end(r)] {
+				blk := blks[int64(k)*bs*bs : int64(k+1)*bs*bs]
+				xs := xv[bc*bs : (bc+1)*bs]
+				for e := range yRow {
+					row := blk[int64(e)*bs : int64(e+1)*bs]
+					xs := xs[:len(row)]
 					var acc float64
-					row := blk[bi*bs : (bi+1)*bs]
-					for bj := int64(0); bj < bs; bj++ {
-						acc += row[bj] * xv[colBase+bj]
+					for q, v := range row {
+						acc += v * xs[q]
 					}
-					y[rowBase+bi] += acc
+					yRow[e] += acc
 				}
 			}
 		}
@@ -389,21 +440,22 @@ func emitSpMVBSR(yName, aName, xName string) func(*Args) {
 
 func emitSpMM(yName, aName, xName string) func(*Args) {
 	return func(ar *Args) {
+		t := ar.tile()
 		Y := ar.Ops[yName]
 		A := ar.Ops[aName]
 		X := ar.Ops[xName]
 		k := X.Stride
-		for i := ar.Lo; i <= ar.Hi; i++ {
+		for ri, r := range A.Pos[t.Lo:end(t)] {
+			i := t.Lo + int64(ri)
 			yRow := Y.Vals[i*k : (i+1)*k]
-			for c := range yRow {
-				yRow[c] = 0
-			}
-			r := A.Pos[i]
-			for jA := r.Lo; jA <= r.Hi; jA++ {
-				v := A.Vals[jA]
-				xRow := X.Vals[A.Crd[jA]*k : (A.Crd[jA]+1)*k]
-				for c := range yRow {
-					yRow[c] += v * xRow[c]
+			clear(yRow)
+			c := A.Crd[r.Lo:end(r)]
+			vals := A.Vals[r.Lo:end(r)][:len(c)]
+			for e, j := range c {
+				v := vals[e]
+				xRow := X.Vals[j*k : (j+1)*k][:len(yRow)]
+				for q := range yRow {
+					yRow[q] += v * xRow[q]
 				}
 			}
 		}
@@ -412,22 +464,25 @@ func emitSpMM(yName, aName, xName string) func(*Args) {
 
 func emitSDDMM(rName, aName, bName, cName string) func(*Args) {
 	return func(ar *Args) {
+		t := ar.tile()
 		R := ar.Ops[rName]
 		A := ar.Ops[aName]
 		B := ar.Ops[bName]
 		C := ar.Ops[cName]
 		k := B.Stride
-		for i := ar.Lo; i <= ar.Hi; i++ {
-			r := A.Pos[i]
+		for ri, r := range A.Pos[t.Lo:end(t)] {
+			i := t.Lo + int64(ri)
+			c := A.Crd[r.Lo:end(r)]
+			vals := A.Vals[r.Lo:end(r)][:len(c)]
+			out := R.Vals[r.Lo:end(r)][:len(c)]
 			bRow := B.Vals[i*k : (i+1)*k]
-			for jA := r.Lo; jA <= r.Hi; jA++ {
-				j := A.Crd[jA]
-				cRow := C.Vals[j*k : (j+1)*k]
+			for e, j := range c {
+				cRow := C.Vals[j*k : (j+1)*k][:len(bRow)]
 				var dot float64
-				for q := int64(0); q < k; q++ {
-					dot += bRow[q] * cRow[q]
+				for q, b := range bRow {
+					dot += b * cRow[q]
 				}
-				R.Vals[jA] = A.Vals[jA] * dot
+				out[e] = vals[e] * dot
 			}
 		}
 	}
@@ -435,13 +490,14 @@ func emitSDDMM(rName, aName, bName, cName string) func(*Args) {
 
 func emitRowReduce(yName, aName string) func(*Args) {
 	return func(ar *Args) {
-		y := ar.Ops[yName].Vals
+		t := ar.tile()
 		A := ar.Ops[aName]
-		for i := ar.Lo; i <= ar.Hi; i++ {
+		pos := A.Pos[t.Lo:end(t)]
+		y := ar.Ops[yName].Vals[t.Lo:end(t)][:len(pos)]
+		for i, r := range pos {
 			var acc float64
-			r := A.Pos[i]
-			for jA := r.Lo; jA <= r.Hi; jA++ {
-				acc += A.Vals[jA]
+			for _, v := range A.Vals[r.Lo:end(r)] {
+				acc += v
 			}
 			y[i] = acc
 		}

@@ -288,7 +288,7 @@ func (rt *Runtime) runFusedPoint(ls *launchState, tc *TaskContext, fail int) {
 		if mi == fail {
 			panic(InjectedFault{Stream: m.stream, Point: point})
 		}
-		tc.bind(ls, point, m.reqs, m.args)
+		tc.bind(ls, point, m.reqs, m.scalars)
 		m.kernel(tc)
 		if tc.hasPartial {
 			ls.pointPartials[ls.slot(point, mi)] = tc.partial

@@ -72,11 +72,11 @@ func normalizeOnce(rt *Runtime, x *Region, colors int) {
 
 	div := rt.NewLaunch("div", colors, func(tc *TaskContext) {
 		d := tc.Float64(0)
-		inv := 1.0 / tc.Args().(float64)
+		inv := 1.0 / tc.Scalar(0)
 		tc.Subspace(0).Each(func(i int64) { d[i] *= inv })
 	})
 	div.Add(x, part, ReadWrite)
-	div.SetArgs(sqrt(n2))
+	div.SetScalars(sqrt(n2))
 	div.Execute()
 }
 

@@ -292,11 +292,13 @@ func (rt *Runtime) Image(src *Region, srcPart *Partition, dst *Region, w int64) 
 			data := src.rect
 			for c := range subs {
 				var rects []geometry.Rect
-				srcPart.Subspace(c).Each(func(i int64) {
-					if r := data[i]; !r.Empty() {
-						rects = append(rects, r)
+				for _, s := range srcPart.Subspace(c).Rects() {
+					for _, r := range data[s.Lo : s.Hi+1] {
+						if !r.Empty() {
+							rects = append(rects, r)
+						}
 					}
-				})
+				}
 				subs[c] = geometry.NewIntervalSet(rects...)
 			}
 			return subs
@@ -307,9 +309,9 @@ func (rt *Runtime) Image(src *Region, srcPart *Partition, dst *Region, w int64) 
 			data := src.i64
 			for c := range subs {
 				pts := make([]int64, 0, srcPart.Subspace(c).Size())
-				srcPart.Subspace(c).Each(func(i int64) {
-					pts = append(pts, data[i])
-				})
+				for _, s := range srcPart.Subspace(c).Rects() {
+					pts = append(pts, data[s.Lo:s.Hi+1]...)
+				}
 				subs[c] = geometry.FromPoints(pts)
 			}
 			return subs

@@ -758,7 +758,7 @@ func (rt *Runtime) runPoint(ls *launchState, point int, w *worker) {
 		rt.stats.PointTasks.Add(1)
 	}
 	tc := &w.tc
-	tc.bind(ls, point, ls.l.reqs, ls.l.args)
+	tc.bind(ls, point, ls.l.reqs, ls.l.scalars)
 	// After the sticky error or a cancellation the kernel is skipped and
 	// the point just completes, so fences return promptly and no worker
 	// computes an abandoned result.

@@ -70,7 +70,7 @@ type Launch struct {
 	points   int
 	kernel   KernelFunc
 	reqs     []req
-	args     any
+	scalars  [MaxScalars]float64 // by-value arguments (SetScalars)
 	opClass  machine.OpClass
 	work     workSource          // the cost model's per-point work
 	fusable  bool                // eligible for the runtime's fusion window
@@ -163,8 +163,19 @@ func (l *Launch) AddWhole(r *Region, priv Privilege) int {
 	return len(l.reqs) - 1
 }
 
-// SetArgs attaches by-value arguments visible to every point task.
-func (l *Launch) SetArgs(a any) *Launch { l.args = a; return l }
+// MaxScalars is how many float64 arguments a launch carries by value.
+const MaxScalars = 2
+
+// SetScalars attaches up to MaxScalars float64 arguments, visible to
+// every point task as TaskContext.Scalar(0), Scalar(1), .... They are
+// stored in the launch itself, so passing them allocates nothing.
+func (l *Launch) SetScalars(s ...float64) *Launch {
+	if len(s) > MaxScalars {
+		panic(fmt.Sprintf("legion: launch %q: %d scalars, at most %d", l.name, len(s), MaxScalars))
+	}
+	copy(l.scalars[:], s)
+	return l
+}
 
 // SetOpClass sets the cost-model class of the kernel (default Stream).
 func (l *Launch) SetOpClass(c machine.OpClass) *Launch { l.opClass = c; return l }
@@ -243,7 +254,7 @@ type TaskContext struct {
 	point      int
 	subs       []geometry.IntervalSet
 	reqs       []req // this kernel's requirements (≠ launch reqs when fused)
-	args       any
+	scalars    [MaxScalars]float64
 	partial    float64
 	hasPartial bool
 
@@ -254,8 +265,8 @@ type TaskContext struct {
 
 // bind points the context at one point of a kernel's requirements,
 // materializing the index subspace of each.
-func (tc *TaskContext) bind(ls *launchState, point int, reqs []req, args any) {
-	tc.launch, tc.point, tc.reqs, tc.args = ls, point, reqs, args
+func (tc *TaskContext) bind(ls *launchState, point int, reqs []req, scalars [MaxScalars]float64) {
+	tc.launch, tc.point, tc.reqs, tc.scalars = ls, point, reqs, scalars
 	tc.partial, tc.hasPartial = 0, false
 	tc.subs = tc.subsBuf[:0]
 	for _, rq := range reqs {
@@ -286,8 +297,8 @@ func (rq req) size(point int) int64 {
 // Point returns this point task's color within the launch domain.
 func (tc *TaskContext) Point() int { return tc.point }
 
-// Args returns the launch arguments set with SetArgs.
-func (tc *TaskContext) Args() any { return tc.args }
+// Scalar returns the launch's i-th by-value argument (SetScalars).
+func (tc *TaskContext) Scalar(i int) float64 { return tc.scalars[i] }
 
 // Subspace returns the index set of requirement i for this point.
 func (tc *TaskContext) Subspace(i int) geometry.IntervalSet { return tc.subs[i] }

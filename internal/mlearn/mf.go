@@ -244,12 +244,14 @@ func (m *Model) errorMatrix(bt *batch, pred *core.CSR) *core.CSR {
 		e, pos, crd := tc.Float64(0), tc.Rects(1), tc.Int64(2)
 		r, p := tc.Float64(3), tc.Float64(4)
 		bu, ci := tc.Float64(5), tc.Float64(6)
-		mu := tc.Args().(float64)
-		tc.Subspace(1).Each(func(u int64) {
-			for k := pos[u].Lo; k <= pos[u].Hi; k++ {
-				e[k] = r[k] - mu - bu[u] - ci[crd[k]] - p[k]
+		mu := tc.Scalar(0)
+		for _, rows := range tc.Subspace(1).Rects() {
+			for u := rows.Lo; u <= rows.Hi; u++ {
+				for k := pos[u].Lo; k <= pos[u].Hi; k++ {
+					e[k] = r[k] - mu - bu[u] - ci[crd[k]] - p[k]
+				}
 			}
-		})
+		}
 	})
 	ve := task.AddOutput(evals)
 	vpos := task.AddInput(bt.b.Pos())
@@ -262,7 +264,7 @@ func (m *Model) errorMatrix(bt *batch, pred *core.CSR) *core.CSR {
 	task.Image(vpos, vcrd, vr, vp, ve)
 	task.Image(vcrd, vci)
 	task.SetWorkSource(vcrd, 1) // the user block's ratings
-	task.SetArgs(m.Mu)
+	task.SetScalars(m.Mu)
 	task.SetOpClass(machine.SparseIter)
 	task.Execute()
 	return bt.b.WithValues(evals)
