@@ -43,12 +43,14 @@ race:
 # equivalence, the figure, recovery and launch-order goldens, the
 # fault/recovery (chaos) suite, the worker wakeup protocol, the
 # allocation budgets (whose counts must not depend on scheduling), the
-# sparse-format suites whose bits and per-point work come through the
-# shared image cache (format SpMV agreement, declared work, BSR, SpMM
-# and SDDMM), the serve routing, batching and overload suites, whose
-# routing depends on timing and whose answers must stay bit-identical, and
-# the answer-encoding fuzz seeds, whose answers take the serial encoder at
-# GOMAXPROCS 1 and the split one at 2. Each runs
+# steady-state suites — no region reachable through a finished launch,
+# the warm-CG mapping budgets, and skipped mappings changing nothing
+# observable — the sparse-format suites whose bits and per-point work
+# come through the shared image cache (format SpMV agreement, declared
+# work, BSR, SpMM and SDDMM), the serve routing, batching and overload
+# suites, whose routing depends on timing and whose answers must stay
+# bit-identical, and the answer-encoding fuzz seeds, whose answers take
+# the serial encoder at GOMAXPROCS 1 and the split one at 2. Each runs
 # at GOMAXPROCS 1 and 2 — TestPresetsDeterministic and
 # TestExecutorsEquivalent set both themselves, so -cpu would only repeat
 # them. Each suite has its own -timeout, so a hang fails with goroutine
@@ -64,6 +66,7 @@ stress:
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Fault|Panic|Recovery|ProcDeath|Checkpoint|Sticky|Chaos|Replay|InlineLifecycle' ./internal/fault/ ./internal/legion/ ./internal/bench/; \
 	$(STRESS) -cpu 1,2 -timeout 180s -run 'Wakeup' ./internal/legion/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'AllocBudget' ./internal/constraint/ ./internal/cunumeric/ ./internal/geometry/ ./internal/solvers/; \
+	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestFinishedLaunchesRetainNoRegion|TestCGMappingBudget|TestMappingSkip' ./internal/legion/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'TestFormatSpMVBitAgreement|TestDeclaredWork|TestBSR|TestSpMMAndSDDMM' ./internal/core/; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'BoundedLoadRouting|Batching|Overload' ./internal/serve/...; \
 	$(STRESS) -cpu 1,2 -timeout 120s -run 'AnswerEncoding|UnencodableAnswer' ./internal/serve/httpapi/

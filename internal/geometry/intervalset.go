@@ -40,6 +40,11 @@ func NewIntervalSet(rects ...Rect) IntervalSet {
 			out = append(out, r)
 		}
 	}
+	if cap(out) > 2*len(out) {
+		// Merging shrank the set: keep it, not the input-sized scratch
+		// (a by-range image's rows can merge into a single interval).
+		out = slices.Clone(out)
+	}
 	return IntervalSet{rects: out}
 }
 

@@ -55,6 +55,25 @@ func TestIntervalSetCanonical(t *testing.T) {
 	}
 }
 
+// TestIntervalSetDropsMergeScratch: a set built from many intervals
+// that merge into few keeps storage for the few. A by-range image over
+// 131,072 rows is such a merge, and each of its per-point sets lives as
+// long as the matrix.
+func TestIntervalSetDropsMergeScratch(t *testing.T) {
+	rows := make([]Rect, 1<<17)
+	for i := range rows {
+		rows[i] = NewRect(int64(3*i), int64(3*i+2)) // adjacent: one interval
+	}
+	rows = append(rows, NewRect(1<<20, 1<<20+5))
+	s := NewIntervalSet(rows...)
+	if got := len(s.rects); got != 2 {
+		t.Fatalf("merged into %d intervals, want 2", got)
+	}
+	if c := cap(s.rects); c > 4 {
+		t.Errorf("a set of 2 intervals keeps capacity for %d", c)
+	}
+}
+
 func TestIntervalSetZeroValue(t *testing.T) {
 	var s IntervalSet
 	if !s.Empty() || s.Size() != 0 {

@@ -80,10 +80,27 @@ func (pm *procMemory) addAlloc(id RegionID, a allocation) {
 // so a write invalidates only the copies that exist. A processor retired
 // after a fault may stay listed; nothing reads its set again (it is no
 // copy source and maps no point), and the next write drops it.
+//
+// muts counts the entry's real changes — to a valid set, the host set,
+// the holders or the region's allocations — and read and write are the
+// last partitions through which every point of a launch mapped the
+// region for reading and for writing (Mapper.plan).
 type coherence struct {
 	host    geometry.IntervalSet
 	valid   []geometry.IntervalSet
 	holders []machine.ProcID
+
+	muts        int64
+	read, write canon
+}
+
+// canon records that every point of one launch mapped a region through
+// the partition of coloring, in round-robin placement, leaving the
+// region's entry at muts in mapper epoch epoch. While the entry and the
+// epoch are unchanged, mapping those points through that partition
+// again would change nothing (see Mapper.plan).
+type canon struct {
+	coloring, muts, epoch int64
 }
 
 // on returns the indices valid on p.
@@ -113,6 +130,10 @@ type Mapper struct {
 
 	spareDirs []*coherence       // reset entries of destroyed regions
 	scratch   [2][]geometry.Rect // intermediate sets of one mapping
+
+	epoch  int64 // bumped by evictProcessor, voiding every canon
+	noSkip bool  // map every requirement (plan); set by tests only
+	calls  int64 // mapRequirement calls, read by tests
 
 	// CoalesceThreshold is the minimum ratio of overlapping to
 	// non-overlapping indices for two views to be merged rather than
@@ -151,6 +172,7 @@ func (m *Mapper) setValid(c *coherence, p machine.ProcID, v geometry.IntervalSet
 		c.holders = append(c.holders, p)
 	}
 	c.valid[p] = v
+	c.muts++
 }
 
 // invalidate drops sub from the indices valid on every holder but keep
@@ -162,6 +184,7 @@ func (m *Mapper) invalidate(c *coherence, keep machine.ProcID, sub geometry.Inte
 		v := c.valid[q]
 		if q != keep && v.Overlaps(sub) {
 			v = v.Subtract(sub)
+			c.muts++
 		}
 		if v.Empty() || (m.dead != nil && m.dead[q]) {
 			v = geometry.IntervalSet{}
@@ -170,14 +193,19 @@ func (m *Mapper) invalidate(c *coherence, keep machine.ProcID, sub geometry.Inte
 		}
 		c.valid[q] = v
 	}
+	if len(live) != len(c.holders) {
+		c.muts++
+	}
 	c.holders = live
 }
 
 // regionCreated marks a fresh region valid in host memory.
 func (m *Mapper) regionCreated(r *Region) {
-	if c := m.dir(r); r.size > 0 {
+	c := m.dir(r)
+	if r.size > 0 {
 		c.host = geometry.NewIntervalSet(r.Domain())
 	}
+	c.muts++
 }
 
 // regionDestroyed frees the region's allocations into each processor's
@@ -198,6 +226,8 @@ func (m *Mapper) regionDestroyed(r *Region) {
 	if c := r.coh; c != nil && len(m.spareDirs) < maxSpares {
 		clear(c.valid)
 		c.host, c.holders = geometry.IntervalSet{}, c.holders[:0]
+		c.read, c.write = canon{}, canon{}
+		c.muts++
 		m.spareDirs = append(m.spareDirs, c)
 	}
 	r.coh = nil
@@ -219,6 +249,87 @@ func (m *Mapper) evictProcessor(p machine.ProcID) {
 	}
 	m.mems[p] = newProcMemory()
 	m.srcOrder = nil // rebuild source preferences without p
+	m.epoch++        // points now land on other processors
+}
+
+// plan decides, before l is mapped, which of its requirements need no
+// mapping at any point (skip) and which leave a canon to record once
+// every point has been mapped (note; see noteMapped). A requirement is
+// skipped when a canon of its region covers it: the same subspaces (a
+// partition coloring), the entry unchanged since, the same processors,
+// and a privilege the canon's class covers — a read is covered by the
+// read or the write canon, a write only by the write canon. Such a
+// mapping is a proven no-op: every index is already valid where its
+// point runs, no other copy needs invalidating and the allocation is
+// reused, so there is no copy, stat or prof event to miss. Since each
+// skipped mapping leaves the entry as it found it, a launch may skip any
+// number of requirements on one region, but only if it skips all of
+// them. Nothing is skipped or noted for a ReduceSum or whole-region
+// requirement, a MapPoints launch, or under an allocator stall, which
+// is charged even on a no-op.
+func (m *Mapper) plan(l *Launch) (skip, note uint64) {
+	if m.noSkip || l.procMap != nil || m.rt.cost.AllocStall > 0 || len(l.reqs) > 64 {
+		return 0, 0
+	}
+	var covered uint64
+	for i, rq := range l.reqs {
+		if m.covered(rq) {
+			covered |= 1 << i
+		}
+	}
+	for i, rq := range l.reqs {
+		alone, all := true, covered&(1<<i) != 0
+		for j, o := range l.reqs {
+			if j != i && o.region == rq.region {
+				alone, all = false, all && covered&(1<<j) != 0
+			}
+		}
+		switch {
+		case all:
+			skip |= 1 << i
+		case alone && rq.part != nil && rq.priv != ReduceSum:
+			note |= 1 << i
+		}
+	}
+	return skip, note
+}
+
+// covered reports whether a canon of rq's region covers rq (see plan).
+func (m *Mapper) covered(rq req) bool {
+	c := rq.region.coh
+	if c == nil || rq.part == nil {
+		return false
+	}
+	holds := func(k canon) bool {
+		return k.coloring == rq.part.coloring && k.muts == c.muts && k.epoch == m.epoch
+	}
+	switch rq.priv {
+	case ReadOnly:
+		return holds(c.read) || holds(c.write)
+	case WriteDiscard, ReadWrite:
+		return holds(c.write)
+	}
+	return false
+}
+
+// noteMapped records the canons plan asked for, after every point of l
+// has been mapped. Each noted requirement is its region's only one in
+// l, so the entry's changes during l were its own: a read mapping only
+// adds to valid sets, and a write through a disjoint partition leaves
+// each point's indices valid only where that point ran.
+func (m *Mapper) noteMapped(l *Launch, note uint64) {
+	for i, rq := range l.reqs {
+		if note&(1<<i) == 0 {
+			continue
+		}
+		c := m.dir(rq.region)
+		k := canon{coloring: rq.part.coloring, muts: c.muts, epoch: m.epoch}
+		if rq.priv == ReadOnly {
+			c.read = k
+		} else {
+			c.write = k
+		}
+	}
 }
 
 // mapResult summarizes the modeled data movement of mapping one region
@@ -234,6 +345,7 @@ type mapResult struct {
 // OOMError if proc's memory capacity would be exceeded.
 func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.IntervalSet, priv Privilege) (mapResult, error) {
 	var res mapResult
+	m.calls++
 	if sub.Empty() {
 		return res, nil
 	}
@@ -251,7 +363,7 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 	// coalescing heuristic merges neighbors as views grow.
 	es := r.typ.ElemSize()
 	for _, need := range sub.Rects() {
-		reallocBytes, fresh, err := m.allocate(pm, r, need, kind, proc)
+		reallocBytes, fresh, err := m.allocate(pm, r, c, need, kind, proc)
 		if err != nil {
 			return res, err
 		}
@@ -302,6 +414,7 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 		m.invalidate(c, proc, sub)
 		if c.host.Overlaps(sub) {
 			c.host = c.host.Subtract(sub)
+			c.muts++
 		}
 		if !covered {
 			m.setValid(c, proc, valid.Union(sub))
@@ -312,6 +425,7 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 		// copy invalidated (the fold itself is charged by the caller).
 		m.invalidate(c, HostProc, sub)
 		c.host = c.host.Union(sub)
+		c.muts++
 	}
 	return res, nil
 }
@@ -322,8 +436,8 @@ func (m *Mapper) mapRequirement(proc machine.ProcID, r *Region, sub geometry.Int
 // (pooled or fresh) rather than an existing one. Preference order:
 // exact/containing reuse, then coalescing with an overlapping
 // allocation, then the free pool, then a fresh allocation (checked
-// against capacity).
-func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind machine.ProcKind, proc machine.ProcID) (int64, bool, error) {
+// against capacity). All but reuse count as a change of r's entry c.
+func (m *Mapper) allocate(pm *procMemory, r *Region, c *coherence, need geometry.Rect, kind machine.ProcKind, proc machine.ProcID) (int64, bool, error) {
 	es := r.typ.ElemSize()
 	list := pm.allocs[r.id]
 	// Reuse: an existing allocation already covers the view.
@@ -352,6 +466,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 		moved := a.extent.Size() * es // old contents copied into the resized allocation
 		pm.used += grow
 		list[i] = allocation{elemSize: es, extent: merged}
+		c.muts++
 		if ps := m.rt.prof; ps != nil {
 			ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemGrow,
 				Proc: int(proc), Region: r.name, Bytes: grow})
@@ -363,6 +478,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 		if pa.elemSize == es && pa.extent.ContainsRect(need) {
 			pm.pool = append(pm.pool[:i], pm.pool[i+1:]...)
 			pm.addAlloc(r.id, pa)
+			c.muts++
 			if ps := m.rt.prof; ps != nil {
 				ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemReuse,
 					Proc: int(proc), Region: r.name, Bytes: pa.extent.Size() * es})
@@ -377,6 +493,7 @@ func (m *Mapper) allocate(pm *procMemory, r *Region, need geometry.Rect, kind ma
 	}
 	pm.used += grow
 	pm.addAlloc(r.id, allocation{elemSize: es, extent: need})
+	c.muts++
 	if ps := m.rt.prof; ps != nil {
 		ps.RecordMem(prof.MemEvent{Run: m.rt.profRun, Kind: prof.MemAlloc,
 			Proc: int(proc), Region: r.name, Bytes: grow})

@@ -210,10 +210,13 @@ type imageKey struct {
 // "Cross-region image-set cache"): an exact hit returns the cached
 // partition object of dst; a set hit reuses the subspaces computed for
 // another same-size destination and pays only a Partition wrapper; a
-// miss runs build.
+// miss runs build. Only a build reads src, so only a build waits for
+// src's last writer. Every lookup still flushes the fusion window: when
+// the buffered launches issue decides which of their failures a later
+// recovery point finds, so a hit may not leave them buffered.
 func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, dst *Region, w int64,
 	build func() []geometry.IntervalSet) *Partition {
-	rt.fenceRegion(src) // build reads src's contents on the app thread
+	rt.FlushFusion()
 	setsKey := imageSetsKey{kind: kind, src: src.id, srcColoring: from.coloring, srcVersion: src.version, dstSize: dst.size, width: w}
 	key := imageKey{sets: setsKey, dst: dst.id}
 	rt.mu.Lock()
@@ -228,6 +231,7 @@ func (rt *Runtime) derivedPartition(kind string, src *Region, from *Partition, d
 
 	built := e == nil
 	if built {
+		rt.waitWriter(src) // build reads src's contents on the app thread
 		e = &imageSetsEntry{subs: build()}
 		for c, s := range e.subs {
 			e.subs[c] = s.Scale(w)

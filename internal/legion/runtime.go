@@ -69,6 +69,7 @@ type Runtime struct {
 	cacheStats     CacheStats
 	analysisClock  time.Duration
 	err            error
+	errFlag        atomic.Bool // err != nil, readable without mu (errSet)
 
 	traceActive    bool
 	traceReplaying bool
@@ -107,13 +108,81 @@ const inlineGrainElems = 1 << 15
 // read it. addReader therefore compacts completed readers away, folding
 // their finish times into readDone, which the next writer waits for
 // exactly as it would have waited for them.
+//
+// Each record holds its launch only while the launch is in flight: the
+// issuing goroutine retires a completed one to its seq and finish time
+// wherever it finds it — on every addReader, in every issue scan and at
+// Fence — so no finished Launch, nor through its requirements any region
+// it touched, stays reachable from here.
 type regionState struct {
-	lastWriter *launchState
-	readers    []*launchState
+	lastWriter launchRef // seq 0: never written
+	readers    []launchRef
 	readDone   time.Duration // largest finish time among compacted readers
 	compactAt  int           // reader count that triggers the next compaction
 
-	readerBuf [4]*launchState // backs readers for the usual reader counts
+	readerBuf [4]launchRef // backs readers for the usual reader counts
+}
+
+// launchRef is one launch recorded in region state: the launch itself
+// while it is in flight, its seq and finish time once retired.
+type launchRef struct {
+	ls       *launchState // nil once retired
+	seq      int64
+	finishAt time.Duration // set at retire
+}
+
+func refTo(ls *launchState) launchRef { return launchRef{ls: ls, seq: ls.seq} }
+
+// retire drops the record's launch if it has completed, keeping its
+// finish time, and reports whether it has. Application goroutine only;
+// a completed launch's finish time was fixed when it was issued.
+func (r *launchRef) retire() bool {
+	if r.ls == nil {
+		return true
+	}
+	if !r.ls.completed.Load() {
+		return false
+	}
+	r.finishAt, r.ls = r.ls.finishAt, nil
+	return true
+}
+
+// finish returns the launch's simulated finish time.
+func (r *launchRef) finish() time.Duration {
+	if r.ls != nil {
+		return r.ls.finishAt
+	}
+	return r.finishAt
+}
+
+// resetTimeline zeroes the recorded launch's simulated-time marks (see
+// launchState.resetTimeline).
+func (r *launchRef) resetTimeline() {
+	if r.ls != nil {
+		r.ls.resetTimeline()
+	}
+	r.finishAt = 0
+}
+
+// dependOn appends the launch r records to deps, unless it is there
+// already, and returns deps; seq is the launch collecting them. A
+// launch in flight is de-duplicated by its depMark, a retired one by
+// its seq: once retired it stays complete, so it cannot also sit in
+// deps under a mark this scan has not set.
+func dependOn(deps []launchRef, r *launchRef, seq int64) []launchRef {
+	if r.retire() {
+		for i := range deps {
+			if deps[i].seq == r.seq {
+				return deps
+			}
+		}
+		return append(deps, *r)
+	}
+	if r.ls.depMark == seq {
+		return deps
+	}
+	r.ls.depMark = seq
+	return append(deps, *r)
 }
 
 func newRegionState() *regionState {
@@ -127,14 +196,19 @@ func newRegionState() *regionState {
 // operand stays a plain append.
 const readerCompactMin = 16
 
-// addReader records ls as a reader since the last write. Caller holds
-// rt.mu. The scan is amortised: the next one waits until the list has
-// doubled past the launches still in flight.
+// addReader records ls as a reader since the last write, retiring the
+// completed readers already listed. Caller holds rt.mu. Compaction is
+// amortised: the next one waits until the list has doubled past the
+// launches still in flight.
 func (st *regionState) addReader(ls *launchState) {
-	if len(st.readers) >= max(st.compactAt, readerCompactMin) {
+	if len(st.readers) < max(st.compactAt, readerCompactMin) {
+		for i := range st.readers {
+			st.readers[i].retire()
+		}
+	} else {
 		live := st.readers[:0]
 		for _, rd := range st.readers {
-			if rd.completed.Load() {
+			if rd.retire() {
 				st.readDone = max(st.readDone, rd.finishAt)
 			} else {
 				live = append(live, rd)
@@ -144,7 +218,16 @@ func (st *regionState) addReader(ls *launchState) {
 		st.readers = live
 		st.compactAt = 2 * len(live)
 	}
-	st.readers = append(st.readers, ls)
+	st.readers = append(st.readers, refTo(ls))
+}
+
+// retire drops every completed launch the region state still holds.
+// Caller holds rt.mu.
+func (st *regionState) retire() {
+	st.lastWriter.retire()
+	for i := range st.readers {
+		st.readers[i].retire()
+	}
 }
 
 // defaultProfiler, when set, is attached to every newly created
@@ -254,15 +337,14 @@ func (rt *Runtime) setErr(err error) {
 	rt.mu.Lock()
 	if rt.err == nil {
 		rt.err = err
+		rt.errFlag.Store(true)
 	}
 	rt.mu.Unlock()
 }
 
-func (rt *Runtime) errSet() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.err != nil
-}
+// errSet reports whether the sticky error is set. It takes no lock: the
+// error is never cleared, so the flag setErr raises with it is exact.
+func (rt *Runtime) errSet() bool { return rt.errFlag.Load() }
 
 // Destroy marks a region out of scope: its allocations return to the
 // mapper's free pools for reuse by future regions (§4.3). Issued launches
@@ -295,8 +377,19 @@ func (rt *Runtime) Fence() {
 	rt.pollCancel()
 	rt.FlushFusion()
 	rt.pending.Wait()
+	rt.retireLaunches()
 	rt.maybeRecover()
 	rt.checkProcDeaths()
+}
+
+// retireLaunches drops every completed launch from region state, which
+// after a fence is every launch it holds.
+func (rt *Runtime) retireLaunches() {
+	rt.mu.Lock()
+	for _, st := range rt.regions {
+		st.retire()
+	}
+	rt.mu.Unlock()
 }
 
 // Shutdown stops the worker goroutines after draining outstanding work.
@@ -337,11 +430,9 @@ func (rt *Runtime) ResetMetrics() {
 	// ready-times from these, and without rebasing the first post-reset
 	// launch would inherit the pre-reset clock.
 	for _, st := range rt.regions {
-		if st.lastWriter != nil {
-			st.lastWriter.resetTimeline()
-		}
-		for _, r := range st.readers {
-			r.resetTimeline()
+		st.lastWriter.resetTimeline()
+		for i := range st.readers {
+			st.readers[i].resetTimeline()
 		}
 		st.readDone = 0
 	}
@@ -370,14 +461,14 @@ func (rt *Runtime) AnalysisTime() time.Duration {
 	return rt.analysisClock
 }
 
-// fenceRegion waits for all outstanding writers of r; used before the
-// runtime itself reads region contents (image computation).
-func (rt *Runtime) fenceRegion(r *Region) {
-	rt.FlushFusion()
+// waitWriter waits for the last issued writer of r; used before the
+// runtime itself reads region contents (image computation). Callers
+// flush the fusion window first.
+func (rt *Runtime) waitWriter(r *Region) {
 	rt.mu.Lock()
 	var writer *launchState
-	if st := rt.regions[r.id]; st != nil {
-		writer = st.lastWriter
+	if st := rt.regions[r.id]; st != nil && !st.lastWriter.retire() {
+		writer = st.lastWriter.ls
 	}
 	rt.mu.Unlock()
 	if writer != nil {
@@ -493,9 +584,10 @@ func (rt *Runtime) newLaunchState(l *Launch, replay bool) *launchState {
 // mapLaunch issues ls point by point, in point order, on the application
 // goroutine, so the mapper, the fault injector and the simulated clock
 // see the launch stream in program order whoever later runs the points.
-// For each point it maps the requirements onto the point's processor,
-// decides whether an injected fault fires in it (decideFault), and
-// places it on the processor's timeline: it starts once the launch is
+// For each point it maps the requirements onto the point's processor —
+// all but those the mapper proves unchanged (Mapper.plan) — decides
+// whether an injected fault fires in it (decideFault), and places it on
+// the processor's timeline: it starts once the launch is
 // issued, its dependencies have finished (ready) and the processor's
 // earlier points are done, and lasts the per-point overhead plus its
 // copies plus its kernel time for its declared work — zero work if it
@@ -504,11 +596,18 @@ func (rt *Runtime) newLaunchState(l *Launch, replay bool) *launchState {
 func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 	l := ls.l
 	skip := rt.errSet() || rt.cancelFired.Load()
+	var settled, note uint64 // requirement bitmasks: skipped, and canons to note (Mapper.plan)
+	if !skip {
+		settled, note = rt.map_.plan(l)
+	}
 	ready = max(ready, ls.issueAt)
 	for p := 0; p < l.points; p++ {
 		proc := rt.workerForPoint(ls, p).proc
 		var copyTime time.Duration
 		for i := 0; !skip && i < len(l.reqs); i++ {
+			if settled&(1<<i) != 0 {
+				continue
+			}
 			rq := l.reqs[i]
 			res, err := rt.map_.mapRequirement(proc, rq.region, rq.subspace(p), rq.priv)
 			if err != nil {
@@ -542,6 +641,9 @@ func (rt *Runtime) mapLaunch(ls *launchState, ready time.Duration) {
 			})
 		}
 	}
+	if !skip && note != 0 {
+		rt.map_.noteMapped(l, note)
+	}
 }
 
 // pointWork is the work point p declares; a fused point charges the sum
@@ -573,7 +675,7 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	// launches this one must wait for, each once, then update per-region
 	// reader/writer state. Reads depend on the last writer (RAW); writes
 	// depend on the last writer and all readers since (WAW, WAR).
-	var depBuf [8]*launchState
+	var depBuf [8]launchRef
 	deps := depBuf[:0]
 	var readDone time.Duration // compacted readers of the regions written
 	var footprint int64
@@ -584,16 +686,12 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 			st = newRegionState()
 			rt.regions[rq.region.id] = st
 		}
-		if w := st.lastWriter; w != nil && w.depMark != ls.seq {
-			w.depMark = ls.seq
-			deps = append(deps, w)
+		if st.lastWriter.seq != 0 {
+			deps = dependOn(deps, &st.lastWriter, ls.seq)
 		}
 		if rq.priv.writes() {
-			for _, rd := range st.readers {
-				if rd.depMark != ls.seq {
-					rd.depMark = ls.seq
-					deps = append(deps, rd)
-				}
+			for i := range st.readers {
+				deps = dependOn(deps, &st.readers[i], ls.seq)
 			}
 			readDone = max(readDone, st.readDone)
 		}
@@ -601,7 +699,7 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	for _, rq := range l.reqs {
 		st := rt.regions[rq.region.id]
 		if rq.priv.writes() {
-			st.lastWriter = ls
+			st.lastWriter = refTo(ls)
 			clear(st.readers)
 			st.readers, st.readDone = st.readers[:0], 0
 		} else {
@@ -621,8 +719,8 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 			members = append(members, m.name)
 		}
 		depSeqs := make([]int64, 0, len(deps))
-		for _, dep := range deps {
-			depSeqs = append(depSeqs, dep.seq)
+		for i := range deps {
+			depSeqs = append(depSeqs, deps[i].seq)
 		}
 		ps.RecordLaunch(prof.LaunchInfo{
 			Run: rt.profRun, Seq: ls.seq, Name: l.name, Points: l.points,
@@ -635,8 +733,8 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 
 	// Every dependency was issued earlier, so its finish time is final.
 	ready := readDone
-	for _, dep := range deps {
-		ready = max(ready, dep.finishAt)
+	for i := range deps {
+		ready = max(ready, deps[i].finish())
 	}
 	rt.mapLaunch(ls, ready)
 
@@ -659,8 +757,11 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 	// dependency completes concurrently.
 	ls.depCount.Store(1)
 	for _, dep := range deps {
+		if dep.ls == nil {
+			continue // retired: already complete
+		}
 		ls.depCount.Add(1)
-		if !dep.addChild(ls) {
+		if !dep.ls.addChild(ls) {
 			ls.depCount.Add(-1) // already complete
 		}
 	}
@@ -679,12 +780,12 @@ func (rt *Runtime) executeNow(l *Launch) *launchState {
 // exactly that processor's program order — only this goroutine enqueues,
 // so idleness cannot end while it runs them. Otherwise the points go to
 // the workers' queues.
-func (rt *Runtime) runsInline(ls *launchState, footprint int64, deps []*launchState) bool {
+func (rt *Runtime) runsInline(ls *launchState, footprint int64, deps []launchRef) bool {
 	if footprint > rt.inlineGrain {
 		return false
 	}
 	for _, dep := range deps {
-		if !dep.completed.Load() {
+		if dep.ls != nil && !dep.ls.completed.Load() {
 			return false
 		}
 	}

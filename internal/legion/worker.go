@@ -96,6 +96,7 @@ func (w *worker) run() {
 			w.cond.Wait()
 		}
 		item := w.queue[0]
+		w.queue[0] = workItem{} // the backing array keeps no finished launch
 		w.queue = w.queue[1:]
 		w.mu.Unlock()
 		w.exec(item)
