@@ -9,7 +9,7 @@ GO ?= go
 # over the fusion and serve wall-clock benchmarks
 # (compile + run, not a timing study — use `go test -bench` directly with
 # a real -benchtime for numbers), a ten-second native fuzz of each of the
-# eight fuzz targets (their seed corpora already ran as normal tests under
+# nine fuzz targets (their seed corpora already ran as normal tests under
 # `race`),
 # a vet + test build of the frozen benchmark/ module against this tree,
 # the legate-prof artifact and legate-bench inventory smoke tests, the
@@ -73,9 +73,10 @@ stress:
 
 # fuzz is a smoke run of the native fuzz targets, not a campaign: ten
 # seconds of mutation over each target's seed corpus. Between them the
-# eight cover every parser of untrusted input — index sets, Matrix Market
+# nine cover every parser of untrusted input — index sets, Matrix Market
 # files, fault specs, HTTP request bodies and uploaded triples — the
-# answer encoder, whose split bodies must equal json.Encoder's, and the
+# answer encoder, whose split bodies must equal json.Encoder's, the
+# upload decoder, whose fast path must equal json.Decoder's, and the
 # compiled loop nests, which must equal a per-index reference bit for bit.
 fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromPoints -fuzztime=10s ./internal/geometry/
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/fault/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=10s ./internal/serve/httpapi/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzAnswerEncoding -fuzztime=10s ./internal/serve/httpapi/
+	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzUploadDecode -fuzztime=10s ./internal/serve/httpapi/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzFromTriples -fuzztime=10s ./internal/serve/engine/
 	$(GO) test -timeout 120s -run='^$$' -fuzz=FuzzKernelAgreement -fuzztime=10s ./internal/distal/
 

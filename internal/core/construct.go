@@ -2,15 +2,53 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cunumeric"
 	"repro/internal/legion"
 )
 
-// canonicalizeCOO sorts coordinate triples by (row, col) and sums
-// duplicates, the canonical form SciPy's tocsr() produces.
+// canonicalizeCOO returns coordinate triples sorted by (row, col) with
+// duplicates summed, the canonical form SciPy's tocsr() produces.
+// Triples already in strictly ascending (row, col) order — which also
+// rules out duplicates — are canonical, so they are returned as they
+// are after one O(n) pass: the result may alias the inputs, and no
+// caller writes through it.
 func canonicalizeCOO(row, col []int64, data []float64) ([]int64, []int64, []float64) {
+	if canonicalOrder(row, col, data) {
+		return row, col, data
+	}
+	return sortCOO(row, col, data)
+}
+
+// CanonicalTriples is canonicalizeCOO into slices of its own: the result
+// never aliases the inputs, and each array is copied once, by the sort
+// or, for triples already canonical, by a plain copy.
+func CanonicalTriples(row, col []int64, data []float64) ([]int64, []int64, []float64) {
+	if canonicalOrder(row, col, data) {
+		return slices.Clone(row), slices.Clone(col), slices.Clone(data)
+	}
+	return sortCOO(row, col, data)
+}
+
+// canonicalOrder reports whether equally long triples are in strictly
+// ascending (row, col) order.
+func canonicalOrder(row, col []int64, data []float64) bool {
+	if len(col) != len(row) || len(data) != len(row) {
+		return false
+	}
+	for i := 1; i < len(row); i++ {
+		if row[i] < row[i-1] || row[i] == row[i-1] && col[i] <= col[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortCOO is canonicalizeCOO's general path: an index sort by (row, col)
+// and a pass summing duplicates, into fresh slices.
+func sortCOO(row, col []int64, data []float64) ([]int64, []int64, []float64) {
 	n := len(row)
 	idx := make([]int, n)
 	for i := range idx {
@@ -55,7 +93,7 @@ func buildCSR(rt *legion.Runtime, rows, cols int64, r, c []int64, v []float64) *
 // order (row-major sorted, duplicates summed) — the construction path
 // for matrices arriving over a wire, e.g. legate-serve uploads. It is
 // the exported form of the canonicalize+build pipeline the SciPy-style
-// constructors share.
+// constructors share; canonical triples skip the sort.
 func FromTriples(rt *legion.Runtime, rows, cols int64, r, c []int64, v []float64) *CSR {
 	cr, cc, cv := canonicalizeCOO(r, c, v)
 	return buildCSR(rt, rows, cols, cr, cc, cv)

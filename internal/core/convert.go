@@ -49,14 +49,9 @@ func (a *CSR) ToCOO() *COO {
 // ToCSR converts COO to CSR.
 func (a *COO) ToCSR() *CSR {
 	a.rt.Fence()
-	row, col, vals := a.row.Int64s(), a.col.Int64s(), a.vals.Float64s()
-	r := make([]int64, len(row))
-	c := make([]int64, len(col))
-	v := make([]float64, len(vals))
-	copy(r, row)
-	copy(c, col)
-	copy(v, vals)
-	r, c, v = canonicalizeCOO(r, c, v)
+	// buildCSR copies into fresh regions, so canonical triples may be
+	// read straight from this matrix's own.
+	r, c, v := canonicalizeCOO(a.row.Int64s(), a.col.Int64s(), a.vals.Float64s())
 	return buildCSR(a.rt, a.rows, a.cols, r, c, v)
 }
 

@@ -61,7 +61,8 @@ func (f *fnv) float64s(vs []float64) {
 // FingerprintTriples fingerprints a host-side COO triple set — the form
 // matrices arrive in over the serve API. Triples are canonicalized
 // (row-major sort, duplicates summed) first, so any ordering of the same
-// logical matrix fingerprints identically.
+// logical matrix fingerprints identically; canonical triples are hashed
+// as they are.
 func FingerprintTriples(rows, cols int64, r, c []int64, v []float64) Fingerprint {
 	cr, cc, cv := canonicalizeCOO(r, c, v)
 	f := newFNV()

@@ -147,7 +147,7 @@ const maxUploadDim = 1 << 24
 // definition — a missing name, a non-positive or oversized shape, ragged
 // triple arrays, an index outside the shape — or nil. Every backend's
 // Upload applies it before storing anything; duplicates and unsorted
-// triples are fine (core.FromTriples sums and sorts).
+// triples are fine (the store sums and sorts them once, on upload).
 func (r *UploadRequest) Validate() error {
 	if r.Name == "" || r.Rows <= 0 || r.Cols <= 0 {
 		return fmt.Errorf("upload needs name and positive rows/cols")
@@ -194,6 +194,8 @@ type Backend interface {
 	Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error)
 	SpMV(ctx context.Context, req *SpMVRequest) (*SpMVResponse, error)
 	Eigen(ctx context.Context, req *EigenRequest) (*EigenResponse, error)
+	// Upload keeps none of the request's slices: the store holds
+	// canonical copies of its own.
 	Upload(ctx context.Context, req *UploadRequest) (*UploadResponse, error)
 
 	Matrices() []MatrixInfo

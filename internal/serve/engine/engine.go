@@ -374,7 +374,7 @@ func (e *Engine) Upload(_ context.Context, req *UploadRequest) (*UploadResponse,
 	return &UploadResponse{
 		Name:        d.Name,
 		Fingerprint: fmt.Sprintf("%016x", uint64(d.FP)),
-		NNZ:         len(d.Val),
+		NNZ:         d.NNZ(),
 	}, nil
 }
 

@@ -10,10 +10,11 @@ import (
 )
 
 // MatrixDef is the engine's runtime-independent description of one
-// matrix: host-side COO triples plus a content fingerprint. Every pool
-// runtime binds regions from this description on first use, so a
-// replacement runtime reconstructs bit-identical state, and the
-// fingerprint keys every cross-request cache.
+// matrix: host-side COO triples in canonical form (core.CanonicalTriples)
+// plus a content fingerprint. Every pool runtime binds regions from this
+// description on first use, so a replacement runtime reconstructs
+// bit-identical state, and the fingerprint keys every cross-request
+// cache.
 type MatrixDef struct {
 	Name     string
 	Rows     int64
@@ -23,15 +24,17 @@ type MatrixDef struct {
 	FP       core.Fingerprint
 	Preset   string // non-empty when built from a preset
 	Revision int64  // bumped on re-upload; workers drop stale bindings
+
+	received int // triples uploaded, before duplicates were summed
 }
 
-// NNZ returns the stored (pre-canonicalization) triple count.
-func (d *MatrixDef) NNZ() int { return len(d.Val) }
+// NNZ returns the number of triples received, duplicates included.
+func (d *MatrixDef) NNZ() int { return d.received }
 
 // Info returns the listing row for this definition.
 func (d *MatrixDef) Info() MatrixInfo {
 	return MatrixInfo{
-		Name: d.Name, Rows: d.Rows, Cols: d.Cols, NNZ: len(d.Val),
+		Name: d.Name, Rows: d.Rows, Cols: d.Cols, NNZ: d.received,
 		Fingerprint: fmt.Sprintf("%016x", uint64(d.FP)),
 		Preset:      d.Preset, Revision: d.Revision,
 	}
@@ -79,15 +82,17 @@ func (s *Store) Peek(name string) *MatrixDef {
 }
 
 // Put registers or replaces an uploaded matrix and returns the new
-// definition and the one it replaced (nil for a new name). A
-// replacement bumps the store revision, which workers observe to
-// invalidate bindings of the old contents.
+// definition and the one it replaced (nil for a new name). The
+// definition holds canonical copies of the triples, so r, c and v are
+// not kept, and every bind of it skips the sort. A replacement bumps
+// the store revision, which workers observe to invalidate bindings of
+// the old contents.
 func (s *Store) Put(name string, rows, cols int64, r, c []int64, v []float64) (d, replaced *MatrixDef) {
+	cr, cc, cv := core.CanonicalTriples(r, c, v)
 	d = &MatrixDef{
-		Name: name, Rows: rows, Cols: cols,
-		Row: append([]int64(nil), r...), Col: append([]int64(nil), c...),
-		Val: append([]float64(nil), v...),
-		FP:  core.FingerprintTriples(rows, cols, r, c, v),
+		Name: name, Rows: rows, Cols: cols, Row: cr, Col: cc, Val: cv,
+		FP:       core.FingerprintTriples(rows, cols, cr, cc, cv),
+		received: len(v),
 	}
 	s.mu.Lock()
 	s.revision++
@@ -196,14 +201,12 @@ func BuildPreset(name string) (*MatrixDef, error) {
 	defer coo.Destroy()
 	rt.Fence()
 	pack := coo.Pack()
-	r := append([]int64(nil), pack[0].Int64s()...)
-	c := append([]int64(nil), pack[1].Int64s()...)
-	v := append([]float64(nil), pack[2].Float64s()...)
+	r, c, v := core.CanonicalTriples(pack[0].Int64s(), pack[1].Int64s(), pack[2].Float64s())
 	rows, cols := a.Shape()
 	return &MatrixDef{
 		Name: name, Rows: rows, Cols: cols, Row: r, Col: c, Val: v,
 		FP:     core.FingerprintTriples(rows, cols, r, c, v),
-		Preset: kind,
+		Preset: kind, received: int(pack[2].Size()),
 	}, nil
 }
 

@@ -5,7 +5,9 @@ package engine
 // revisions, and the listing surface.
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +219,36 @@ func TestRouteRecordsLiveFingerprintsOnly(t *testing.T) {
 	wk.load.Add(-1)
 	if n := e.Metrics().Pool.Owners; n != 0 {
 		t.Fatalf("owners = %d after routing a replaced fingerprint, want 0", n)
+	}
+}
+
+// TestUploadNNZCountsEntriesReceived: an upload's NNZ, in its response
+// and in the listing, is the number of triples received, duplicates
+// included, while the store holds the canonical form the bind uses —
+// sorted, with the duplicates summed.
+func TestUploadNNZCountsEntriesReceived(t *testing.T) {
+	e, err := New(Config{Pool: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	req := &UploadRequest{Name: "dups", Rows: 3, Cols: 3,
+		Row: []int64{2, 0, 2, 1, 0}, Col: []int64{2, 0, 2, 1, 0}, Val: []float64{1, 2, 3, 4, 5}}
+	resp, err := e.Upload(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.NNZ != 5 {
+		t.Fatalf("upload response NNZ %d, want the 5 triples received", resp.NNZ)
+	}
+	if list := e.Matrices(); len(list) != 1 || list[0].NNZ != 5 {
+		t.Fatalf("listing %+v, want one row with NNZ 5", list)
+	}
+	d := e.store.Peek("dups")
+	if !slices.Equal(d.Row, []int64{0, 1, 2}) || !slices.Equal(d.Col, []int64{0, 1, 2}) || !slices.Equal(d.Val, []float64{7, 4, 4}) {
+		t.Fatalf("stored triples %v %v %v, want the canonical form", d.Row, d.Col, d.Val)
+	}
+	if d.FP != core.FingerprintTriples(3, 3, req.Row, req.Col, req.Val) {
+		t.Fatal("the stored fingerprint differs from the received triples'")
 	}
 }

@@ -14,6 +14,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -207,9 +208,17 @@ func (s *server) handleEigen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// handleUpload reads the whole body through the server's limit before
+// decoding it (decodeUpload), so a body past the limit is refused even
+// when a valid object ends before it.
 func (s *server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		badRequest(w, err)
+		return
+	}
 	var req engine.UploadRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := decodeUpload(body, &req); err != nil {
 		badRequest(w, err)
 		return
 	}

@@ -162,7 +162,7 @@ func (c *Coordinator) Upload(_ context.Context, req *engine.UploadRequest) (*eng
 	return &engine.UploadResponse{
 		Name:        d.Name,
 		Fingerprint: fmt.Sprintf("%016x", uint64(d.FP)),
-		NNZ:         len(d.Val),
+		NNZ:         d.NNZ(),
 	}, nil
 }
 
