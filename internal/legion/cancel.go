@@ -100,7 +100,8 @@ func (rt *Runtime) ClearCancel() {
 	rt.pending.Wait()
 	if ft := rt.ft; ft != nil {
 		ft.takeFailures()
-		fresh := &ftState{every: ft.every, epoch: ft.epoch + 1, snaps: map[RegionID]*regionSnap{}}
+		rt.releaseEpoch(ft)
+		fresh := &ftState{every: ft.every, epoch: ft.epoch + 1, snaps: map[RegionID]regionSnap{}}
 		rt.ft = fresh
 	}
 	rt.cancel.mu.Lock()

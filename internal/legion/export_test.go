@@ -12,6 +12,32 @@ func MapCalls(rt *Runtime) int64 { return rt.map_.calls }
 // (the default) or off (see Mapper.plan).
 func SetMappingSkip(rt *Runtime, on bool) { rt.map_.noSkip = !on }
 
+// SetStorageReuse turns the runtime's reuse of destroyed regions' and
+// snapshots' storage on (the default) or off (see storage.go).
+func SetStorageReuse(rt *Runtime, on bool) { rt.store.off = !on }
+
+// The storage pool's bounds.
+const (
+	MaxStorageSpares = maxStorageSpares
+	MaxStorageBytes  = maxStorageBytes
+)
+
+// StorageReuses returns how many buffers the runtime's storage pool has
+// handed out again.
+func StorageReuses(rt *Runtime) int64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.store.reused
+}
+
+// StorageSpares returns the number and bytes of the spare buffers the
+// runtime holds.
+func StorageSpares(rt *Runtime) (n int, bytes int64) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.store.spares), rt.store.bytes
+}
+
 // StreamOutcome and HaloStream expose the halo-shaped launch stream of
 // the executor tests (haloStream) to the external differential test.
 type StreamOutcome = streamOutcome

@@ -103,11 +103,14 @@ type regionSnap struct {
 	rect   []geometry.Rect
 }
 
-func snapshotOf(r *Region) *regionSnap {
-	s := &regionSnap{region: r}
+// snapshotOf copies r's contents, into a spare buffer when the pool has
+// one of its size.
+func (rt *Runtime) snapshotOf(r *Region) regionSnap {
+	s := regionSnap{region: r}
 	switch r.typ {
 	case Float64:
-		s.f64 = append([]float64(nil), r.f64...)
+		s.f64 = rt.newFloat64s(r.size, false)
+		copy(s.f64, r.f64)
 	case Int64:
 		s.i64 = append([]int64(nil), r.i64...)
 	case RectType:
@@ -135,7 +138,8 @@ type ftState struct {
 	sinceCkpt int
 	epoch     int64     // committed checkpoint epochs (profiling tag)
 	log       []*Launch // the epoch's issued launches, pre-fusion, in program order
-	snaps     map[RegionID]*regionSnap
+	snaps     map[RegionID]regionSnap
+	destroyed []*Region // float64 regions destroyed this epoch (releaseEpoch)
 
 	failMu  sync.Mutex
 	failed  []pointFailure
@@ -166,11 +170,14 @@ func (rt *Runtime) SetFaultInjector(fi FaultInjector) {
 // so the first epoch starts from quiescent, fully-materialized state.
 func (rt *Runtime) EnableCheckpointing(every int) {
 	rt.Fence()
+	if rt.ft != nil {
+		rt.releaseEpoch(rt.ft)
+	}
 	if every <= 0 {
 		rt.ft = nil
 		return
 	}
-	rt.ft = &ftState{every: every, snaps: map[RegionID]*regionSnap{}}
+	rt.ft = &ftState{every: every, snaps: map[RegionID]regionSnap{}}
 }
 
 // ckptEpoch returns the number of committed checkpoint epochs — the
@@ -225,7 +232,7 @@ func (rt *Runtime) snapshotRegion(r *Region) {
 	if _, ok := ft.snaps[r.id]; ok {
 		return
 	}
-	ft.snaps[r.id] = snapshotOf(r)
+	ft.snaps[r.id] = rt.snapshotOf(r)
 	n := r.Bytes()
 	rt.stats.CheckpointBytes.Add(n)
 	// Checkpoint writes stream out asynchronously: charge the analysis
@@ -236,15 +243,19 @@ func (rt *Runtime) snapshotRegion(r *Region) {
 }
 
 // takeCheckpoint closes the current epoch: quiesce, resolve any
-// outstanding failures against the epoch being discarded, then drop the
-// log and snapshots and charge the epoch-commit barrier.
+// outstanding failures against the epoch being discarded, then empty the
+// log and snapshots — keeping their containers, and handing the storage
+// of snapshots and of regions destroyed in the epoch to the pool — and
+// charge the epoch-commit barrier.
 func (rt *Runtime) takeCheckpoint() {
 	ft := rt.ft
 	rt.FlushFusion()
 	rt.pending.Wait()
 	rt.maybeRecover()
-	ft.log = nil
-	ft.snaps = map[RegionID]*regionSnap{}
+	rt.releaseEpoch(ft)
+	clear(ft.snaps)
+	clear(ft.log)
+	ft.log = ft.log[:0]
 	ft.sinceCkpt = 0
 	ft.epoch++
 	rt.stats.Checkpoints.Add(1)

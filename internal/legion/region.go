@@ -106,13 +106,19 @@ type Region struct {
 // CreateRegion allocates a region of size elements of the given type.
 // The name appears in debugging output and profiles only.
 func (rt *Runtime) CreateRegion(name string, size int64, typ FieldType) *Region {
+	return rt.createRegion(name, size, typ, true)
+}
+
+// createRegion is CreateRegion; zero false leaves reused float64 storage
+// uncleared, for a caller that overwrites every element.
+func (rt *Runtime) createRegion(name string, size int64, typ FieldType, zero bool) *Region {
 	if size < 0 {
 		panic(fmt.Sprintf("legion: negative region size %d", size))
 	}
 	r := &Region{rt: rt, name: name, typ: typ, size: size}
 	switch typ {
 	case Float64:
-		r.f64 = make([]float64, size)
+		r.f64 = rt.newFloat64s(size, zero)
 	case Int64:
 		r.i64 = make([]int64, size)
 	case RectType:
@@ -131,7 +137,7 @@ func (rt *Runtime) CreateRegion(name string, size int64, typ FieldType) *Region 
 // The region is initially valid in host memory; processors pay a copy the
 // first time they read it, like attaching external data in Legion.
 func (rt *Runtime) CreateFloat64(name string, data []float64) *Region {
-	r := rt.CreateRegion(name, int64(len(data)), Float64)
+	r := rt.createRegion(name, int64(len(data)), Float64, false)
 	copy(r.f64, data)
 	return r
 }
@@ -187,13 +193,17 @@ func (r *Region) Version() int64 { return r.version }
 
 // Float64s returns the region's backing float64 slice. It must only be
 // used outside tasks after a Fence (or before any task has touched the
-// region); kernels receive slices through their TaskContext instead.
+// region); kernels receive slices through their TaskContext instead. The
+// slice is invalid once the region is destroyed: the runtime reuses the
+// storage for later regions and snapshots.
 func (r *Region) Float64s() []float64 { r.checkType(Float64); return r.f64 }
 
-// Int64s returns the region's backing int64 slice (see Float64s).
+// Int64s returns the region's backing int64 slice (see Float64s; it too
+// is invalid after Destroy).
 func (r *Region) Int64s() []int64 { r.checkType(Int64); return r.i64 }
 
-// Rects returns the region's backing rect slice (see Float64s).
+// Rects returns the region's backing rect slice (see Float64s; it too is
+// invalid after Destroy).
 func (r *Region) Rects() []geometry.Rect { r.checkType(RectType); return r.rect }
 
 func (r *Region) checkType(t FieldType) {

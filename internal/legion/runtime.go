@@ -83,6 +83,8 @@ type Runtime struct {
 	procBusy map[machine.ProcID]time.Duration
 	simMax   time.Duration
 
+	store storagePool // spare float64 storage (storage.go); guarded by mu
+
 	workers  []*worker // workers[i] executes the points of procs[i]
 	pending  sync.WaitGroup
 	shutdown bool
@@ -221,13 +223,14 @@ func (st *regionState) addReader(ls *launchState) {
 	st.readers = append(st.readers, refTo(ls))
 }
 
-// retire drops every completed launch the region state still holds.
-// Caller holds rt.mu.
-func (st *regionState) retire() {
-	st.lastWriter.retire()
+// retire drops every completed launch the region state still holds and
+// reports whether that was all of them. Caller holds rt.mu.
+func (st *regionState) retire() bool {
+	done := st.lastWriter.retire()
 	for i := range st.readers {
-		st.readers[i].retire()
+		done = st.readers[i].retire() && done
 	}
+	return done
 }
 
 // defaultProfiler, when set, is attached to every newly created
@@ -349,6 +352,8 @@ func (rt *Runtime) errSet() bool { return rt.errFlag.Load() }
 // Destroy marks a region out of scope: its allocations return to the
 // mapper's free pools for reuse by future regions (§4.3). Issued launches
 // may still use it — they were mapped at issue — but no later one may.
+// Its real storage follows the modeled reuse once they retire (storage.go;
+// TestStorageReuseIsExact).
 func (rt *Runtime) Destroy(r *Region) {
 	if r == nil || r.destroyed {
 		return
@@ -362,8 +367,10 @@ func (rt *Runtime) Destroy(r *Region) {
 	r.destroyed = true
 	rt.map_.regionDestroyed(r)
 	rt.mu.Lock()
+	st := rt.regions[r.id]
 	delete(rt.regions, r.id)
 	rt.dropRegionCachesLocked(r)
+	rt.offerStorage(r, st)
 	rt.mu.Unlock()
 }
 
@@ -383,12 +390,14 @@ func (rt *Runtime) Fence() {
 }
 
 // retireLaunches drops every completed launch from region state, which
-// after a fence is every launch it holds.
+// after a fence is every launch it holds, and so releases the storage of
+// every destroyed region waiting on one.
 func (rt *Runtime) retireLaunches() {
 	rt.mu.Lock()
 	for _, st := range rt.regions {
 		st.retire()
 	}
+	rt.store.releaseRetired()
 	rt.mu.Unlock()
 }
 
@@ -401,6 +410,7 @@ func (rt *Runtime) Shutdown() {
 		return
 	}
 	rt.shutdown = true
+	rt.store.spares, rt.store.bytes, rt.store.pending = nil, 0, nil
 	rt.mu.Unlock()
 	for _, w := range rt.workers {
 		w.stop()

@@ -296,7 +296,7 @@ func TestMappingSkipIsExact(t *testing.T) {
 
 // outcomeDiff names the first field of two outcomes that differs, and
 // for a list the first element that does.
-func outcomeDiff(got, want skipOutcome) string {
+func outcomeDiff(got, want any) string {
 	var diff func(name string, g, w reflect.Value) string
 	diff = func(name string, g, w reflect.Value) string {
 		if reflect.DeepEqual(g.Interface(), w.Interface()) {
