@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race stress fuzz bench-fusion bench-serve bench-vet chaos overload prof info serve shard boundary docs links
+.PHONY: check fmt vet build test race stress fuzz bench-fusion bench-serve bench-vet chaos overload prof info serve shard boundary docs links mutants
 
 # check is the full pre-merge gate: formatting, static analysis, build,
 # the race-enabled test suite — every package once, which includes the
@@ -139,6 +139,16 @@ bench-serve:
 # ruler still reads fails here. It runs no benchmark.
 bench-vet:
 	cd benchmark && $(GO) vet . && $(GO) test -timeout 120s .
+
+# mutants runs the mutant catalog (scripts/mutants/run.sh): each patch
+# there is a fault that named tests must catch, applied in turn to a
+# copy of the tree; it fails if a mutant survives or a patch no longer
+# applies. It checks the tests rather than the code, and builds one test
+# binary per mutant (about a minute on a 2-core box), so it stays out of
+# check: run it when a PR deletes, merges or loosens a test, or edits a
+# line a patch mutates.
+mutants:
+	./scripts/mutants/run.sh
 
 # docs fails if any package lacks a package-level doc comment, or if
 # ARCHITECTURE.md / doc.go miss a package.

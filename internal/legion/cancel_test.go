@@ -138,10 +138,10 @@ func TestCancelMidReplayLeavesRuntimeReusable(t *testing.T) {
 }
 
 // TestDelayInjectionIsValueAndClockNeutral: a lag schedule must slow
-// the wall clock only — computed values and the simulated clock are
-// bit-identical to an undelayed run.
+// the wall clock only — the whole Outcome, computed values and the
+// simulated clock included, equals an undelayed run's.
 func TestDelayInjectionIsValueAndClockNeutral(t *testing.T) {
-	run := func(lagged bool) ([]float64, time.Duration, int) {
+	run := func(lagged bool) (Outcome, int) {
 		rt := newTestRuntime(t, 4)
 		inj := fault.New(11)
 		if lagged {
@@ -156,19 +156,14 @@ func TestDelayInjectionIsValueAndClockNeutral(t *testing.T) {
 		if rt.Err() != nil {
 			t.Fatalf("lagged run errored: %v", rt.Err())
 		}
-		return append([]float64(nil), r.Float64s()...), rt.SimTime(), inj.Delays()
+		return Capture(rt, nil, nil, nil, r), inj.Delays()
 	}
-	base, baseSim, _ := run(false)
-	lag, lagSim, delays := run(true)
+	base, _ := run(false)
+	lag, delays := run(true)
 	if delays == 0 {
 		t.Fatal("lag schedule never fired")
 	}
-	if baseSim != lagSim {
-		t.Fatalf("simulated clock moved under lag: %v vs %v", baseSim, lagSim)
-	}
-	for i := range base {
-		if base[i] != lag[i] {
-			t.Fatalf("element %d: %v (unlagged) vs %v (lagged)", i, base[i], lag[i])
-		}
+	if diff := Diff(lag, base); diff != "" {
+		t.Fatalf("lagged run differs from the unlagged one: %s", diff)
 	}
 }

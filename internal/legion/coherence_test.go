@@ -1,7 +1,6 @@
 package legion
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,95 +107,19 @@ func TestCoherenceInvariants(t *testing.T) {
 }
 
 // TestMappingSkipRandomPrograms holds skipping unchanged mappings
-// (Mapper.plan) to mapping everything on random programs: a loop body
-// of launches with up to three requirements, often on one region
-// through different partitions — block, shifted block, halo, broadcast,
-// whole — with every privilege, sometimes placed by MapPoints, run four
-// times, with a region destroyed and re-created between rounds. Both
-// runs must end with the same simulated clock, statistics counters,
-// copy and memory events, and the same valid sets and memory use on
-// every processor.
+// (Mapper.plan) to mapping everything on 200 random programs: both runs
+// must agree on their whole Outcome, each processor's valid sets and
+// memory use included.
 func TestMappingSkipRandomPrograms(t *testing.T) {
-	const n, procs = 96, 3
-	type reqSpec struct {
-		region, part int
-		priv         Privilege
-	}
-	type launchSpec struct {
-		reqs    []reqSpec
-		reverse bool // MapPoints: point p on processor procs-1-p
-	}
-	run := func(body []launchSpec, skip bool) (string, []*Region, *Runtime) {
-		m := machine.Summit(1)
-		rt := NewRuntime(m, m.Select(machine.GPU, procs))
-		t.Cleanup(rt.Shutdown)
-		rt.map_.noSkip = !skip
-		sink := prof.NewSink(0)
-		rt.EnableProfiling(sink)
-		regions := []*Region{rt.CreateRegion("a", n, Float64), rt.CreateRegion("b", n, Float64)}
-		parts := func(r *Region) []*Partition {
-			var shifted, halo []geometry.Rect
-			for c := int64(0); c < procs; c++ {
-				lo, hi := c*n/procs, (c+1)*n/procs-1
-				shifted = append(shifted, geometry.NewRect(max(lo-5, 0), max(hi-5, 0)))
-				halo = append(halo, geometry.NewRect(max(lo-8, 0), min(hi+8, n-1)))
-			}
-			shifted[procs-1].Hi = n - 1
-			return []*Partition{rt.BlockPartition(r, procs), rt.PartitionByRects(r, shifted),
-				rt.PartitionByRects(r, halo), rt.BroadcastPartition(r, procs), nil}
-		}
-		regionParts := [][]*Partition{parts(regions[0]), parts(regions[1])}
-		for round := 0; round < 4; round++ {
-			for _, ls := range body {
-				l := rt.NewLaunch("op", procs, func(*TaskContext) {})
-				for _, rq := range ls.reqs {
-					r, p := regions[rq.region], regionParts[rq.region][rq.part]
-					if p == nil {
-						l.AddWhole(r, rq.priv)
-					} else {
-						l.Add(r, p, rq.priv)
-					}
-				}
-				if ls.reverse {
-					l.MapPoints(func(p int) int { return procs - 1 - p })
-				}
-				l.Execute()
-			}
-			if round == 1 {
-				rt.Fence()
-				rt.Destroy(regions[1])
-				regions[1] = rt.CreateRegion("b", n, Float64)
-				regionParts[1] = parts(regions[1])
-			}
-		}
-		rt.Fence()
-		return mappingOutcome(rt, sink, regions), regions, rt
-	}
+	noSkip := shipped
+	noSkip.skip = false
 	var skipped int64
 	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		body := make([]launchSpec, 3+rng.Intn(4))
-		for i := range body {
-			body[i].reverse = rng.Intn(8) == 0
-			for range 1 + rng.Intn(3) {
-				rq := reqSpec{region: rng.Intn(2), part: rng.Intn(5)}
-				switch {
-				case rng.Intn(4) == 0:
-					rq.priv = ReduceSum
-				case rq.part < 2: // disjoint: any privilege
-					rq.priv = []Privilege{ReadOnly, WriteDiscard, ReadWrite}[rng.Intn(3)]
-				case rq.part == 4: // whole: written only by ReduceSum here
-					rq.priv = ReadOnly
-				default:
-					rq.priv = ReadOnly
-				}
-				body[i].reqs = append(body[i].reqs, rq)
-			}
-		}
-		on, _, rtOn := run(body, true)
-		off, _, rtOff := run(body, false)
-		if on != off {
-			t.Fatalf("seed %d: skipping on and off differ:\n on: %s\noff: %s", seed, on, off)
+		p := randomProgram(rand.New(rand.NewSource(seed)))
+		on, rtOn := p.run(t, shipped)
+		off, rtOff := p.run(t, noSkip)
+		if diff := Diff(on, off); diff != "" {
+			t.Fatalf("seed %d: skipping on differs from off: %s", seed, diff)
 		}
 		skipped += rtOff.map_.calls - rtOn.map_.calls
 	}
@@ -205,22 +128,119 @@ func TestMappingSkipRandomPrograms(t *testing.T) {
 	}
 }
 
-// mappingOutcome renders what the mapper decided on a fenced runtime:
-// the simulated clock, the statistics counters, the copy and memory
-// events, and each processor's memory use and valid sets of regions.
-func mappingOutcome(rt *Runtime, sink *prof.Sink, regions []*Region) string {
-	tr := sink.Snapshot()
-	out := fmt.Sprint(rt.SimTime(), statCounters(rt.Stats()), tr.Copies, tr.Mem)
-	for _, p := range rt.Procs() {
-		out += fmt.Sprint(rt.Mapper().MemUsed(p))
-		for _, r := range regions {
-			out += fmt.Sprint(rt.Mapper().ValidOn(p, r))
+// program is a loop body of launches over two regions of programN
+// elements on programProcs processors. Each launch has up to three
+// requirements, often on one region through different partitions —
+// block, shifted block, halo, broadcast, whole — with every privilege,
+// and is sometimes placed by MapPoints. Its kernels do nothing.
+type program []launchSpec
+
+type launchSpec struct {
+	reqs    []reqSpec
+	reverse bool // MapPoints: point p on processor programProcs-1-p
+}
+
+type reqSpec struct {
+	region, part int // block, shifted block, halo, broadcast, whole
+	priv         Privilege
+}
+
+const programN, programProcs = 96, 3
+
+// randomProgram draws a body of three to six launches. Only the
+// disjoint partitions are written; aliased and whole requirements read
+// or reduce.
+func randomProgram(rng *rand.Rand) program {
+	p := make(program, 3+rng.Intn(4))
+	for i := range p {
+		p[i].reverse = rng.Intn(8) == 0
+		for range 1 + rng.Intn(3) {
+			rq := reqSpec{region: rng.Intn(2), part: rng.Intn(5)}
+			switch {
+			case rng.Intn(4) == 0:
+				rq.priv = ReduceSum
+			case rq.part < 2:
+				rq.priv = []Privilege{ReadOnly, WriteDiscard, ReadWrite}[rng.Intn(3)]
+			default:
+				rq.priv = ReadOnly
+			}
+			p[i].reqs = append(p[i].reqs, rq)
 		}
 	}
-	for _, r := range regions {
-		out += fmt.Sprint(rt.Mapper().ValidOn(HostProc, r))
+	return p
+}
+
+// variant is the switches a program runs under, each one the runtime
+// has: the inline grain, the fusion window, tracing and mapping skip.
+type variant struct {
+	grain  int64 // rt.inlineGrain
+	window int   // SetFusionWindow's n; 0 keeps the runtime's default
+	traced bool  // each round between BeginTrace and EndTrace
+	skip   bool  // skip unchanged mappings (Mapper.plan)
+}
+
+// shipped is the variant a new runtime runs.
+var shipped = variant{grain: inlineGrainElems, skip: true}
+
+// run runs p's body four times under v on a fresh runtime of
+// programProcs GPUs, destroying and re-creating the second region
+// after the second round, and captures the outcome with both regions'
+// contents and valid sets.
+func (p program) run(t *testing.T, v variant) (Outcome, *Runtime) {
+	const n, procs = programN, programProcs
+	m := machine.Summit(1)
+	rt := NewRuntime(m, m.Select(machine.GPU, procs))
+	t.Cleanup(rt.Shutdown)
+	rt.inlineGrain = v.grain
+	if v.window != 0 {
+		rt.SetFusionWindow(v.window)
 	}
-	return out
+	rt.map_.noSkip = !v.skip
+	sink := prof.NewSink(0)
+	rt.EnableProfiling(sink)
+	partsOf := func(r *Region) []*Partition {
+		var shifted, halo []geometry.Rect
+		for c := int64(0); c < procs; c++ {
+			lo, hi := c*n/procs, (c+1)*n/procs-1
+			shifted = append(shifted, geometry.NewRect(max(lo-5, 0), max(hi-5, 0)))
+			halo = append(halo, geometry.NewRect(max(lo-8, 0), min(hi+8, n-1)))
+		}
+		shifted[procs-1].Hi = n - 1
+		return []*Partition{rt.BlockPartition(r, procs), rt.PartitionByRects(r, shifted),
+			rt.PartitionByRects(r, halo), rt.BroadcastPartition(r, procs), nil}
+	}
+	regions := []*Region{rt.CreateRegion("a", n, Float64), rt.CreateRegion("b", n, Float64)}
+	parts := [][]*Partition{partsOf(regions[0]), partsOf(regions[1])}
+	for round := 0; round < 4; round++ {
+		if v.traced {
+			rt.BeginTrace(1)
+		}
+		for _, ls := range p {
+			l := rt.NewLaunch("op", procs, func(*TaskContext) {})
+			for _, rq := range ls.reqs {
+				if r, part := regions[rq.region], parts[rq.region][rq.part]; part == nil {
+					l.AddWhole(r, rq.priv)
+				} else {
+					l.Add(r, part, rq.priv)
+				}
+			}
+			if ls.reverse {
+				l.MapPoints(func(p int) int { return procs - 1 - p })
+			}
+			l.Execute()
+		}
+		if v.traced {
+			rt.EndTrace()
+		}
+		if round == 1 {
+			rt.Fence()
+			rt.Destroy(regions[1])
+			regions[1] = rt.CreateRegion("b", n, Float64)
+			parts[1] = partsOf(regions[1])
+		}
+	}
+	rt.Fence()
+	return Capture(rt, sink, nil, nil, regions...), rt
 }
 
 // TestMappingSkipReplaysDestroyedRegions: recovery replays launches on
@@ -232,7 +252,7 @@ func mappingOutcome(rt *Runtime, sink *prof.Sink, regions []*Region) string {
 // mapping. Skipping on and off must agree.
 func TestMappingSkipReplaysDestroyedRegions(t *testing.T) {
 	const n, procs = 64, 2
-	run := func(skip bool) string {
+	run := func(skip bool) Outcome {
 		rt := newTestRuntime(t, procs)
 		rt.map_.noSkip = !skip
 		rt.EnableCheckpointing(64)
@@ -257,9 +277,9 @@ func TestMappingSkipReplaysDestroyedRegions(t *testing.T) {
 		if got := rt.Stats().Restores.Load(); got != 1 {
 			t.Fatalf("restores = %d, want 1", got)
 		}
-		return mappingOutcome(rt, sink, []*Region{w})
+		return Capture(rt, sink, nil, nil, w)
 	}
-	if on, off := run(true), run(false); on != off {
-		t.Fatalf("skipping on and off differ:\n on: %s\noff: %s", on, off)
+	if diff := Diff(run(true), run(false)); diff != "" {
+		t.Fatalf("skipping on differs from off: %s", diff)
 	}
 }

@@ -1,13 +1,13 @@
 package legion
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/machine"
+	"repro/internal/prof"
 )
 
 // TestLaunchWiderThanMachine: more point tasks than processors map
@@ -126,17 +126,15 @@ func TestDestroyDuringInFlightUse(t *testing.T) {
 
 // TestDestroyDoesNotWaitForQueuedUse: the launches that use a region were
 // mapped when they were issued, so Destroy pools its allocations at once,
-// even while a queued launch reading it is stalled. The outcome —
-// contents, and modeled memory once a same-sized region has reused the
+// even while a queued launch reading it is stalled. The whole Outcome —
+// modeled memory included, once a same-sized region has reused the
 // pool — equals the Fence-then-Destroy order's.
 func TestDestroyDoesNotWaitForQueuedUse(t *testing.T) {
-	type outcome struct {
-		Dst  []float64
-		Used []int64
-	}
-	run := func(fenceFirst bool) outcome {
+	run := func(fenceFirst bool) Outcome {
 		rt := newTestRuntime(t, 2)
 		rt.inlineGrain = 0 // queue every launch
+		sink := prof.NewSink(0)
+		rt.EnableProfiling(sink)
 		src, dst := rt.CreateRegion("src", 64, Float64), rt.CreateRegion("dst", 64, Float64)
 		fill(rt, src, func(i int64) float64 { return float64(i) })
 		release := make(chan struct{})
@@ -167,22 +165,18 @@ func TestDestroyDoesNotWaitForQueuedUse(t *testing.T) {
 		}
 		open()
 		fill(rt, rt.CreateRegion("next", 64, Float64), func(int64) float64 { return 1 })
-		rt.Fence()
-		out := outcome{Dst: append([]float64(nil), dst.Float64s()...)}
-		for _, p := range rt.Procs() {
-			out.Used = append(out.Used, rt.Mapper().MemUsed(p))
-		}
-		return out
+		return Capture(rt, sink, nil, nil, dst)
 	}
-	if got, want := run(false), run(true); !reflect.DeepEqual(got, want) {
-		t.Errorf("Destroy while the launch is stalled: %+v\nFence, then Destroy: %+v", got, want)
+	if diff := Diff(run(false), run(true)); diff != "" {
+		t.Errorf("Destroy while the launch is stalled differs from Fence, then Destroy: %s", diff)
 	}
 }
 
-// TestSimDeterminism: the simulated time of a fixed program is
-// identical across repeated runs (required for the benchmark harness).
+// TestSimDeterminism: the outcome of a fixed program, its simulated
+// time included, is identical across repeated runs (required for the
+// benchmark harness).
 func TestSimDeterminism(t *testing.T) {
-	run := func() int64 {
+	run := func() Outcome {
 		m := machine.Summit(1)
 		rt := NewRuntime(m, m.Select(machine.GPU, 4))
 		defer rt.Shutdown()
@@ -196,13 +190,12 @@ func TestSimDeterminism(t *testing.T) {
 			l.Add(x, part, ReadWrite)
 			l.Execute()
 		}
-		rt.Fence()
-		return int64(rt.SimTime())
+		return Capture(rt, nil, nil, nil, x)
 	}
 	first := run()
 	for i := 0; i < 3; i++ {
-		if got := run(); got != first {
-			t.Fatalf("sim time varies: %d vs %d", got, first)
+		if diff := Diff(run(), first); diff != "" {
+			t.Fatalf("run %d differs from the first: %s", i+2, diff)
 		}
 	}
 }

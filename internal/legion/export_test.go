@@ -1,5 +1,8 @@
 package legion
 
+// The equivalence harness (outcome_test.go) and HaloStream
+// (inline_test.go) are exported where they are defined.
+
 // ColoringOf exposes a partition's coloring to this package's external
 // tests.
 func ColoringOf(p *Partition) int64 { return p.coloring }
@@ -37,9 +40,3 @@ func StorageSpares(rt *Runtime) (n int, bytes int64) {
 	defer rt.mu.Unlock()
 	return len(rt.store.spares), rt.store.bytes
 }
-
-// StreamOutcome and HaloStream expose the halo-shaped launch stream of
-// the executor tests (haloStream) to the external differential test.
-type StreamOutcome = streamOutcome
-
-func HaloStream(rounds int) func(*Runtime, *StreamOutcome) []*Region { return haloStream(rounds) }

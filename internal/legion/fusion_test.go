@@ -23,8 +23,8 @@ func chainStep(rt *Runtime, name string, dst, src *Region, parts map[*Region]*Pa
 
 // runChain executes a representative solver-style chain — WriteDiscard
 // producers feeding ReadWrite consumers across three regions — and
-// returns the final contents of all three.
-func runChain(t *testing.T, procs, window int) ([]float64, []float64, []float64, int64) {
+// captures its outcome with the contents of all three.
+func runChain(t *testing.T, procs, window int) Outcome {
 	t.Helper()
 	rt := newTestRuntime(t, procs)
 	rt.SetFusionWindow(window)
@@ -54,25 +54,23 @@ func runChain(t *testing.T, procs, window int) ([]float64, []float64, []float64,
 		chainStep(rt, "axpy", x, z, parts, ReadWrite, func(d, s float64) float64 { return d + 0.25*s })
 		chainStep(rt, "mul", y, z, parts, ReadWrite, func(d, s float64) float64 { return d * s / (1 + s*s) })
 	}
-	rt.Fence()
-	sim := int64(rt.SimTime())
-	return append([]float64(nil), x.Float64s()...),
-		append([]float64(nil), y.Float64s()...),
-		append([]float64(nil), z.Float64s()...), sim
+	return Capture(rt, nil, nil, nil, x, y, z)
 }
 
 // TestFusionBitIdentical: fused execution must produce bit-identical
 // results to unfused across processor counts and window sizes.
 func TestFusionBitIdentical(t *testing.T) {
+	fused := []Omit{
+		{"Sim", "a fused launch pays one launch overhead for its members"},
+		{"Analysis", "and is analysed once"},
+		{"Stats.Tasks", "a fused launch is one task"},
+		{"Stats.PointTasks", "whose points run its members' kernels"},
+	}
 	for _, procs := range []int{1, 2, 4} {
-		x0, y0, z0, _ := runChain(t, procs, 0)
+		want := runChain(t, procs, 0)
 		for _, window := range []int{2, 3, 16} {
-			x1, y1, z1, _ := runChain(t, procs, window)
-			for i := range x0 {
-				if x0[i] != x1[i] || y0[i] != y1[i] || z0[i] != z1[i] {
-					t.Fatalf("procs=%d window=%d: fused results differ at %d: (%v,%v,%v) vs (%v,%v,%v)",
-						procs, window, i, x1[i], y1[i], z1[i], x0[i], y0[i], z0[i])
-				}
+			if diff := Diff(runChain(t, procs, window), want, fused...); diff != "" {
+				t.Fatalf("procs=%d window=%d: fused run differs from unfused: %s", procs, window, diff)
 			}
 		}
 	}
@@ -81,8 +79,7 @@ func TestFusionBitIdentical(t *testing.T) {
 // TestFusionReducesSimTime: fusing an analysis-bound chain must cut
 // simulated time — one LaunchOverhead per window instead of per launch.
 func TestFusionReducesSimTime(t *testing.T) {
-	_, _, _, unfused := runChain(t, 2, 0)
-	_, _, _, fused := runChain(t, 2, 16)
+	unfused, fused := runChain(t, 2, 0).Sim, runChain(t, 2, 16).Sim
 	if fused >= unfused {
 		t.Fatalf("fusion did not reduce simulated time: fused %d >= unfused %d", fused, unfused)
 	}

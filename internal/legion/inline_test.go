@@ -36,76 +36,6 @@ var grains = []struct {
 // time Execute returned, which an inline launch always has.
 func ranInline(fut *Future) bool { return fut.launch != nil && fut.launch.completed.Load() }
 
-// streamOutcome is everything a launch stream lets an observer see.
-type streamOutcome struct {
-	Data     [][]float64
-	Futures  []float64
-	Sim      time.Duration
-	Analysis time.Duration
-	Stats    []int64
-	Launches []prof.LaunchInfo
-	Deps     []prof.Dep
-	Spans    []prof.Span
-}
-
-func statCounters(st *machine.Stats) []int64 {
-	out := []int64{
-		st.Tasks.Load(), st.PointTasks.Load(), st.Copies.Load(), st.AllReduces.Load(), st.ReallocCopy.Load(),
-		st.PointFailures.Load(), st.ProcsLost.Load(), st.Checkpoints.Load(), st.CheckpointBytes.Load(),
-		st.Restores.Load(), st.RestoredBytes.Load(), st.ReplayedLaunches.Load(), st.ReplayedPoints.Load(),
-	}
-	for i := range st.CopiedBytes {
-		out = append(out, st.CopiedBytes[i].Load(), st.CopyCounts[i].Load())
-	}
-	return out
-}
-
-// firstDifference names the first field of two outcomes that differs,
-// and for a list the first element that does.
-func firstDifference(got, want streamOutcome) string {
-	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
-	for f := 0; f < g.NumField(); f++ {
-		gf, wf, name := g.Field(f), w.Field(f), g.Type().Field(f).Name
-		if reflect.DeepEqual(gf.Interface(), wf.Interface()) {
-			continue
-		}
-		if gf.Kind() != reflect.Slice || gf.Len() != wf.Len() {
-			return fmt.Sprintf("%s = %v, want %v", name, gf.Interface(), wf.Interface())
-		}
-		for i := 0; i < gf.Len(); i++ {
-			if !reflect.DeepEqual(gf.Index(i).Interface(), wf.Index(i).Interface()) {
-				return fmt.Sprintf("%s[%d] = %v, want %v", name, i, gf.Index(i).Interface(), wf.Index(i).Interface())
-			}
-		}
-	}
-	return ""
-}
-
-// runStream runs body on a fresh runtime of procs processors with the
-// given grain and a profiling sink, and collects the outcome. body
-// returns the regions whose final contents count.
-func runStream(t *testing.T, procs int, grain int64, body func(rt *Runtime, out *streamOutcome) []*Region) streamOutcome {
-	t.Helper()
-	rt := newTestRuntime(t, procs)
-	rt.inlineGrain = grain
-	sink := prof.NewSink(0)
-	rt.EnableProfiling(sink)
-	var out streamOutcome
-	regions := body(rt, &out)
-	rt.Fence()
-	if err := rt.Err(); err != nil {
-		t.Fatalf("stream failed: %v", err)
-	}
-	for _, r := range regions {
-		out.Data = append(out.Data, append([]float64(nil), r.Float64s()...))
-	}
-	out.Sim, out.Analysis = rt.SimTime(), rt.AnalysisTime()
-	out.Stats = statCounters(rt.Stats())
-	tr := sink.Snapshot()
-	out.Launches, out.Deps, out.Spans = tr.Launches, tr.Deps, tr.Spans
-	return out
-}
-
 // elementwise issues dst[i] = f(dst[i], src[i]) over aligned block
 // partitions; fusable, like cuNumeric's AXPY.
 func elementwise(rt *Runtime, name string, dst, src *Region, f func(d, s float64) float64) {
@@ -227,15 +157,15 @@ func (c *cgProblem) iterate() (alpha, rr float64) {
 }
 
 // cgStream is the launch stream of iters CG iterations on n rows.
-func cgStream(n int64, iters int) func(rt *Runtime, out *streamOutcome) []*Region {
-	return func(rt *Runtime, out *streamOutcome) []*Region {
+func cgStream(n int64, iters int) Stream {
+	return func(_ *testing.T, rt *Runtime) ([][]float64, []float64) {
 		c := newCGProblem(rt, n)
-		out.Futures = append(out.Futures, c.rz)
+		futures := []float64{c.rz}
 		for it := 0; it < iters; it++ {
 			alpha, rr := c.iterate()
-			out.Futures = append(out.Futures, alpha, rr)
+			futures = append(futures, alpha, rr)
 		}
-		return []*Region{c.x, c.r, c.p, c.ap}
+		return Contents(rt, c.x, c.r, c.p, c.ap), futures
 	}
 }
 
@@ -243,14 +173,15 @@ func cgStream(n int64, iters int) func(rt *Runtime, out *streamOutcome) []*Regio
 // sweeps on a fine vector, a restriction onto a region half its size
 // through a bespoke partition, sweeps there, and a prolongation back —
 // short fusable chains separated by launches that change the partition.
-func gmgStream(n int64, cycles int) func(rt *Runtime, out *streamOutcome) []*Region {
-	return func(rt *Runtime, out *streamOutcome) []*Region {
+func gmgStream(n int64, cycles int) Stream {
+	return func(_ *testing.T, rt *Runtime) ([][]float64, []float64) {
 		fine, rhs := rt.CreateRegion("fine", n, Float64), rt.CreateRegion("rhs", n, Float64)
 		coarse, crhs := rt.CreateRegion("coarse", n/2, Float64), rt.CreateRegion("crhs", n/2, Float64)
 		fill(rt, fine, func(int64) float64 { return 0 })
 		fill(rt, rhs, func(i int64) float64 { return float64(i%5) - 2 })
 		fill(rt, coarse, func(int64) float64 { return 0 })
 
+		var futures []float64
 		procs := rt.LaunchDomain()
 		cpart := rt.BlockPartition(coarse, procs)
 		var pairs []geometry.Rect // the two fine points under each coarse block
@@ -290,9 +221,9 @@ func gmgStream(n int64, cycles int) func(rt *Runtime, out *streamOutcome) []*Reg
 					}
 				})
 			smooth(fine, rhs)
-			out.Futures = append(out.Futures, dot(rt, fine, fine))
+			futures = append(futures, dot(rt, fine, fine))
 		}
-		return []*Region{fine, coarse, crhs}
+		return Contents(rt, fine, coarse, crhs), futures
 	}
 }
 
@@ -301,8 +232,8 @@ func gmgStream(n int64, cycles int) func(rt *Runtime, out *streamOutcome) []*Reg
 // one whose updates may run inline, and launches that read one while
 // writing the other, so each executor keeps waiting on the other's
 // results.
-func mixedStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
-	return func(rt *Runtime, out *streamOutcome) []*Region {
+func mixedStream(rounds int) Stream {
+	return func(_ *testing.T, rt *Runtime) ([][]float64, []float64) {
 		const bigN, smallN = 2 * inlineGrainElems, 1 << 10
 		big, big2 := rt.CreateRegion("big", bigN, Float64), rt.CreateRegion("big2", bigN, Float64)
 		small, small2 := rt.CreateRegion("small", smallN, Float64), rt.CreateRegion("small2", smallN, Float64)
@@ -327,29 +258,31 @@ func mixedStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
 			l.Execute()
 		}
 		add := func(d, s float64) float64 { return d + s/16 }
+		var futures []float64
 		for i := 0; i < rounds; i++ {
 			elementwise(rt, "big-add", big, big2, add)       // over the grain
 			elementwise(rt, "small-add", small, small2, add) // under it, independent of the one before
 			scaleBy(small, big)                              // over (reads big), writes small
-			out.Futures = append(out.Futures, dot(rt, small, small2))
+			futures = append(futures, dot(rt, small, small2))
 			scaleBy(big2, small2) // over, writes what big-add reads next round
 			elementwise(rt, "small-add", small2, small, add)
 			if i%3 == 2 {
-				out.Futures = append(out.Futures, dot(rt, big, big2))
+				futures = append(futures, dot(rt, big, big2))
 			}
 		}
-		return []*Region{big, big2, small, small2}
+		return Contents(rt, big, big2, small, small2), futures
 	}
 }
 
-// haloStream is quantum's shape on four processors: a vector updated
+// HaloStream is quantum's shape on four processors: a vector updated
 // block by block, read through an image whose color c spans block c and
 // three quarters of each neighbouring block. Points c and c+2 both need
 // the middle of block c+1, so when the points of one launch map
 // concurrently, where a point fetches that piece from — and in how many
-// copies — depends on which of them mapped first.
-func haloStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
-	return func(rt *Runtime, out *streamOutcome) []*Region {
+// copies — depends on which of them mapped first. It destroys its two
+// vectors once it has read them.
+func HaloStream(rounds int) Stream {
+	return func(_ *testing.T, rt *Runtime) ([][]float64, []float64) {
 		const n = 1 << 12
 		procs := rt.LaunchDomain()
 		v, w := rt.CreateRegion("v", n, Float64), rt.CreateRegion("w", n, Float64)
@@ -368,6 +301,7 @@ func haloStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
 		}
 		crd := rt.CreateInt64("crd", cols)
 		halo := rt.ImageCoord(crd, rt.PartitionByRects(crd, segs), v)
+		var futures []float64
 		for r := 0; r < rounds; r++ {
 			l := rt.NewLaunch("halo", procs, func(tc *TaskContext) {
 				d, s := tc.Float64(0), tc.Float64(1)
@@ -378,51 +312,60 @@ func haloStream(rounds int) func(rt *Runtime, out *streamOutcome) []*Region {
 			})
 			l.Add(w, rt.AlignedPartition(blocks, w), WriteDiscard)
 			l.Add(v, halo, ReadOnly)
-			out.Futures = append(out.Futures, l.Execute().Get())
+			futures = append(futures, l.Execute().Get())
 			elementwise(rt, "relax", v, w, func(d, s float64) float64 { return (d + s) / 2 })
 		}
-		return []*Region{v, w}
+		data := Contents(rt, v, w)
+		rt.Destroy(v)
+		rt.Destroy(w)
+		return data, futures
 	}
 }
 
 // TestExecutorsEquivalent runs cg-, gmg-, mixed- and halo-shaped streams
 // with every launch queued, with the shipped size selection, and with
-// every runnable launch inline: region contents and reduction values bit
-// for bit, both simulated clocks, every statistics counter, and the
-// profiler's launch, dependence and span records must not depend on
+// every runnable launch inline: the whole Outcome must not depend on
 // which goroutine ran a point. Five runs each, at GOMAXPROCS 1 and 2.
 func TestExecutorsEquivalent(t *testing.T) {
 	streams := []struct {
 		name  string
 		procs int
-		body  func(rt *Runtime, out *streamOutcome) []*Region
+		run   Stream
 	}{
 		{"cg", 2, cgStream(1<<10, 6)},
 		{"gmg", 2, gmgStream(1<<10, 4)},
 		{"mixed", 2, mixedStream(5)},
-		{"halo", 4, haloStream(3)},
+		{"halo", 4, HaloStream(3)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, s := range streams {
 		t.Run(s.name, func(t *testing.T) {
-			var want streamOutcome
+			var want *Outcome
 			for _, cpus := range []int{1, 2} {
 				runtime.GOMAXPROCS(cpus)
 				for run := 0; run < 5; run++ {
 					for _, g := range grains {
-						got := runStream(t, s.procs, g.grain, s.body)
-						if want.Launches == nil {
-							want = got
+						rt := newTestRuntime(t, s.procs)
+						rt.inlineGrain = g.grain
+						sink := prof.NewSink(0)
+						rt.EnableProfiling(sink)
+						data, futures := s.run(t, rt)
+						got := Capture(rt, sink, data, futures)
+						if err := rt.Err(); err != nil {
+							t.Fatalf("GOMAXPROCS=%d run %d grain %s: %v", cpus, run, g.name, err)
+						}
+						if want == nil {
+							want = &got
 							continue
 						}
-						if diff := firstDifference(got, want); diff != "" {
+						if diff := Diff(got, *want); diff != "" {
 							t.Fatalf("GOMAXPROCS=%d run %d grain %s differs from the first run: %s", cpus, run, g.name, diff)
 						}
 					}
 				}
 			}
-			if len(want.Spans) == 0 || len(want.Deps) == 0 || want.Sim == 0 {
-				t.Fatalf("stream recorded %d spans, %d deps, sim %v: nothing was compared", len(want.Spans), len(want.Deps), want.Sim)
+			if tr := want.Trace; len(tr.Spans) == 0 || len(tr.Deps) == 0 || want.Sim == 0 {
+				t.Fatalf("stream recorded %d spans, %d deps, sim %v: nothing was compared", len(tr.Spans), len(tr.Deps), want.Sim)
 			}
 		})
 	}
@@ -546,22 +489,22 @@ func TestInlineLifecycle(t *testing.T) {
 	t.Run("replay is bit-identical", func(t *testing.T) {
 		clean := newTestRuntime(t, 4)
 		clean.EnableCheckpointing(16)
-		want := runFaultLoop(clean)
+		want, _ := runFaultLoop(clean)
 		for _, g := range grains {
 			rt := newTestRuntime(t, 4)
 			rt.inlineGrain = g.grain
 			rt.EnableCheckpointing(16)
 			inj := fault.New(7).KillPoint(5, 2).KillPoint(22, 0).KillPoint(41, 3)
 			rt.SetFaultInjector(inj)
-			got := runFaultLoop(rt)
-			if got.err != nil {
-				t.Fatalf("grain %s: recovery failed: %v", g.name, got.err)
+			got, err := runFaultLoop(rt)
+			if err != nil {
+				t.Fatalf("grain %s: recovery failed: %v", g.name, err)
 			}
 			if inj.PointFaults() != 3 || rt.Stats().Restores.Load() == 0 {
 				t.Fatalf("grain %s: %d faults fired, %d restores: nothing was recovered", g.name, inj.PointFaults(), rt.Stats().Restores.Load())
 			}
-			if !reflect.DeepEqual(got.dots, want.dots) || !reflect.DeepEqual(got.x, want.x) {
-				t.Fatalf("grain %s: recovered run differs from the fault-free one", g.name)
+			if diff := Diff(got, want, recovered...); diff != "" {
+				t.Fatalf("grain %s: recovered run differs from the fault-free one: %s", g.name, diff)
 			}
 		}
 	})
@@ -573,7 +516,7 @@ func TestInlineLifecycle(t *testing.T) {
 		// how many cores there are.
 		clean := newTestRuntime(t, 4)
 		clean.EnableCheckpointing(16)
-		want := runFaultLoop(clean)
+		want, _ := runFaultLoop(clean)
 		var wantFaults []prof.Mark
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		for _, cpus := range []int{1, 2} {
@@ -589,12 +532,12 @@ func TestInlineLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				rt.SetFaultInjector(inj)
-				got := runFaultLoop(rt)
-				if got.err != nil || inj.PointFaults() != 7 {
-					t.Fatalf("GOMAXPROCS=%d grain %d: %d faults fired, err %v; want the cap of 7 recovered", cpus, grain, inj.PointFaults(), got.err)
+				got, err := runFaultLoop(rt)
+				if err != nil || inj.PointFaults() != 7 {
+					t.Fatalf("GOMAXPROCS=%d grain %d: %d faults fired, err %v; want the cap of 7 recovered", cpus, grain, inj.PointFaults(), err)
 				}
-				if !reflect.DeepEqual(got.dots, want.dots) || !reflect.DeepEqual(got.x, want.x) {
-					t.Fatalf("GOMAXPROCS=%d grain %d: recovered run differs from the fault-free one", cpus, grain)
+				if diff := Diff(got, want, recovered...); diff != "" {
+					t.Fatalf("GOMAXPROCS=%d grain %d: recovered run differs from the fault-free one: %s", cpus, grain, diff)
 				}
 				// The failures one recovery repairs may be noted by two
 				// workers in either order, so each such run is sorted.

@@ -198,7 +198,7 @@ func profilingReplayTags(t *testing.T, grain int64) []prof.Mark {
 // replayEntry re-runs logged launches without Execute or the fuser, and
 // runPoint counts replayed points apart, so nothing is recorded twice.
 func TestProfileCountersStableAcrossRecovery(t *testing.T) {
-	run := func(inject bool) prof.Summary {
+	run := func(inject bool) Outcome {
 		rt := newTestRuntime(t, 2)
 		sink := prof.NewSink(0)
 		rt.EnableProfiling(sink)
@@ -225,27 +225,14 @@ func TestProfileCountersStableAcrossRecovery(t *testing.T) {
 		if got := r.Float64s()[7]; got != 6 {
 			t.Fatalf("inject=%v: r[7] = %v, want 6", inject, got)
 		}
-		return sink.Summary()
+		return Capture(rt, sink, nil, nil, r)
 	}
-	clean := run(false)
-	faulted := run(true)
-	if faulted.Tasks[0].Name != clean.Tasks[0].Name {
-		t.Fatalf("profiles diverged: %v vs %v", faulted.Tasks, clean.Tasks)
-	}
-	ce, fe := clean.Tasks, faulted.Tasks
-	if len(ce) != len(fe) {
-		t.Fatalf("entry counts differ: %d vs %d", len(ce), len(fe))
-	}
-	for i := range ce {
-		if ce[i].Name != fe[i].Name || ce[i].Launches != fe[i].Launches || ce[i].Points != fe[i].Points {
-			t.Fatalf("recovery double-counted %q: clean %d launches/%d points, faulted %d/%d",
-				fe[i].Name, ce[i].Launches, ce[i].Points, fe[i].Launches, fe[i].Points)
-		}
-	}
-	cg, cm := clean.FusedGroups, clean.FusedMembers
-	fg, fm := faulted.FusedGroups, faulted.FusedMembers
-	if cg != fg || cm != fm {
-		t.Fatalf("recovery double-counted fusion: clean (%d,%d), faulted (%d,%d)", cg, cm, fg, fm)
+	omit := append([]Omit{
+		{"Summary.Tasks[*].SimTime", "the point that failed charged no work"},
+		{"Trace", "recovery adds its marks and replayed spans"},
+	}, recovered...)
+	if diff := Diff(run(true), run(false), omit...); diff != "" {
+		t.Fatalf("recovery changed the profile: %s", diff)
 	}
 }
 

@@ -7,27 +7,20 @@ import (
 	"repro/internal/prof"
 )
 
-// fusedReduceResult is the observable outcome of runFusedReduce.
-type fusedReduceResult struct {
-	inRound []float64 // each round's norm, read right after it was issued
-	get     []float64 // every member's Future.Get after the final fence
-	noSync  []float64 // every member's Future.GetNoSync after the final fence
-	x       []float64
-	err     error
-}
-
 const fusedReduceRounds = 10
 
 // runFusedReduce issues rounds of a reduction fused with a non-reducing
 // update of what it read: each round's two launches share one fusion
 // window (the norm's Get flushes it), so both members' Futures resolve
 // to the same fused launch. The update comes second, so replay runs it
-// after the reduction it must leave alone.
-func runFusedReduce(rt *Runtime) fusedReduceResult {
+// after the reduction it must leave alone. Its outcome's data are each
+// round's norm read right after it was issued, every member's Get and
+// GetNoSync after the final fence, and x.
+func runFusedReduce(rt *Runtime) (Outcome, error) {
 	const n = 400
 	x := rt.CreateRegion("x", n, Float64)
 	part := rt.BlockPartition(x, 4)
-	var out fusedReduceResult
+	var inRound, get, noSync []float64
 	var futs []*Future
 	for round := 0; round < fusedReduceRounds; round++ {
 		norm := rt.NewLaunch("norm", 4, func(tc *TaskContext) {
@@ -46,16 +39,14 @@ func runFusedReduce(rt *Runtime) fusedReduceResult {
 		scale.SetFusable(true)
 		nf := norm.Execute()
 		futs = append(futs, nf, scale.Execute())
-		out.inRound = append(out.inRound, nf.Get())
+		inRound = append(inRound, nf.Get())
 	}
 	rt.Fence()
 	for _, f := range futs {
-		out.get = append(out.get, f.Get())
-		out.noSync = append(out.noSync, f.GetNoSync())
+		get = append(get, f.Get())
+		noSync = append(noSync, f.GetNoSync())
 	}
-	out.x = append(out.x, x.Float64s()...)
-	out.err = rt.Err()
-	return out
+	return Capture(rt, nil, [][]float64{inRound, get, noSync}, nil, x), rt.Err()
 }
 
 // TestFusedReductionRecovery: a point killed inside a fused window whose
@@ -67,9 +58,9 @@ func runFusedReduce(rt *Runtime) fusedReduceResult {
 func TestFusedReductionRecovery(t *testing.T) {
 	clean := newTestRuntime(t, 4)
 	clean.EnableCheckpointing(8)
-	want := runFusedReduce(clean)
-	if want.err != nil {
-		t.Fatalf("fault-free run errored: %v", want.err)
+	want, err := runFusedReduce(clean)
+	if err != nil {
+		t.Fatalf("fault-free run errored: %v", err)
 	}
 
 	faulty := newTestRuntime(t, 4)
@@ -80,9 +71,9 @@ func TestFusedReductionRecovery(t *testing.T) {
 	// round 7's norm (the reducing one).
 	inj := fault.New(1).KillPoint(8, 1).KillPoint(13, 2)
 	faulty.SetFaultInjector(inj)
-	got := runFusedReduce(faulty)
-	if got.err != nil {
-		t.Fatalf("faulty run errored: %v", got.err)
+	got, err := runFusedReduce(faulty)
+	if err != nil {
+		t.Fatalf("faulty run errored: %v", err)
 	}
 	if inj.PointFaults() != 2 {
 		t.Fatalf("point faults fired = %d, want 2", inj.PointFaults())
@@ -91,29 +82,10 @@ func TestFusedReductionRecovery(t *testing.T) {
 		t.Fatalf("fused launches = %d, want one per round (%d)", groups, fusedReduceRounds)
 	}
 
-	same := func(what string, got, want []float64) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d]: faulty %v != clean %v (must be bit-identical)", what, i, got[i], want[i])
-			}
-		}
+	if diff := Diff(got, want, recovered...); diff != "" {
+		t.Fatalf("faulty run differs from the clean one: %s", diff)
 	}
-	same("in-round norm", got.inRound, want.inRound)
-	same("Get", got.get, want.get)
-	same("GetNoSync", got.noSync, want.noSync)
-	same("x", got.x, want.x)
-
-	cs, fs := clean.Stats(), faulty.Stats()
-	if c, f := cs.Tasks.Load(), fs.Tasks.Load(); c != f {
-		t.Fatalf("Tasks: faulty %d != clean %d", f, c)
-	}
-	if c, f := cs.PointTasks.Load(), fs.PointTasks.Load(); c != f {
-		t.Fatalf("PointTasks: faulty %d != clean %d", f, c)
-	}
+	fs := faulty.Stats()
 	// Every logged launch has 4 points, so the replayed points are four
 	// per replayed launch.
 	launches, points := fs.ReplayedLaunches.Load(), fs.ReplayedPoints.Load()

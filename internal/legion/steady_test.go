@@ -2,7 +2,6 @@ package legion_test
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -126,45 +125,9 @@ func TestCGMappingBudget(t *testing.T) {
 	}
 }
 
-// skipOutcome is everything a run lets an observer see.
-type skipOutcome struct {
-	Data    [][]float64
-	Futures []float64
-	Sim     time.Duration
-	Stats   []int64
-	Summary prof.Summary
-	Trace   *prof.Trace
-}
-
-// counters returns every counter of st, in field order.
-func counters(st *machine.Stats) []int64 {
-	var out []int64
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Int64:
-			out = append(out, v.Int())
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				walk(v.Field(i))
-			}
-		case reflect.Array:
-			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i))
-			}
-		}
-	}
-	walk(reflect.ValueOf(st).Elem())
-	return out
-}
-
-// skipStream is a workload of the differential test: it runs on rt and
-// returns the vectors and the scalars it computed.
-type skipStream func(t *testing.T, rt *legion.Runtime) (data [][]float64, futures []float64)
-
 // solveStream runs three solves of the Poisson problem on 1,024 rows
 // with fresh work vectors each, so the later ones run warm.
-func solveStream(solve func(a *core.CSR, b *cunumeric.Array) *solvers.Result) skipStream {
+func solveStream(solve func(a *core.CSR, b *cunumeric.Array) *solvers.Result) legion.Stream {
 	return func(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
 		a := core.Poisson2D(rt, 32)
 		b := cunumeric.Full(rt, 32*32, 1)
@@ -187,7 +150,7 @@ func cgSolve(a *core.CSR, b *cunumeric.Array) *solvers.Result { return solvers.C
 
 // faultyCG is three CG solves under checkpointing, with the faults inj
 // injects.
-func faultyCG(inj func(rt *legion.Runtime) *fault.Injector) skipStream {
+func faultyCG(inj func(rt *legion.Runtime) *fault.Injector) legion.Stream {
 	return func(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
 		rt.EnableCheckpointing(16)
 		rt.SetFaultInjector(inj(rt))
@@ -195,23 +158,36 @@ func faultyCG(inj func(rt *legion.Runtime) *fault.Injector) skipStream {
 	}
 }
 
-var skipStreams = []struct {
-	name string
-	run  skipStream
+func restored(min int64) func(rt *legion.Runtime) error {
+	return func(rt *legion.Runtime) error {
+		if n := rt.Stats().Restores.Load(); n < min {
+			return fmt.Errorf("%d restores, want at least %d", n, min)
+		}
+		return nil
+	}
+}
+
+// exactStream is a workload of the exactness tests.
+type exactStream struct {
+	name        string
+	skip, reuse bool // run by TestMappingSkipIsExact, by TestStorageReuseIsExact
+	run         legion.Stream
 	// check names what the stream must have exercised, from the
 	// runtime it ran on.
 	check func(rt *legion.Runtime) error
-}{
-	{name: "cg", run: solveStream(cgSolve)},
-	{name: "mg-pcg", run: solveStream(func(a *core.CSR, b *cunumeric.Array) *solvers.Result {
+}
+
+var exactStreams = []exactStream{
+	{name: "cg", skip: true, reuse: true, run: solveStream(cgSolve)},
+	{name: "mg-pcg", skip: true, run: solveStream(func(a *core.CSR, b *cunumeric.Array) *solvers.Result {
 		mg := solvers.NewMultigrid(a, 32)
 		defer mg.Destroy()
 		return mg.PCG(b, 6, 0)
 	})},
-	{name: "bicgstab", run: solveStream(func(a *core.CSR, b *cunumeric.Array) *solvers.Result {
+	{name: "bicgstab", skip: true, run: solveStream(func(a *core.CSR, b *cunumeric.Array) *solvers.Result {
 		return solvers.BiCGSTAB(a, b, 8, 0)
 	})},
-	{name: "power", run: func(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
+	{name: "power", skip: true, run: func(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
 		a := core.Poisson2D(rt, 32)
 		var data [][]float64
 		var futures []float64
@@ -222,25 +198,19 @@ var skipStreams = []struct {
 		}
 		return data, futures
 	}},
-	{name: "halo", run: func(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
-		var out legion.StreamOutcome
-		regions := legion.HaloStream(6)(rt, &out)
-		rt.Fence()
-		var data [][]float64
-		for _, r := range regions {
-			data = append(data, append([]float64(nil), r.Float64s()...))
-		}
-		return data, out.Futures
-	}},
-	{name: "checkpoint-fault", run: faultyCG(func(*legion.Runtime) *fault.Injector {
+	{name: "halo", skip: true, run: legion.HaloStream(6)},
+	{name: "halo", reuse: true, run: twiceHalo},
+	{name: "checkpoint-fault", skip: true, run: faultyCG(func(*legion.Runtime) *fault.Injector {
 		return fault.New(7).KillPoint(30, 1).KillPoint(75, 0).KillPoint(100, 1)
-	}), check: func(rt *legion.Runtime) error {
-		if n := rt.Stats().Restores.Load(); n < 2 {
-			return fmt.Errorf("%d restores, want at least 2", n)
+	}), check: restored(2)},
+	{name: "rate-faults", reuse: true, run: faultyCG(func(*legion.Runtime) *fault.Injector {
+		in, err := fault.Parse("rate:0.02:4", 11)
+		if err != nil {
+			panic(err)
 		}
-		return nil
-	}},
-	{name: "proc-death", run: faultyCG(func(rt *legion.Runtime) *fault.Injector {
+		return in
+	}), check: restored(2)},
+	{name: "proc-death", skip: true, reuse: true, run: faultyCG(func(rt *legion.Runtime) *fault.Injector {
 		return fault.New(7).KillProc(rt.Procs()[1], 2*time.Millisecond)
 	}), check: func(rt *legion.Runtime) error {
 		if n := rt.Stats().ProcsLost.Load(); n != 1 {
@@ -248,77 +218,61 @@ var skipStreams = []struct {
 		}
 		return nil
 	}},
+	{name: "destroy-replay", reuse: true, run: destroyThenReplay, check: restored(2)},
+	{name: "queued-destroy", reuse: true, run: queuedDestroy},
 }
 
-// TestMappingSkipIsExact: skipping a mapping whose inputs are unchanged
-// (Mapper.plan) changes nothing anyone can observe. Each stream runs at
-// both runtime shapes with skipping on and off, and the two runs must
-// agree on region contents and reduction values bit for bit, on the
-// simulated clock, on every statistics counter, and on the profile —
-// its per-task summary and every span, dependence, copy, memory event
-// and mark. The skipping run must also have skipped something.
-func TestMappingSkipIsExact(t *testing.T) {
-	for _, s := range skipStreams {
+// exactlyAlike runs each stream that pick selects at both runtime
+// shapes, with set's switch on and then off, and requires the two runs
+// to agree on their whole Outcome. took returns an error unless the
+// run with the switch on used it.
+func exactlyAlike(t *testing.T, pick func(exactStream) bool, set func(*legion.Runtime, bool), took func(on, off *legion.Runtime) error) {
+	for _, s := range exactStreams {
+		if !pick(s) {
+			continue
+		}
 		for _, sh := range shapes {
 			t.Run(s.name+"/"+sh.name, func(t *testing.T) {
-				var runs [2]skipOutcome
-				var calls [2]int64
+				var runs [2]legion.Outcome
+				var rts [2]*legion.Runtime
 				for i, on := range []bool{true, false} {
 					rt := shapeRuntime(t, sh.mach, sh.procs)
-					legion.SetMappingSkip(rt, on)
+					set(rt, on)
 					sink := prof.NewSink(0)
 					rt.EnableProfiling(sink)
-					var out skipOutcome
-					out.Data, out.Futures = s.run(t, rt)
+					data, futures := s.run(t, rt)
 					rt.Fence()
 					if err := rt.Err(); err != nil {
-						t.Fatalf("skip %v: %v", on, err)
+						t.Fatalf("switch on %v: %v", on, err)
 					}
 					if s.check != nil {
 						if err := s.check(rt); err != nil {
-							t.Fatalf("skip %v: %v", on, err)
+							t.Fatalf("switch on %v: %v", on, err)
 						}
 					}
-					out.Sim, out.Stats = rt.SimTime(), counters(rt.Stats())
-					out.Summary, out.Trace = sink.Summary(), sink.Snapshot()
-					runs[i], calls[i] = out, legion.MapCalls(rt)
+					runs[i], rts[i] = legion.Capture(rt, sink, data, futures), rt
 				}
-				if calls[0] >= calls[1] {
-					t.Fatalf("skipping made %d mappings, not skipping %d: nothing was skipped", calls[0], calls[1])
+				if err := took(rts[0], rts[1]); err != nil {
+					t.Fatal(err)
 				}
-				if diff := outcomeDiff(runs[0], runs[1]); diff != "" {
-					t.Fatalf("skipping on differs from off: %s", diff)
+				if diff := legion.Diff(runs[0], runs[1]); diff != "" {
+					t.Fatalf("switch on differs from off: %s", diff)
 				}
 			})
 		}
 	}
 }
 
-// outcomeDiff names the first field of two outcomes that differs, and
-// for a list the first element that does.
-func outcomeDiff(got, want any) string {
-	var diff func(name string, g, w reflect.Value) string
-	diff = func(name string, g, w reflect.Value) string {
-		if reflect.DeepEqual(g.Interface(), w.Interface()) {
-			return ""
+// TestMappingSkipIsExact: skipping a mapping whose inputs are unchanged
+// (Mapper.plan) changes nothing anyone can observe. Each stream runs at
+// both runtime shapes with skipping on and off, and the two runs must
+// agree on their whole Outcome. The skipping run must also have skipped
+// something.
+func TestMappingSkipIsExact(t *testing.T) {
+	exactlyAlike(t, func(s exactStream) bool { return s.skip }, legion.SetMappingSkip, func(on, off *legion.Runtime) error {
+		if a, b := legion.MapCalls(on), legion.MapCalls(off); a >= b {
+			return fmt.Errorf("skipping made %d mappings, not skipping %d: nothing was skipped", a, b)
 		}
-		switch g.Kind() {
-		case reflect.Pointer:
-			return diff(name, g.Elem(), w.Elem())
-		case reflect.Struct:
-			for f := 0; f < g.NumField(); f++ {
-				if d := diff(name+"."+g.Type().Field(f).Name, g.Field(f), w.Field(f)); d != "" {
-					return d
-				}
-			}
-		case reflect.Slice:
-			for i := 0; i < min(g.Len(), w.Len()); i++ {
-				if d := diff(fmt.Sprintf("%s[%d]", name, i), g.Index(i), w.Index(i)); d != "" {
-					return d
-				}
-			}
-		}
-		return fmt.Sprintf("%s = %v, want %v", name, g.Interface(), w.Interface())
-	}
-	return diff("outcome", reflect.ValueOf(got), reflect.ValueOf(want))
+		return nil
+	})
 }

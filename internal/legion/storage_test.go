@@ -2,16 +2,13 @@ package legion_test
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cunumeric"
 	"repro/internal/fault"
 	"repro/internal/legion"
-	"repro/internal/prof"
 )
 
 // elementwise launches dst[i] = f(i, dst[i], srcs[0][i], srcs[1][i]...)
@@ -57,12 +54,6 @@ func ramp(n int64, scale float64) []float64 {
 	return v
 }
 
-// contents fences and copies r's contents.
-func contents(rt *legion.Runtime, r *legion.Region) []float64 {
-	rt.Fence()
-	return append([]float64(nil), r.Float64s()...)
-}
-
 // queuedDestroy destroys a region while a launch that reads it waits in
 // a worker's queue behind a held launch, then creates regions of the
 // same size, one before the held launch is released and one after the
@@ -85,11 +76,11 @@ func queuedDestroy(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
 		func(_ int64, d float64, _ []float64) float64 { return 2 * d }))
 	z := rt.CreateRegion("z", n, legion.Float64)
 	close(gate)
-	data := [][]float64{contents(rt, y), contents(rt, s), contents(rt, z)}
+	data := legion.Contents(rt, y, s, z)
 	w := rt.CreateRegion("w", n, legion.Float64)
 	futs = append(futs, elementwise(rt, w, legion.ReadWrite, nil,
 		func(_ int64, d float64, s []float64) float64 { return d + s[0] }, y))
-	data = append(data, contents(rt, w))
+	data = append(data, legion.Contents(rt, w)...)
 	var futures []float64
 	for _, f := range futs {
 		futures = append(futures, f.Get())
@@ -125,28 +116,19 @@ func destroyThenReplay(t *testing.T, rt *legion.Runtime) ([][]float64, []float64
 			func(_ int64, d float64, _ []float64) float64 { return d + 1 })
 		futures = append(futures, elementwise(rt, acc, legion.ReadWrite, nil,
 			func(_ int64, d float64, s []float64) float64 { return d - s[0]/8 }, s).Get())
-		data = append(data, contents(rt, s))
+		data = append(data, legion.Contents(rt, s)...)
 		rt.Destroy(s)
 	}
-	data = append(data, contents(rt, acc))
+	data = append(data, legion.Contents(rt, acc)...)
 	return data, futures
 }
 
-// twiceHalo runs the executor tests' halo stream, destroys its regions
-// and runs it again on their storage.
+// twiceHalo runs the halo stream twice, the second time on the storage
+// of the first run's vectors.
 func twiceHalo(t *testing.T, rt *legion.Runtime) ([][]float64, []float64) {
-	var data [][]float64
-	var futures []float64
-	for run := 0; run < 2; run++ {
-		var out legion.StreamOutcome
-		regions := legion.HaloStream(6)(rt, &out)
-		for _, r := range regions {
-			data = append(data, contents(rt, r))
-			rt.Destroy(r)
-		}
-		futures = append(futures, out.Futures...)
-	}
-	return data, futures
+	data, futures := legion.HaloStream(6)(t, rt)
+	d, f := legion.HaloStream(6)(t, rt)
+	return append(data, d...), append(futures, f...)
 }
 
 // holdSpares stops collections until the test ends: the pool holds its
@@ -157,105 +139,22 @@ func holdSpares(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(gc) })
 }
 
-func restored(min int64) func(rt *legion.Runtime) error {
-	return func(rt *legion.Runtime) error {
-		if n := rt.Stats().Restores.Load(); n < min {
-			return fmt.Errorf("%d restores, want at least %d", n, min)
-		}
-		return nil
-	}
-}
-
-var reuseStreams = []struct {
-	name  string
-	run   skipStream
-	check func(rt *legion.Runtime) error
-}{
-	{name: "cg", run: solveStream(cgSolve)},
-	{name: "halo", run: twiceHalo},
-	{name: "rate-faults", run: faultyCG(func(*legion.Runtime) *fault.Injector {
-		in, err := fault.Parse("rate:0.02:4", 11)
-		if err != nil {
-			panic(err)
-		}
-		return in
-	}), check: restored(2)},
-	{name: "proc-death", run: faultyCG(func(rt *legion.Runtime) *fault.Injector {
-		return fault.New(7).KillProc(rt.Procs()[1], 2*time.Millisecond)
-	}), check: func(rt *legion.Runtime) error {
-		if n := rt.Stats().ProcsLost.Load(); n != 1 {
-			return fmt.Errorf("%d processors lost, want 1", n)
-		}
-		return nil
-	}},
-	{name: "destroy-replay", run: destroyThenReplay, check: restored(2)},
-	{name: "queued-destroy", run: queuedDestroy},
-}
-
-// reuseOutcome is a run's observable outcome, values by their bits.
-type reuseOutcome struct {
-	Data    [][]uint64
-	Futures []uint64
-	Sim     time.Duration
-	Stats   []int64
-	Summary prof.Summary
-	Trace   *prof.Trace
-}
-
-func bits(v []float64) []uint64 {
-	out := make([]uint64, len(v))
-	for i, x := range v {
-		out[i] = math.Float64bits(x)
-	}
-	return out
-}
-
 // TestStorageReuseIsExact: handing destroyed regions' and snapshots'
 // storage to later regions (storage.go) changes nothing anyone can
 // observe. Each stream runs at both runtime shapes with reuse on and
-// off, and the two runs must agree on region contents and reduction
-// values bit for bit, on the simulated clock, on every statistics
-// counter, and on the profile. The reusing run must have reused storage.
+// off, and the two runs must agree on their whole Outcome. The reusing
+// run must have reused storage.
 // A buffer handed out while a queued launch still reads its region
 // (queued-destroy), or while recovery may still replay a launch writing
 // it (destroy-replay, rate-faults), changes contents or fails the run.
 func TestStorageReuseIsExact(t *testing.T) {
 	holdSpares(t)
-	for _, s := range reuseStreams {
-		for _, sh := range shapes {
-			t.Run(s.name+"/"+sh.name, func(t *testing.T) {
-				var runs [2]reuseOutcome
-				for i, on := range []bool{true, false} {
-					rt := shapeRuntime(t, sh.mach, sh.procs)
-					legion.SetStorageReuse(rt, on)
-					sink := prof.NewSink(0)
-					rt.EnableProfiling(sink)
-					data, futures := s.run(t, rt)
-					rt.Fence()
-					if err := rt.Err(); err != nil {
-						t.Fatalf("reuse %v: %v", on, err)
-					}
-					if s.check != nil {
-						if err := s.check(rt); err != nil {
-							t.Fatalf("reuse %v: %v", on, err)
-						}
-					}
-					out := reuseOutcome{Futures: bits(futures), Sim: rt.SimTime(), Stats: counters(rt.Stats())}
-					for _, d := range data {
-						out.Data = append(out.Data, bits(d))
-					}
-					out.Summary, out.Trace = sink.Summary(), sink.Snapshot()
-					runs[i] = out
-					if got := legion.StorageReuses(rt); on == (got == 0) {
-						t.Fatalf("reuse %v: %d buffers reused", on, got)
-					}
-				}
-				if diff := outcomeDiff(runs[0], runs[1]); diff != "" {
-					t.Fatalf("storage reuse on differs from off: %s", diff)
-				}
-			})
+	exactlyAlike(t, func(s exactStream) bool { return s.reuse }, legion.SetStorageReuse, func(on, off *legion.Runtime) error {
+		if a, b := legion.StorageReuses(on), legion.StorageReuses(off); a == 0 || b != 0 {
+			return fmt.Errorf("reuse on reused %d buffers, reuse off %d", a, b)
 		}
-	}
+		return nil
+	})
 }
 
 // TestDestroyedRegionGivesUpStorage: once a destroyed region's storage

@@ -12,7 +12,7 @@ import (
 // a trace replays with a fraction of the analysis cost, leaving results
 // unchanged.
 func TestTraceReplayReducesAnalysisTime(t *testing.T) {
-	run := func(traced bool) ([]float64, int64) {
+	run := func(traced bool) Outcome {
 		m := machine.Summit(1)
 		rt := NewRuntime(m, m.Select(machine.GPU, 2))
 		defer rt.Shutdown()
@@ -41,16 +41,13 @@ func TestTraceReplayReducesAnalysisTime(t *testing.T) {
 				rt.EndTrace()
 			}
 		}
-		rt.Fence()
-		return x.Float64s(), int64(rt.SimTime())
+		return Capture(rt, nil, nil, nil, x)
 	}
-	plainData, plainTime := run(false)
-	tracedData, tracedTime := run(true)
-	for i := range plainData {
-		if plainData[i] != tracedData[i] {
-			t.Fatalf("tracing changed results at %d: %v vs %v", i, plainData[i], tracedData[i])
-		}
+	plain, traced := run(false), run(true)
+	if diff := Diff(traced, plain, Omit{"Sim", "the replays' analysis is cheaper"}, Omit{"Analysis", "by the replay factor"}); diff != "" {
+		t.Fatalf("tracing changed the outcome: %s", diff)
 	}
+	plainTime, tracedTime := plain.Sim, traced.Sim
 	// The workload is tiny, so launches are analysis-bound; replaying 9
 	// of 10 trace iterations should cut simulated time well below the
 	// untraced run.
@@ -115,11 +112,8 @@ func TestTraceFirstRecordingPaysFullCost(t *testing.T) {
 // replay iterations must each pay strictly less analysis time than the
 // unfused first (recording) iteration.
 func TestTraceFusionComposition(t *testing.T) {
-	type result struct {
-		data    []float64
-		perIter []time.Duration // analysis time charged per iteration
-	}
-	run := func(traced bool, window int) result {
+	// run returns the outcome and the analysis time charged per iteration.
+	run := func(traced bool, window int) (Outcome, []time.Duration) {
 		m := machine.Summit(1)
 		rt := NewRuntime(m, m.Select(machine.GPU, 2))
 		defer rt.Shutdown()
@@ -139,7 +133,7 @@ func TestTraceFusionComposition(t *testing.T) {
 			l.SetFusable(true)
 			l.Execute()
 		}
-		var res result
+		var perIter []time.Duration
 		for iter := 0; iter < 6; iter++ {
 			before := rt.AnalysisTime()
 			if traced {
@@ -152,26 +146,24 @@ func TestTraceFusionComposition(t *testing.T) {
 			if traced {
 				rt.EndTrace()
 			}
-			res.perIter = append(res.perIter, rt.AnalysisTime()-before)
+			perIter = append(perIter, rt.AnalysisTime()-before)
 		}
-		rt.Fence()
-		res.data = append(append([]float64(nil), x.Float64s()...), y.Float64s()...)
-		return res
+		return Capture(rt, nil, nil, nil, x, y), perIter
 	}
 
-	plain := run(false, 0)
-	traced := run(true, 0)
-	tracedFused := run(true, 16)
-	for i := range plain.data {
-		if plain.data[i] != traced.data[i] || plain.data[i] != tracedFused.data[i] {
-			t.Fatalf("results diverge at %d: plain %v, traced %v, traced+fused %v",
-				i, plain.data[i], traced.data[i], tracedFused.data[i])
+	plain, plainIters := run(false, 0)
+	traced, tracedIters := run(true, 0)
+	tracedFused, fusedIters := run(true, 16)
+	for _, got := range []Outcome{traced, tracedFused} {
+		if diff := Diff(got, plain, Omit{"Sim", "replays and fused launches cost less"}, Omit{"Analysis", "the same"},
+			Omit{"Stats.Tasks", "a fused launch is one task"}, Omit{"Stats.PointTasks", "of one point per processor"}); diff != "" {
+			t.Fatalf("results diverge from the plain run: %s", diff)
 		}
 	}
 	// Property: every replayed+fused iteration is strictly cheaper in
 	// analysis time than the unfused, untraced first iteration.
-	first := plain.perIter[0]
-	for i, d := range tracedFused.perIter[1:] {
+	first := plainIters[0]
+	for i, d := range fusedIters[1:] {
 		if d >= first {
 			t.Errorf("traced+fused iter %d analysis time %v not below unfused first iter %v", i+1, d, first)
 		}
@@ -179,10 +171,10 @@ func TestTraceFusionComposition(t *testing.T) {
 	// And fusion stacks on top of tracing: replays with fusion cost no
 	// more than replays without.
 	var fusedReplay, plainReplay time.Duration
-	for _, d := range tracedFused.perIter[1:] {
+	for _, d := range fusedIters[1:] {
 		fusedReplay += d
 	}
-	for _, d := range traced.perIter[1:] {
+	for _, d := range tracedIters[1:] {
 		plainReplay += d
 	}
 	if fusedReplay > plainReplay {

@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,26 +45,20 @@ func sameUpload(a, b *engine.UploadRequest) string {
 	switch {
 	case a.Name != b.Name || a.Rows != b.Rows || a.Cols != b.Cols || a.Meta != b.Meta:
 		return fmt.Sprintf("header %q %d×%d %+v, want %q %d×%d %+v", a.Name, a.Rows, a.Cols, a.Meta, b.Name, b.Rows, b.Cols, b.Meta)
-	case !sameSlice(a.Row, b.Row, func(x, y int64) bool { return x == y }):
+	case !sameSlice(a.Row, b.Row, slices.Equal[[]int64]):
 		return fmt.Sprintf("row %v, want %v", a.Row, b.Row)
-	case !sameSlice(a.Col, b.Col, func(x, y int64) bool { return x == y }):
+	case !sameSlice(a.Col, b.Col, slices.Equal[[]int64]):
 		return fmt.Sprintf("col %v, want %v", a.Col, b.Col)
-	case !sameSlice(a.Val, b.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }):
+	case !sameSlice(a.Val, b.Val, bitsEqual):
 		return fmt.Sprintf("val %v, want %v", a.Val, b.Val)
 	}
 	return ""
 }
 
-func sameSlice[T any](a, b []T, eq func(T, T) bool) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !eq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+// sameSlice reports whether a and b are nil in both or in neither and
+// eq holds for them.
+func sameSlice[T any](a, b []T, eq func(a, b []T) bool) bool {
+	return (a == nil) == (b == nil) && eq(a, b)
 }
 
 // FuzzUploadDecode: whatever bytes arrive as an upload, decodeUpload
